@@ -28,6 +28,7 @@ from ..formats.convert import coo_to_csf
 from ..generators.suite import load_matrix, load_tensor, matrix_ids, \
     tensor_ids
 from ..kernels import split_rows_cyclic
+from ..kernels.common import operand_memo
 from ..kernels.cpals import characterize_cpals
 from ..kernels.mttkrp import characterize_mttkrp
 from ..kernels.pagerank import characterize_pagerank
@@ -111,27 +112,13 @@ class Workload:
     composite: Callable[..., tuple] | None = None
 
 
-def _identity_memo(fn):
-    """Memoize a derived-operand builder by input identity — suite
-    inputs are themselves memoized, so identities are stable, and
-    architecture sweeps (Figure 14) rebuild the same operands dozens of
-    times otherwise."""
-    memo: dict[tuple, object] = {}
-
-    def wrapper(a):
-        key = (id(a), getattr(a, "nnz", None))
-        if key not in memo:
-            memo[key] = fn(a)
-        return memo[key]
-
-    return wrapper
-
-
-_transposed = _identity_memo(lambda a: a.transpose())
-_lower = _identity_memo(lower_triangle)
-_split = _identity_memo(lambda a: split_rows_cyclic(a, SPKADD_K))
-_csf_ikl = _identity_memo(coo_to_csf)
-_csf_lki = _identity_memo(lambda t: coo_to_csf(t, mode_order=(2, 1, 0)))
+# Derived operands, built once per input: architecture sweeps
+# (Figure 14) rebuild the same operands dozens of times otherwise.
+_transposed = operand_memo(lambda a: a.transpose())
+_lower = operand_memo(lower_triangle)
+_split = operand_memo(lambda a: split_rows_cyclic(a, SPKADD_K))
+_csf_ikl = operand_memo(coo_to_csf)
+_csf_lki = operand_memo(lambda t: coo_to_csf(t, mode_order=(2, 1, 0)))
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -194,7 +181,7 @@ WORKLOADS: dict[str, Workload] = {
     # SpAdd appears only in the Figure 3 motivation study.
     "spadd": Workload(
         "spadd", "SpAdd", "merge", "matrix",
-        baseline=lambda a, m: characterize_spadd(a, a.transpose(), m),
+        baseline=lambda a, m: characterize_spadd(a, _transposed(a), m),
         tmu_model=lambda a, m: None,
         needs_merge=True,
     ),
@@ -234,8 +221,8 @@ class WorkloadRun:
 @lru_cache(maxsize=None)
 def _load_order3(input_id: str, scale: str):
     # Folding an order-n tensor builds a fresh object; memoizing here
-    # keeps input identity stable across cells, which the
-    # ``_identity_memo`` derived-operand caches above key on.
+    # keeps input identity stable across cells, so the operand memo
+    # shares derived operands and streams between them.
     return as_order3(load_tensor(input_id, scale))
 
 
@@ -245,7 +232,13 @@ def _load_input(spec: Workload, input_id: str, scale: str):
     return _load_order3(input_id, scale)
 
 
-@lru_cache(maxsize=None)
+#: runs :func:`run_workload` keeps.  The runtime executor already
+#: deduplicates cells, so this only serves direct repeat calls; the
+#: bound keeps a long-running server's memory flat.
+RUN_MEMO_ENTRIES = 256
+
+
+@lru_cache(maxsize=RUN_MEMO_ENTRIES)
 def run_workload(workload_id: str, input_id: str,
                  machine: MachineConfig, scale: str = "small", *,
                  variants: tuple[str, ...] = ("baseline", "tmu"),

@@ -2,11 +2,68 @@
 
 from __future__ import annotations
 
+import functools
+import threading
+from collections import OrderedDict
+
 import numpy as np
 
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AddressSpace
+from ..sim.trace import AccessStream, AddressSpace
 from ..types import INDEX_BYTES, VALUE_BYTES
+
+#: entries the operand memo keeps.  A full paper evaluation needs about
+#: a dozen per suite input (derived operands, scan arrays, stream sets);
+#: architecture sweeps cycle through every input of one workload per
+#: machine, so the bound must cover one workload's inputs with room.
+MEMO_ENTRIES = 128
+
+_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
+_MEMO_LOCK = threading.Lock()
+
+
+def _freeze(value):
+    """Mark the arrays of a memoized result read-only: callers share
+    them, so an in-place write must raise instead of corrupting another
+    cell."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, AccessStream):
+        value.addresses.setflags(write=False)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+    return value
+
+
+def operand_memo(fn):
+    """Memoize ``fn`` on the identity of its positional arguments.
+
+    Architecture sweeps re-run a kernel on the same operands under many
+    machines; everything that depends only on the operands (derived
+    operands, scan arrays, address streams) is built once and shared.
+    All memoized functions share one LRU of :data:`MEMO_ENTRIES`
+    entries.  Each entry holds its arguments, so no new object can take
+    over a memoized ``id`` while the entry lives.  Results are shared
+    by every caller: their arrays are marked read-only.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        key = (wrapper, *map(id, args))
+        with _MEMO_LOCK:
+            hit = _MEMO.get(key)
+            if hit is not None:
+                _MEMO.move_to_end(key)
+                return hit[1]
+        value = _freeze(fn(*args))
+        with _MEMO_LOCK:
+            _MEMO[key] = (args, value)
+            while len(_MEMO) > MEMO_ENTRIES:
+                _MEMO.popitem(last=False)
+        return value
+
+    return wrapper
 
 
 def ceil_div(a: int, b: int) -> int:

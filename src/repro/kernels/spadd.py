@@ -17,7 +17,7 @@ from ..fibers.merge import disjunctive_merge
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import CsrOperand
+from .common import CsrOperand, operand_memo, sorted_unique
 
 
 def spadd(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
@@ -64,34 +64,32 @@ def spadd_numpy(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
     return coo_to_csr(merged)
 
 
-def characterize_spadd(a: CsrMatrix, b: CsrMatrix,
-                       machine: MachineConfig) -> KernelTrace:
-    """Characterize the scalar two-way merge baseline.
+def merge_counts(a: CsrMatrix, b: CsrMatrix) -> tuple[int, int]:
+    """Steps of the row-by-row two-way merge of ``a`` and ``b`` (one
+    per output non-zero) and how many of them join a coordinate present
+    in both.  Packs every coordinate into one ``row << 32 | col`` key:
+    the coordinates both operands hold are the keys the union drops."""
+    keys = [(np.repeat(np.arange(m.num_rows, dtype=np.int64),
+                       np.diff(m.ptrs)) << 32) | m.idxs.astype(np.int64)
+            for m in (a, b)]
+    steps = int(sorted_unique(np.concatenate(keys)).size)
+    return steps, a.nnz + b.nnz - steps
 
-    Merging is inherently serial per row: every output step executes a
-    compare, a select, one or two head advances, and a data-dependent
-    branch (which way the comparison went is as unpredictable as the
-    coordinate interleaving of the inputs).
-    """
-    rows = a.num_rows
-    # Count merge steps and two-hit steps exactly, vectorized.
-    steps = 0
-    both = 0
-    for i in range(rows):
-        ia = a.idxs[a.ptrs[i]:a.ptrs[i + 1]]
-        ib = b.idxs[b.ptrs[i]:b.ptrs[i + 1]]
-        inter = np.intersect1d(ia, ib, assume_unique=True).size
-        steps += ia.size + ib.size - inter
-        both += inter
+
+@operand_memo
+def spadd_streams(a: CsrMatrix, b: CsrMatrix
+                  ) -> tuple[tuple[AccessStream, ...], int, int]:
+    """The operand-only half of :func:`characterize_spadd`: the
+    baseline's address streams and its :func:`merge_counts`."""
+    steps, both = merge_counts(a, b)
     nnz_out = steps
-
     space = AddressSpace()
     a_op = CsrOperand(space, a)
     b_op = CsrOperand(space, b)
     out_idx = space.place(nnz_out * INDEX_BYTES)
     out_val = space.place(nnz_out * VALUE_BYTES)
 
-    streams = [
+    streams = (
         AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
         AccessStream(b_op.ptr_addresses(), INDEX_BYTES, "read", "B ptrs"),
         AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
@@ -102,17 +100,31 @@ def characterize_spadd(a: CsrMatrix, b: CsrMatrix,
                      * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
         AccessStream(out_val + np.arange(nnz_out, dtype=np.int64)
                      * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
-    ]
+    )
+    return streams, steps, both
+
+
+def characterize_spadd(a: CsrMatrix, b: CsrMatrix,
+                       machine: MachineConfig) -> KernelTrace:
+    """Characterize the scalar two-way merge baseline.
+
+    Merging is inherently serial per row: every output step executes a
+    compare, a select, one or two head advances, and a data-dependent
+    branch (which way the comparison went is as unpredictable as the
+    coordinate interleaving of the inputs).
+    """
+    streams, steps, both = spadd_streams(a, b)
+    rows = a.num_rows
     return KernelTrace(
         name="spadd",
         scalar_ops=7 * steps + 5 * rows,
         vector_ops=0,                    # merge code does not vectorize
         loads=2 * (a.nnz + b.nnz) + 4 * rows,
-        stores=2 * nnz_out,
+        stores=2 * steps,               # one output non-zero per step
         branches=3 * steps + rows,
         datadep_branches=2 * steps,
         flops=float(both),
-        streams=streams,
+        streams=list(streams),
         dependent_load_fraction=0.15,
         parallel_units=rows,
     )

@@ -16,7 +16,13 @@ from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import CsrOperand, sorted_unique, sve_lanes
+from .common import (
+    CsrOperand,
+    gather_scan_positions,
+    operand_memo,
+    sorted_unique,
+    sve_lanes,
+)
 
 
 def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
@@ -36,39 +42,24 @@ def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     return counts
 
 
-#: memos keyed by operand identity — the input suite memoizes matrices,
-#: so identities are stable; architecture sweeps (Figure 14)
-#: re-characterize the same operands many times.
-_SYMBOLIC_MEMO: dict[tuple, np.ndarray] = {}
-_SCAN_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@operand_memo
 def scan_arrays(a: CsrMatrix, b: CsrMatrix
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The positions and B column indexes visited by the Gustavson
-    B-row scans, in traversal order, memoized by operand identity.
+    B-row scans, in traversal order.
 
     The baseline characterization, the symbolic counts, and the TMU
-    timing model all walk the same expansion; computing it once per
-    operand pair is a measurable win on the benchmark sweeps.
+    timing model all walk the same expansion, so it is built once per
+    operand pair.
     """
-    from .common import gather_scan_positions
-
-    key = (id(a), id(b), a.nnz, b.nnz)
-    got = _SCAN_MEMO.get(key)
-    if got is None:
-        positions = gather_scan_positions(b.ptrs, a.idxs)
-        got = _SCAN_MEMO[key] = (positions, b.idxs[positions])
-    return got
+    positions = gather_scan_positions(b.ptrs, a.idxs)
+    return positions, b.idxs[positions]
 
 
+@operand_memo
 def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     """Vectorized equivalent of :func:`spmspm_symbolic` (same counts,
     numpy set-union per row) for characterization of larger inputs."""
-    key = (id(a), id(b), a.nnz, b.nnz)
-    cached = _SYMBOLIC_MEMO.get(key)
-    if cached is not None:
-        return cached
     # Expand every (A row i, B row k) pairing into packed
     # ``i << shift | col`` keys and take one global unique — the
     # per-row distinct-column counts drop out of the keys' high
@@ -80,20 +71,15 @@ def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     blk = np.diff(b.ptrs)[a.idxs]
     _, cols = scan_arrays(a, b)
     if cols.size == 0:
-        counts = np.zeros(a.num_rows, dtype=np.int64)
-    else:
-        i_rep = np.repeat(row_of, blk)
-        if a.num_rows <= 1 << 15 and b.num_cols <= 1 << 16:
-            uniq = sorted_unique((i_rep.astype(np.int32) << 16)
-                                 | cols.astype(np.int32))
-            counts = np.bincount(uniq >> 16,
-                                 minlength=a.num_rows).astype(np.int64)
-        else:
-            uniq = sorted_unique((i_rep << 32) | cols)
-            counts = np.bincount(uniq >> 32,
-                                 minlength=a.num_rows).astype(np.int64)
-    _SYMBOLIC_MEMO[key] = counts
-    return counts
+        return np.zeros(a.num_rows, dtype=np.int64)
+    i_rep = np.repeat(row_of, blk)
+    if a.num_rows <= 1 << 15 and b.num_cols <= 1 << 16:
+        uniq = sorted_unique((i_rep.astype(np.int32) << 16)
+                             | cols.astype(np.int32))
+        return np.bincount(uniq >> 16,
+                           minlength=a.num_rows).astype(np.int64)
+    uniq = sorted_unique((i_rep << 32) | cols)
+    return np.bincount(uniq >> 32, minlength=a.num_rows).astype(np.int64)
 
 
 def spmspm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
@@ -133,29 +119,18 @@ def spmspm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
                      validate=False)
 
 
-def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
-                        machine: MachineConfig) -> KernelTrace:
-    """Characterize the SVE Gustavson baseline on ``Z = A B``.
-
-    The dominant loop scans rows of ``B`` selected by column indexes of
-    ``A`` (a scan-and-lookup with whole-row spatial locality) and
-    accumulates scaled rows — flops = 2 x Σ nnz(B row k) over all A
-    non-zeros.
-    """
-    lanes = sve_lanes(machine.core.vector_bits)
-    rows, nnz_a = a.num_rows, a.nnz
-    b_row_nnz = np.diff(b.ptrs)
-    scanned = b_row_nnz[a.idxs]          # B-row lengths per A non-zero
-    total_scanned = int(scanned.sum())
-    inner_chunks = int(np.sum(-(-scanned // lanes)))
-
+@operand_memo
+def spmspm_streams(a: CsrMatrix, b: CsrMatrix
+                   ) -> tuple[tuple[AccessStream, ...], np.ndarray, int]:
+    """The operand-only half of :func:`characterize_spmspm`: the
+    baseline's address streams, the B-row length scanned per A
+    non-zero, and the output non-zero count."""
     space = AddressSpace()
     a_op = CsrOperand(space, a)
     b_op = CsrOperand(space, b)
     # Output row assembly touches each produced non-zero ~twice
     # (accumulate + gather-out); symbolic counts give its footprint.
-    out_counts = _symbolic_counts_fast(a, b)
-    nnz_out = int(out_counts.sum())
+    nnz_out = int(_symbolic_counts_fast(a, b).sum())
     out_idx_base = space.place(nnz_out * INDEX_BYTES)
     out_val_base = space.place(nnz_out * VALUE_BYTES)
     acc_base = space.place(b.num_cols * VALUE_BYTES)
@@ -163,7 +138,7 @@ def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
     # Address stream of the B-row scans, in traversal order.
     scan_positions, scan_cols = scan_arrays(a, b)
 
-    streams = [
+    streams = (
         AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
         AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
         AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
@@ -177,7 +152,25 @@ def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
                      * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
         AccessStream(out_val_base + np.arange(nnz_out, dtype=np.int64)
                      * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
-    ]
+    )
+    scanned = np.diff(b.ptrs)[a.idxs]    # B-row lengths per A non-zero
+    return streams, scanned, nnz_out
+
+
+def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
+                        machine: MachineConfig) -> KernelTrace:
+    """Characterize the SVE Gustavson baseline on ``Z = A B``.
+
+    The dominant loop scans rows of ``B`` selected by column indexes of
+    ``A`` (a scan-and-lookup with whole-row spatial locality) and
+    accumulates scaled rows — flops = 2 x Σ nnz(B row k) over all A
+    non-zeros.
+    """
+    streams, scanned, nnz_out = spmspm_streams(a, b)
+    lanes = sve_lanes(machine.core.vector_bits)
+    rows, nnz_a = a.num_rows, a.nnz
+    total_scanned = int(scanned.sum())
+    inner_chunks = int(np.sum(-(-scanned // lanes)))
     return KernelTrace(
         name="spmspm",
         scalar_ops=8 * nnz_a + 6 * rows + 4 * nnz_out,
@@ -187,7 +180,7 @@ def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,
         branches=inner_chunks + nnz_a + rows,
         datadep_branches=nnz_a,
         flops=2.0 * total_scanned,
-        streams=streams,
+        streams=list(streams),
         dependent_load_fraction=0.55,
         parallel_units=rows,
     )

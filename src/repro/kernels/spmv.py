@@ -14,7 +14,13 @@ from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import CsrOperand, DenseOperand, row_chunk_count, sve_lanes
+from .common import (
+    CsrOperand,
+    DenseOperand,
+    operand_memo,
+    row_chunk_count,
+    sve_lanes,
+)
 
 
 def spmv(a: CsrMatrix, b) -> np.ndarray:
@@ -36,6 +42,24 @@ def spmv(a: CsrMatrix, b) -> np.ndarray:
     return out
 
 
+@operand_memo
+def spmv_streams(a: CsrMatrix) -> tuple[AccessStream, ...]:
+    """The baseline's address streams: they depend on the operand
+    only, so a sweep over machines builds them once."""
+    space = AddressSpace()
+    mat = CsrOperand(space, a)
+    vec = DenseOperand(space, a.num_cols)
+    out = DenseOperand(space, a.num_rows)
+    return (
+        AccessStream(mat.ptr_addresses(), INDEX_BYTES, "read", "row_ptrs"),
+        AccessStream(mat.idx_addresses(), INDEX_BYTES, "read", "col_idxs"),
+        AccessStream(mat.val_addresses(), VALUE_BYTES, "read", "nnz_vals"),
+        AccessStream(vec.addresses(a.idxs), VALUE_BYTES, "read", "b[idx]",
+                     dependent=True, gather=True),
+        AccessStream(out.addresses(), VALUE_BYTES, "write", "x[i]"),
+    )
+
+
 def characterize_spmv(a: CsrMatrix, machine: MachineConfig) -> KernelTrace:
     """Characterize the SVE-vectorized CSR SpMV baseline.
 
@@ -49,20 +73,7 @@ def characterize_spmv(a: CsrMatrix, machine: MachineConfig) -> KernelTrace:
     nnz = a.nnz
     row_nnz = a.row_nnz()
     chunks = row_chunk_count(row_nnz, lanes)
-
-    space = AddressSpace()
-    mat = CsrOperand(space, a)
-    vec = DenseOperand(space, a.num_cols)
-    out = DenseOperand(space, rows)
-
-    streams = [
-        AccessStream(mat.ptr_addresses(), INDEX_BYTES, "read", "row_ptrs"),
-        AccessStream(mat.idx_addresses(), INDEX_BYTES, "read", "col_idxs"),
-        AccessStream(mat.val_addresses(), VALUE_BYTES, "read", "nnz_vals"),
-        AccessStream(vec.addresses(a.idxs), VALUE_BYTES, "read", "b[idx]",
-                     dependent=True, gather=True),
-        AccessStream(out.addresses(), VALUE_BYTES, "write", "x[i]"),
-    ]
+    streams = list(spmv_streams(a))
 
     # Row-exit branches are only hard to predict when row lengths vary:
     # a TAGE-class predictor locks onto constant trip counts (banded FEM

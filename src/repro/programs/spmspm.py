@@ -15,6 +15,8 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
+from ..kernels.common import operand_memo
+from ..kernels.spmspm import _symbolic_counts_fast, scan_arrays
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
@@ -123,17 +125,14 @@ def build_spmspm_program(a: CsrMatrix, b: CsrMatrix, *, lanes: int = 2,
     )
 
 
-def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
-                        machine: MachineConfig, *,
-                        name: str = "spmspm") -> TmuWorkloadModel:
-    """Analytic TMU workload model for SpMSpM P2 (``Z = A B``)."""
-    lanes = sve_lanes_of(machine)
-    rows, nnz_a = a.num_rows, a.nnz
-    b_row_nnz = np.diff(b.ptrs)
-    scanned = b_row_nnz[a.idxs] if nnz_a else np.zeros(0, dtype=np.int64)
-    total_scanned = int(scanned.sum())
-    steps = int(np.sum(-(-scanned // lanes))) if nnz_a else 0
-
+@operand_memo
+def spmspm_tmu_streams(a: CsrMatrix, b: CsrMatrix
+                       ) -> tuple[tuple[AccessStream, ...], int, int]:
+    """The operand-only half of :func:`spmspm_timing_model`: the TMU's
+    traversal streams, the address-space region that follows them, and
+    the output non-zero count.  The core's result streams are placed
+    from that region per call: they are never walked, so sharing them
+    would only pin memory."""
     space = AddressSpace()
     streams, _ = csr_tmu_streams(a, space, "A")
     b_ptr_base = space.place((b.num_rows + 1) * INDEX_BYTES)
@@ -142,8 +141,6 @@ def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
     streams.append(AccessStream(
         b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES, "read",
         "B ptrs lookup", dependent=True))
-    from ..kernels.spmspm import scan_arrays
-
     scan_positions, _ = scan_arrays(a, b)
     streams.append(AccessStream(
         b_idx_base + scan_positions * INDEX_BYTES, INDEX_BYTES, "read",
@@ -153,9 +150,22 @@ def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
         "B vals scan", dependent=True))
 
     # Output size for the core-side assembly cost.
-    from ..kernels.spmspm import _symbolic_counts_fast
-
     nnz_out = int(_symbolic_counts_fast(a, b).sum())
+    return tuple(streams), space.next_region, nnz_out
+
+
+def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
+                        machine: MachineConfig, *,
+                        name: str = "spmspm") -> TmuWorkloadModel:
+    """Analytic TMU workload model for SpMSpM P2 (``Z = A B``)."""
+    streams, next_region, nnz_out = spmspm_tmu_streams(a, b)
+    lanes = sve_lanes_of(machine)
+    rows, nnz_a = a.num_rows, a.nnz
+    b_row_nnz = np.diff(b.ptrs)
+    scanned = b_row_nnz[a.idxs] if nnz_a else np.zeros(0, dtype=np.int64)
+    total_scanned = int(scanned.sum())
+    steps = int(np.sum(-(-scanned // lanes))) if nnz_a else 0
+    space = AddressSpace(next_region)
 
     ji_bytes = record_bytes(2, lanes, with_mask=True)
     ki_bytes = record_bytes(1, 1)
@@ -180,7 +190,7 @@ def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=streams,
+        tmu_streams=list(streams),
         layer_elements=[rows, nnz_a, total_scanned],
         layer_lanes=[1, 1, lanes],
         merge_steps=0,

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
+from ..kernels.common import operand_memo
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
@@ -84,20 +85,28 @@ def build_spmv_program(a: CsrMatrix, b, *, lanes: int = 2,
     )
 
 
-def spmv_timing_model(a: CsrMatrix, machine: MachineConfig,
-                      *, name: str = "spmv") -> TmuWorkloadModel:
-    """Analytic TMU workload model for SpMV P1."""
-    lanes = sve_lanes_of(machine)
-    rows, nnz = a.num_rows, a.nnz
-    row_nnz = a.row_nnz()
-    steps = int(np.sum(-(-row_nnz // lanes)))  # lockstep gites
-
+@operand_memo
+def spmv_tmu_streams(a: CsrMatrix) -> tuple[tuple[AccessStream, ...], int]:
+    """The operand-only half of :func:`spmv_timing_model`: the TMU's
+    traversal streams and the address-space region that follows them,
+    where each call places the core's result stream."""
     space = AddressSpace()
-    streams, bases = csr_tmu_streams(a, space)
+    streams, _ = csr_tmu_streams(a, space)
     b_base = space.place(a.num_cols * VALUE_BYTES)
     streams.append(AccessStream(
         b_base + a.idxs * VALUE_BYTES, VALUE_BYTES, "read", "b[idx]",
         dependent=True))
+    return tuple(streams), space.next_region
+
+
+def spmv_timing_model(a: CsrMatrix, machine: MachineConfig,
+                      *, name: str = "spmv") -> TmuWorkloadModel:
+    """Analytic TMU workload model for SpMV P1."""
+    streams, next_region = spmv_tmu_streams(a)
+    lanes = sve_lanes_of(machine)
+    rows, nnz = a.num_rows, a.nnz
+    row_nnz = a.row_nnz()
+    steps = int(np.sum(-(-row_nnz // lanes)))  # lockstep gites
 
     ri_bytes = record_bytes(2, lanes, with_mask=True)
     re_bytes = record_bytes(0, 0)
@@ -112,13 +121,13 @@ def spmv_timing_model(a: CsrMatrix, machine: MachineConfig,
         branches=steps + rows,            # outQ dispatch, predictable
         datadep_branches=0,
         flops=2.0 * nnz,
-        streams=[write_stream(space, rows, "x[i]")],
+        streams=[write_stream(AddressSpace(next_region), rows, "x[i]")],
         dependent_load_fraction=0.0,
         parallel_units=rows,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=streams,
+        tmu_streams=list(streams),
         layer_elements=[rows, nnz],
         layer_lanes=[1, lanes],
         merge_steps=0,

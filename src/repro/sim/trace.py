@@ -27,18 +27,23 @@ _REGION_BYTES = 1 << 30
 
 
 class AddressSpace:
-    """Hands out disjoint virtual regions for operand arrays."""
+    """Hands out disjoint virtual regions for operand arrays.
 
-    def __init__(self) -> None:
-        self._next_region = 1
+    ``first_region`` resumes where another space stopped (its
+    :attr:`next_region`): arrays placed here get the addresses they
+    would have got from that space.
+    """
+
+    def __init__(self, first_region: int = 1) -> None:
+        self.next_region = first_region
 
     def place(self, nbytes: int) -> int:
         """Reserve a region of at least ``nbytes`` and return its base."""
         if nbytes < 0:
             raise SimulationError("cannot place a negative-size array")
         regions = max(1, -(-nbytes // _REGION_BYTES))
-        base = self._next_region * _REGION_BYTES
-        self._next_region += regions
+        base = self.next_region * _REGION_BYTES
+        self.next_region += regions
         return base
 
 

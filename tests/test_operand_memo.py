@@ -1,0 +1,153 @@
+"""The operand memo: operand-only work (derived operands, scan arrays,
+address streams) is built once per operand and shared across machines,
+never returned stale, bounded, and read-only to its callers."""
+
+import numpy as np
+import pytest
+
+from repro.config import experiment_machine
+from repro.eval.workloads import (
+    RUN_MEMO_ENTRIES,
+    WORKLOADS,
+    _load_input,
+    run_workload,
+)
+from repro.formats.csr import CsrMatrix
+from repro.generators import uniform_random_matrix
+from repro.kernels import common
+from repro.kernels.common import gather_scan_positions, operand_memo
+from repro.kernels.spadd import merge_counts
+from repro.kernels.spmspm import (
+    _symbolic_counts_fast,
+    scan_arrays,
+    spmspm_symbolic,
+)
+from repro.kernels.spmv import spmv_streams
+from repro.sim.memsys import walk_cache
+
+
+def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
+    """A fresh n x n matrix with exactly ``per_row`` non-zeros per row,
+    so every call yields an operand of the same shape and nnz."""
+    rows = [np.sort(rng.choice(n, per_row, replace=False)) for _ in range(n)]
+    idxs = np.concatenate(rows)
+    return CsrMatrix((n, n), np.arange(n + 1) * per_row, idxs, np.ones(idxs.size))
+
+
+class TestNeverStale:
+    def test_fresh_same_size_operands(self):
+        # Each pair dies at the end of its iteration, so the allocator
+        # hands its ids to the next pair: an id-keyed memo that holds no
+        # reference answers with a dead pair's arrays.
+        rng = np.random.default_rng(0)
+        stale = 0
+        for _ in range(300):
+            a = _fixed_nnz_matrix(rng, 24, 3)
+            b = a.transpose()
+            expect = gather_scan_positions(b.ptrs, a.idxs)
+            positions, cols = scan_arrays(a, b)
+            counts = _symbolic_counts_fast(a, b)
+            stale += not (
+                np.array_equal(positions, expect)
+                and np.array_equal(cols, b.idxs[expect])
+                and np.array_equal(counts, spmspm_symbolic(a, b))
+            )
+        assert stale == 0
+
+    def test_bounded(self):
+        memo = operand_memo(lambda a: a + 1)
+        held = [np.arange(3) for _ in range(common.MEMO_ENTRIES + 50)]
+        for arr in held:
+            memo(arr)
+            assert len(common._MEMO) <= common.MEMO_ENTRIES
+        assert len(common._MEMO) == common.MEMO_ENTRIES
+
+    def test_hit_returns_the_same_object(self, small_csr):
+        assert spmv_streams(small_csr) is spmv_streams(small_csr)
+
+
+class TestReadOnly:
+    def test_stream_arrays_refuse_writes(self, small_csr):
+        for stream in spmv_streams(small_csr):
+            with pytest.raises(ValueError):
+                stream.addresses[0] = 0
+
+    def test_scan_arrays_refuse_writes(self, small_csr):
+        positions, cols = scan_arrays(small_csr, small_csr.transpose())
+        with pytest.raises(ValueError):
+            positions[0] = 0
+        with pytest.raises(ValueError):
+            cols[0] = 0
+
+
+def _merge_counts_loop(a, b):
+    """Per-row ``intersect1d`` oracle for :func:`merge_counts`."""
+    steps = both = 0
+    for i in range(a.num_rows):
+        ia = a.idxs[a.ptrs[i] : a.ptrs[i + 1]]
+        ib = b.idxs[b.ptrs[i] : b.ptrs[i + 1]]
+        inter = np.intersect1d(ia, ib, assume_unique=True).size
+        steps += ia.size + ib.size - inter
+        both += inter
+    return steps, both
+
+
+class TestSpaddMergeCounts:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_row_loop(self, seed):
+        rows, cols = 40 + 7 * seed, 30 + 11 * seed
+        a = uniform_random_matrix(rows, cols, 0.5 + seed, seed=seed)
+        b = uniform_random_matrix(rows, cols, 0.5 + seed, seed=seed + 100)
+        assert merge_counts(a, b) == _merge_counts_loop(a, b)
+
+    def test_transposed_square(self, small_csr):
+        at = small_csr.transpose()
+        assert merge_counts(small_csr, at) == _merge_counts_loop(small_csr, at)
+
+    def test_self_merge_is_all_hits(self, small_csr):
+        nnz = small_csr.nnz
+        assert merge_counts(small_csr, small_csr) == (nnz, nnz)
+
+
+def _machines():
+    """Two machines that differ only in SVE width and TMU storage."""
+    base = experiment_machine("small")
+    return [
+        base.with_core(vector_bits=bits).with_tmu(
+            lanes=bits // 64, per_lane_storage_bytes=kb * 1024
+        )
+        for bits, kb in ((256, 3), (128, 5))
+    ]
+
+
+class TestSharedAcrossMachines:
+    @pytest.mark.parametrize("workload", ["spmv", "spmspm"])
+    def test_streams_are_the_same_objects(self, workload):
+        spec = WORKLOADS[workload]
+        data = _load_input(spec, "M3", "small")
+        first, second = _machines()
+        one, two = spec.baseline(data, first), spec.baseline(data, second)
+        assert one.vector_ops != two.vector_ops
+        assert all(s is t for s, t in zip(one.streams, two.streams, strict=True))
+        one, two = spec.tmu_model(data, first), spec.tmu_model(data, second)
+        assert one.layer_lanes != two.layer_lanes
+        assert all(
+            s is t for s, t in zip(one.tmu_streams, two.tmu_streams, strict=True)
+        )
+        # the core's result streams are placed per call, after the
+        # shared regions
+        top = max(int(s.addresses.max()) for s in one.tmu_streams if s.count)
+        for model in (one, two):
+            assert all(s.addresses[0] > top for s in model.core_trace.streams)
+
+    def test_second_baseline_walk_is_a_memory_hit(self):
+        first, second = _machines()
+        cache = walk_cache()
+        run_workload("spmspm", "M4", first, "small", variants=("baseline",))
+        hits, misses = cache.hits, cache.misses
+        run_workload("spmspm", "M4", second, "small", variants=("baseline",))
+        assert (cache.hits, cache.misses) == (hits + 1, misses)
+
+
+def test_run_memo_is_bounded():
+    assert run_workload.cache_info().maxsize == RUN_MEMO_ENTRIES
