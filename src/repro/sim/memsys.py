@@ -9,7 +9,9 @@ Modeling notes (vs. gem5):
 
 * Streams are filtered per level; one level's misses are replayed into
   the next, which is exact for an exclusive-of-nothing composition and
-  a good approximation of the paper's mostly-exclusive LLC.
+  a good approximation of the paper's mostly-exclusive LLC.  The core's
+  L1D → L2 → LLC walk and the TMU's LLC-only walk are the same walk
+  over a tuple of levels.
 * Long streams are optionally *window-sampled*: a prefix window of each
   stream is simulated and the hit rates extrapolated.  Sampling is off
   by default at the suite's default scale.
@@ -30,8 +32,7 @@ import numpy as np
 from .. import obs
 from ..config import CacheConfig, MachineConfig
 from . import stackdist
-from .cache import Cache, _CacheTelemetry, _publish, dedup_consecutive, \
-    settle_lookup, to_lines
+from .cache import Cache, dedup_consecutive, settle_lookup, to_lines
 from .fastcache import FastCache
 from .trace import AccessStream, KernelTrace
 
@@ -197,8 +198,69 @@ def _decode_walk(payload: dict):
     return profiles, levels
 
 
+#: Bound of the first-level memo, in stored walks.  One Fig. 3 host
+#: sweep walks 18 traces (three kernels on six matrices) through one
+#: L1; the next host with the same L1 geometry reuses every one.
+FIRST_LEVEL_ENTRIES = 48
+
+
+class _VerifiedLRU:
+    """An LRU of (stream arrays, value) pairs under fingerprint keys.
+
+    A key holds every stored content that shares its fingerprint; a
+    lookup returns the value whose arrays equal the given streams
+    (identity first, then ``array_equal``), so a collision can never
+    serve another content's value.  The bound counts stored pairs, not
+    keys, and eviction drops the oldest pair of the least recently
+    used key.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple, list] = OrderedDict()
+        self._pairs = 0
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, streams: list[AccessStream]):
+        with self._lock:
+            pairs = self._entries.get(key)
+            if pairs is None:
+                return None
+            self._entries.move_to_end(key)
+            pairs = list(pairs)
+        for stored, value in pairs:
+            if _streams_equal(stored, streams):
+                return value
+        return None
+
+    def put(self, key: tuple, streams: list[AccessStream], value,
+            capacity: int) -> int:
+        """Store a pair; returns how many pairs were evicted."""
+        arrays = [s.addresses for s in streams]
+        evicted = 0
+        with self._lock:
+            while self._pairs >= capacity and self._entries:
+                oldest_key, oldest = next(iter(self._entries.items()))
+                oldest.pop(0)
+                if not oldest:
+                    del self._entries[oldest_key]
+                self._pairs -= 1
+                evicted += 1
+            self._entries.setdefault(key, []).append((arrays, value))
+            self._entries.move_to_end(key)
+            self._pairs += 1
+        return evicted
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._pairs = 0
+
+    def __len__(self) -> int:
+        return self._pairs
+
+
 class WalkCache:
-    """Two-tier memo of hierarchy walks.
+    """Two-tier memo of hierarchy walks, plus a first-level memo.
 
     Architecture sweeps re-profile identical (geometry, stream content)
     pairs — core-side variants leave the cache hierarchy untouched —
@@ -208,13 +270,20 @@ class WalkCache:
     * **memory tier**: an in-process LRU over cheap fingerprint keys;
       every hit is *verified* against the stored address arrays with
       ``array_equal``, so a fingerprint collision can never change
-      results.  At capacity the least-recently-used entry is evicted
-      (an eviction only costs a recompute, never correctness).
+      results.  At ``capacity`` stored walks the least-recently-used
+      one is evicted (an eviction only costs a recompute, never
+      correctness).
     * **disk tier** (optional, installed by the runtime beside the
       result cache): records keyed by a sha256 over the geometry key
       and the full stream bytes, shared across ProcessPool workers,
       server jobs and sessions.  A disk hit is promoted into the
       memory tier.
+    * **first-level memo**: the outcome of a multi-level walk's first
+      level (its miss stream included), verified like the memory tier
+      and bounded by :data:`FIRST_LEVEL_ENTRIES`.  A level depends
+      only on its own geometry and the traffic reaching it, so hosts
+      that share an L1 and differ below it classify it once.  It never
+      reaches the disk tier.
 
     Replaying a cached walk reproduces the walk's observable side
     effects (per-level counters and stats) exactly, keeping telemetry
@@ -224,13 +293,14 @@ class WalkCache:
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, list] = OrderedDict()
-        self._lock = threading.Lock()
+        self._memory = _VerifiedLRU()
+        self._first_level = _VerifiedLRU()
         self.store = None  # disk tier (duck-typed: load/save)
         self.hits = 0
         self.disk_hits = 0
         self.misses = 0
         self.evictions = 0
+        self.first_level_hits = 0
 
     # ------------------------------------------------------------ telemetry
 
@@ -249,17 +319,11 @@ class WalkCache:
         """The cached walk for ``key``/``streams``, or None.  Checks
         the memory tier (verified), then the disk tier (content-
         addressed, so trusted by construction)."""
-        with self._lock:
-            entries = self._entries.get(key)
-            if entries is not None:
-                self._entries.move_to_end(key)
-                entries = list(entries)
-        if entries is not None:
-            for stored, value in entries:
-                if _streams_equal(stored, streams):
-                    self.hits += 1
-                    self._tele("mem_hits")
-                    return value
+        value = self._memory.get(key, streams)
+        if value is not None:
+            self.hits += 1
+            self._tele("mem_hits")
+            return value
         if self.store is not None:
             payload, nbytes = self.store.load(_walk_digest(key, streams))
             if payload is not None:
@@ -284,25 +348,32 @@ class WalkCache:
 
     def _install(self, key: tuple, streams: list[AccessStream],
                  value) -> None:
-        arrays = [s.addresses for s in streams]
-        with self._lock:
-            evicted = 0
-            while len(self._entries) >= self.capacity and self._entries:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self._entries.setdefault(key, []).append((arrays, value))
-            self._entries.move_to_end(key)
+        evicted = self._memory.put(key, streams, value, self.capacity)
         if evicted:
             self.evictions += evicted
             self._tele("evictions", evicted)
 
+    def lookup_first_level(self, key: tuple, streams: list[AccessStream]):
+        """The memoized first-level outcome for ``key``/``streams``, or
+        None."""
+        value = self._first_level.get(key, streams)
+        if value is not None:
+            self.first_level_hits += 1
+            self._tele("first_level_hits")
+        return value
+
+    def put_first_level(self, key: tuple, streams: list[AccessStream],
+                        value) -> None:
+        self._first_level.put(key, streams, value, FIRST_LEVEL_ENTRIES)
+
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        """Drop the memory tier and the first-level memo."""
+        self._memory.clear()
+        self._first_level.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        """Walks stored in the memory tier."""
+        return len(self._memory)
 
 
 _WALK_CACHE = WalkCache()
@@ -366,6 +437,124 @@ def sequentiality(lines: np.ndarray) -> float:
     return float(np.mean(deltas <= 2))
 
 
+def _coverage(stream: AccessStream, lines: np.ndarray,
+              prefetch: bool) -> float:
+    if prefetch and not stream.dependent:
+        # Stride/best-offset prefetchers cover sequential streams,
+        # but imperfectly: late prefetches and stream restarts leave
+        # about a quarter of the latency exposed.
+        return sequentiality(lines) * 0.75
+    return 0.0
+
+
+#: ``StreamProfile`` hit field of each level, innermost first; a walk
+#: of fewer levels fills the outermost ones (the TMU reads the LLC
+#: alone).
+_HIT_FIELDS = ("l1_hits", "l2_hits", "llc_hits")
+
+
+def _filter_level(cache, lines: np.ndarray, counts: np.ndarray):
+    """One level of the walk.  ``lines`` is the traffic reaching the
+    level, ``counts[i]`` of it from stream ``i`` in stream order.
+    Returns the per-stream hits, the per-stream misses, and the miss
+    lines passed down."""
+    hit = _walk_level(cache, lines)
+    seg = np.repeat(np.arange(counts.size), counts)
+    hits = np.bincount(seg[hit], minlength=counts.size)
+    return hits, counts - hits, lines[~hit]
+
+
+def _first_level(cache, streams: list[AccessStream], key: tuple | None,
+                 sample_window: int | None, prefetch: bool):
+    """Line prep plus the first level of a walk: per-stream (total,
+    scale, prefetch coverage), the level's per-stream hits, and the
+    per-stream misses and miss lines passed down.  Under a ``key`` the
+    outcome goes through the first-level memo; a reuse settles the
+    level's stats and counters as the fresh walk did."""
+    if key is not None:
+        value = _WALK_CACHE.lookup_first_level(key, streams)
+        if value is not None:
+            _, hits, misses, _ = value
+            accesses = int(hits.sum() + misses.sum())
+            if accesses:
+                settle_lookup(cache, accesses, int(hits.sum()))
+            return value
+    prepared = [prepare_lines(s, cache.config.line_bytes, sample_window)
+                for s in streams]
+    prep = [(total, scale, _coverage(s, lines, prefetch))
+            for s, (lines, total, scale) in zip(streams, prepared)]
+    counts = np.array([p[0].size for p in prepared], dtype=np.int64)
+    lines = (np.concatenate([p[0] for p in prepared]) if prepared
+             else np.zeros(0, dtype=np.int64))
+    value = (prep, *_filter_level(cache, lines, counts))
+    if key is not None:
+        for array in value[1:]:
+            array.flags.writeable = False
+        _WALK_CACHE.put_first_level(key, streams, value)
+    return value
+
+
+def _walk(levels: tuple, streams: list[AccessStream], *, fast: bool,
+          sample_window: int | None, prefetch: bool) -> list[StreamProfile]:
+    """Walk ``streams`` through ``levels`` (reset caches, innermost
+    first), each level filtering the misses of the one above.
+
+    One call per level classifies the concatenated streams, which is
+    exact: a level's state depends only on the lookups it serves, and
+    the per-level access order (stream 0's lines, then stream 1's, ...)
+    is the one the per-stream reference walk produces.  Per-stream
+    attribution is a segment-id ``bincount`` on each level's hit mask.
+
+    Outside tracing the whole walk goes through the walk cache, keyed
+    by each level's sets, ways and line size, the cache model, the
+    sample window, the prefetcher flag and the stream fingerprints —
+    latency and MSHRs never change a hit — and a walk of two or more
+    levels takes its first level from the first-level memo.
+    """
+    memo = not obs.tracer().enabled
+    geometry = tuple((c.num_sets, c.ways, c.config.line_bytes)
+                     for c in levels)
+    rest = (fast, sample_window, prefetch,
+            tuple(_stream_fingerprint(s) for s in streams))
+    key = (geometry, *rest)
+    value = _WALK_CACHE.lookup(key, streams) if memo else None
+    if value is not None:
+        stored, stats = value
+        for cache, (accesses, hit_count) in zip(levels, stats):
+            if accesses:
+                settle_lookup(cache, accesses, hit_count)
+        return [replace(sp) for sp in stored]
+
+    first_key = (geometry[0], *rest) if memo and len(levels) > 1 else None
+    prep, hits, counts, lines = _first_level(
+        levels[0], streams, first_key, sample_window, prefetch)
+    level_hits = [hits]
+    for cache in levels[1:]:
+        hits, counts, lines = _filter_level(cache, lines, counts)
+        level_hits.append(hits)
+    fields = _HIT_FIELDS[-len(levels):]
+    profiles = [
+        StreamProfile(
+            label=stream.label,
+            kind=stream.kind,
+            dependent=stream.dependent,
+            gather=stream.gather,
+            accesses=int(total * scale),
+            bytes=int(stream.bytes),
+            mem_accesses=int(counts[i] * scale),
+            prefetch_coverage=coverage,
+            **{f: int(h[i] * scale) for f, h in zip(fields, level_hits)},
+        )
+        for i, (stream, (total, scale, coverage))
+        in enumerate(zip(streams, prep))
+    ]
+    if memo:
+        _WALK_CACHE.put(key, streams, (
+            [replace(sp) for sp in profiles],
+            [(c.stats.accesses, c.stats.hits) for c in levels]))
+    return profiles
+
+
 class MemoryHierarchy:
     """L1D → L2 → LLC slice chain for one core."""
 
@@ -388,30 +577,10 @@ class MemoryHierarchy:
         self.l2.reset()
         self.llc.reset()
 
-    def _memo_key(self, streams: list[AccessStream]) -> tuple:
-        m = self.machine
-        geom = tuple((c.size_bytes, c.line_bytes, c.ways, c.latency,
-                      c.mshrs) for c in (m.l1d, m.l2, m.llc))
-        return (geom, m.fast_cache, self.sample_window,
-                self.model_prefetchers,
-                tuple(_stream_fingerprint(s) for s in streams))
-
-    def _prepared_lines(self, stream: AccessStream
-                        ) -> tuple[np.ndarray, int, float]:
-        return prepare_lines(stream, self.machine.l1d.line_bytes,
-                             self.sample_window)
-
-    def _coverage(self, stream: AccessStream, lines: np.ndarray) -> float:
-        if self.model_prefetchers and not stream.dependent:
-            # Stride/best-offset prefetchers cover sequential streams,
-            # but imperfectly: late prefetches and stream restarts leave
-            # about a quarter of the latency exposed.
-            return sequentiality(lines) * 0.75
-        return 0.0
-
     def profile_stream(self, stream: AccessStream) -> StreamProfile:
         """Walk one stream through the hierarchy."""
-        lines, total, scale = self._prepared_lines(stream)
+        lines, total, scale = prepare_lines(
+            stream, self.machine.l1d.line_bytes, self.sample_window)
 
         l1_hit = self.l1.lookup_lines(lines) if lines.size else np.zeros(
             0, dtype=bool)
@@ -423,7 +592,7 @@ class MemoryHierarchy:
             np.zeros(0, dtype=bool))
         mem = int((~llc_hit).sum())
 
-        coverage = self._coverage(stream, lines)
+        coverage = _coverage(stream, lines, self.model_prefetchers)
 
         return StreamProfile(
             label=stream.label,
@@ -459,28 +628,11 @@ class MemoryHierarchy:
                                     "mem_lines": sp.mem_accesses,
                                 })
             else:
-                key = self._memo_key(trace.streams)
-                value = _WALK_CACHE.lookup(key, trace.streams)
-                if value is None:
-                    sps = self._profile_batched(trace.streams)
-                    levels = [(c.stats.accesses, c.stats.hits)
-                              for c in (self.l1, self.l2, self.llc)]
-                    _WALK_CACHE.put(key, trace.streams,
-                                    ([replace(sp) for sp in sps], levels))
-                else:
-                    stored, levels = value
-                    sps = [replace(sp) for sp in stored]
-                    # Replay the walk's side effects: the caches were
-                    # reset above, so stats and published counters end
-                    # up identical to the unmemoized walk.
-                    for cache, (acc, hits) in zip(
-                            (self.l1, self.l2, self.llc), levels):
-                        cache.stats.accesses += acc
-                        cache.stats.hits += hits
-                        if acc and cache.name:
-                            _publish(cache._tele.refresh(cache.name),
-                                     cache.name, acc, hits)
-                profile.streams.extend(sps)
+                profile.streams.extend(_walk(
+                    (self.l1, self.l2, self.llc), trace.streams,
+                    fast=self.machine.fast_cache,
+                    sample_window=self.sample_window,
+                    prefetch=self.model_prefetchers))
         if obs.enabled():
             view = obs.active().prefixed("sim.memsys")
             view.counter("profiles").add()
@@ -491,112 +643,14 @@ class MemoryHierarchy:
                 view.gauge(f"{level}.hit_rate").set(cache.stats.hit_rate)
         return profile
 
-    def _profile_batched(self, streams: list[AccessStream]
-                         ) -> list[StreamProfile]:
-        """The hierarchy walk with one ``lookup_lines`` call per level.
-
-        Exactly equivalent to the per-stream reference walk: each cache
-        level's state depends only on the lookups *it* serves, and the
-        concatenated per-level access order (stream 0's lines, then
-        stream 1's, ...) is identical to the order the sequential walk
-        produces — batching only moves the call boundaries, which both
-        cache models compose across exactly.  Per-stream attribution
-        falls out of a segment-id ``bincount`` on each level's hit mask.
-        """
-        prepared = [self._prepared_lines(s) for s in streams]
-        num = len(prepared)
-        sizes = [lines.size for lines, _, _ in prepared]
-        seg = np.repeat(np.arange(num, dtype=np.int64), sizes)
-        all_lines = (np.concatenate([p[0] for p in prepared])
-                     if seg.size else np.zeros(0, dtype=np.int64))
-
-        l1_hit = _walk_level(self.l1, all_lines)
-        l2_lines, l2_seg = all_lines[~l1_hit], seg[~l1_hit]
-        l2_hit = _walk_level(self.l2, l2_lines)
-        llc_lines, llc_seg = l2_lines[~l2_hit], l2_seg[~l2_hit]
-        llc_hit = _walk_level(self.llc, llc_lines)
-
-        l1_hits = np.bincount(seg[l1_hit], minlength=num)
-        l2_hits = np.bincount(l2_seg[l2_hit], minlength=num)
-        llc_hits = np.bincount(llc_seg[llc_hit], minlength=num)
-        mem = np.bincount(llc_seg[~llc_hit], minlength=num)
-
-        return [
-            StreamProfile(
-                label=stream.label,
-                kind=stream.kind,
-                dependent=stream.dependent,
-                gather=stream.gather,
-                accesses=int(total * scale) if total else 0,
-                bytes=int(stream.bytes),
-                l1_hits=int(l1_hits[i] * scale),
-                l2_hits=int(l2_hits[i] * scale),
-                llc_hits=int(llc_hits[i] * scale),
-                mem_accesses=int(mem[i] * scale),
-                prefetch_coverage=self._coverage(stream, lines),
-            )
-            for i, (stream, (lines, total, scale))
-            in enumerate(zip(streams, prepared))
-        ]
-
-
-#: telemetry handle for replayed llc_only walks (the cache object that
-#: produced the memoized walk is long gone; counters are additive, so
-#: publishing the stored totals through a module handle is identical).
-_LLC_REPLAY_TELE = _CacheTelemetry()
-
 
 def llc_only_profile(machine: MachineConfig, streams: list[AccessStream],
                      *, sample_window: int | None = None) -> AccessProfile:
     """Profile streams against the LLC alone — the TMU's view of the
     hierarchy (it reads directly from the LLC, Section 5.6)."""
-    c = machine.llc
-    memo_key = None
-    if not obs.tracer().enabled:
-        memo_key = ("llc_only", (c.size_bytes, c.line_bytes, c.ways,
-                                 c.latency, c.mshrs), machine.fast_cache,
-                    sample_window,
-                    tuple(_stream_fingerprint(s) for s in streams))
-        value = _WALK_CACHE.lookup(memo_key, streams)
-        if value is not None:
-            stored, ((acc, hit_count),) = value
-            out = AccessProfile(line_bytes=c.line_bytes)
-            out.streams.extend(replace(sp) for sp in stored)
-            if acc:
-                _publish(_LLC_REPLAY_TELE.refresh("tmu_llc"), "tmu_llc",
-                         acc, hit_count)
-            return out
     llc = make_cache(machine.llc, name="tmu_llc", fast=machine.fast_cache)
     profile = AccessProfile(line_bytes=machine.llc.line_bytes)
-    prepared = [prepare_lines(s, machine.llc.line_bytes, sample_window)
-                for s in streams]
-    # One walk over the concatenation (exact: single level, order
-    # preserved), attributed back per stream by segment id.
-    num = len(prepared)
-    seg = np.repeat(np.arange(num, dtype=np.int64),
-                    [p[0].size for p in prepared])
-    all_lines = (np.concatenate([p[0] for p in prepared])
-                 if seg.size else np.zeros(0, dtype=np.int64))
-    hit = _walk_level(llc, all_lines)
-    hits = np.bincount(seg[hit], minlength=num)
-    misses = np.bincount(seg[~hit], minlength=num)
-    for i, (stream, (lines, total, scale)) in enumerate(
-            zip(streams, prepared)):
-        profile.streams.append(StreamProfile(
-            label=stream.label,
-            kind=stream.kind,
-            dependent=stream.dependent,
-            gather=stream.gather,
-            accesses=int(total * scale),
-            bytes=int(stream.bytes),
-            l1_hits=0,
-            l2_hits=0,
-            llc_hits=int(hits[i] * scale),
-            mem_accesses=int(misses[i] * scale),
-            prefetch_coverage=0.0,
-        ))
-    if memo_key is not None:
-        _WALK_CACHE.put(memo_key, streams,
-                        ([replace(sp) for sp in profile.streams],
-                         [(llc.stats.accesses, llc.stats.hits)]))
+    profile.streams.extend(_walk((llc,), streams, fast=machine.fast_cache,
+                                 sample_window=sample_window,
+                                 prefetch=False))
     return profile

@@ -5,7 +5,9 @@ never returned stale, bounded, and read-only to its callers."""
 import numpy as np
 import pytest
 
+from repro import runtime
 from repro.config import experiment_machine
+from repro.eval.experiments import fig03_motivation
 from repro.eval.workloads import (
     RUN_MEMO_ENTRIES,
     WORKLOADS,
@@ -23,7 +25,7 @@ from repro.kernels.spmspm import (
     spmspm_symbolic,
 )
 from repro.kernels.spmv import spmv_streams
-from repro.sim.memsys import walk_cache
+from repro.sim.memsys import FIRST_LEVEL_ENTRIES, walk_cache
 
 
 def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
@@ -151,3 +153,36 @@ class TestSharedAcrossMachines:
 
 def test_run_memo_is_bounded():
     assert run_workload.cache_info().maxsize == RUN_MEMO_ENTRIES
+
+
+def _memo_sizes() -> dict[str, int]:
+    wc = walk_cache()
+    return {
+        "operand": len(common._MEMO),
+        "walk": len(wc),
+        "first_level": len(wc._first_level),
+        "runs": run_workload.cache_info().currsize,
+    }
+
+
+def test_repeated_sweep_keeps_memos_flat():
+    """A long-running process that re-runs the Fig. 3 sweep must not
+    grow any process-wide memo.  The second sweep drops
+    ``run_workload``'s own memo first, so every cell is simulated again
+    and the memos below it see the full traffic a second time."""
+    bounds = {
+        "operand": common.MEMO_ENTRIES,
+        "walk": walk_cache().capacity,
+        "first_level": FIRST_LEVEL_ENTRIES,
+        "runs": RUN_MEMO_ENTRIES,
+    }
+    with runtime.using(runtime.Runtime()):
+        first_rows = fig03_motivation("small")
+        first = _memo_sizes()
+        run_workload.cache_clear()
+        second_rows = fig03_motivation("small")
+        second = _memo_sizes()
+    assert second_rows == first_rows
+    for name, bound in bounds.items():
+        assert first[name] <= bound, name
+        assert second[name] <= first[name], name

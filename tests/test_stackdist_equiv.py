@@ -17,7 +17,7 @@ cycle results between the fast and reference model families.
 """
 
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -47,7 +47,7 @@ from repro.sim.memsys import (
     walk_cache,
 )
 from repro.sim.stackdist import hit_mask
-from repro.sim.trace import KernelTrace
+from repro.sim.trace import AccessStream, KernelTrace
 
 #: rotating fuzz seed: CI sets REPRO_FUZZ_SEED per run so coverage
 #: compounds; a failure's log line pins the seed for local replay.
@@ -181,8 +181,6 @@ def _kernel_traces() -> dict:
 
 def _machines() -> tuple[MachineConfig, MachineConfig]:
     fast = default_machine()
-    from dataclasses import replace
-
     return fast, replace(fast, fast_cache=False)
 
 
@@ -229,8 +227,6 @@ def test_fuzzed_traces_walk_parity():
     """Randomized multi-stream traces through the full hierarchy walk:
     fast and reference machines agree on every profile field."""
     rng = np.random.default_rng(FUZZ_SEED ^ 0xC0FFEE)
-    from repro.sim.trace import AccessStream
-
     for _rep in range(10):
         streams = []
         for i in range(int(rng.integers(1, 5, 1)[0])):
@@ -249,3 +245,58 @@ def test_fuzzed_traces_walk_parity():
         pr = MemoryHierarchy(m_ref).profile(trace)
         assert [asdict(a) for a in pf.streams] == \
                [asdict(b) for b in pr.streams]
+
+
+def _geometry(rng, line_bytes=64) -> CacheConfig:
+    sets = int(rng.choice([1, 2, 4, 8, 16, 32]))
+    ways = int(rng.integers(1, 17, 1)[0])
+    return CacheConfig(sets * ways * line_bytes, ways,
+                       int(rng.integers(1, 40, 1)[0]),
+                       int(rng.integers(1, 64, 1)[0]), line_bytes)
+
+
+def _walk_state(machine, trace, sample_window):
+    h = MemoryHierarchy(machine, sample_window=sample_window)
+    with obs.capture() as registry:
+        profile = h.profile(trace)
+    return ([asdict(sp) for sp in profile.streams],
+            [(c.stats.accesses, c.stats.hits) for c in (h.l1, h.l2, h.llc)],
+            _cache_counters(registry))
+
+
+def test_fuzzed_first_level_reuse():
+    """Random streams through hierarchy pairs that share the L1
+    geometry and differ below it: the second walk reuses the first's
+    L1 outcome, and must agree with a fresh walk and the reference
+    walk on profiles, per-level stats and published counters."""
+    rng = np.random.default_rng(FUZZ_SEED ^ 0xF125D1)
+    for _rep in range(12):
+        streams = []
+        for i in range(int(rng.integers(1, 5, 1)[0])):
+            n = int(rng.integers(1, 3000, 1)[0])
+            addrs = rng.integers(0, 1 << int(rng.integers(10, 22)), n) * 8
+            streams.append(AccessStream(addresses=addrs, elem_bytes=8,
+                                        label=f"s{i}",
+                                        dependent=bool(rng.random() < .5)))
+        trace = KernelTrace(name="fuzz", streams=streams)
+        l1 = _geometry(rng)
+        first, second = (
+            replace(default_machine(),
+                    l1d=replace(l1, latency=int(rng.integers(1, 9)),
+                                mshrs=int(rng.integers(1, 33))),
+                    l2=_geometry(rng), llc=_geometry(rng))
+            for _ in range(2))
+        if (first.l2, first.llc) == (second.l2, second.llc):
+            continue
+        window = None if rng.random() < 0.5 else int(rng.integers(50, 2000))
+        walk_cache().clear()
+        MemoryHierarchy(first, sample_window=window).profile(trace)
+        reused = walk_cache().first_level_hits
+        reuse = _walk_state(second, trace, window)
+        assert walk_cache().first_level_hits == reused + 1
+        walk_cache().clear()
+        fresh = _walk_state(second, trace, window)
+        walk_cache().clear()
+        reference = _walk_state(replace(second, fast_cache=False), trace,
+                                window)
+        assert reuse == fresh == reference, FUZZ_SEED

@@ -9,19 +9,31 @@ geometry and stream content.
 """
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from repro import obs, runtime
-from repro.config import MachineConfig
+from repro.config import (
+    CACHE_SCALE_DIVISOR,
+    MachineConfig,
+    a64fx_like,
+    experiment_machine,
+    graviton3_like,
+    scale_caches,
+)
+from repro.generators import uniform_random_matrix
+from repro.kernels.spmspm import characterize_spmspm
 from repro.runtime.cache import WalkStore
+from repro.sim import stackdist
 from repro.sim.memsys import (
+    FIRST_LEVEL_ENTRIES,
     MemoryHierarchy,
     WalkCache,
     _decode_walk,
     _encode_walk,
+    _stream_fingerprint,
     _walk_digest,
     configure_walk_store,
     llc_only_profile,
@@ -53,6 +65,7 @@ def _isolated_walk_cache():
     wc.clear()
     wc.store = None
     wc.hits = wc.disk_hits = wc.misses = wc.evictions = 0
+    wc.first_level_hits = 0
     try:
         yield wc
     finally:
@@ -105,6 +118,25 @@ class TestMemoryTierLRU:
         wc.put(("k",), b, (["vb"], [(2, 2)]))
         assert wc.lookup(("k",), a)[0] == ["va"]
         assert wc.lookup(("k",), b)[0] == ["vb"]
+
+    def test_capacity_bounds_walks_not_keys(self, _isolated_walk_cache):
+        """Contents that share a fingerprint share a key; the bound
+        must count their stored walks, or one key grows without
+        limit."""
+        wc = _isolated_walk_cache
+        wc.capacity = 8
+        machine = MachineConfig()
+        base = np.arange(64) * 64
+        prints = set()
+        for i in range(50):
+            addrs = base.copy()
+            addrs[1] = (1000 + i) * 64  # off the fingerprint's samples
+            stream = AccessStream(addresses=addrs, elem_bytes=8, label="a")
+            prints.add(_stream_fingerprint(stream))
+            _profiles(KernelTrace(name="t", streams=[stream]), machine)
+            assert len(wc) <= wc.capacity
+        assert len(prints) == 1
+        assert wc.evictions == 50 - wc.capacity
 
 
 class TestDiskTier:
@@ -276,3 +308,88 @@ def test_walk_cache_capacity_type():
                                    elem_bytes=8)], ([], [(0, 0)]))
     assert len(wc) <= 2
     assert wc.evictions >= 3
+
+
+def _scaled(host) -> MachineConfig:
+    return scale_caches(host(), CACHE_SCALE_DIVISOR["small"])
+
+
+def _walk_state(machine: MachineConfig, trace: KernelTrace):
+    """Profiles, per-level stats and published ``sim.cache.*`` counters
+    of one hierarchy walk, plus the walk's registry."""
+    h = MemoryHierarchy(machine)
+    with obs.capture() as registry:
+        profile = h.profile(trace)
+    counters = registry.as_dict()["counters"]
+    state = (
+        [asdict(sp) for sp in profile.streams],
+        [(c.stats.accesses, c.stats.hits) for c in (h.l1, h.l2, h.llc)],
+        {k: v for k, v in counters.items() if k.startswith("sim.cache.")},
+    )
+    return state, counters
+
+
+class TestFirstLevelMemo:
+    """Hosts that share an L1 and differ below it classify it once."""
+
+    def test_second_host_reuses_the_first_level(self, _isolated_walk_cache,
+                                                monkeypatch):
+        wc = _isolated_walk_cache
+        a64fx, graviton = _scaled(a64fx_like), _scaled(graviton3_like)
+        assert a64fx.l1d.num_sets == graviton.l1d.num_sets
+        assert a64fx.l2 != graviton.l2
+        matrix = uniform_random_matrix(300, 300, 6, seed=3)
+        trace = characterize_spmspm(matrix, matrix.transpose(), a64fx)
+        calls = []
+        real = stackdist.hit_mask
+
+        def counted(*args):
+            calls.append(args[0].size)
+            return real(*args)
+
+        monkeypatch.setattr(stackdist, "hit_mask", counted)
+        _walk_state(a64fx, trace)
+        assert len(calls) == 3
+        reuse, counters = _walk_state(graviton, trace)
+        assert len(calls) == 5
+        assert wc.first_level_hits == 1
+        assert counters["sim.memsys.walk_cache.first_level_hits"] == 1
+
+        wc.clear()
+        fresh, _ = _walk_state(graviton, trace)
+        assert len(calls) == 8
+        wc.clear()
+        reference, _ = _walk_state(replace(graviton, fast_cache=False), trace)
+        assert reuse == fresh == reference
+
+    def test_latency_and_mshrs_leave_the_key(self, _isolated_walk_cache):
+        wc = _isolated_walk_cache
+        machine = experiment_machine("small")
+        slower = replace(machine, **{
+            name: replace(getattr(machine, name),
+                          latency=3 * getattr(machine, name).latency,
+                          mshrs=1)
+            for name in ("l1d", "l2", "llc")})
+        trace = _trace(3)
+        first = _profiles(trace, machine)
+        first_llc = llc_only_profile(machine, trace.streams)
+        hits, misses = wc.hits, wc.misses
+        assert _profiles(trace, slower) == first
+        assert llc_only_profile(slower, trace.streams) == first_llc
+        assert (wc.hits, wc.misses) == (hits + 2, misses)
+
+    def test_bounded_and_never_on_disk(self, tmp_path, _isolated_walk_cache):
+        wc = _isolated_walk_cache
+        wc.store = WalkStore(tmp_path / "walks")
+        machine = MachineConfig()
+        walks = FIRST_LEVEL_ENTRIES + 6
+        for seed in range(walks):
+            _profiles(_trace(seed, n=200), machine)
+            assert len(wc._first_level) <= FIRST_LEVEL_ENTRIES
+        assert len(wc._first_level) == FIRST_LEVEL_ENTRIES
+        assert len(wc.store) == walks  # whole walks only
+
+    def test_single_level_walks_skip_it(self, _isolated_walk_cache):
+        wc = _isolated_walk_cache
+        llc_only_profile(MachineConfig(), _trace(4).streams)
+        assert len(wc._first_level) == 0
