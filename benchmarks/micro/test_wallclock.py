@@ -16,8 +16,8 @@ from repro.config import CacheConfig  # noqa: E402
 from repro.generators import uniform_random_matrix  # noqa: E402
 from repro.kernels import split_rows_cyclic  # noqa: E402
 from repro.programs import build_spkadd_program  # noqa: E402
+from repro.sim import stackdist  # noqa: E402
 from repro.sim.cache import Cache  # noqa: E402
-from repro.sim.fastcache import FastCache  # noqa: E402
 from repro.tmu import TmuEngine  # noqa: E402
 
 CFG = CacheConfig(64 * 8 * 64, 8, 1, 4)
@@ -25,7 +25,8 @@ LINES = np.arange(400_000)
 
 
 def test_bench_lookup_fast(benchmark):
-    benchmark.pedantic(lambda: FastCache(CFG).lookup_lines(LINES),
+    benchmark.pedantic(lambda: stackdist.hit_mask(LINES, CFG.num_sets,
+                                                  CFG.ways),
                        rounds=3, iterations=1)
 
 

@@ -194,19 +194,19 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_const",
         const="fast",
         default="fast",
-        help="simulate with the vectorized cache model and the "
-             "structure-of-arrays TMU lane engine (default)",
+        help="classify cache hits with the stack-distance model "
+             "(default)",
     )
     cache_model.add_argument(
         "--reference",
         dest="cache_model",
         action="store_const",
         const="reference",
-        help="simulate with the golden-reference models (slow; "
-             "bit-for-bit equivalent to --fast: same cache hit masks, "
-             "same outQ records and RunStats).  The choice is part of "
-             "each cell's content hash, so cached results from the two "
-             "model families never collide",
+        help="classify cache hits with the golden-reference cache "
+             "walk (slow; bit-for-bit equivalent to --fast: same hit "
+             "masks and results).  The choice is part of each cell's "
+             "content hash, so cached results from the two models never "
+             "collide",
     )
     parser.add_argument(
         "--timeout",
@@ -306,8 +306,8 @@ def _build_trace_parser() -> argparse.ArgumentParser:
     record.add_argument("--capacity", type=int, default=65536,
                         metavar="N", help="ring-buffer capacity")
     record.add_argument("--reference", action="store_true",
-                        help="trace the golden-reference cache model "
-                             "instead of the vectorized one")
+                        help="trace the golden-reference cache walk "
+                             "instead of the stack-distance model")
 
     export = sub.add_parser(
         "export", help="validate a trace and export Perfetto-loadable "
@@ -1020,9 +1020,9 @@ def main(argv: list[str] | None = None) -> int:
 
     names = sorted(_COMMANDS) if args.experiment == "all" else [
         args.experiment]
-    # Model selection (cache model + TMU engine) applies to every
-    # machine the drivers build; restored afterwards so embedded callers
-    # (tests, notebooks) see the default again.
+    # Cache-model selection applies to every machine the drivers build;
+    # restored afterwards so embedded callers (tests, notebooks) see the
+    # default again.
     set_default_fast(args.cache_model != "reference")
     profiler = None
     if args.profile is not None:

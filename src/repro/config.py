@@ -132,22 +132,13 @@ class MachineConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     noc: NocConfig = field(default_factory=NocConfig)
     tmu: TMUConfig = field(default_factory=TMUConfig)
-    #: cache-model selection: True runs the vectorized simulators —
-    #: :class:`repro.sim.fastcache.FastCache` for stateful batch
-    #: lookups, and the stateless stack-distance pass
-    #: (:mod:`repro.sim.stackdist`) for the hierarchy walk's cold-start
-    #: whole-stream case — False the golden reference
-    #: (:class:`repro.sim.cache.Cache`).  All are bit-for-bit
-    #: hit/miss-equivalent; the flag is still part of the machine's
-    #: identity, so cached experiment results from the two model
-    #: families never collide.
+    #: cache-model selection: True classifies the hierarchy walk with
+    #: the stateless stack-distance pass (:mod:`repro.sim.stackdist`),
+    #: False with the golden reference (:class:`repro.sim.cache.Cache`).
+    #: The two are bit-for-bit hit/miss-equivalent; the flag is still
+    #: part of the machine's identity, so cached experiment results from
+    #: the two models never collide.
     fast_cache: bool = True
-    #: TMU-engine selection: True runs the structure-of-arrays lane
-    #: engine (:mod:`repro.tmu.fastlane`), False the scalar golden
-    #: reference loop.  Like ``fast_cache`` it is part of the machine's
-    #: identity and therefore of every task's content hash, which is
-    #: what carries the choice into pool workers.
-    fast_engine: bool = True
 
     def with_tmu(self, **kwargs) -> "MachineConfig":
         """Return a copy with TMU parameters replaced."""
@@ -181,42 +172,17 @@ class MachineConfig:
 #: through each experiment.
 _DEFAULT_FAST_CACHE = True
 
-#: process-wide default for :attr:`MachineConfig.fast_engine`; flipped
-#: together with the cache model by the CLI's ``--reference`` flag.
-_DEFAULT_FAST_ENGINE = True
 
-
-def set_default_fast_cache(fast: bool) -> None:
-    """Select the cache model machines are built with by default."""
+def set_default_fast(fast: bool) -> None:
+    """Select the cache model machines are built with by default (the
+    CLI's ``--fast``/``--reference`` switch)."""
     global _DEFAULT_FAST_CACHE
     _DEFAULT_FAST_CACHE = bool(fast)
 
 
-def default_fast_cache() -> bool:
-    return _DEFAULT_FAST_CACHE
-
-
-def set_default_fast_engine(fast: bool) -> None:
-    """Select the TMU engine machines are built with by default."""
-    global _DEFAULT_FAST_ENGINE
-    _DEFAULT_FAST_ENGINE = bool(fast)
-
-
-def default_fast_engine() -> bool:
-    return _DEFAULT_FAST_ENGINE
-
-
-def set_default_fast(fast: bool) -> None:
-    """Flip every fast/reference model pair at once (the CLI's
-    ``--fast``/``--reference`` switch)."""
-    set_default_fast_cache(fast)
-    set_default_fast_engine(fast)
-
-
 def default_machine() -> MachineConfig:
     """The evaluated system of Table 5."""
-    return MachineConfig(fast_cache=_DEFAULT_FAST_CACHE,
-                         fast_engine=_DEFAULT_FAST_ENGINE)
+    return MachineConfig(fast_cache=_DEFAULT_FAST_CACHE)
 
 
 def _scale_cache(cache: CacheConfig, divisor: int) -> CacheConfig:
@@ -295,7 +261,6 @@ def a64fx_like() -> MachineConfig:
         memory=MemoryConfig(channels=32, channel_gbps=32.0, latency_cycles=140),
         noc=NocConfig(mesh_x=6, mesh_y=8),
         fast_cache=_DEFAULT_FAST_CACHE,
-        fast_engine=_DEFAULT_FAST_ENGINE,
     )
 
 
@@ -324,5 +289,4 @@ def graviton3_like() -> MachineConfig:
         memory=MemoryConfig(channels=8, channel_gbps=37.5, latency_cycles=120),
         noc=NocConfig(mesh_x=8, mesh_y=8),
         fast_cache=_DEFAULT_FAST_CACHE,
-        fast_engine=_DEFAULT_FAST_ENGINE,
     )

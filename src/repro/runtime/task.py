@@ -67,10 +67,11 @@ def machine_from_dict(data: dict) -> MachineConfig:
         memory=MemoryConfig(**data["memory"]),
         noc=NocConfig(**data["noc"]),
         tmu=TMUConfig(**data["tmu"]),
-        # records written before the fast-model flags existed default to
-        # the reference models those results were produced with
+        # records written before the cache-model flag existed default
+        # to the reference model those results were produced with; keys
+        # of retired fields (the TMU-engine switch) in older journals
+        # are ignored
         fast_cache=data.get("fast_cache", False),
-        fast_engine=data.get("fast_engine", False),
     )
 
 

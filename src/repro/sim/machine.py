@@ -14,8 +14,8 @@ slower of the two sides plus one chunk of pipeline fill — which makes
 the *read-to-write ratio* (Figure 13) a direct model output.
 
 Cache behaviour is classified by the model ``machine.fast_cache``
-selects (the vectorized :class:`~repro.sim.fastcache.FastCache` by
-default, the golden-reference :class:`~repro.sim.cache.Cache` under
+selects (the stack-distance pass :mod:`repro.sim.stackdist` by default,
+the golden-reference :class:`~repro.sim.cache.Cache` under
 ``--reference``); the two are hit/miss-equivalent, so every result in
 this module is identical either way — only the wall-clock cost of
 producing it changes.

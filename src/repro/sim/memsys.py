@@ -30,21 +30,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .. import obs
-from ..config import CacheConfig, MachineConfig
+from ..config import MachineConfig
 from . import stackdist
 from .cache import Cache, dedup_consecutive, settle_lookup, to_lines
-from .fastcache import FastCache
 from .trace import AccessStream, KernelTrace
-
-
-def make_cache(config: CacheConfig, name: str = "", *, fast: bool = True):
-    """One cache level in the selected model: the vectorized
-    :class:`~repro.sim.fastcache.FastCache` (default) or the
-    golden-reference :class:`~repro.sim.cache.Cache`.  Both are
-    bit-for-bit hit/miss-equivalent; ``MachineConfig.fast_cache``
-    (``--fast`` / ``--reference`` on the CLI) picks one."""
-    cls = FastCache if fast else Cache
-    return cls(config, name=name)
 
 
 @dataclass
@@ -406,21 +395,21 @@ def prepare_lines(stream: AccessStream, line_bytes: int,
     return lines, total, scale
 
 
-def _walk_level(cache, lines: np.ndarray) -> np.ndarray:
+def _walk_level(cache: Cache, lines: np.ndarray, fast: bool) -> np.ndarray:
     """Classify one level's line stream in a single-shot batched walk.
 
     The fast model routes through the stateless stack-distance pass
     (:mod:`repro.sim.stackdist`): the walk starts from a reset cache
     and sees the level's whole stream in one call, which is exactly
     the cold-start whole-stream case the offline model computes — so
-    the mask, stats and published telemetry are bit-identical to
-    driving ``FastCache.lookup_lines`` (the fuzz harness in
-    ``tests/test_stackdist_equiv.py`` holds all three models to the
-    same answers).  The reference model keeps its stateful walk.
+    the mask, stats and published telemetry are bit-identical to the
+    reference model's stateful ``Cache.lookup_lines`` walk
+    (``tests/test_stackdist_equiv.py`` holds the two to the same
+    answers).
     """
     if lines.size == 0:
         return np.zeros(0, dtype=bool)
-    if isinstance(cache, FastCache):
+    if fast:
         hits = stackdist.hit_mask(lines, cache.num_sets, cache.ways)
         settle_lookup(cache, lines.size, int(hits.sum()))
         return hits
@@ -453,19 +442,21 @@ def _coverage(stream: AccessStream, lines: np.ndarray,
 _HIT_FIELDS = ("l1_hits", "l2_hits", "llc_hits")
 
 
-def _filter_level(cache, lines: np.ndarray, counts: np.ndarray):
+def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray,
+                  fast: bool):
     """One level of the walk.  ``lines`` is the traffic reaching the
     level, ``counts[i]`` of it from stream ``i`` in stream order.
     Returns the per-stream hits, the per-stream misses, and the miss
     lines passed down."""
-    hit = _walk_level(cache, lines)
+    hit = _walk_level(cache, lines, fast)
     seg = np.repeat(np.arange(counts.size), counts)
     hits = np.bincount(seg[hit], minlength=counts.size)
     return hits, counts - hits, lines[~hit]
 
 
-def _first_level(cache, streams: list[AccessStream], key: tuple | None,
-                 sample_window: int | None, prefetch: bool):
+def _first_level(cache: Cache, streams: list[AccessStream],
+                 key: tuple | None, fast: bool, sample_window: int | None,
+                 prefetch: bool):
     """Line prep plus the first level of a walk: per-stream (total,
     scale, prefetch coverage), the level's per-stream hits, and the
     per-stream misses and miss lines passed down.  Under a ``key`` the
@@ -486,7 +477,7 @@ def _first_level(cache, streams: list[AccessStream], key: tuple | None,
     counts = np.array([p[0].size for p in prepared], dtype=np.int64)
     lines = (np.concatenate([p[0] for p in prepared]) if prepared
              else np.zeros(0, dtype=np.int64))
-    value = (prep, *_filter_level(cache, lines, counts))
+    value = (prep, *_filter_level(cache, lines, counts, fast))
     if key is not None:
         for array in value[1:]:
             array.flags.writeable = False
@@ -505,11 +496,13 @@ def _walk(levels: tuple, streams: list[AccessStream], *, fast: bool,
     is the one the per-stream reference walk produces.  Per-stream
     attribution is a segment-id ``bincount`` on each level's hit mask.
 
-    Outside tracing the whole walk goes through the walk cache, keyed
-    by each level's sets, ways and line size, the cache model, the
-    sample window, the prefetcher flag and the stream fingerprints —
-    latency and MSHRs never change a hit — and a walk of two or more
-    levels takes its first level from the first-level memo.
+    ``fast`` picks each level's classifier: the stack-distance pass or
+    the reference ``Cache``.  Outside tracing the whole walk goes
+    through the walk cache, keyed by each level's sets, ways and line
+    size, the cache model, the sample window, the prefetcher flag and
+    the stream fingerprints — latency and MSHRs never change a hit —
+    and a walk of two or more levels takes its first level from the
+    first-level memo.
     """
     memo = not obs.tracer().enabled
     geometry = tuple((c.num_sets, c.ways, c.config.line_bytes)
@@ -527,10 +520,10 @@ def _walk(levels: tuple, streams: list[AccessStream], *, fast: bool,
 
     first_key = (geometry[0], *rest) if memo and len(levels) > 1 else None
     prep, hits, counts, lines = _first_level(
-        levels[0], streams, first_key, sample_window, prefetch)
+        levels[0], streams, first_key, fast, sample_window, prefetch)
     level_hits = [hits]
     for cache in levels[1:]:
-        hits, counts, lines = _filter_level(cache, lines, counts)
+        hits, counts, lines = _filter_level(cache, lines, counts, fast)
         level_hits.append(hits)
     fields = _HIT_FIELDS[-len(levels):]
     profiles = [
@@ -564,62 +557,33 @@ class MemoryHierarchy:
         self.machine = machine
         self.sample_window = sample_window
         self.model_prefetchers = model_prefetchers
-        fast = machine.fast_cache
-        self.l1 = make_cache(machine.l1d, name="l1", fast=fast)
-        self.l2 = make_cache(machine.l2, name="l2", fast=fast)
+        self.l1 = Cache(machine.l1d, name="l1")
+        self.l2 = Cache(machine.l2, name="l2")
         # The LLC is shared; with all cores running the same kernel on
         # disjoint row ranges, contention is symmetric, so one core sees
         # the full LLC for its share of the data.
-        self.llc = make_cache(machine.llc, name="llc", fast=fast)
+        self.llc = Cache(machine.llc, name="llc")
 
     def reset(self) -> None:
         self.l1.reset()
         self.l2.reset()
         self.llc.reset()
 
-    def profile_stream(self, stream: AccessStream) -> StreamProfile:
-        """Walk one stream through the hierarchy."""
-        lines, total, scale = prepare_lines(
-            stream, self.machine.l1d.line_bytes, self.sample_window)
-
-        l1_hit = self.l1.lookup_lines(lines) if lines.size else np.zeros(
-            0, dtype=bool)
-        l1_misses = lines[~l1_hit]
-        l2_hit = self.l2.lookup_lines(l1_misses) if l1_misses.size else (
-            np.zeros(0, dtype=bool))
-        l2_misses = l1_misses[~l2_hit]
-        llc_hit = self.llc.lookup_lines(l2_misses) if l2_misses.size else (
-            np.zeros(0, dtype=bool))
-        mem = int((~llc_hit).sum())
-
-        coverage = _coverage(stream, lines, self.model_prefetchers)
-
-        return StreamProfile(
-            label=stream.label,
-            kind=stream.kind,
-            dependent=stream.dependent,
-            gather=stream.gather,
-            accesses=int(total * scale) if total else 0,
-            bytes=int(stream.bytes),
-            l1_hits=int(l1_hit.sum() * scale),
-            l2_hits=int(l2_hit.sum() * scale),
-            llc_hits=int(llc_hit.sum() * scale),
-            mem_accesses=int(mem * scale),
-            prefetch_coverage=coverage,
-        )
-
     def profile(self, trace: KernelTrace) -> AccessProfile:
         """Walk all streams of a kernel trace (in declaration order)."""
         self.reset()
         profile = AccessProfile(line_bytes=self.machine.l1d.line_bytes)
-        tracer = obs.tracer()
         with obs.timer("sim.memsys.profile"):
+            profile.streams.extend(_walk(
+                (self.l1, self.l2, self.llc), trace.streams,
+                fast=self.machine.fast_cache,
+                sample_window=self.sample_window,
+                prefetch=self.model_prefetchers))
+            tracer = obs.tracer()
             if tracer.enabled:
-                # Reference walk: one hierarchy pass per stream, so the
-                # trace carries per-stream cache events in program order.
-                for stream in trace.streams:
-                    sp = self.profile_stream(stream)
-                    profile.streams.append(sp)
+                # One span per stream in program order; the walk above
+                # skipped the memo, so its cache events are in the trace.
+                for sp in profile.streams:
                     start = tracer.alloc(sp.accesses)
                     tracer.span("sim.memsys", sp.label or "stream", start,
                                 sp.accesses, {
@@ -627,12 +591,6 @@ class MemoryHierarchy:
                                     "l1_hits": sp.l1_hits,
                                     "mem_lines": sp.mem_accesses,
                                 })
-            else:
-                profile.streams.extend(_walk(
-                    (self.l1, self.l2, self.llc), trace.streams,
-                    fast=self.machine.fast_cache,
-                    sample_window=self.sample_window,
-                    prefetch=self.model_prefetchers))
         if obs.enabled():
             view = obs.active().prefixed("sim.memsys")
             view.counter("profiles").add()
@@ -648,7 +606,7 @@ def llc_only_profile(machine: MachineConfig, streams: list[AccessStream],
                      *, sample_window: int | None = None) -> AccessProfile:
     """Profile streams against the LLC alone — the TMU's view of the
     hierarchy (it reads directly from the LLC, Section 5.6)."""
-    llc = make_cache(machine.llc, name="tmu_llc", fast=machine.fast_cache)
+    llc = Cache(machine.llc, name="tmu_llc")
     profile = AccessProfile(line_bytes=machine.llc.line_bytes)
     profile.streams.extend(_walk((llc,), streams, fast=machine.fast_cache,
                                  sample_window=sample_window,

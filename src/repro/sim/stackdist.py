@@ -6,11 +6,9 @@ vector, no batch chunking.  It exploits the classic stack-distance
 theorem: under install-on-miss LRU, an access hits iff its line was
 seen before and the number of *distinct* lines of the same set touched
 since the previous occurrence is ``< ways``.  Because the whole stream
-is visible at once, the model needs none of
-:class:`~repro.sim.fastcache.FastCache`'s batch machinery (prologue
-replay, per-chunk packed sorts, tag-matrix rebuild) — which is exactly
-the overhead that made the hierarchy walk the bottleneck of large
-sweeps.
+is visible at once, the model needs none of a stateful batch model's
+machinery (prologue replay of resident lines, per-chunk packed sorts,
+tag-matrix rebuild).
 
 The pass:
 
@@ -32,12 +30,12 @@ The pass:
    certain hit — both O(1) per query off two block-level prefix sums;
 5. resolves the remainder (narrow windows shorter than two blocks,
    and rare duplicate-heavy wide windows whose bounds stay ambiguous)
-   with the same lockstep bounded scan FastCache uses, straggler
+   with a lockstep bounded backward scan (:func:`_resolve`), straggler
    fallback included, in bounded-size chunks.
 
-Every path is exact, so the mask is bit-identical to both
-:class:`~repro.sim.cache.Cache` and ``FastCache`` from a cold start —
-``tests/test_stackdist_equiv.py`` fuzzes all three against each other.
+Every path is exact, so the mask is bit-identical to the reference
+:class:`~repro.sim.cache.Cache` from a cold start —
+``tests/test_stackdist_equiv.py`` fuzzes the two against each other.
 The hierarchy walk in :mod:`repro.sim.memsys` resets every level
 before profiling, so its batched walks are cold-start by construction
 and route here whenever ``MachineConfig.fast_cache`` is on.
@@ -48,7 +46,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SimulationError
-from .fastcache import FastCache
 
 #: Queries per lockstep-scan batch.  The scan materializes
 #: ``queries x block`` work matrices; bounding the batch keeps them
@@ -58,20 +55,66 @@ from .fastcache import FastCache
 _SCAN_CHUNK = 1 << 16
 
 
+def _resolve(f, nxt, q, ways):
+    """Exact hit/miss for accesses the screens could not decide.
+
+    Lockstep backward block scan over all queries at once: walk a
+    cursor from ``k-1`` down in blocks of ``B`` positions, counting
+    positions whose line does not recur before ``k`` (``nxt[j] > k``
+    ⇔ a distinct line of the window).  A query retires as a miss
+    when the count reaches ``ways`` and as a hit when the scan
+    exhausts the window (reaches the previous occurrence) first.
+    Real streams retire within a block or two; the rare straggler
+    (duplicate-heavy long windows) falls back to an exact
+    first-in-window count, one vectorized reduction per query.
+    """
+    block = int(min(48, max(8, 2 * ways)))
+    max_blocks = 1 + (8 * ways + 64) // block
+    offs = np.arange(block, dtype=np.int32)
+    p = f[q]
+    c = q - 1
+    cnt = np.zeros(q.size, dtype=np.int32)
+    verdict = np.zeros(q.size, dtype=bool)
+    alive = np.arange(q.size)
+    qa, pa, ca, cna = q, p, c, cnt
+    for _ in range(max_blocks):
+        if not alive.size:
+            break
+        win = ca[:, None] - offs[None, :]
+        valid = win > pa[:, None]
+        dist = (nxt[np.maximum(win, 0)] > qa[:, None]) & valid
+        totals = cna + dist.sum(axis=1, dtype=np.int32)
+        # A miss is decided as soon as the running count reaches
+        # `ways`; counts only accrue inside the window, so the block
+        # total is exact for deciding both outcomes below.
+        missed = totals >= ways
+        exhausted = ~valid[:, -1]
+        retired = missed | exhausted
+        verdict[alive[exhausted & ~missed]] = True
+        keep = ~retired
+        alive = alive[keep]
+        qa, pa, cna = qa[keep], pa[keep], totals[keep]
+        ca = ca[keep] - block
+    for i in alive:  # stragglers: count first-in-window occurrences
+        verdict[i] = int(
+            np.count_nonzero(f[p[i] + 1:q[i]] <= p[i])) < ways
+    return verdict
+
+
 def _scan(f, nxt, q, ways):
     if q.size <= _SCAN_CHUNK:
-        return FastCache._resolve(f, nxt, q, ways)
+        return _resolve(f, nxt, q, ways)
     out = np.empty(q.size, dtype=bool)
     for lo in range(0, q.size, _SCAN_CHUNK):
         part = q[lo:lo + _SCAN_CHUNK]
-        out[lo:lo + part.size] = FastCache._resolve(f, nxt, part, ways)
+        out[lo:lo + part.size] = _resolve(f, nxt, part, ways)
     return out
 
 
 def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     """Boolean hit mask of ``lines`` against a cold ``num_sets`` ×
     ``ways`` LRU cache — bit-identical to replaying the stream through
-    the stateful models."""
+    the reference :class:`~repro.sim.cache.Cache`."""
     if num_sets & (num_sets - 1):
         raise SimulationError("cache set count must be a power of two")
     lines = np.asarray(lines, dtype=np.int64)

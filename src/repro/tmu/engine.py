@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .. import obs
-from ..config import TMUConfig, default_fast_engine
+from ..config import TMUConfig
 from ..errors import TMUConfigError, TMURuntimeError
 from ..sim.trace import AccessStream
 from .arbiter import MemoryArbiter
@@ -69,8 +69,7 @@ class TmuEngine:
 
     def __init__(self, program: Program,
                  config: TMUConfig | None = None,
-                 *, collect_records: bool = True,
-                 fast: bool | None = None) -> None:
+                 *, collect_records: bool = True) -> None:
         program.validate()
         self.program = program
         self.config = config or TMUConfig()
@@ -109,14 +108,6 @@ class TmuEngine:
         #: the per-touch reference path (equivalence tests, benchmarks).
         self.batch_touches = True
         self.batch_touches_enabled = True
-        #: engine selection: True runs activations through the
-        #: structure-of-arrays lane engine (:mod:`.fastlane`), False
-        #: the scalar reference loop.  ``None`` at construction picks
-        #: the process default (the CLI's ``--fast``/``--reference``
-        #: switch); ``run()`` always uses the scalar path while tracing
-        #: or when ``batch_touches_enabled`` is off, so per-event
-        #: instants and per-touch comparisons keep their semantics.
-        self.fast = default_fast_engine() if fast is None else bool(fast)
         self._resolvers: dict[tuple[int, int], Callable] = {}
         self._layer_callbacks: list[tuple[list, list, list]] = []
 
@@ -323,12 +314,8 @@ class TmuEngine:
         self.batch_touches = self.batch_touches_enabled and not (
             self._tracing)
         self._compile_resolvers()
-        root_envs = [dict() for _ in range(self.program.lanes)]
-        if self.fast and self.batch_touches:
-            from .fastlane import run_layers
-            run_layers(self, root_envs)
-        else:
-            self._run_layer(0, None, None, root_envs)
+        self._run_layer(0, None, None,
+                        [dict() for _ in range(self.program.lanes)])
         # fibers cut short (conjunctive early end) never reach fend,
         # so their buffered touches drain here
         for group in self.groups:

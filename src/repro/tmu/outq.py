@@ -87,34 +87,6 @@ class OutQueue:
         if tracer is not None:
             tracer.sample("tmu.outq", "chunk_fill", self._current_chunk_fill)
 
-    def push_many(self, records: list[OutQueueRecord]) -> None:
-        """Bulk append for the fast lane engine: all records must come
-        from one callback (equal ``nbytes``), which lets the chunk
-        accounting run in closed form instead of per record.  The
-        resulting counters are identical to repeated :meth:`push`."""
-        if not records:
-            return
-        if self.tracer is not None:
-            for record in records:
-                self.push(record)
-            return
-        size = records[0].nbytes()
-        n = len(records)
-        self.records.extend(records)
-        self.records_pushed += n
-        self.total_bytes += size * n
-        if size > self.max_record_bytes:
-            self.max_record_bytes = size
-        fill = self._current_chunk_fill + size * n
-        crossed = fill // self.chunk_bytes
-        if crossed:
-            self.chunks_completed += crossed
-            self.max_chunk_fill = self.chunk_bytes
-            fill -= crossed * self.chunk_bytes
-        elif fill > self.max_chunk_fill:
-            self.max_chunk_fill = fill
-        self._current_chunk_fill = fill
-
     @property
     def num_records(self) -> int:
         return len(self.records)

@@ -95,33 +95,6 @@ class Stream:
         """Byte address read by deriving from ``x`` (None = no access)."""
         return None
 
-    # -- SoA views (structure-of-arrays fast path) ---------------------
-    #
-    # ``derive_block``/``touched_addresses`` are the whole-fiber
-    # counterparts of ``derive``/``touched_address``: given the parent
-    # stream's values for every produced element of a fiber, return the
-    # corresponding value/address columns in one vectorized operation.
-    # ``block_oob_index`` reports the first element whose derivation
-    # would raise, *without* raising — the fast lane engine checks it
-    # up front and falls back to the exact scalar path on any hit, so
-    # ``derive_block`` may assume in-bounds inputs.  A stream that
-    # returns ``None`` from ``derive_block`` has no SoA view and forces
-    # the scalar path for any activation it participates in.
-
-    def derive_block(self, x: np.ndarray):
-        """Vectorized ``derive`` over a block of parent elements, or
-        ``None`` when this stream has no SoA view."""
-        return None
-
-    def block_oob_index(self, x: np.ndarray) -> int | None:
-        """Index of the first element of ``x`` whose scalar ``derive``
-        would raise (None = all in bounds)."""
-        return None
-
-    def touched_addresses(self, x: np.ndarray) -> np.ndarray | None:
-        """Vectorized ``touched_address`` (None = no memory access)."""
-        return None
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
@@ -133,9 +106,6 @@ class IteStream(Stream):
 
     def derive(self, x):
         return x
-
-    def derive_block(self, x):
-        return np.asarray(x)
 
 
 class MemStream(Stream):
@@ -156,19 +126,6 @@ class MemStream(Stream):
     def touched_address(self, x) -> int:
         return self.array.address_of(int(x) + self.offset)
 
-    def derive_block(self, x):
-        idx = np.asarray(x).astype(np.int64) + self.offset
-        return self.array.data[idx]
-
-    def block_oob_index(self, x) -> int | None:
-        idx = np.asarray(x).astype(np.int64) + self.offset
-        bad = (idx < 0) | (idx >= self.array.data.size)
-        return int(np.argmax(bad)) if bad.any() else None
-
-    def touched_addresses(self, x) -> np.ndarray:
-        idx = np.asarray(x).astype(np.int64) + self.offset
-        return self.array.base_address + idx * self.array.elem_bytes
-
 
 class LinStream(Stream):
     """``a·x + b``: linear transform of the parent element."""
@@ -184,9 +141,6 @@ class LinStream(Stream):
 
     def derive(self, x):
         return self.a * x + self.b
-
-    def derive_block(self, x):
-        return self.a * np.asarray(x) + self.b
 
 
 class MapStream(Stream):
@@ -213,16 +167,6 @@ class MapStream(Stream):
             )
         return self.table[xi]
 
-    def derive_block(self, x):
-        idx = np.asarray(x).astype(np.int64)
-        table = self.table
-        return [table[i] for i in idx.tolist()]
-
-    def block_oob_index(self, x) -> int | None:
-        idx = np.asarray(x).astype(np.int64)
-        bad = (idx < 0) | (idx >= len(self.table))
-        return int(np.argmax(bad)) if bad.any() else None
-
 
 class LdrStream(Stream):
     """``&p[x]``: the address of element ``x`` of array ``p`` — used to
@@ -239,10 +183,6 @@ class LdrStream(Stream):
 
     def derive(self, x):
         return self.array.address_of(int(x))
-
-    def derive_block(self, x):
-        idx = np.asarray(x).astype(np.int64)
-        return self.array.base_address + idx * self.array.elem_bytes
 
 
 class FwdStream(Stream):

