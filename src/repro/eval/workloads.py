@@ -87,10 +87,15 @@ def as_order3(tensor: CooTensor) -> CooTensor:
         rest = rest * tensor.shape[d] + tensor.coords[d]
     uniq, dense = np.unique(rest, return_inverse=True)
     extent = int(uniq.size) if uniq.size else 1
+    # Folding trailing modes of a sorted, duplicate-free tensor keeps it
+    # sorted and duplicate-free: the row-major fold and the dense
+    # relabeling are both monotone and one-to-one.
     return CooTensor(
         (tensor.shape[0], tensor.shape[1], extent),
         [tensor.coords[0], tensor.coords[1], dense],
         tensor.values,
+        assume_sorted=True,
+        sum_duplicates=False,
     )
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConversionError
+from ..types import lex_order, ptrs_from_ids
 from .coo import CooMatrix, CooTensor
 from .csf import CsfTensor
 from .csr import CsrMatrix
@@ -17,10 +18,7 @@ from .dcsr import DcsrMatrix
 
 def coo_to_csr(coo: CooMatrix) -> CsrMatrix:
     """COO → CSR.  Worth it when ``nnz > rows + 1`` (Section 2.2)."""
-    rows, cols = coo.shape
-    ptrs = np.zeros(rows + 1, dtype=np.int64)
-    np.add.at(ptrs, coo.rows + 1, 1)
-    np.cumsum(ptrs, out=ptrs)
+    ptrs = ptrs_from_ids(coo.rows, coo.num_rows)
     return CsrMatrix(coo.shape, ptrs, coo.cols.copy(), coo.values.copy(),
                      validate=False)
 
@@ -88,7 +86,7 @@ def coo_to_csf(coo: CooTensor, mode_order: tuple[int, ...] | None = None
     vals = np.asarray(coo.values)
     shape = tuple(coo.shape[m] for m in mode_order)
     if n >= 2 and mode_order != tuple(range(n)):
-        order = np.lexsort(tuple(reversed(coords)))
+        order = lex_order(coords, shape)
         coords = [c[order] for c in coords]
         vals = vals[order]
 
@@ -113,10 +111,7 @@ def coo_to_csf(coo: CooTensor, mode_order: tuple[int, ...] | None = None
             node_of = prefix_id
             level_idxs = np.zeros(0, dtype=np.int64)
             node_parents = np.zeros(0, dtype=np.int64)
-        level_ptrs = np.zeros(num_parents + 1, dtype=np.int64)
-        np.add.at(level_ptrs, node_parents + 1, 1)
-        np.cumsum(level_ptrs, out=level_ptrs)
-        ptrs.append(level_ptrs)
+        ptrs.append(ptrs_from_ids(node_parents, num_parents))
         idxs.append(level_idxs)
         prefix_id = node_of
         num_parents = level_idxs.size

@@ -13,13 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import FormatError
-from ..types import INDEX_BYTES, VALUE_BYTES, as_index_array, as_value_array
-
-
-def _lexsort_coords(coords: list[np.ndarray], vals: np.ndarray):
-    """Sort coordinate arrays lexicographically, first dimension major."""
-    order = np.lexsort(tuple(reversed(coords)))
-    return [c[order] for c in coords], vals[order]
+from ..types import (INDEX_BYTES, VALUE_BYTES, as_index_array, as_value_array,
+                     lex_order)
 
 
 class CooTensor:
@@ -67,7 +62,9 @@ class CooTensor:
                 )
         if values.size:
             if not assume_sorted:
-                coords, values = _lexsort_coords(coords, values)
+                order = lex_order(coords, self.shape)
+                coords = [c[order] for c in coords]
+                values = values[order]
             if sum_duplicates:
                 coords, values = self._sum_duplicates(coords, values)
         self.coords = coords

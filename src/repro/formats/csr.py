@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FormatError
-from ..types import INDEX_BYTES, VALUE_BYTES, as_index_array, as_value_array
+from ..types import (INDEX_BYTES, VALUE_BYTES, as_index_array, as_value_array,
+                     ptrs_from_ids, stable_order)
 
 
 class CsrMatrix:
@@ -98,14 +99,12 @@ class CsrMatrix:
     def transpose(self) -> "CsrMatrix":
         """Return the transpose, also in CSR (i.e. this matrix in CSC)."""
         rows, cols = self.shape
-        t_ptrs = np.zeros(cols + 1, dtype=self.ptrs.dtype)
-        np.add.at(t_ptrs, self.idxs + 1, 1)
-        np.cumsum(t_ptrs, out=t_ptrs)
+        t_ptrs = ptrs_from_ids(self.idxs, cols)
         row_of = np.repeat(np.arange(rows, dtype=self.idxs.dtype),
                            np.diff(self.ptrs))
         # Stable grouping by column keeps per-row order, i.e. the
         # transposed rows come out with sorted column indexes.
-        order = np.argsort(self.idxs, kind="stable")
+        order = stable_order(self.idxs, cols)
         return CsrMatrix((cols, rows), t_ptrs, row_of[order],
                          self.vals[order], validate=False)
 
@@ -121,9 +120,7 @@ class CsrMatrix:
         if array.ndim != 2:
             raise FormatError("CsrMatrix.from_dense needs a 2-D array")
         r, c = np.nonzero(array)
-        ptrs = np.zeros(array.shape[0] + 1, dtype=np.int64)
-        np.add.at(ptrs, r + 1, 1)
-        np.cumsum(ptrs, out=ptrs)
+        ptrs = ptrs_from_ids(r, array.shape[0])
         return cls(array.shape, ptrs, c, array[r, c], validate=False)
 
     def __eq__(self, other) -> bool:

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import FormatError
-from ..types import INDEX_BYTES, as_index_array
+from ..types import INDEX_BYTES, as_index_array, ptrs_from_ids
 
 
 class Level:
@@ -243,9 +243,7 @@ def build_level_tensor(coo, spec: Sequence[str]) -> LevelTensor:
             parent_id = np.arange(vals.size, dtype=np.int64)
             num_parents = vals.size
         elif kind == "compressed_nonunique":
-            ptrs = np.zeros(num_parents + 1, dtype=np.int64)
-            np.add.at(ptrs, parent_id + 1, 1)
-            np.cumsum(ptrs, out=ptrs)
+            ptrs = ptrs_from_ids(parent_id, num_parents)
             levels.append(CompressedLevel(ptrs, c.copy()))
             parent_id = np.arange(vals.size, dtype=np.int64)
             num_parents = vals.size
@@ -262,9 +260,7 @@ def build_level_tensor(coo, spec: Sequence[str]) -> LevelTensor:
             node_firsts = np.flatnonzero(key_change)
             idxs = c[node_firsts] if vals.size else np.zeros(0, dtype=np.int64)
             node_parents = parent_id[node_firsts] if vals.size else node_firsts
-            ptrs = np.zeros(num_parents + 1, dtype=np.int64)
-            np.add.at(ptrs, node_parents + 1, 1)
-            np.cumsum(ptrs, out=ptrs)
+            ptrs = ptrs_from_ids(node_parents, num_parents)
             levels.append(CompressedLevel(ptrs, idxs))
             parent_id = node_of_nnz
             num_parents = idxs.size

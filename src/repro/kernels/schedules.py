@@ -107,10 +107,8 @@ def schedule_merge_work(a: CsrMatrix, b: CsrMatrix) -> dict[str, int]:
     """Analytic merge/traversal element counts per schedule — the
     numbers that explain why Gustavson wins on sparse outputs and why
     the paper evaluates it."""
-    b_csc_counts = np.zeros(b.num_cols, dtype=np.int64)
-    np.add.at(b_csc_counts, b.idxs, 1)
-    a_csc_counts = np.zeros(a.num_cols, dtype=np.int64)
-    np.add.at(a_csc_counts, a.idxs, 1)
+    b_csc_counts = np.bincount(b.idxs, minlength=b.num_cols)
+    a_csc_counts = np.bincount(a.idxs, minlength=a.num_cols)
     b_row_counts = np.diff(b.ptrs)
 
     inner = int(a.num_rows * b_csc_counts.sum()

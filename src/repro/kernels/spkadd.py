@@ -15,11 +15,11 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
-from ..formats.convert import coo_to_dcsr, csr_to_coo
+from ..formats.convert import coo_to_dcsr
 from ..formats.dcsr import DcsrMatrix
 from ..formats.coo import CooMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES, VALUE_BYTES
+from ..types import INDEX_BYTES, VALUE_BYTES, ptrs_from_ids, stable_order
 from .common import sorted_unique
 
 
@@ -29,15 +29,19 @@ def split_rows_cyclic(a: CsrMatrix, k: int) -> list[DcsrMatrix]:
     if k < 1:
         raise WorkloadError("k must be >= 1")
     out_rows = -(-a.num_rows // k)
-    coo = csr_to_coo(a)
+    row_of = np.repeat(np.arange(a.num_rows, dtype=np.int64),
+                       np.diff(a.ptrs))
+    residue = row_of % k
+    # One stable partition by residue: each part keeps the CSR order of
+    # its rows, and i*k+x is monotone in i for a fixed residue x, so
+    # every part is already lexsorted and skips the re-sort.
+    order = stable_order(residue, k)
+    bounds = ptrs_from_ids(residue, k)
+    rows, cols, vals = row_of[order] // k, a.idxs[order], a.vals[order]
     outputs = []
-    for x in range(k):
-        pick = (coo.rows % k) == x
-        rows = coo.rows[pick] // k
-        # Filtering a lexsorted COO preserves lexsorted order (i*k+x is
-        # monotone in i for a fixed residue x), so skip the re-sort.
-        part = CooMatrix((out_rows, a.num_cols), rows, coo.cols[pick],
-                         coo.values[pick], sum_duplicates=False,
+    for beg, end in zip(bounds[:-1], bounds[1:]):
+        part = CooMatrix((out_rows, a.num_cols), rows[beg:end],
+                         cols[beg:end], vals[beg:end], sum_duplicates=False,
                          assume_sorted=True)
         outputs.append(coo_to_dcsr(part))
     return outputs

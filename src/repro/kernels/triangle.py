@@ -14,7 +14,7 @@ from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES
+from ..types import INDEX_BYTES, ptrs_from_ids
 from .common import CsrOperand
 
 
@@ -24,9 +24,7 @@ def lower_triangle(a: CsrMatrix) -> CsrMatrix:
         raise WorkloadError("lower_triangle needs a square matrix")
     row_of = np.repeat(np.arange(a.num_rows), np.diff(a.ptrs))
     keep = a.idxs < row_of
-    new_ptrs = np.zeros(a.num_rows + 1, dtype=np.int64)
-    np.add.at(new_ptrs, row_of[keep] + 1, 1)
-    np.cumsum(new_ptrs, out=new_ptrs)
+    new_ptrs = ptrs_from_ids(row_of[keep], a.num_rows)
     return CsrMatrix(a.shape, new_ptrs, a.idxs[keep], a.vals[keep],
                      validate=False)
 

@@ -23,7 +23,7 @@ from ..kernels.sptc import match_b_fibers
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program, ScalarOperand
-from ..types import INDEX_BYTES
+from ..types import INDEX_BYTES, stable_order
 from .common import BuiltProgram, record_bytes, write_stream
 
 
@@ -49,7 +49,7 @@ def _directory(b: CsfTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     big_l = b.shape[0]
     l_of_node = np.repeat(b.idxs[0], np.diff(b.ptrs[1]))
     keys = b.idxs[1] * big_l + l_of_node
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys, b.shape[1] * big_l)
     return (keys[order], b.ptrs[2][:-1][order], b.ptrs[2][1:][order])
 
 

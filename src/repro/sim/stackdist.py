@@ -46,6 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import SimulationError
+from ..types import stable_order
 
 #: Queries per lockstep-scan batch.  The scan materializes
 #: ``queries x block`` work matrices; bounding the batch keeps them
@@ -134,34 +135,13 @@ def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
             d = np.diff(lines)
             if (d > 0).all() or (d < 0).all():
                 return np.zeros(n, dtype=bool)
-    set_mask = num_sets - 1
-    sets = lines & set_mask
-
-    # Group by set, program order within each set segment.  Packing
-    # (key << pos_bits) | position keeps a plain np.sort stable, and
-    # the int32 pack is measurably faster on the hot small-set walks.
-    pos_bits = max(1, (n - 1).bit_length())
-    pos_mask = (1 << pos_bits) - 1
-    pos32 = np.arange(n, dtype=np.int32)
-    if int(set_mask).bit_length() + pos_bits <= 31:
-        order = np.sort((sets.astype(np.int32) << pos_bits)
-                        | pos32) & pos_mask
-    else:
-        order = np.sort((sets << pos_bits)
-                        | pos32.astype(np.int64)) & pos_mask
+    # Group by set, program order within each set segment.
+    order = stable_order(lines & (num_sets - 1), num_sets)
     pv = lines[order]
 
     # Previous/next occurrence of the same line (same line ⇒ same set,
     # so the links never leave a set segment).
-    vmax = int(pv.max())
-    if vmax.bit_length() + pos_bits <= 31:
-        o2 = np.sort((pv.astype(np.int32) << pos_bits)
-                     | pos32) & pos_mask
-    elif vmax < (1 << (62 - pos_bits)):
-        o2 = np.sort((pv << pos_bits)
-                     | pos32.astype(np.int64)) & pos_mask
-    else:  # astronomically large line numbers: plain stable argsort
-        o2 = np.argsort(pv, kind="stable")
+    o2 = stable_order(pv, int(pv.max()) + 1)
     sv = pv[o2]
     same = sv[1:] == sv[:-1]
     prev_idx = o2[:-1][same]
@@ -172,6 +152,7 @@ def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     # Screens: cold-start miss / positional-reuse hit.  A window of
     # ``gap - 1 <= ways - 1`` packed positions cannot reach ``ways``
     # distinct lines, whatever it contains.
+    pos32 = np.arange(n, dtype=np.int32)
     gap = pos32 - f
     seen = f >= 0
     hit_packed = seen & (gap <= ways)

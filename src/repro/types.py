@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: dtype used for coordinate/index arrays throughout the library.
@@ -30,6 +32,70 @@ def as_index_array(data) -> np.ndarray:
 def as_value_array(data) -> np.ndarray:
     """Return ``data`` as a contiguous float64 numpy array."""
     return np.ascontiguousarray(np.asarray(data, dtype=VALUE_DTYPE))
+
+
+def _packed_dtype(bound: int, n: int):
+    """Narrowest signed dtype holding ``key << pos_bits | position`` for
+    keys below ``bound`` and ``n`` positions, with the position bit count;
+    the dtype is ``None`` when 63 bits cannot hold it."""
+    pos_bits = max(1, (n - 1).bit_length())
+    bits = max(0, bound - 1).bit_length() + pos_bits
+    if bits <= 31:
+        return np.int32, pos_bits
+    if bits <= 63:
+        return np.int64, pos_bits
+    return None, pos_bits
+
+
+def stable_order(keys, bound: int) -> np.ndarray:
+    """Stable sorting permutation of non-negative integer ``keys``, all
+    below ``bound``: exactly the permutation a stable argsort returns.
+
+    Each key is packed above its position, ``key << pos_bits | position``,
+    so the packed values are distinct and a plain ``np.sort`` of them
+    orders equal keys by position.  The pack is int32 when it fits 31
+    bits (measurably faster) and int64 when it fits 63; beyond that the
+    stable argsort runs instead.
+    """
+    keys = np.asarray(keys)
+    n = keys.size
+    dtype, pos_bits = _packed_dtype(int(bound), n)
+    if dtype is None:
+        return np.argsort(keys, kind="stable")
+    packed = keys.astype(dtype)
+    packed <<= pos_bits
+    packed |= np.arange(n, dtype=dtype)
+    packed.sort()
+    packed &= (1 << pos_bits) - 1
+    return packed
+
+
+def lex_order(coords, shape) -> np.ndarray:
+    """Permutation sorting coordinate tuples lexicographically, first
+    dimension major: exactly the permutation NumPy's ``lexsort`` returns
+    for the keys in reverse.
+
+    ``coords`` holds one in-bounds index array per dimension of
+    ``shape``.  The tuples are linearized row-major into one key that
+    :func:`stable_order` sorts; ``lexsort`` itself runs only when the
+    extents' product and the position bits overflow 63 bits.
+    """
+    bound = math.prod(int(s) for s in shape)
+    if _packed_dtype(bound, coords[0].size)[0] is None:
+        return np.lexsort(tuple(reversed(coords)))
+    key = np.array(coords[0], dtype=np.int64)
+    for c, extent in zip(coords[1:], shape[1:]):
+        key *= int(extent)
+        key += c
+    return stable_order(key, bound)
+
+
+def ptrs_from_ids(ids, num_groups: int) -> np.ndarray:
+    """CSR-style pointers from each element's group id: group ``g``
+    owns positions ``ptrs[g]:ptrs[g + 1]`` of a grouped layout."""
+    ptrs = np.zeros(num_groups + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=num_groups), out=ptrs[1:])
+    return ptrs
 
 
 def geomean(values) -> float:
