@@ -71,10 +71,10 @@ import time
 from pathlib import Path
 
 from . import obs, runtime
-from .config import set_default_fast
 from .errors import ReproError
 from .eval import experiments as ex
 from .runtime.manifest import RunManifest
+from .sim.memsys import configure_reference
 
 #: name -> callable(scale, workloads); drivers without a workload
 #: filter ignore the second argument.
@@ -204,9 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
         const="reference",
         help="classify cache hits with the golden-reference cache "
              "walk (slow; bit-for-bit equivalent to --fast: same hit "
-             "masks and results).  The choice is part of each cell's "
-             "content hash, so cached results from the two models never "
-             "collide",
+             "masks and results).  Implies --no-cache and "
+             "--walk-cache off: a reference run always computes",
     )
     parser.add_argument(
         "--timeout",
@@ -999,15 +998,20 @@ def main(argv: list[str] | None = None) -> int:
         workloads = tuple(w.strip() for w in args.workloads.split(",")
                           if w.strip())
 
+    # A golden-reference run computes every cell and walk: it never
+    # reads what a fast run cached.
+    reference = args.cache_model == "reference"
+    no_cache = args.no_cache or reference
     try:
         rt = runtime.configure(
             jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
+            cache_dir=None if no_cache else args.cache_dir,
             timeout=args.timeout,
             retries=args.retries,
             progress=lambda msg: print(msg, file=sys.stderr),
             store=args.store,
-            walk_cache=args.walk_cache,
+            walk_cache="off" if reference else args.walk_cache,
+            reference=reference,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1020,10 +1024,6 @@ def main(argv: list[str] | None = None) -> int:
 
     names = sorted(_COMMANDS) if args.experiment == "all" else [
         args.experiment]
-    # Cache-model selection applies to every machine the drivers build;
-    # restored afterwards so embedded callers (tests, notebooks) see the
-    # default again.
-    set_default_fast(args.cache_model != "reference")
     profiler = None
     if args.profile is not None:
         import cProfile
@@ -1049,7 +1049,9 @@ def main(argv: list[str] | None = None) -> int:
         obs.disable_tracing()
         return 0
     finally:
-        set_default_fast(True)
+        # restore the fast model so embedded callers (tests, notebooks)
+        # see the default again
+        configure_reference(False)
         if profiler is not None:
             import io
             import pstats
@@ -1109,7 +1111,7 @@ def main(argv: list[str] | None = None) -> int:
     if manifest is not None:
         print(manifest.summary(), file=sys.stderr)
         manifest_path = args.manifest
-        if manifest_path is None and not args.no_cache:
+        if manifest_path is None and not no_cache:
             # millisecond stamp + pid so back-to-back invocations never
             # overwrite each other's provenance
             manifest_path = (

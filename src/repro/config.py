@@ -132,13 +132,6 @@ class MachineConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     noc: NocConfig = field(default_factory=NocConfig)
     tmu: TMUConfig = field(default_factory=TMUConfig)
-    #: cache-model selection: True classifies the hierarchy walk with
-    #: the stateless stack-distance pass (:mod:`repro.sim.stackdist`),
-    #: False with the golden reference (:class:`repro.sim.cache.Cache`).
-    #: The two are bit-for-bit hit/miss-equivalent; the flag is still
-    #: part of the machine's identity, so cached experiment results from
-    #: the two models never collide.
-    fast_cache: bool = True
 
     def with_tmu(self, **kwargs) -> "MachineConfig":
         """Return a copy with TMU parameters replaced."""
@@ -166,23 +159,9 @@ class MachineConfig:
         return self.bytes_per_cycle() / self.num_cores
 
 
-#: process-wide default for :attr:`MachineConfig.fast_cache`; flipped by
-#: the CLI's ``--reference`` flag so every machine the drivers build
-#: picks the requested cache model without threading a parameter
-#: through each experiment.
-_DEFAULT_FAST_CACHE = True
-
-
-def set_default_fast(fast: bool) -> None:
-    """Select the cache model machines are built with by default (the
-    CLI's ``--fast``/``--reference`` switch)."""
-    global _DEFAULT_FAST_CACHE
-    _DEFAULT_FAST_CACHE = bool(fast)
-
-
 def default_machine() -> MachineConfig:
     """The evaluated system of Table 5."""
-    return MachineConfig(fast_cache=_DEFAULT_FAST_CACHE)
+    return MachineConfig()
 
 
 def _scale_cache(cache: CacheConfig, divisor: int) -> CacheConfig:
@@ -260,7 +239,6 @@ def a64fx_like() -> MachineConfig:
         llc=CacheConfig(8 * 1024 * 1024, 16, 47, 64),
         memory=MemoryConfig(channels=32, channel_gbps=32.0, latency_cycles=140),
         noc=NocConfig(mesh_x=6, mesh_y=8),
-        fast_cache=_DEFAULT_FAST_CACHE,
     )
 
 
@@ -288,5 +266,4 @@ def graviton3_like() -> MachineConfig:
         llc=CacheConfig(32 * 1024 * 1024, 16, 31, 192),
         memory=MemoryConfig(channels=8, channel_gbps=37.5, latency_cycles=120),
         noc=NocConfig(mesh_x=8, mesh_y=8),
-        fast_cache=_DEFAULT_FAST_CACHE,
     )

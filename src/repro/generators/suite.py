@@ -179,7 +179,10 @@ def tensor_ids() -> list[str]:
     return sorted(TENSOR_SUITE)
 
 
-@lru_cache(maxsize=None)
+# The loaders keep one scale's suite resident: sweeps revisit every
+# input of a scale, and a long-running server that switches scales
+# holds at most one suite's inputs.
+@lru_cache(maxsize=len(MATRIX_SUITE))
 def load_matrix(input_id: str, scale: str = "small") -> CsrMatrix:
     """Build (and memoize) one matrix of the suite."""
     if input_id not in MATRIX_SUITE:
@@ -189,7 +192,7 @@ def load_matrix(input_id: str, scale: str = "small") -> CsrMatrix:
     return MATRIX_SUITE[input_id].build(scale)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(TENSOR_SUITE))
 def load_tensor(input_id: str, scale: str = "small") -> CooTensor:
     """Build (and memoize) one tensor of the suite."""
     if input_id not in TENSOR_SUITE:

@@ -98,6 +98,7 @@ def configure(*, jobs: int = 1,
               progress: Callable[[ProgressEvent], None] | None = None,
               store: str | Path | None = None,
               walk_cache: str | Path | None = "auto",
+              reference: bool = False,
               ) -> Runtime:
     """Install (and return) the process-wide runtime.
 
@@ -109,7 +110,10 @@ def configure(*, jobs: int = 1,
     (:class:`WalkStore`): ``"auto"`` (default) keeps it beside the
     result cache at ``<cache_dir>/walks``, a path pins it there, and
     ``None``/``"off"`` disables it; the ``REPRO_WALK_CACHE``
-    environment variable overrides all of these.
+    environment variable overrides all of these.  ``reference``
+    selects the golden-reference cache walk
+    (:func:`repro.sim.memsys.configure_reference`) in-process; pool
+    workers receive the selection with each task.
     """
     global _active
     cache = ResultCache(Path(cache_dir)) if cache_dir is not None \
@@ -118,10 +122,11 @@ def configure(*, jobs: int = 1,
     # Install the disk tier process-wide: serial runs and the in-pool
     # parent share it here; pool workers install their own copy from
     # the walk_dir shipped with each task.
-    from ..sim.memsys import configure_walk_store
+    from ..sim.memsys import configure_reference, configure_walk_store
 
     configure_walk_store(WalkStore(walk_dir) if walk_dir is not None
                          else None)
+    configure_reference(reference)
     _active = Runtime(jobs=jobs, cache=cache, timeout=timeout,
                       retries=retries, progress=progress,
                       store=None if store is None else str(store),

@@ -40,6 +40,7 @@ from ..obs.logging import (
     log_event,
     worker_context,
 )
+from ..sim.memsys import configure_reference, uses_reference
 from .cache import NullCache, ResultCache
 from .manifest import ManifestEntry, RunManifest, manifest_rev
 from .task import SimTask, run_from_record
@@ -66,7 +67,8 @@ def _install_walk_store(walk_dir: "str | None") -> None:
 def _evaluate_task(task: SimTask, capture_telemetry: bool = False,
                    capture_trace: bool = False,
                    log_context: dict | None = None,
-                   walk_dir: "str | None" = None) -> dict:
+                   walk_dir: "str | None" = None,
+                   reference: bool | None = None) -> dict:
     """Module-level worker entry point (must be picklable).
 
     ``capture_telemetry`` / ``capture_trace`` are set on process-pool
@@ -88,8 +90,14 @@ def _evaluate_task(task: SimTask, capture_telemetry: bool = False,
     workers (the parent installs its own tier via
     ``runtime.configure``): hierarchy walks memoized by any worker,
     the parent, a server job or a previous session are then shared.
+    ``reference`` ships the parent's cache-model selection the same
+    way (``None`` leaves the installed one alone).  Neither is part of
+    the cell's content hash: both change how a result is computed,
+    never the result.
     """
     _install_walk_store(walk_dir)
+    if reference is not None:
+        configure_reference(reference)
     with ExitStack() as stack:
         if log_context is not None:
             stack.enter_context(correlation(
@@ -243,13 +251,9 @@ class Runtime:
         starting the attempt counter at ``first_attempt``."""
         start = time.perf_counter()
         attempt = first_attempt
-        # Pin the machine before evaluating so the cell runs exactly the
-        # configuration its hash was computed from, regardless of any
-        # process-wide config defaults (cache-model selection).
-        pinned = task.resolved()
         while True:
             try:
-                record = _evaluate_task(pinned)
+                record = _evaluate_task(task)
                 return TaskOutcome(task, record, cached=False,
                                    wall_time=time.perf_counter() - start,
                                    attempts=attempt)
@@ -295,17 +299,17 @@ class Runtime:
         to_retry: list[int] = []
         with pool:
             try:
-                # Workers get the machine pinned (resolved in *this*
-                # process): pool processes do not share the parent's
-                # config defaults, so an unpinned task could resolve to
-                # a different machine than the one its hash names.
-                # Ship the correlation context explicitly: contextvars
-                # do not cross process boundaries.
+                # Ship the correlation context and the cache-model
+                # selection explicitly: a spawned worker starts from a
+                # fresh import, without the parent's contextvars or
+                # module globals.
                 shipped = worker_context({"run_key": self.run_key})
-                futures = [(i, pool.submit(_evaluate_task, t.resolved(),
+                reference = uses_reference()
+                futures = [(i, pool.submit(_evaluate_task, t,
                                            obs.enabled(),
                                            obs.tracing_enabled(),
-                                           shipped, self.walk_dir))
+                                           shipped, self.walk_dir,
+                                           reference))
                            for i, t in enumerate(tasks)]
             except BrokenProcessPool:
                 self._emit("pool", "process pool broke on submit; "

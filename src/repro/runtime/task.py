@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .. import __version__
 from ..config import (
@@ -67,11 +67,8 @@ def machine_from_dict(data: dict) -> MachineConfig:
         memory=MemoryConfig(**data["memory"]),
         noc=NocConfig(**data["noc"]),
         tmu=TMUConfig(**data["tmu"]),
-        # records written before the cache-model flag existed default
-        # to the reference model those results were produced with; keys
-        # of retired fields (the TMU-engine switch) in older journals
-        # are ignored
-        fast_cache=data.get("fast_cache", False),
+        # keys of retired fields (the TMU-engine and cache-model
+        # switches) in older journals are ignored
     )
 
 
@@ -113,18 +110,6 @@ class SimTask:
         if self.machine is not None:
             return self.machine
         return experiment_machine(self.scale)
-
-    def resolved(self) -> "SimTask":
-        """A copy with the machine pinned explicitly.
-
-        Hash-identical to this task (``spec()`` already resolves the
-        machine), but immune to process-wide config defaults — e.g. the
-        CLI's cache-model selection — differing between the parent and a
-        pool worker: the worker evaluates exactly the machine the parent
-        hashed."""
-        if self.machine is not None:
-            return self
-        return replace(self, machine=self.resolved_machine())
 
     @property
     def label(self) -> str:

@@ -13,12 +13,13 @@ and the core consumes chunks with SIMD callbacks.  Total time is the
 slower of the two sides plus one chunk of pipeline fill — which makes
 the *read-to-write ratio* (Figure 13) a direct model output.
 
-Cache behaviour is classified by the model ``machine.fast_cache``
-selects (the stack-distance pass :mod:`repro.sim.stackdist` by default,
-the golden-reference :class:`~repro.sim.cache.Cache` under
-``--reference``); the two are hit/miss-equivalent, so every result in
-this module is identical either way — only the wall-clock cost of
-producing it changes.
+Cache behaviour is classified by the stack-distance pass
+:mod:`repro.sim.stackdist`, or by the golden-reference
+:class:`~repro.sim.cache.Cache` when the run selects it
+(``--reference``, :func:`repro.sim.memsys.configure_reference`).  The
+selection is no part of the machine: the two models are
+hit/miss-equivalent, so every result in this module is identical
+either way — only the wall-clock cost of producing it changes.
 """
 
 from __future__ import annotations

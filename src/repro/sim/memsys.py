@@ -124,45 +124,16 @@ def _streams_equal(stored: list[np.ndarray],
         for a, s in zip(stored, streams))
 
 
-#: Per-array content digests, LRU over array identity.  The same
-#: address arrays are digested for the hierarchy walk, the LLC-only
-#: walk, and again on the post-miss ``put`` — hashing each one once
-#: turns the sha256 over multi-million-entry streams from the dominant
-#: disk-tier cost into a per-session constant.  Entries hold a strong
-#: reference to the array, so a memoized id can never be recycled by a
-#: new object while its entry lives (and the arrays are the very ones
-#: the memory tier pins anyway).  Trace arrays are immutable once
-#: built (the memory tier's identity short-circuit already relies on
-#: this), so identity implies unchanged content.
-_ARRAY_DIGESTS: OrderedDict = OrderedDict()
-_ARRAY_DIGESTS_CAP = 1024
-
-
-def _array_digest(a: np.ndarray) -> str:
-    token = id(a)
-    hit = _ARRAY_DIGESTS.get(token)
-    if hit is not None:
-        _ARRAY_DIGESTS.move_to_end(token)
-        return hit[1]
-    c = a if a.flags.c_contiguous else np.ascontiguousarray(a)
-    h = hashlib.sha256()
-    h.update(str(c.dtype).encode())
-    h.update(c.data)
-    d = h.hexdigest()
-    while len(_ARRAY_DIGESTS) >= _ARRAY_DIGESTS_CAP:
-        _ARRAY_DIGESTS.popitem(last=False)
-    _ARRAY_DIGESTS[token] = (a, d)
-    return d
-
-
 def _walk_digest(key: tuple, streams: list[AccessStream]) -> str:
     """Content address of one walk: sha256 over the cache geometry /
-    sampling key and the full stream contents (dtype + raw bytes,
-    folded in as per-array content digests)."""
+    sampling key and the full stream contents, folded in as each
+    stream's cached :meth:`~AccessStream.digest`.  The hierarchy walk,
+    the LLC-only walk and the post-miss ``put`` of a stream hash its
+    addresses once between them."""
     h = hashlib.sha256()
     h.update(repr((WALK_SCHEMA, key)).encode())
     for s in streams:
-        h.update(_array_digest(s.addresses).encode())
+        h.update(s.digest().encode())
     return h.hexdigest()
 
 
@@ -380,6 +351,27 @@ def configure_walk_store(store) -> None:
     _WALK_CACHE.store = store
 
 
+#: the cache-model selection: False classifies every level with the
+#: stateless stack-distance pass (:mod:`repro.sim.stackdist`), True
+#: with the golden-reference :class:`~repro.sim.cache.Cache`.  The two
+#: are hit/miss-identical, so the choice is no part of any key: a
+#: reference walk skips both walk memos instead and always computes.
+_REFERENCE = False
+
+
+def configure_reference(reference: bool) -> None:
+    """Select the cache model (the CLI's ``--reference`` switch).  The
+    runtime installs it in-process and ships it to every ProcessPool
+    worker beside the walk tier."""
+    global _REFERENCE
+    _REFERENCE = bool(reference)
+
+
+def uses_reference() -> bool:
+    """Whether walks classify with the golden-reference ``Cache``."""
+    return _REFERENCE
+
+
 def prepare_lines(stream: AccessStream, line_bytes: int,
                   sample_window: int | None
                   ) -> tuple[np.ndarray, int, float]:
@@ -395,7 +387,7 @@ def prepare_lines(stream: AccessStream, line_bytes: int,
     return lines, total, scale
 
 
-def _walk_level(cache: Cache, lines: np.ndarray, fast: bool) -> np.ndarray:
+def _walk_level(cache: Cache, lines: np.ndarray) -> np.ndarray:
     """Classify one level's line stream in a single-shot batched walk.
 
     The fast model routes through the stateless stack-distance pass
@@ -409,11 +401,11 @@ def _walk_level(cache: Cache, lines: np.ndarray, fast: bool) -> np.ndarray:
     """
     if lines.size == 0:
         return np.zeros(0, dtype=bool)
-    if fast:
-        hits = stackdist.hit_mask(lines, cache.num_sets, cache.ways)
-        settle_lookup(cache, lines.size, int(hits.sum()))
-        return hits
-    return cache.lookup_lines(lines)
+    if _REFERENCE:
+        return cache.lookup_lines(lines)
+    hits = stackdist.hit_mask(lines, cache.num_sets, cache.ways)
+    settle_lookup(cache, lines.size, int(hits.sum()))
+    return hits
 
 
 def sequentiality(lines: np.ndarray) -> float:
@@ -442,20 +434,19 @@ def _coverage(stream: AccessStream, lines: np.ndarray,
 _HIT_FIELDS = ("l1_hits", "l2_hits", "llc_hits")
 
 
-def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray,
-                  fast: bool):
+def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray):
     """One level of the walk.  ``lines`` is the traffic reaching the
     level, ``counts[i]`` of it from stream ``i`` in stream order.
     Returns the per-stream hits, the per-stream misses, and the miss
     lines passed down."""
-    hit = _walk_level(cache, lines, fast)
+    hit = _walk_level(cache, lines)
     seg = np.repeat(np.arange(counts.size), counts)
     hits = np.bincount(seg[hit], minlength=counts.size)
     return hits, counts - hits, lines[~hit]
 
 
 def _first_level(cache: Cache, streams: list[AccessStream],
-                 key: tuple | None, fast: bool, sample_window: int | None,
+                 key: tuple | None, sample_window: int | None,
                  prefetch: bool):
     """Line prep plus the first level of a walk: per-stream (total,
     scale, prefetch coverage), the level's per-stream hits, and the
@@ -477,7 +468,7 @@ def _first_level(cache: Cache, streams: list[AccessStream],
     counts = np.array([p[0].size for p in prepared], dtype=np.int64)
     lines = (np.concatenate([p[0] for p in prepared]) if prepared
              else np.zeros(0, dtype=np.int64))
-    value = (prep, *_filter_level(cache, lines, counts, fast))
+    value = (prep, *_filter_level(cache, lines, counts))
     if key is not None:
         for array in value[1:]:
             array.flags.writeable = False
@@ -485,7 +476,7 @@ def _first_level(cache: Cache, streams: list[AccessStream],
     return value
 
 
-def _walk(levels: tuple, streams: list[AccessStream], *, fast: bool,
+def _walk(levels: tuple, streams: list[AccessStream], *,
           sample_window: int | None, prefetch: bool) -> list[StreamProfile]:
     """Walk ``streams`` through ``levels`` (reset caches, innermost
     first), each level filtering the misses of the one above.
@@ -496,18 +487,17 @@ def _walk(levels: tuple, streams: list[AccessStream], *, fast: bool,
     is the one the per-stream reference walk produces.  Per-stream
     attribution is a segment-id ``bincount`` on each level's hit mask.
 
-    ``fast`` picks each level's classifier: the stack-distance pass or
-    the reference ``Cache``.  Outside tracing the whole walk goes
+    Outside tracing and the reference model, the whole walk goes
     through the walk cache, keyed by each level's sets, ways and line
-    size, the cache model, the sample window, the prefetcher flag and
-    the stream fingerprints — latency and MSHRs never change a hit —
-    and a walk of two or more levels takes its first level from the
-    first-level memo.
+    size, the sample window, the prefetcher flag and the stream
+    fingerprints — latency and MSHRs never change a hit — and a walk
+    of two or more levels takes its first level from the first-level
+    memo.
     """
-    memo = not obs.tracer().enabled
+    memo = not (_REFERENCE or obs.tracer().enabled)
     geometry = tuple((c.num_sets, c.ways, c.config.line_bytes)
                      for c in levels)
-    rest = (fast, sample_window, prefetch,
+    rest = (sample_window, prefetch,
             tuple(_stream_fingerprint(s) for s in streams))
     key = (geometry, *rest)
     value = _WALK_CACHE.lookup(key, streams) if memo else None
@@ -520,10 +510,10 @@ def _walk(levels: tuple, streams: list[AccessStream], *, fast: bool,
 
     first_key = (geometry[0], *rest) if memo and len(levels) > 1 else None
     prep, hits, counts, lines = _first_level(
-        levels[0], streams, first_key, fast, sample_window, prefetch)
+        levels[0], streams, first_key, sample_window, prefetch)
     level_hits = [hits]
     for cache in levels[1:]:
-        hits, counts, lines = _filter_level(cache, lines, counts, fast)
+        hits, counts, lines = _filter_level(cache, lines, counts)
         level_hits.append(hits)
     fields = _HIT_FIELDS[-len(levels):]
     profiles = [
@@ -576,13 +566,12 @@ class MemoryHierarchy:
         with obs.timer("sim.memsys.profile"):
             profile.streams.extend(_walk(
                 (self.l1, self.l2, self.llc), trace.streams,
-                fast=self.machine.fast_cache,
                 sample_window=self.sample_window,
                 prefetch=self.model_prefetchers))
             tracer = obs.tracer()
             if tracer.enabled:
                 # One span per stream in program order; the walk above
-                # skipped the memo, so its cache events are in the trace.
+                # skipped the memos, so its cache events are in the trace.
                 for sp in profile.streams:
                     start = tracer.alloc(sp.accesses)
                     tracer.span("sim.memsys", sp.label or "stream", start,
@@ -608,7 +597,7 @@ def llc_only_profile(machine: MachineConfig, streams: list[AccessStream],
     hierarchy (it reads directly from the LLC, Section 5.6)."""
     llc = Cache(machine.llc, name="tmu_llc")
     profile = AccessProfile(line_bytes=machine.llc.line_bytes)
-    profile.streams.extend(_walk((llc,), streams, fast=machine.fast_cache,
+    profile.streams.extend(_walk((llc,), streams,
                                  sample_window=sample_window,
                                  prefetch=False))
     return profile

@@ -38,7 +38,8 @@ Every path is exact, so the mask is bit-identical to the reference
 ``tests/test_stackdist_equiv.py`` fuzzes the two against each other.
 The hierarchy walk in :mod:`repro.sim.memsys` resets every level
 before profiling, so its batched walks are cold-start by construction
-and route here whenever ``MachineConfig.fast_cache`` is on.
+and route here unless the run selects the reference model
+(:func:`repro.sim.memsys.configure_reference`).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ of an instrumented interpreter run.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,9 @@ class AccessStream:
     label: str = ""
     dependent: bool = False
     gather: bool = False
+    #: ``(addresses, digest)`` once :meth:`digest` has hashed them.
+    _digest: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self) -> None:
         self.addresses = np.asarray(self.addresses, dtype=np.int64)
@@ -95,6 +99,20 @@ class AccessStream:
     @property
     def bytes(self) -> int:
         return self.count * self.elem_bytes
+
+    def digest(self) -> str:
+        """sha256 over the addresses' dtype and raw bytes, computed on
+        first use and cached on the stream.  The addresses are marked
+        read-only once digested, so a write that would stale the digest
+        raises instead."""
+        a = self.addresses
+        if self._digest is None or self._digest[0] is not a:
+            c = np.ascontiguousarray(a)
+            h = hashlib.sha256(str(c.dtype).encode())
+            h.update(c.data)
+            a.flags.writeable = False
+            self._digest = (a, h.hexdigest())
+        return self._digest[1]
 
 
 def strided_addresses(base: int, count: int, elem_bytes: int,

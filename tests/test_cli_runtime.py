@@ -54,6 +54,21 @@ class TestSubprocess:
         manifests = list((cache_dir / "manifests").glob("run-*.json"))
         assert manifests, "manifest files should be written to the cache"
 
+    def test_reference_run_never_reads_a_fast_run_cache(self, tmp_path):
+        """``--reference`` implies no result cache and no walk tier: over
+        a cache dir a fast run filled, it still computes every cell, and
+        prints the fast run's rows."""
+        cache_dir = tmp_path / "cache"
+        fast = _run_cli("fig10", "--workloads", "spmv",
+                        "--cache-dir", str(cache_dir), cwd=tmp_path)
+        assert fast.returncode == 0, fast.stderr
+        assert list((cache_dir / "walks").glob("*.json"))
+        reference = _run_cli("fig10", "--workloads", "spmv", "--reference",
+                             "--cache-dir", str(cache_dir), cwd=tmp_path)
+        assert reference.returncode == 0, reference.stderr
+        assert "0 cached (0%), 6 simulated" in reference.stderr
+        assert reference.stdout == fast.stdout
+
 
 class TestInProcess:
     """Faster checks through cli.main() directly."""

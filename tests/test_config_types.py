@@ -110,21 +110,25 @@ class TestHostPresets:
         assert m.noc.average_hops() == pytest.approx(2.5)
 
 
-class TestFastModelDefaults:
-    def test_set_default_fast_drives_cache_model(self):
-        """The CLI's --fast/--reference switch selects the cache model,
-        and every machine factory snapshots the choice into the
-        (hashed) config."""
-        from repro.config import experiment_machine, set_default_fast
+class TestCacheModelSelection:
+    def test_selection_leaves_every_machine_unchanged(self):
+        """The CLI's --fast/--reference switch selects the cache model
+        in ``sim.memsys``; no machine factory snapshots the choice, so
+        every machine (and so every content hash) is the same under
+        both models."""
+        from repro.config import experiment_machine
+        from repro.sim.memsys import configure_reference, uses_reference
 
+        factories = (default_machine, a64fx_like, graviton3_like,
+                     lambda: experiment_machine("small"))
+        fast = [factory() for factory in factories]
         try:
-            set_default_fast(False)
-            for m in (default_machine(), a64fx_like(), graviton3_like(),
-                      experiment_machine("small")):
-                assert m.fast_cache is False
+            configure_reference(True)
+            assert uses_reference()
+            assert [factory() for factory in factories] == fast
         finally:
-            set_default_fast(True)
-        assert default_machine().fast_cache is True
+            configure_reference(False)
+        assert not uses_reference()
 
 
 class TestSharedTypes:

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro import runtime
+from repro import obs, runtime
 from repro.config import experiment_machine
 from repro.errors import ExecutorError, WorkloadError
 from repro.runtime import (
@@ -75,14 +75,15 @@ class TestSimTask:
 
     def test_journaled_spec_with_retired_engine_flag_loads(self):
         """Journals written while machines still carried the retired
-        TMU-engine switch must keep loading, so a ``repro serve``
-        restart can resume them: the key is ignored and the cell
-        rebuilds."""
+        TMU-engine and cache-model switches must keep loading, so a
+        ``repro serve`` restart can resume them: the keys are ignored
+        and the cell rebuilds."""
         task = SimTask("spmv", "M1")
         spec = json.loads(json.dumps(task.spec()))
-        # the key those journals carry, assembled so that searching the
-        # tree for the retired name finds no live use
+        # the keys those journals carry, assembled so that searching the
+        # tree for the retired names finds no live use
         spec["machine"]["_".join(("fast", "engine"))] = True
+        spec["machine"]["_".join(("fast", "cache"))] = False
         machine = machine_from_dict(spec["machine"])
         assert machine == experiment_machine("small")
         rebuilt = task_from_spec(spec)
@@ -275,34 +276,46 @@ class TestRuntimeParallel:
         reader.run_cells(tasks)
         assert reader.last_manifest.hit_rate == 1.0
 
-    def test_reference_selection_rides_the_spec_into_workers(self,
-                                                             tmp_path):
-        """``--reference`` under ``--jobs 4``: model selection must
-        reach pool workers through each task's (hashed) spec, never
-        through ambient process-global state — a spawned worker does
-        not inherit the parent's module globals, so anything that only
-        lives there silently reverts to the fast models."""
-        from repro.config import set_default_fast
+    def test_reference_selection_reaches_workers_outside_the_hash(
+            self, monkeypatch):
+        """``--reference`` under ``--jobs 4``: the cache-model selection
+        is no part of any content hash, and it reaches pool workers as
+        an executor argument.  The pool spawns its workers, so they do
+        not inherit the parent's module globals the way forked ones
+        would.  A reference walk skips the walk memos, so the workers'
+        telemetry shows no walk-cache lookups under the reference model
+        and some under the fast one."""
+        import functools
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        cache = ResultCache(tmp_path / "ref")
-        set_default_fast(False)
-        try:
-            tasks = [SimTask("spmv", i) for i in ("M1", "M2")]
-            ref_hashes = [t.content_hash() for t in tasks]
-            Runtime(jobs=4, cache=cache).run_cells(tasks)
-        finally:
-            set_default_fast(True)
-        for ref_hash in ref_hashes:
-            record = cache.get(ref_hash)
-            assert record is not None
-            machine = record["task"]["machine"]
-            assert machine["fast_cache"] is False
-        # fresh tasks under the restored default hash differently: the
-        # two model families can never collide in the cache
-        fast_hashes = [SimTask("spmv", i).content_hash()
-                       for i in ("M1", "M2")]
-        assert set(fast_hashes).isdisjoint(ref_hashes)
-        assert all(cache.get(h) is None for h in fast_hashes)
+        import repro.runtime.executor as executor_mod
+        from repro.sim.memsys import configure_reference
+
+        monkeypatch.setattr(
+            executor_mod, "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context(
+                                  "spawn")))
+        tasks = [SimTask("spmv", i) for i in ("M1", "M2")]
+        hashes = {}
+        lookups = {}
+        for model in ("fast", "reference"):
+            configure_reference(model == "reference")
+            try:
+                hashes[model] = [t.content_hash() for t in tasks]
+                with obs.capture() as registry:
+                    runs = Runtime(jobs=4).run_cells(tasks)
+            finally:
+                configure_reference(False)
+            assert all(runs[t].baseline.cycles > 0 for t in tasks)
+            counters = registry.as_dict()["counters"]
+            lookups[model] = sum(
+                counters.get(f"sim.memsys.walk_cache.{name}", 0)
+                for name in ("mem_hits", "disk_hits", "misses"))
+        assert hashes["fast"] == hashes["reference"]
+        assert lookups["reference"] == 0
+        assert lookups["fast"] > 0
 
 
 class TestManifest:

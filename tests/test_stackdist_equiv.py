@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import CacheConfig, MachineConfig, default_machine
+from repro.config import CacheConfig, default_machine
 from repro.errors import SimulationError
 from repro.formats.convert import coo_to_csf
 from repro.generators import uniform_random_matrix, uniform_random_tensor
@@ -48,6 +48,7 @@ from repro.sim.memsys import (
 )
 from repro.sim.stackdist import hit_mask
 from repro.sim.trace import AccessStream, KernelTrace
+from tests.cache_model import cache_model
 
 #: rotating fuzz seed: CI sets REPRO_FUZZ_SEED per run so coverage
 #: compounds; a failure's log line pins the seed for local replay.
@@ -175,11 +176,6 @@ def _kernel_traces() -> dict:
     }
 
 
-def _machines() -> tuple[MachineConfig, MachineConfig]:
-    fast = default_machine()
-    return fast, replace(fast, fast_cache=False)
-
-
 def _cache_counters(registry) -> dict:
     body = registry.as_dict()
     return {name: data for name, data in body.get("counters", {}).items()
@@ -192,13 +188,13 @@ def test_walk_parity_on_kernel(kernel):
     reference walk on every Table 4 kernel baseline: StreamProfiles,
     per-level stats, published telemetry, and end-to-end cycles."""
     trace = _kernel_traces()[kernel]()
-    m_fast, m_ref = _machines()
+    machine = default_machine()
 
     results = {}
-    for tag, machine in (("fast", m_fast), ("reference", m_ref)):
+    for tag in ("fast", "reference"):
         walk_cache().clear()
         h = MemoryHierarchy(machine)
-        with obs.capture() as registry:
+        with cache_model(tag), obs.capture() as registry:
             profile = h.profile(trace)
             llc = llc_only_profile(machine, trace.streams)
         results[tag] = {
@@ -212,9 +208,10 @@ def test_walk_parity_on_kernel(kernel):
 
     # end-to-end: identical cycle results from both model families
     walk_cache().clear()
-    base_fast = run_baseline(trace, m_fast)
+    base_fast = run_baseline(trace, machine)
     walk_cache().clear()
-    base_ref = run_baseline(trace, m_ref)
+    with cache_model("reference"):
+        base_ref = run_baseline(trace, machine)
     assert base_fast.cycles == base_ref.cycles
     assert asdict(base_fast.breakdown) == asdict(base_ref.breakdown)
 
@@ -234,11 +231,12 @@ def test_fuzzed_traces_walk_parity():
                                         dependent=bool(rng.random() < .5),
                                         gather=bool(rng.random() < .3)))
         trace = KernelTrace(name="fuzz", streams=streams)
-        m_fast, m_ref = _machines()
+        machine = default_machine()
         walk_cache().clear()
-        pf = MemoryHierarchy(m_fast).profile(trace)
+        pf = MemoryHierarchy(machine).profile(trace)
         walk_cache().clear()
-        pr = MemoryHierarchy(m_ref).profile(trace)
+        with cache_model("reference"):
+            pr = MemoryHierarchy(machine).profile(trace)
         assert [asdict(a) for a in pf.streams] == \
                [asdict(b) for b in pr.streams]
 
@@ -293,6 +291,6 @@ def test_fuzzed_first_level_reuse():
         walk_cache().clear()
         fresh = _walk_state(second, trace, window)
         walk_cache().clear()
-        reference = _walk_state(replace(second, fast_cache=False), trace,
-                                window)
+        with cache_model("reference"):
+            reference = _walk_state(second, trace, window)
         assert reuse == fresh == reference, FUZZ_SEED

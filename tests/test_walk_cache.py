@@ -41,6 +41,7 @@ from repro.sim.memsys import (
     walk_cache,
 )
 from repro.sim.trace import AccessStream, KernelTrace
+from tests.cache_model import cache_model
 
 
 def _trace(seed: int, n: int = 3000) -> KernelTrace:
@@ -231,6 +232,72 @@ class TestDiskTier:
         assert len(store) == 1
 
 
+class TestStreamDigest:
+    """The disk tier's content digest lives on the stream: computed on
+    first disk-tier use, once per stream, and never with the tier off."""
+
+    @pytest.fixture
+    def sha256_calls(self, monkeypatch):
+        """Counts the sha256 objects ``AccessStream.digest`` creates."""
+        import hashlib
+        import types
+
+        from repro.sim import trace as trace_mod
+
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(trace_mod, "hashlib",
+                            types.SimpleNamespace(sha256=counted))
+        return calls
+
+    def test_equals_sha256_over_dtype_and_raw_bytes(self):
+        import hashlib
+
+        base = np.arange(300, dtype=np.int64) * 24
+        for addresses in (base, base[::3]):  # contiguous and strided
+            stream = AccessStream(addresses=addresses, elem_bytes=8)
+            raw = np.ascontiguousarray(addresses)
+            h = hashlib.sha256()
+            h.update(str(raw.dtype).encode())
+            h.update(raw.data)
+            assert stream.digest() == h.hexdigest()
+
+    def test_once_per_stream_across_both_walks(self, tmp_path,
+                                               _isolated_walk_cache,
+                                               sha256_calls):
+        wc = _isolated_walk_cache
+        wc.store = WalkStore(tmp_path / "walks")
+        machine = experiment_machine("small")
+        trace = _trace(5)
+        _profiles(trace, machine)
+        llc_only_profile(machine, trace.streams)
+        # both walks missed and stored: their four walk digests read
+        # every stream's digest, and only the first read hashes
+        assert wc.misses == 2 and len(wc.store) == 2
+        assert len(sha256_calls) == len(trace.streams)
+
+    def test_digested_addresses_refuse_writes(self):
+        stream = AccessStream(addresses=np.arange(64) * 8, elem_bytes=8)
+        stream.addresses[0] = 1  # writable until digested
+        stream.digest()
+        with pytest.raises(ValueError):
+            stream.addresses[0] = 2
+
+    def test_no_digest_with_the_tier_off(self, _isolated_walk_cache,
+                                         sha256_calls):
+        assert _isolated_walk_cache.store is None
+        machine = experiment_machine("small")
+        trace = _trace(6)
+        _profiles(trace, machine)
+        llc_only_profile(machine, trace.streams)
+        assert sha256_calls == []
+        assert all(s.addresses.flags.writeable for s in trace.streams)
+
+
 class TestRuntimeWiring:
     def test_configure_installs_beside_result_cache(self, tmp_path):
         saved = walk_cache().store
@@ -361,7 +428,8 @@ class TestFirstLevelMemo:
         fresh, _ = _walk_state(graviton, trace)
         assert len(calls) == 8
         wc.clear()
-        reference, _ = _walk_state(replace(graviton, fast_cache=False), trace)
+        with cache_model("reference"):
+            reference, _ = _walk_state(graviton, trace)
         assert reuse == fresh == reference
 
     def test_latency_and_mshrs_leave_the_key(self, _isolated_walk_cache):
