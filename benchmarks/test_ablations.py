@@ -12,7 +12,7 @@ its own design parameters, the analyses a reviewer would ask for:
 
 from repro.config import experiment_machine
 from repro.eval.reporting import text_table
-from repro.eval.workloads import SAMPLE_WINDOW, SPKADD_K
+from repro.eval.workloads import SPKADD_K
 from repro.generators import load_matrix
 from repro.kernels import split_rows_cyclic
 from repro.programs import spkadd_timing_model, spmv_timing_model
@@ -30,12 +30,10 @@ def _ablate():
     rows = []
 
     # 1. merge hardware: SpKAdd with and without on-engine merging.
-    with_merge = run_tmu(spkadd_model, machine,
-                         sample_window=SAMPLE_WINDOW)
+    with_merge = run_tmu(spkadd_model, machine)
     rows.append(["spkadd", "merge on engine",
                  int(with_merge.tmu_cycles)])
-    without = run_tmu(spkadd_model, machine, merge_on_engine=False,
-                      sample_window=SAMPLE_WINDOW)
+    without = run_tmu(spkadd_model, machine, merge_on_engine=False)
     rows.append(["spkadd", "merge off engine (traversal only)",
                  int(without.tmu_cycles)])
 
@@ -43,7 +41,7 @@ def _ablate():
     chunk_cycles = {}
     for chunk in (1024, 4096, 16384, 65536):
         m = machine.with_tmu(outq_chunk_bytes=chunk)
-        result = run_tmu(spmv_model, m, sample_window=SAMPLE_WINDOW)
+        result = run_tmu(spmv_model, m)
         chunk_cycles[chunk] = result.cycles
         rows.append(["spmv", f"outQ chunk {chunk}B",
                      int(result.cycles)])
@@ -52,7 +50,7 @@ def _ablate():
     outstanding_cycles = {}
     for outstanding in (16, 32, 64, 128, 256):
         m = machine.with_tmu(outstanding_requests=outstanding)
-        result = run_tmu(spmv_model, m, sample_window=SAMPLE_WINDOW)
+        result = run_tmu(spmv_model, m)
         outstanding_cycles[outstanding] = result.cycles
         rows.append(["spmv", f"{outstanding} outstanding requests",
                      int(result.cycles)])
@@ -93,7 +91,7 @@ def _core_scaling_study():
     machine = experiment_machine("small")
     matrix = load_matrix("M2", "small")
     model = spmv_timing_model(matrix, machine)
-    tmu = run_tmu(model, machine, sample_window=SAMPLE_WINDOW)
+    tmu = run_tmu(model, machine)
     per_core_bytes = tmu.breakdown.mem_bytes
     curve = core_scaling(machine, per_core_cycles=tmu.cycles,
                          per_core_mem_bytes=per_core_bytes,

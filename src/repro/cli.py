@@ -187,25 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated workload filter for fig10/fig11/fig13/"
              "fig14 (e.g. spmv,spkadd)",
     )
-    cache_model = parser.add_mutually_exclusive_group()
-    cache_model.add_argument(
-        "--fast",
-        dest="cache_model",
-        action="store_const",
-        const="fast",
-        default="fast",
-        help="classify cache hits with the stack-distance model "
-             "(default)",
-    )
-    cache_model.add_argument(
+    parser.add_argument(
         "--reference",
-        dest="cache_model",
-        action="store_const",
-        const="reference",
+        action="store_true",
         help="classify cache hits with the golden-reference cache "
-             "walk (slow; bit-for-bit equivalent to --fast: same hit "
-             "masks and results).  Implies --no-cache and "
-             "--walk-cache off: a reference run always computes",
+             "walk instead of the stack-distance model (slow; "
+             "bit-for-bit equivalent: same hit masks and results).  "
+             "Implies --no-cache and --walk-cache off: a reference run "
+             "always computes",
     )
     parser.add_argument(
         "--timeout",
@@ -746,7 +735,6 @@ def _build_submit_parser() -> argparse.ArgumentParser:
                         metavar="V1,V2",
                         help="system variants per cell (default: "
                              "baseline,tmu)")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--client", default="cli",
                         help="client id for quota accounting "
                              "(default: cli)")
@@ -846,8 +834,7 @@ def _submit_main(argv: list[str]) -> int:
     sweep = make_sweep(
         workloads=split(args.workloads),
         inputs=split(args.inputs) if args.inputs else None,
-        scale=args.scale, variants=split(args.variants),
-        seed=args.seed)
+        scale=args.scale, variants=split(args.variants))
     client = ServeClient(args.url)
     try:
         job = client.submit(sweep, client=args.client,
@@ -1000,8 +987,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # A golden-reference run computes every cell and walk: it never
     # reads what a fast run cached.
-    reference = args.cache_model == "reference"
-    no_cache = args.no_cache or reference
+    no_cache = args.no_cache or args.reference
     try:
         rt = runtime.configure(
             jobs=args.jobs,
@@ -1010,8 +996,8 @@ def main(argv: list[str] | None = None) -> int:
             retries=args.retries,
             progress=lambda msg: print(msg, file=sys.stderr),
             store=args.store,
-            walk_cache="off" if reference else args.walk_cache,
-            reference=reference,
+            walk_cache="off" if args.reference else args.walk_cache,
+            reference=args.reference,
         )
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1069,7 +1055,7 @@ def main(argv: list[str] | None = None) -> int:
             "scale": args.scale,
             "jobs": args.jobs,
             "workloads": args.workloads or "all",
-            "cache_model": args.cache_model,
+            "cache_model": "reference" if args.reference else "fast",
         })
         path = obs.write_snapshot(snap, args.telemetry)
         obs.disable()

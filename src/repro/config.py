@@ -101,17 +101,6 @@ class TMUConfig:
     per_lane_storage_bytes: int = 2048
     outstanding_requests: int = 128
     outq_chunk_bytes: int = 4096
-    #: element width the TMU marshals (doubles).
-    element_bytes: int = 8
-
-    @property
-    def total_storage_bytes(self) -> int:
-        return self.lanes * self.per_lane_storage_bytes
-
-    @property
-    def vector_elems(self) -> int:
-        """How many elements a full set of lanes packs into one operand."""
-        return self.lanes
 
 
 @dataclass(frozen=True)

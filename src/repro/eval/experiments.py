@@ -262,7 +262,7 @@ def fig12_ceiling_matrices(scale: str = "small") -> dict[int, float]:
         rows = 4096
         matrix = fixed_nnz_per_row_matrix(rows, n, seed=12)
         trace = characterize_spmspm(matrix, matrix, machine)
-        result = _run_baseline(trace, machine, sample_window=100_000)
+        result = _run_baseline(trace, machine)
         out[n] = result.breakdown.gflops(machine.core.freq_ghz) * (
             machine.num_cores)
     return out

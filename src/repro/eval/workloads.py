@@ -58,10 +58,6 @@ from ..sim.machine import (
 )
 from ..sim.trace import KernelTrace
 
-#: cache-simulation window per stream, to bound pure-Python cost on the
-#: biggest inner-product streams (hit rates are extrapolated).
-SAMPLE_WINDOW = 100_000
-
 #: K of the SpKAdd kernel (Section 6: k=8)
 SPKADD_K = 8
 
@@ -114,7 +110,7 @@ class Workload:
     needs_merge: bool = False
     #: optional composite runner returning (baseline, tmu) directly
     #: (multi-phase applications like CP-ALS)
-    composite: Callable[..., tuple] | None = None
+    composite: Callable[[object, MachineConfig], tuple] | None = None
 
 
 # Derived operands, built once per input: architecture sweeps
@@ -177,8 +173,7 @@ WORKLOADS: dict[str, Workload] = {
         "cpals", "CP-ALS", "memory", "tensor",
         baseline=lambda t, m: characterize_cpals(t, FACTOR_RANK, m),
         tmu_model=lambda t, m: cpals_timing_model(t, FACTOR_RANK, m),
-        composite=lambda t, m, sw: cpals_runs(
-            t, FACTOR_RANK, m, sample_window=sw),
+        composite=lambda t, m: cpals_runs(t, FACTOR_RANK, m),
     ),
     "sptc": Workload(
         "sptc", "SpTC", "merge", "tensor",
@@ -234,9 +229,11 @@ def _load_input(spec: Workload, input_id: str, scale: str):
     return _order3(load_tensor(input_id, scale))
 
 
-#: runs :func:`run_workload` keeps.  The runtime executor already
-#: deduplicates cells, so this only serves direct repeat calls; the
-#: bound keeps a long-running server's memory flat.
+#: runs :func:`run_workload` keeps.  Figures share cells (Figs. 10,
+#: 11, 12 and 13 all evaluate the standard sweep), so with the result
+#: cache off this memo dedups cells across figures: in ``repro all
+#: --no-cache`` 150 of the 376 calls hit it.  The bound keeps a
+#: long-running server's memory flat.
 RUN_MEMO_ENTRIES = 256
 
 
@@ -257,7 +254,7 @@ def run_workload(workload_id: str, input_id: str,
     spec = WORKLOADS[workload_id]
     data = _load_input(spec, input_id, scale)
     if spec.composite is not None:
-        base, tmu = spec.composite(data, machine, SAMPLE_WINDOW)
+        base, tmu = spec.composite(data, machine)
         run = WorkloadRun(workload=workload_id, input_id=input_id,
                           baseline=base)
         if "tmu" in variants:
@@ -267,16 +264,14 @@ def run_workload(workload_id: str, input_id: str,
     run = WorkloadRun(
         workload=workload_id,
         input_id=input_id,
-        baseline=run_baseline(trace, machine,
-                              sample_window=SAMPLE_WINDOW),
+        baseline=run_baseline(trace, machine),
     )
     model = spec.tmu_model(data, machine) if "tmu" in variants or (
         "single_lane" in variants) else None
     if "tmu" in variants and model is not None:
-        run.tmu = run_tmu(model, machine, sample_window=SAMPLE_WINDOW)
+        run.tmu = run_tmu(model, machine)
     if "single_lane" in variants and model is not None:
-        run.single_lane = run_single_lane(model, machine,
-                                          sample_window=SAMPLE_WINDOW)
+        run.single_lane = run_single_lane(model, machine)
     if "imp" in variants:
-        run.imp = run_imp(trace, machine, sample_window=SAMPLE_WINDOW)
+        run.imp = run_imp(trace, machine)
     return run

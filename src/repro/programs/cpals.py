@@ -92,8 +92,7 @@ def _combine(name: str, parts: list[tuple[float, SystemResult]],
     )
 
 
-def cpals_runs(tensor: CooTensor, rank: int, machine: MachineConfig, *,
-               sample_window: int | None = None
+def cpals_runs(tensor: CooTensor, rank: int, machine: MachineConfig
                ) -> tuple[SystemResult, SystemResult]:
     """Composite CP-ALS sweep: three MTTKRPs (accelerated or not) plus
     the shared dense phase.  Returns (baseline, tmu) system results."""
@@ -102,16 +101,14 @@ def cpals_runs(tensor: CooTensor, rank: int, machine: MachineConfig, *,
     if tensor.ndim != 3:
         raise WorkloadError("cpals_runs expects an order-3 tensor")
     mtt_trace = characterize_mttkrp(tensor, rank, machine)
-    mtt_base = run_baseline(mtt_trace, machine,
-                            sample_window=sample_window)
-    dense = run_baseline(cpals_dense_trace(tensor, rank), machine,
-                         sample_window=sample_window)
+    mtt_base = run_baseline(mtt_trace, machine)
+    dense = run_baseline(cpals_dense_trace(tensor, rank), machine)
     baseline = _combine("cpals/baseline",
                         [(3.0, mtt_base), (1.0, dense)])
 
     mtt_model = mttkrp_timing_model(tensor, rank, machine,
                                     parallel="mode", name="cpals")
-    mtt_tmu = run_tmu(mtt_model, machine, sample_window=sample_window)
+    mtt_tmu = run_tmu(mtt_model, machine)
     core_time = 3.0 * mtt_tmu.core_cycles + dense.cycles
     tmu_time = 3.0 * mtt_tmu.tmu_cycles
     r2w = core_time / tmu_time if tmu_time else float("inf")
@@ -124,8 +121,11 @@ def cpals_timing_model(tensor: CooTensor, rank: int,
                        machine: MachineConfig, *,
                        name: str = "cpals") -> TmuWorkloadModel:
     """Single-model view of one CP-ALS sweep (3x MTTKRP on the TMU plus
-    the dense phase folded into the core trace) — used by sensitivity
-    sweeps; Figure 10/11 use the composite :func:`cpals_runs`."""
+    the dense phase folded into the core trace).  No figure reaches
+    it: ``run_workload`` always takes the composite :func:`cpals_runs`
+    for CP-ALS.  It stays as the registry's ``tmu_model`` entry for
+    CP-ALS and because the end-to-end benchmark's tracer wraps it by
+    name."""
     if tensor.ndim != 3:
         raise WorkloadError("cpals_timing_model expects an order-3 tensor")
     base = mttkrp_timing_model(tensor, rank, machine, parallel="mode",

@@ -1,7 +1,7 @@
 """The unit of work of the experiment runtime: one simulation cell.
 
 A :class:`SimTask` captures everything that determines one
-``(workload, input, machine, variants, seed)`` evaluation, gives it a
+``(workload, input, scale, machine, variants)`` evaluation, gives it a
 deterministic content hash, and knows how to evaluate itself into a
 plain-JSON result record.  The record round-trips losslessly back into
 the :class:`~repro.eval.workloads.WorkloadRun` the experiment drivers
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .. import __version__
 from ..config import (
@@ -57,7 +57,12 @@ def machine_to_dict(machine: MachineConfig) -> dict:
 
 
 def machine_from_dict(data: dict) -> MachineConfig:
-    """Rebuild a ``MachineConfig`` from :func:`machine_to_dict` output."""
+    """Rebuild a ``MachineConfig`` from :func:`machine_to_dict` output.
+
+    Keys of retired fields in older journals are ignored: the machine's
+    TMU-engine and cache-model switches, and the TMU's unread element
+    width."""
+    tmu = {f.name for f in fields(TMUConfig)}
     return MachineConfig(
         num_cores=data["num_cores"],
         core=CoreConfig(**data["core"]),
@@ -66,9 +71,8 @@ def machine_from_dict(data: dict) -> MachineConfig:
         llc=CacheConfig(**data["llc"]),
         memory=MemoryConfig(**data["memory"]),
         noc=NocConfig(**data["noc"]),
-        tmu=TMUConfig(**data["tmu"]),
-        # keys of retired fields (the TMU-engine and cache-model
-        # switches) in older journals are ignored
+        tmu=TMUConfig(**{k: v for k, v in data["tmu"].items()
+                         if k in tmu}),
     )
 
 
@@ -86,9 +90,8 @@ class SimTask:
     ``machine=None`` resolves to the cache-scaled Table 5 machine for
     ``scale`` (the common case); sweeps that vary the architecture
     (Figure 14) or the host (Figure 3) pass an explicit machine.
-    ``seed`` is a cache-partitioning knob for stochastic extensions —
-    the current suite is fully deterministic, but the seed participates
-    in the content hash so future randomized workloads stay correct.
+    Every field decides the cell's result, and nothing else is in its
+    content hash.
     """
 
     workload: str
@@ -96,7 +99,6 @@ class SimTask:
     scale: str = "small"
     variants: tuple[str, ...] = ("baseline", "tmu")
     machine: MachineConfig | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         unknown = set(self.variants) - set(KNOWN_VARIANTS)
@@ -123,7 +125,6 @@ class SimTask:
             "scale": self.scale,
             "variants": sorted(self.variants),
             "machine": machine_to_dict(self.resolved_machine()),
-            "seed": self.seed,
         }
 
     def content_hash(self) -> str:
@@ -168,7 +169,8 @@ def task_from_spec(spec: dict) -> SimTask:
     The spec always carries the resolved machine, so the rebuilt task
     is machine-pinned — and hash-identical to the task that produced
     the spec (``spec()`` resolves the machine before hashing).  The
-    service's job journal stores specs; this is the resume path."""
+    service's job journal stores specs; this is the resume path.  A
+    retired ``seed`` key in older specs is ignored."""
     return SimTask(
         workload=spec["workload"],
         input_id=spec["input_id"],
@@ -176,7 +178,6 @@ def task_from_spec(spec: dict) -> SimTask:
         variants=tuple(spec.get("variants", ("baseline", "tmu"))),
         machine=machine_from_dict(spec["machine"])
         if spec.get("machine") else None,
-        seed=spec.get("seed", 0),
     )
 
 

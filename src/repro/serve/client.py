@@ -30,11 +30,10 @@ DEFAULT_URL = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
 
 
 def make_sweep(*, workloads, inputs=None, scale="small",
-               variants=("baseline", "tmu"), machines=None,
-               seed=0) -> dict:
+               variants=("baseline", "tmu"), machines=None) -> dict:
     """A sweep dict in the wire layout (validated server-side)."""
     sweep = {"workloads": list(workloads), "scale": scale,
-             "variants": list(variants), "seed": seed}
+             "variants": list(variants)}
     if inputs:
         sweep["inputs"] = list(inputs)
     if machines:

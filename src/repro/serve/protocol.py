@@ -1,8 +1,8 @@
 """The service wire protocol: declarative sweeps and the job schema.
 
 A submitted job is *data, not code*: a :class:`SweepSpec` names the
-axes of a sweep (workloads × inputs × machine configs, plus scale /
-variants / seed) and the server expands it into
+axes of a sweep (workloads × inputs × machine configs, plus scale and
+variants) and the server expands it into
 :class:`~repro.runtime.task.SimTask` cells.  Because cells are
 content-hashed, the job id is itself content-addressed — the sha256
 over the sorted cell hashes — which is what makes submission
@@ -57,6 +57,8 @@ class SweepSpec:
     optional axis of full machine dicts
     (:func:`repro.runtime.task.machine_to_dict` layout); ``None``
     resolves to the cache-scaled experiment machine for ``scale``.
+    A retired ``seed`` field, which older clients and journals carry,
+    is accepted and ignored.
     """
 
     workloads: tuple[str, ...]
@@ -64,7 +66,6 @@ class SweepSpec:
     scale: str = "small"
     variants: tuple[str, ...] = ("baseline", "tmu")
     machines: tuple[dict, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.workloads:
@@ -85,7 +86,7 @@ class SweepSpec:
             raise ServeError(f"sweep must be an object, got "
                              f"{type(data).__name__}")
         allowed = {"workloads", "inputs", "scale", "variants",
-                   "machines", "seed"}
+                   "machines", "seed"}  # seed: retired, ignored
         unknown = set(data) - allowed
         if unknown:
             raise ServeError(f"unknown sweep fields {sorted(unknown)}; "
@@ -100,7 +101,6 @@ class SweepSpec:
                                or ("baseline", "tmu")),
                 machines=tuple(data["machines"])
                 if data.get("machines") else None,
-                seed=int(data.get("seed", 0)),
             )
         except ServeError:
             raise
@@ -112,7 +112,6 @@ class SweepSpec:
             "workloads": list(self.workloads),
             "scale": self.scale,
             "variants": sorted(self.variants),
-            "seed": self.seed,
         }
         if self.inputs is not None:
             data["inputs"] = list(self.inputs)
@@ -151,8 +150,7 @@ class SweepSpec:
                 for machine in machines:
                     tasks.append(SimTask(
                         workload, input_id, scale=self.scale,
-                        variants=self.variants, machine=machine,
-                        seed=self.seed))
+                        variants=self.variants, machine=machine))
         return tasks
 
 

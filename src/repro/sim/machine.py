@@ -33,7 +33,7 @@ from ..errors import SimulationError
 from .core import CycleBreakdown, IntervalCoreModel
 from .memsys import AccessProfile, MemoryHierarchy, StreamProfile, \
     llc_only_profile
-from .prefetcher import ImpConfig, apply_imp
+from .prefetcher import apply_imp
 from .trace import AccessStream, KernelTrace
 
 
@@ -123,22 +123,18 @@ LANE_OUTSTANDING = 8
 MERGE_CPI = 2.0
 
 
-def run_baseline(trace: KernelTrace, machine: MachineConfig, *,
-                 sample_window: int | None = None) -> SystemResult:
+def run_baseline(trace: KernelTrace, machine: MachineConfig
+                 ) -> SystemResult:
     """Software baseline: full hierarchy profile + interval core."""
-    hierarchy = MemoryHierarchy(machine, sample_window=sample_window)
-    profile = hierarchy.profile(trace)
+    profile = MemoryHierarchy(machine).profile(trace)
     breakdown = IntervalCoreModel(machine).run(trace, profile)
     return SystemResult(name=f"{trace.name}/baseline",
                         cycles=breakdown.total, breakdown=breakdown)
 
 
-def run_imp(trace: KernelTrace, machine: MachineConfig, *,
-            config: ImpConfig | None = None,
-            sample_window: int | None = None) -> SystemResult:
+def run_imp(trace: KernelTrace, machine: MachineConfig) -> SystemResult:
     """Baseline core + Indirect Memory Prefetcher (Figure 15)."""
-    hierarchy = MemoryHierarchy(machine, sample_window=sample_window)
-    profile = apply_imp(hierarchy.profile(trace), config)
+    profile = apply_imp(MemoryHierarchy(machine).profile(trace))
     breakdown = IntervalCoreModel(machine).run(trace, profile)
     return SystemResult(name=f"{trace.name}/imp",
                         cycles=breakdown.total, breakdown=breakdown)
@@ -188,8 +184,7 @@ def _core_outq_profile(model: TmuWorkloadModel,
 
 def run_tmu(model: TmuWorkloadModel, machine: MachineConfig, *,
             lanes: int | None = None,
-            merge_on_engine: bool = True,
-            sample_window: int | None = None) -> SystemResult:
+            merge_on_engine: bool = True) -> SystemResult:
     """TMU-accelerated run (multi-lane by default).
 
     ``lanes`` overrides the engine's lane count (Single-Lane = 1);
@@ -201,8 +196,7 @@ def run_tmu(model: TmuWorkloadModel, machine: MachineConfig, *,
         raise SimulationError("the engine needs at least one lane")
 
     # ---- producer (TMU) side ------------------------------------
-    llc_profile = llc_only_profile(machine, model.tmu_streams,
-                                   sample_window=sample_window)
+    llc_profile = llc_only_profile(machine, model.tmu_streams)
     outstanding = _tmu_outstanding(machine, lanes)
     mem_lat = machine.memory_latency_cycles()
     llc_lat = machine.llc.latency + machine.noc.average_latency() / 2
@@ -270,8 +264,8 @@ def run_tmu(model: TmuWorkloadModel, machine: MachineConfig, *,
     )
 
 
-def run_single_lane(model: TmuWorkloadModel, machine: MachineConfig, *,
-                    sample_window: int | None = None) -> SystemResult:
+def run_single_lane(model: TmuWorkloadModel, machine: MachineConfig
+                    ) -> SystemResult:
     """Single-lane traversal engine (HATS/SpZip-class, Section 7.3):
     same storage as the TMU, one lane, no merge or parallel loading.
     Merging (if the workload needs it) falls back to the core — which
@@ -280,7 +274,6 @@ def run_single_lane(model: TmuWorkloadModel, machine: MachineConfig, *,
     Without parallel lanes the engine cannot marshal vector operands,
     so the core computes scalar code on the marshaled stream."""
     vector_lanes = max(1, machine.core.vector_bits // 64)
-    result = run_tmu(model.scalarized(vector_lanes), machine, lanes=1,
-                     sample_window=sample_window)
+    result = run_tmu(model.scalarized(vector_lanes), machine, lanes=1)
     result.name = f"{model.name}/single-lane"
     return result

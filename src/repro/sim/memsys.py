@@ -12,9 +12,10 @@ Modeling notes (vs. gem5):
   a good approximation of the paper's mostly-exclusive LLC.  The core's
   L1D → L2 → LLC walk and the TMU's LLC-only walk are the same walk
   over a tuple of levels.
-* Long streams are optionally *window-sampled*: a prefix window of each
-  stream is simulated and the hit rates extrapolated.  Sampling is off
-  by default at the suite's default scale.
+* Long streams are *window-sampled*: a prefix window of
+  :data:`SAMPLE_WINDOW` lines of each stream is simulated and the hit
+  rates extrapolated.  Sampling is on at every scale: in ``repro all``
+  at ``--scale small``, 18 of the 766 stream preps reach the window.
 * Hardware prefetchers (L1 stride / L2 best-offset) are modeled as a
   coverage factor on sequential streams, computed from each stream's
   measured sequentiality.
@@ -372,8 +373,15 @@ def uses_reference() -> bool:
     return _REFERENCE
 
 
-def prepare_lines(stream: AccessStream, line_bytes: int,
-                  sample_window: int | None
+#: line window simulated per stream (after consecutive-line dedup);
+#: longer streams walk their prefix and extrapolate the hit counts.
+#: Read at call time and part of every walk key, so a changed window
+#: misses rather than serving a record walked under the old one.
+#: ``None`` walks every stream whole.
+SAMPLE_WINDOW = 100_000
+
+
+def prepare_lines(stream: AccessStream, line_bytes: int
                   ) -> tuple[np.ndarray, int, float]:
     """One stream's line sequence after dedup and window sampling,
     plus the pre-sampling size and the extrapolation factor — the
@@ -381,8 +389,8 @@ def prepare_lines(stream: AccessStream, line_bytes: int,
     lines = dedup_consecutive(to_lines(stream.addresses, line_bytes))
     total = lines.size
     scale = 1.0
-    if sample_window and total > sample_window:
-        lines = lines[:sample_window]
+    if SAMPLE_WINDOW and total > SAMPLE_WINDOW:
+        lines = lines[:SAMPLE_WINDOW]
         scale = total / lines.size
     return lines, total, scale
 
@@ -446,8 +454,7 @@ def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray):
 
 
 def _first_level(cache: Cache, streams: list[AccessStream],
-                 key: tuple | None, sample_window: int | None,
-                 prefetch: bool):
+                 key: tuple | None, prefetch: bool):
     """Line prep plus the first level of a walk: per-stream (total,
     scale, prefetch coverage), the level's per-stream hits, and the
     per-stream misses and miss lines passed down.  Under a ``key`` the
@@ -461,8 +468,7 @@ def _first_level(cache: Cache, streams: list[AccessStream],
             if accesses:
                 settle_lookup(cache, accesses, int(hits.sum()))
             return value
-    prepared = [prepare_lines(s, cache.config.line_bytes, sample_window)
-                for s in streams]
+    prepared = [prepare_lines(s, cache.config.line_bytes) for s in streams]
     prep = [(total, scale, _coverage(s, lines, prefetch))
             for s, (lines, total, scale) in zip(streams, prepared)]
     counts = np.array([p[0].size for p in prepared], dtype=np.int64)
@@ -477,7 +483,7 @@ def _first_level(cache: Cache, streams: list[AccessStream],
 
 
 def _walk(levels: tuple, streams: list[AccessStream], *,
-          sample_window: int | None, prefetch: bool) -> list[StreamProfile]:
+          prefetch: bool) -> list[StreamProfile]:
     """Walk ``streams`` through ``levels`` (reset caches, innermost
     first), each level filtering the misses of the one above.
 
@@ -497,7 +503,7 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
     memo = not (_REFERENCE or obs.tracer().enabled)
     geometry = tuple((c.num_sets, c.ways, c.config.line_bytes)
                      for c in levels)
-    rest = (sample_window, prefetch,
+    rest = (SAMPLE_WINDOW, prefetch,
             tuple(_stream_fingerprint(s) for s in streams))
     key = (geometry, *rest)
     value = _WALK_CACHE.lookup(key, streams) if memo else None
@@ -510,7 +516,7 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
 
     first_key = (geometry[0], *rest) if memo and len(levels) > 1 else None
     prep, hits, counts, lines = _first_level(
-        levels[0], streams, first_key, sample_window, prefetch)
+        levels[0], streams, first_key, prefetch)
     level_hits = [hits]
     for cache in levels[1:]:
         hits, counts, lines = _filter_level(cache, lines, counts)
@@ -541,12 +547,8 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
 class MemoryHierarchy:
     """L1D → L2 → LLC slice chain for one core."""
 
-    def __init__(self, machine: MachineConfig, *,
-                 sample_window: int | None = None,
-                 model_prefetchers: bool = True) -> None:
+    def __init__(self, machine: MachineConfig) -> None:
         self.machine = machine
-        self.sample_window = sample_window
-        self.model_prefetchers = model_prefetchers
         self.l1 = Cache(machine.l1d, name="l1")
         self.l2 = Cache(machine.l2, name="l2")
         # The LLC is shared; with all cores running the same kernel on
@@ -565,9 +567,7 @@ class MemoryHierarchy:
         profile = AccessProfile(line_bytes=self.machine.l1d.line_bytes)
         with obs.timer("sim.memsys.profile"):
             profile.streams.extend(_walk(
-                (self.l1, self.l2, self.llc), trace.streams,
-                sample_window=self.sample_window,
-                prefetch=self.model_prefetchers))
+                (self.l1, self.l2, self.llc), trace.streams, prefetch=True))
             tracer = obs.tracer()
             if tracer.enabled:
                 # One span per stream in program order; the walk above
@@ -591,13 +591,11 @@ class MemoryHierarchy:
         return profile
 
 
-def llc_only_profile(machine: MachineConfig, streams: list[AccessStream],
-                     *, sample_window: int | None = None) -> AccessProfile:
+def llc_only_profile(machine: MachineConfig,
+                     streams: list[AccessStream]) -> AccessProfile:
     """Profile streams against the LLC alone — the TMU's view of the
     hierarchy (it reads directly from the LLC, Section 5.6)."""
     llc = Cache(machine.llc, name="tmu_llc")
     profile = AccessProfile(line_bytes=machine.llc.line_bytes)
-    profile.streams.extend(_walk((llc,), streams,
-                                 sample_window=sample_window,
-                                 prefetch=False))
+    profile.streams.extend(_walk((llc,), streams, prefetch=False))
     return profile

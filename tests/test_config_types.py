@@ -112,8 +112,8 @@ class TestHostPresets:
 
 class TestCacheModelSelection:
     def test_selection_leaves_every_machine_unchanged(self):
-        """The CLI's --fast/--reference switch selects the cache model
-        in ``sim.memsys``; no machine factory snapshots the choice, so
+        """The CLI's --reference switch selects the cache model in
+        ``sim.memsys``; no machine factory snapshots the choice, so
         every machine (and so every content hash) is the same under
         both models."""
         from repro.config import experiment_machine

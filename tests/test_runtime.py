@@ -47,8 +47,6 @@ class TestSimTask:
         assert base.content_hash() != SimTask(
             "spmspm", "M1").content_hash()
         assert base.content_hash() != SimTask(
-            "spmv", "M1", seed=7).content_hash()
-        assert base.content_hash() != SimTask(
             "spmv", "M1", variants=("baseline",)).content_hash()
         tweaked = experiment_machine("small").with_tmu(lanes=4)
         assert base.content_hash() != SimTask(
@@ -75,15 +73,18 @@ class TestSimTask:
 
     def test_journaled_spec_with_retired_engine_flag_loads(self):
         """Journals written while machines still carried the retired
-        TMU-engine and cache-model switches must keep loading, so a
-        ``repro serve`` restart can resume them: the keys are ignored
-        and the cell rebuilds."""
+        TMU-engine and cache-model switches and the TMU's element width,
+        and cells a ``seed``, must keep loading, so a ``repro serve``
+        restart can resume them: the keys are ignored and the cell
+        rebuilds with the hash of the same spec without them."""
         task = SimTask("spmv", "M1")
         spec = json.loads(json.dumps(task.spec()))
         # the keys those journals carry, assembled so that searching the
         # tree for the retired names finds no live use
         spec["machine"]["_".join(("fast", "engine"))] = True
         spec["machine"]["_".join(("fast", "cache"))] = False
+        spec["machine"]["tmu"]["_".join(("element", "bytes"))] = 8
+        spec["seed"] = 0
         machine = machine_from_dict(spec["machine"])
         assert machine == experiment_machine("small")
         rebuilt = task_from_spec(spec)
@@ -93,7 +94,7 @@ class TestSimTask:
         from repro.serve.protocol import SweepSpec
 
         sweep = SweepSpec.from_dict({"workloads": ["spmv"],
-                                     "inputs": ["M1"],
+                                     "inputs": ["M1"], "seed": 0,
                                      "machines": [spec["machine"]]})
         assert [t.content_hash() for t in sweep.expand()] == [
             task.content_hash()]

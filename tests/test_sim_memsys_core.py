@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import memsys
 from repro.sim.core import CycleBreakdown, IntervalCoreModel
 from repro.sim.memsys import (
     MemoryHierarchy,
@@ -86,12 +87,13 @@ class TestHierarchy:
         assert s.mem_accesses > 0.8 * s.accesses
         assert s.prefetch_coverage == 0.0  # dependent: not covered
 
-    def test_sampling_extrapolates(self, small_machine):
+    def test_sampling_extrapolates(self, small_machine, monkeypatch):
         addrs = strided_addresses(1 << 30, 200_000, 8)
+        monkeypatch.setattr(memsys, "SAMPLE_WINDOW", None)
         full = MemoryHierarchy(small_machine).profile(
             KernelTrace("t", streams=[AccessStream(addrs, 8)]))
-        sampled = MemoryHierarchy(small_machine, sample_window=5_000
-                                  ).profile(
+        monkeypatch.setattr(memsys, "SAMPLE_WINDOW", 5_000)
+        sampled = MemoryHierarchy(small_machine).profile(
             KernelTrace("t", streams=[AccessStream(addrs, 8)]))
         assert sampled.mem_lines == pytest.approx(full.mem_lines,
                                                   rel=0.05)

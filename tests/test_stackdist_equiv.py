@@ -41,6 +41,7 @@ from repro.kernels.sptc import characterize_sptc
 from repro.kernels.triangle import characterize_triangle, lower_triangle
 from repro.sim.cache import Cache
 from repro.sim.machine import run_baseline
+from repro.sim import memsys
 from repro.sim.memsys import (
     MemoryHierarchy,
     llc_only_profile,
@@ -249,9 +250,12 @@ def _geometry(rng, line_bytes=64) -> CacheConfig:
                        int(rng.integers(1, 64, 1)[0]), line_bytes)
 
 
-def _walk_state(machine, trace, sample_window):
-    h = MemoryHierarchy(machine, sample_window=sample_window)
-    with obs.capture() as registry:
+def _walk_state(machine, trace, window):
+    """One hierarchy walk under sample window ``window`` (``None``:
+    unsampled): profiles, per-level stats and published counters."""
+    h = MemoryHierarchy(machine)
+    with pytest.MonkeyPatch.context() as mp, obs.capture() as registry:
+        mp.setattr(memsys, "SAMPLE_WINDOW", window)
         profile = h.profile(trace)
     return ([asdict(sp) for sp in profile.streams],
             [(c.stats.accesses, c.stats.hits) for c in (h.l1, h.l2, h.llc)],
@@ -284,7 +288,7 @@ def test_fuzzed_first_level_reuse():
             continue
         window = None if rng.random() < 0.5 else int(rng.integers(50, 2000))
         walk_cache().clear()
-        MemoryHierarchy(first, sample_window=window).profile(trace)
+        _walk_state(first, trace, window)
         reused = walk_cache().first_level_hits
         reuse = _walk_state(second, trace, window)
         assert walk_cache().first_level_hits == reused + 1

@@ -27,7 +27,7 @@ from repro.generators import uniform_random_matrix
 from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import characterize_spmv
 from repro.runtime.cache import WalkStore
-from repro.sim import stackdist
+from repro.sim import memsys, stackdist
 from repro.sim.memsys import (
     FIRST_LEVEL_ENTRIES,
     MemoryHierarchy,
@@ -383,11 +383,13 @@ def _scaled(host) -> MachineConfig:
 
 
 def _walk_state(machine: MachineConfig, trace: KernelTrace,
-                sample_window: int | None = None):
+                window: int | None = None):
     """Profiles, per-level stats and published ``sim.cache.*`` counters
-    of one hierarchy walk, plus the walk's registry."""
-    h = MemoryHierarchy(machine, sample_window=sample_window)
-    with obs.capture() as registry:
+    of one hierarchy walk under sample window ``window`` (``None``:
+    unsampled), plus the walk's registry."""
+    h = MemoryHierarchy(machine)
+    with pytest.MonkeyPatch.context() as mp, obs.capture() as registry:
+        mp.setattr(memsys, "SAMPLE_WINDOW", window)
         profile = h.profile(trace)
     counters = registry.as_dict()["counters"]
     state = (
