@@ -36,8 +36,15 @@ def _freeze(value):
     return value
 
 
+def _arg_key(arg):
+    """An argument's part of a memo key: an ``int`` by value (equal
+    ints need not be one object), anything else by identity."""
+    return ("int", arg) if type(arg) is int else id(arg)
+
+
 def operand_memo(fn):
-    """Memoize ``fn`` on the identity of its positional arguments.
+    """Memoize ``fn`` on the identity of its positional arguments (the
+    value of its ``int`` ones).
 
     Architecture sweeps re-run a kernel on the same operands under many
     machines; everything that depends only on the operands (derived
@@ -50,7 +57,7 @@ def operand_memo(fn):
 
     @functools.wraps(fn)
     def wrapper(*args):
-        key = (wrapper, *map(id, args))
+        key = (wrapper, *map(_arg_key, args))
         with _MEMO_LOCK:
             hit = _MEMO.get(key)
             if hit is not None:

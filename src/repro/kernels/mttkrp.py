@@ -16,7 +16,7 @@ from ..errors import WorkloadError
 from ..formats.coo import CooTensor
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import ceil_div, sve_lanes
+from .common import ceil_div, operand_memo, sve_lanes
 
 
 def mttkrp(tensor: CooTensor, b, c, mode: int = 0) -> np.ndarray:
@@ -45,6 +45,55 @@ def mttkrp(tensor: CooTensor, b, c, mode: int = 0) -> np.ndarray:
     return out
 
 
+@operand_memo
+def mttkrp_streams(tensor: CooTensor, rank: int, lanes: int
+                   ) -> tuple[AccessStream, ...]:
+    """The baseline's address streams.  They depend on the tensor, the
+    rank and the SVE lanes, not on the parallel scheme, so MTTKRP P1,
+    P2 and CP-ALS walk one set of read-only arrays."""
+    nnz = tensor.nnz
+    rank_chunks = ceil_div(rank, lanes)
+
+    space = AddressSpace()
+    coord_bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
+    val_base = space.place(nnz * VALUE_BYTES)
+    b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
+    c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
+    out_base = space.place(tensor.shape[0] * rank * VALUE_BYTES)
+
+    nnzidx = np.arange(nnz, dtype=np.int64)
+    vec_bytes = min(64, lanes * VALUE_BYTES)
+    # One sampled address per rank-chunk per factor row.
+    chunk_off = np.arange(rank_chunks, dtype=np.int64) * lanes
+    b_rows = np.repeat(tensor.coords[1] * rank, rank_chunks)
+    c_rows = np.repeat(tensor.coords[2] * rank, rank_chunks)
+    z_rows = np.repeat(tensor.coords[0] * rank, rank_chunks)
+    tiled = np.tile(chunk_off, nnz)
+    # the output row is read, updated and written at the same addresses
+    z_addresses = out_base + (z_rows + tiled) * VALUE_BYTES
+
+    return (
+        AccessStream(coord_bases[0] + nnzidx * INDEX_BYTES, INDEX_BYTES,
+                     "read", "coords i"),
+        AccessStream(coord_bases[1] + nnzidx * INDEX_BYTES, INDEX_BYTES,
+                     "read", "coords k"),
+        AccessStream(coord_bases[2] + nnzidx * INDEX_BYTES, INDEX_BYTES,
+                     "read", "coords l"),
+        AccessStream(val_base + nnzidx * VALUE_BYTES, VALUE_BYTES,
+                     "read", "A vals"),
+        # Factor-row gathers: only the first chunk of each row is
+        # address-dependent; later chunks stream sequentially, so the
+        # stream is not marked dependent (the trace-level
+        # dependent_load_fraction captures the per-row serialization).
+        AccessStream(b_base + (b_rows + tiled) * VALUE_BYTES, vec_bytes,
+                     "read", "B[k,:]"),
+        AccessStream(c_base + (c_rows + tiled) * VALUE_BYTES, vec_bytes,
+                     "read", "C[l,:]"),
+        AccessStream(z_addresses, vec_bytes, "read", "Z[i,:] rmw"),
+        AccessStream(z_addresses, vec_bytes, "write", "Z[i,:]"),
+    )
+
+
 def characterize_mttkrp(tensor: CooTensor, rank: int,
                         machine: MachineConfig,
                         parallel_mode: str = "mode") -> KernelTrace:
@@ -64,47 +113,7 @@ def characterize_mttkrp(tensor: CooTensor, rank: int,
         raise WorkloadError(f"unknown parallel_mode {parallel_mode!r}")
     lanes = sve_lanes(machine.core.vector_bits)
     nnz = tensor.nnz
-    rank_chunks = ceil_div(rank, lanes)
-
-    space = AddressSpace()
-    coord_bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
-    val_base = space.place(nnz * VALUE_BYTES)
-    b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
-    c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
-    out_base = space.place(tensor.shape[0] * rank * VALUE_BYTES)
-
-    nnzidx = np.arange(nnz, dtype=np.int64)
-    vec_bytes = min(64, lanes * VALUE_BYTES)
-    # One sampled address per rank-chunk per factor row.
-    chunk_off = np.arange(rank_chunks, dtype=np.int64) * lanes
-    b_rows = np.repeat(tensor.coords[1] * rank, rank_chunks)
-    c_rows = np.repeat(tensor.coords[2] * rank, rank_chunks)
-    z_rows = np.repeat(tensor.coords[0] * rank, rank_chunks)
-    tiled = np.tile(chunk_off, nnz)
-
-    streams = [
-        AccessStream(coord_bases[0] + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "coords i"),
-        AccessStream(coord_bases[1] + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "coords k"),
-        AccessStream(coord_bases[2] + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "coords l"),
-        AccessStream(val_base + nnzidx * VALUE_BYTES, VALUE_BYTES,
-                     "read", "A vals"),
-        # Factor-row gathers: only the first chunk of each row is
-        # address-dependent; later chunks stream sequentially, so the
-        # stream is not marked dependent (the trace-level
-        # dependent_load_fraction captures the per-row serialization).
-        AccessStream(b_base + (b_rows + tiled) * VALUE_BYTES, vec_bytes,
-                     "read", "B[k,:]"),
-        AccessStream(c_base + (c_rows + tiled) * VALUE_BYTES, vec_bytes,
-                     "read", "C[l,:]"),
-        AccessStream(out_base + (z_rows + tiled) * VALUE_BYTES, vec_bytes,
-                     "read", "Z[i,:] rmw"),
-        AccessStream(out_base + (z_rows + tiled) * VALUE_BYTES, vec_bytes,
-                     "write", "Z[i,:]"),
-    ]
-    total_chunks = nnz * rank_chunks
+    total_chunks = nnz * ceil_div(rank, lanes)
     return KernelTrace(
         name=f"mttkrp_{parallel_mode}",
         scalar_ops=8 * nnz,
@@ -114,7 +123,7 @@ def characterize_mttkrp(tensor: CooTensor, rank: int,
         branches=total_chunks + nnz,
         datadep_branches=nnz // 8,            # output-row change detection
         flops=3.0 * nnz * rank,
-        streams=streams,
+        streams=list(mttkrp_streams(tensor, rank, lanes)),
         dependent_load_fraction=0.6,
         parallel_units=int(tensor.shape[0]),
     )

@@ -43,6 +43,14 @@ def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
 
 
 @operand_memo
+def scan_positions(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
+    """The B positions visited by the Gustavson B-row scans (the rows
+    of ``b`` that ``a``'s column indexes select), in traversal order.
+    Triangle counting reads only these."""
+    return gather_scan_positions(b.ptrs, a.idxs)
+
+
+@operand_memo
 def scan_arrays(a: CsrMatrix, b: CsrMatrix
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The positions and B column indexes visited by the Gustavson
@@ -52,8 +60,37 @@ def scan_arrays(a: CsrMatrix, b: CsrMatrix
     timing model all walk the same expansion, so it is built once per
     operand pair.
     """
-    positions = gather_scan_positions(b.ptrs, a.idxs)
+    positions = scan_positions(a, b)
     return positions, b.idxs[positions]
+
+
+@operand_memo
+def shared_streams(a: CsrMatrix, b: CsrMatrix
+                   ) -> tuple[tuple[AccessStream, ...], int, int]:
+    """The streams the baseline and the TMU model both issue: A's three
+    array walks (``A ptrs``, ``A idxs``, ``A vals``) and the B-row
+    scans over B's index and value arrays (``B idxs scan``, ``B vals
+    scan``).
+
+    Both place A's three arrays and then B's three in one fresh
+    address space, so these streams have one content, built once.
+    Returns them with B's row-pointer base and the region after B's
+    arrays, where each caller continues placing.
+    """
+    space = AddressSpace()
+    a_op = CsrOperand(space, a)
+    b_op = CsrOperand(space, b)
+    positions = scan_positions(a, b)
+    streams = (
+        AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
+        AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
+        AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
+        AccessStream(b_op.idx_addresses(positions), INDEX_BYTES,
+                     "read", "B idxs scan", dependent=True),
+        AccessStream(b_op.val_addresses(positions), VALUE_BYTES,
+                     "read", "B vals scan", dependent=True),
+    )
+    return streams, b_op.ptrs_base, space.next_region
 
 
 @operand_memo
@@ -125,9 +162,8 @@ def spmspm_streams(a: CsrMatrix, b: CsrMatrix
     """The operand-only half of :func:`characterize_spmspm`: the
     baseline's address streams, the B-row length scanned per A
     non-zero, and the output non-zero count."""
-    space = AddressSpace()
-    a_op = CsrOperand(space, a)
-    b_op = CsrOperand(space, b)
+    shared, _, next_region = shared_streams(a, b)
+    space = AddressSpace(next_region)
     # Output row assembly touches each produced non-zero ~twice
     # (accumulate + gather-out); symbolic counts give its footprint.
     nnz_out = int(_symbolic_counts_fast(a, b).sum())
@@ -135,17 +171,9 @@ def spmspm_streams(a: CsrMatrix, b: CsrMatrix
     out_val_base = space.place(nnz_out * VALUE_BYTES)
     acc_base = space.place(b.num_cols * VALUE_BYTES)
 
-    # Address stream of the B-row scans, in traversal order.
-    scan_positions, scan_cols = scan_arrays(a, b)
-
+    _, scan_cols = scan_arrays(a, b)
     streams = (
-        AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
-        AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
-        AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
-        AccessStream(b_op.idx_addresses(scan_positions), INDEX_BYTES,
-                     "read", "B idxs scan", dependent=True),
-        AccessStream(b_op.val_addresses(scan_positions), VALUE_BYTES,
-                     "read", "B vals scan", dependent=True),
+        *shared,
         AccessStream(acc_base + scan_cols * VALUE_BYTES,
                      VALUE_BYTES, "read", "accumulator", dependent=True),
         AccessStream(out_idx_base + np.arange(nnz_out, dtype=np.int64)

@@ -81,14 +81,14 @@ def characterize_triangle(l: CsrMatrix,
     op = CsrOperand(space, l)
     # Row i's list is re-scanned per edge; row j's list is a dependent
     # lookup.  Sample re-scan positions per edge.
-    from .spmspm import scan_arrays
+    from .spmspm import scan_positions
 
-    scan_positions, _ = scan_arrays(l, l)
+    positions = scan_positions(l, l)
 
     streams = [
         AccessStream(op.ptr_addresses(), INDEX_BYTES, "read", "L ptrs"),
         AccessStream(op.idx_addresses(), INDEX_BYTES, "read", "L_i idxs"),
-        AccessStream(op.idx_addresses(scan_positions), INDEX_BYTES,
+        AccessStream(op.idx_addresses(positions), INDEX_BYTES,
                      "read", "L_j idxs", dependent=True),
     ]
     return KernelTrace(

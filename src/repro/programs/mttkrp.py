@@ -15,6 +15,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.coo import CooTensor
+from ..kernels.common import operand_memo
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
@@ -93,6 +94,45 @@ def build_mttkrp_program(tensor: CooTensor, b, c,
     )
 
 
+@operand_memo
+def mttkrp_tmu_streams(tensor: CooTensor, rank: int
+                       ) -> tuple[tuple[AccessStream, ...], int]:
+    """The operand-only half of :func:`mttkrp_timing_model`: the TMU's
+    traversal streams, which depend on neither the parallel scheme nor
+    the machine, and the address-space region that follows them (where
+    each call places the core's result stream)."""
+    nnz = tensor.nnz
+    space = AddressSpace()
+    bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
+    val_base = space.place(nnz * VALUE_BYTES)
+    b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
+    c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
+    seq = np.arange(nnz, dtype=np.int64)
+
+    # Factor-row element traffic: rank elements per factor per nnz.
+    rank_off = np.arange(rank, dtype=np.int64)
+    b_elems = (np.repeat(tensor.coords[1] * rank, rank)
+               + np.tile(rank_off, nnz)) if nnz else seq
+    c_elems = (np.repeat(tensor.coords[2] * rank, rank)
+               + np.tile(rank_off, nnz)) if nnz else seq
+
+    streams = (
+        AccessStream(bases[0] + seq * INDEX_BYTES, INDEX_BYTES, "read",
+                     "coords i"),
+        AccessStream(bases[1] + seq * INDEX_BYTES, INDEX_BYTES, "read",
+                     "coords k"),
+        AccessStream(bases[2] + seq * INDEX_BYTES, INDEX_BYTES, "read",
+                     "coords l"),
+        AccessStream(val_base + seq * VALUE_BYTES, VALUE_BYTES, "read",
+                     "A vals"),
+        AccessStream(b_base + b_elems * VALUE_BYTES, VALUE_BYTES, "read",
+                     "B[k,:]", dependent=True),
+        AccessStream(c_base + c_elems * VALUE_BYTES, VALUE_BYTES, "read",
+                     "C[l,:]", dependent=True),
+    )
+    return streams, space.next_region
+
+
 def mttkrp_timing_model(tensor: CooTensor, rank: int,
                         machine: MachineConfig, *,
                         parallel: str = "mode",
@@ -110,35 +150,8 @@ def mttkrp_timing_model(tensor: CooTensor, rank: int,
     lanes = sve_lanes_of(machine)
     nnz = tensor.nnz
     name = name or f"mttkrp_{parallel}"
-
-    space = AddressSpace()
-    bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
-    val_base = space.place(nnz * VALUE_BYTES)
-    b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
-    c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
-    seq = np.arange(nnz, dtype=np.int64)
-
-    # Factor-row element traffic: rank elements per factor per nnz.
-    rank_off = np.arange(rank, dtype=np.int64)
-    b_elems = (np.repeat(tensor.coords[1] * rank, rank)
-               + np.tile(rank_off, nnz)) if nnz else seq
-    c_elems = (np.repeat(tensor.coords[2] * rank, rank)
-               + np.tile(rank_off, nnz)) if nnz else seq
-
-    streams = [
-        AccessStream(bases[0] + seq * INDEX_BYTES, INDEX_BYTES, "read",
-                     "coords i"),
-        AccessStream(bases[1] + seq * INDEX_BYTES, INDEX_BYTES, "read",
-                     "coords k"),
-        AccessStream(bases[2] + seq * INDEX_BYTES, INDEX_BYTES, "read",
-                     "coords l"),
-        AccessStream(val_base + seq * VALUE_BYTES, VALUE_BYTES, "read",
-                     "A vals"),
-        AccessStream(b_base + b_elems * VALUE_BYTES, VALUE_BYTES, "read",
-                     "B[k,:]", dependent=True),
-        AccessStream(c_base + c_elems * VALUE_BYTES, VALUE_BYTES, "read",
-                     "C[l,:]", dependent=True),
-    ]
+    streams, next_region = mttkrp_tmu_streams(tensor, rank)
+    space = AddressSpace(next_region)
 
     if parallel == "mode":
         # lanes split across the two factors: rank scanned in
@@ -173,7 +186,7 @@ def mttkrp_timing_model(tensor: CooTensor, rank: int,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=streams,
+        tmu_streams=list(streams),
         layer_elements=[nnz, 2 * nnz * rank],
         layer_lanes=[1, lanes],
         merge_steps=0,

@@ -16,14 +16,13 @@ import numpy as np
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
 from ..kernels.common import operand_memo
-from ..kernels.spmspm import _symbolic_counts_fast, scan_arrays
+from ..kernels.spmspm import _symbolic_counts_fast, shared_streams
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
 from .common import (
     BuiltProgram,
-    csr_tmu_streams,
     record_bytes,
     sve_lanes_of,
     write_stream,
@@ -130,28 +129,21 @@ def spmspm_tmu_streams(a: CsrMatrix, b: CsrMatrix
                        ) -> tuple[tuple[AccessStream, ...], int, int]:
     """The operand-only half of :func:`spmspm_timing_model`: the TMU's
     traversal streams, the address-space region that follows them, and
-    the output non-zero count.  The core's result streams are placed
-    from that region per call: they are never walked, so sharing them
-    would only pin memory."""
-    space = AddressSpace()
-    streams, _ = csr_tmu_streams(a, space, "A")
-    b_ptr_base = space.place((b.num_rows + 1) * INDEX_BYTES)
-    b_idx_base = space.place(max(1, b.nnz) * INDEX_BYTES)
-    b_val_base = space.place(max(1, b.nnz) * VALUE_BYTES)
-    streams.append(AccessStream(
-        b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES, "read",
-        "B ptrs lookup", dependent=True))
-    scan_positions, _ = scan_arrays(a, b)
-    streams.append(AccessStream(
-        b_idx_base + scan_positions * INDEX_BYTES, INDEX_BYTES, "read",
-        "B idxs scan", dependent=True))
-    streams.append(AccessStream(
-        b_val_base + scan_positions * VALUE_BYTES, VALUE_BYTES, "read",
-        "B vals scan", dependent=True))
+    the output non-zero count.  All streams but ``B ptrs lookup`` are
+    the baseline's own (:func:`~repro.kernels.spmspm.shared_streams`).
+    The core's result streams are placed from that region per call:
+    they are never walked, so sharing them would only pin memory."""
+    shared, b_ptr_base, next_region = shared_streams(a, b)
+    streams = (
+        *shared[:3],
+        AccessStream(b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES,
+                     "read", "B ptrs lookup", dependent=True),
+        *shared[3:],
+    )
 
     # Output size for the core-side assembly cost.
     nnz_out = int(_symbolic_counts_fast(a, b).sum())
-    return tuple(streams), space.next_region, nnz_out
+    return streams, next_region, nnz_out
 
 
 def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,

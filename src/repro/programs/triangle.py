@@ -89,11 +89,11 @@ def triangle_timing_model(l_mat: CsrMatrix, machine: MachineConfig, *,
         AccessStream(idx_base + np.arange(l_mat.nnz, dtype=np.int64)
                      * INDEX_BYTES, INDEX_BYTES, "read", "L_i idxs"),
     ]
-    from ..kernels.spmspm import scan_arrays
+    from ..kernels.spmspm import scan_positions
 
-    scan_positions, _ = scan_arrays(l_mat, l_mat)
+    positions = scan_positions(l_mat, l_mat)
     streams.append(AccessStream(
-        idx_base + scan_positions * INDEX_BYTES, INDEX_BYTES, "read",
+        idx_base + positions * INDEX_BYTES, INDEX_BYTES, "read",
         "L_j idxs", dependent=True))
 
     outq_bytes = hits * record_bytes(0, 0, with_mask=True) + (

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -110,29 +111,20 @@ class AccessProfile:
 WALK_SCHEMA = "repro.walk/1"
 
 
-def _stream_fingerprint(s: AccessStream) -> tuple:
-    a = s.addresses
-    n = a.size
-    return (s.label, s.kind, s.dependent, s.gather, int(s.bytes), n,
-            int(a[0]) if n else 0, int(a[-1]) if n else 0,
-            int(a[:: max(1, n >> 4)].sum()) if n else 0)
-
-
-def _streams_equal(stored: list[np.ndarray],
-                   streams: list[AccessStream]) -> bool:
-    return len(stored) == len(streams) and all(
-        a is s.addresses or np.array_equal(a, s.addresses)
-        for a, s in zip(stored, streams))
+def _stream_meta(s: AccessStream) -> tuple:
+    """Everything a walk reads from a stream besides its addresses."""
+    return (s.label, s.kind, s.dependent, s.gather, int(s.bytes))
 
 
 def _walk_digest(key: tuple, streams: list[AccessStream]) -> str:
     """Content address of one walk: sha256 over the cache geometry /
-    sampling key and the full stream contents, folded in as each
-    stream's cached :meth:`~AccessStream.digest`.  The hierarchy walk,
-    the LLC-only walk and the post-miss ``put`` of a stream hash its
-    addresses once between them."""
+    sampling key, each stream's metadata and the full stream contents,
+    folded in as each stream's cached :meth:`~AccessStream.digest`.
+    The hierarchy walk, the LLC-only walk and the post-miss ``put`` of
+    a stream hash its addresses once between them."""
     h = hashlib.sha256()
-    h.update(repr((WALK_SCHEMA, key)).encode())
+    h.update(repr((WALK_SCHEMA, key, [_stream_meta(s) for s in streams])
+                  ).encode())
     for s in streams:
         h.update(s.digest().encode())
     return h.hexdigest()
@@ -166,58 +158,86 @@ FIRST_LEVEL_ENTRIES = 48
 
 
 class _VerifiedLRU:
-    """An LRU of (stream arrays, value) pairs under fingerprint keys.
+    """An LRU of walk values that holds its streams weakly.
 
-    A key holds every stored content that shares its fingerprint; a
-    lookup returns the value whose arrays equal the given streams
-    (identity first, then ``array_equal``), so a collision can never
-    serve another content's value.  The bound counts stored pairs, not
-    keys, and eviction drops the oldest pair of the least recently
-    used key.
+    An entry's key is the caller's key plus, for each stream, the
+    ``id`` of its address array and its metadata.  The entry keeps a
+    ``weakref.ref`` to each of those arrays, and a lookup returns the
+    value only when every reference resolves to the caller's own array,
+    so an ``id`` that a new array took over can never serve a dead
+    array's value.  A put marks the arrays read-only: an identity hit
+    then implies equal content.
+
+    No entry outlives its streams.  A dying array's weakref callback
+    only records the entry's key; the next ``get`` or ``put`` purges
+    it under the lock, so a collection that runs inside ``put`` cannot
+    deadlock.  The bound counts live entries, and eviction drops the
+    least recently used one.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, list] = OrderedDict()
-        self._pairs = 0
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self._dead: list[tuple] = []
         self._lock = threading.Lock()
 
+    def _purge(self) -> None:
+        """Drop the entries whose arrays died (under the lock).  A key
+        may since hold a newer entry of live arrays, which stays."""
+        while self._dead:
+            key = self._dead.pop()
+            entry = self._entries.get(key)
+            if entry is not None and any(r() is None for r in entry[0]):
+                del self._entries[key]
+
+    @staticmethod
+    def _key(key: tuple, streams: list[AccessStream]) -> tuple:
+        return (key, *((id(s.addresses), *_stream_meta(s))
+                       for s in streams))
+
     def get(self, key: tuple, streams: list[AccessStream]):
+        key = self._key(key, streams)
         with self._lock:
-            pairs = self._entries.get(key)
-            if pairs is None:
+            self._purge()
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            refs, value = entry
+            if any(r() is not s.addresses for r, s in zip(refs, streams)):
                 return None
             self._entries.move_to_end(key)
-            pairs = list(pairs)
-        for stored, value in pairs:
-            if _streams_equal(stored, streams):
-                return value
-        return None
+            return value
 
     def put(self, key: tuple, streams: list[AccessStream], value,
             capacity: int) -> int:
-        """Store a pair; returns how many pairs were evicted."""
-        arrays = [s.addresses for s in streams]
+        """Store an entry; returns how many entries were evicted."""
+        key = self._key(key, streams)
+        dead = self._dead
+
+        def died(_ref, key=key) -> None:
+            dead.append(key)
+
+        for s in streams:
+            s.addresses.flags.writeable = False
+        refs = [weakref.ref(s.addresses, died) for s in streams]
         evicted = 0
         with self._lock:
-            while self._pairs >= capacity and self._entries:
-                oldest_key, oldest = next(iter(self._entries.items()))
-                oldest.pop(0)
-                if not oldest:
-                    del self._entries[oldest_key]
-                self._pairs -= 1
+            self._purge()
+            self._entries.pop(key, None)
+            while len(self._entries) >= capacity and self._entries:
+                self._entries.popitem(last=False)
                 evicted += 1
-            self._entries.setdefault(key, []).append((arrays, value))
-            self._entries.move_to_end(key)
-            self._pairs += 1
+            self._entries[key] = (refs, value)
         return evicted
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._pairs = 0
+            self._dead.clear()
 
     def __len__(self) -> int:
-        return self._pairs
+        with self._lock:
+            self._purge()
+            return len(self._entries)
 
 
 class WalkCache:
@@ -228,11 +248,15 @@ class WalkCache:
     and the walk is a pure function of both, so its result can be
     reused freely:
 
-    * **memory tier**: an in-process LRU over cheap fingerprint keys;
-      every hit is *verified* against the stored address arrays with
-      ``array_equal``, so a fingerprint collision can never change
-      results.  At ``capacity`` stored walks the least-recently-used
-      one is evicted (an eviction only costs a recompute, never
+    * **memory tier**: an in-process LRU (:class:`_VerifiedLRU`) keyed
+      by each stream's address array *identity* plus its metadata.  It
+      holds the arrays weakly: a hit requires the caller's own arrays,
+      which are read-only from their first walk on, and an entry is
+      gone once one of its arrays is.  Content that is built once (the
+      operand memo of :mod:`repro.kernels.common`) is therefore reused
+      for as long as anyone holds it, and the cache never pins a
+      stream.  At ``capacity`` live walks the least-recently-used one
+      is evicted (an eviction only costs a recompute, never
       correctness).
     * **disk tier** (optional, installed by the runtime beside the
       result cache): records keyed by a sha256 over the geometry key
@@ -240,16 +264,19 @@ class WalkCache:
       server jobs and sessions.  A disk hit is promoted into the
       memory tier.
     * **first-level memo**: the outcome of a multi-level walk's first
-      level (its miss stream included), verified like the memory tier
-      and bounded by :data:`FIRST_LEVEL_ENTRIES`.  A level depends
-      only on its own geometry and the traffic reaching it, so hosts
-      that share an L1 and differ below it classify it once.  It never
-      reaches the disk tier.
+      level (its miss stream included), held like the memory tier, so
+      its arrays are freed with their streams, and bounded by
+      :data:`FIRST_LEVEL_ENTRIES`.  A level depends only on its own
+      geometry and the traffic reaching it, so hosts that share an L1
+      and differ below it classify it once.  It never reaches the disk
+      tier.
 
     Replaying a cached walk reproduces the walk's observable side
     effects (per-level counters and stats) exactly, keeping telemetry
     identical to an unmemoized run.  Lookup/store traffic is published
-    under ``sim.memsys.walk_cache.*`` when telemetry is enabled.
+    under ``sim.memsys.walk_cache.*`` when telemetry is enabled, with
+    the live entries of both memos as the gauges ``live_walks`` and
+    ``first_level_live``.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -274,16 +301,24 @@ class WalkCache:
                 view.gauge("hit_rate").set(
                     (self.hits + self.disk_hits) / lookups)
 
+    def _publish_live(self) -> None:
+        """Set the live-entry gauges of both memos."""
+        if obs.enabled():
+            view = obs.active().prefixed("sim.memsys.walk_cache")
+            view.gauge("live_walks").set(len(self._memory))
+            view.gauge("first_level_live").set(len(self._first_level))
+
     # ------------------------------------------------------------- lookups
 
     def lookup(self, key: tuple, streams: list[AccessStream]):
         """The cached walk for ``key``/``streams``, or None.  Checks
-        the memory tier (verified), then the disk tier (content-
+        the memory tier (by identity), then the disk tier (content-
         addressed, so trusted by construction)."""
         value = self._memory.get(key, streams)
         if value is not None:
             self.hits += 1
             self._tele("mem_hits")
+            self._publish_live()
             return value
         if self.store is not None:
             payload, nbytes = self.store.load(_walk_digest(key, streams))
@@ -297,6 +332,7 @@ class WalkCache:
                     return value
         self.misses += 1
         self._tele("misses")
+        self._publish_live()
         return None
 
     def put(self, key: tuple, streams: list[AccessStream], value) -> None:
@@ -313,6 +349,7 @@ class WalkCache:
         if evicted:
             self.evictions += evicted
             self._tele("evictions", evicted)
+        self._publish_live()
 
     def lookup_first_level(self, key: tuple, streams: list[AccessStream]):
         """The memoized first-level outcome for ``key``/``streams``, or
@@ -326,6 +363,7 @@ class WalkCache:
     def put_first_level(self, key: tuple, streams: list[AccessStream],
                         value) -> None:
         self._first_level.put(key, streams, value, FIRST_LEVEL_ENTRIES)
+        self._publish_live()
 
     def clear(self) -> None:
         """Drop the memory tier and the first-level memo."""
@@ -333,7 +371,7 @@ class WalkCache:
         self._first_level.clear()
 
     def __len__(self) -> int:
-        """Walks stored in the memory tier."""
+        """Live walks in the memory tier."""
         return len(self._memory)
 
 
@@ -495,16 +533,15 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
 
     Outside tracing and the reference model, the whole walk goes
     through the walk cache, keyed by each level's sets, ways and line
-    size, the sample window, the prefetcher flag and the stream
-    fingerprints — latency and MSHRs never change a hit — and a walk
-    of two or more levels takes its first level from the first-level
-    memo.
+    size, the sample window and the prefetcher flag — latency and MSHRs
+    never change a hit — plus the streams (by identity in memory, by
+    content on disk), and a walk of two or more levels takes its first
+    level from the first-level memo.
     """
     memo = not (_REFERENCE or obs.tracer().enabled)
     geometry = tuple((c.num_sets, c.ways, c.config.line_bytes)
                      for c in levels)
-    rest = (SAMPLE_WINDOW, prefetch,
-            tuple(_stream_fingerprint(s) for s in streams))
+    rest = (SAMPLE_WINDOW, prefetch)
     key = (geometry, *rest)
     value = _WALK_CACHE.lookup(key, streams) if memo else None
     if value is not None:

@@ -4,6 +4,7 @@ never returned stale, bounded, and read-only to its callers."""
 
 import gc
 import os
+import sys
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro import runtime
 from repro.config import experiment_machine
 from repro.eval.experiments import fig03_motivation
 from repro.eval.workloads import (
+    FACTOR_RANK,
     RUN_MEMO_ENTRIES,
     WORKLOADS,
     _load_input,
@@ -34,7 +36,14 @@ from repro.kernels.spmspm import (
     scan_arrays,
     spmspm_symbolic,
 )
+from repro.kernels.mttkrp import characterize_mttkrp
+from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import spmv_streams
+from repro.kernels.triangle import characterize_triangle, lower_triangle
+from repro.programs.cpals import cpals_timing_model
+from repro.programs.mttkrp import mttkrp_timing_model
+from repro.programs.spmspm import spmspm_timing_model
+from repro.programs.triangle import triangle_timing_model
 from repro.serve import SimService, Submission
 from repro.sim.memsys import FIRST_LEVEL_ENTRIES, walk_cache
 
@@ -160,6 +169,61 @@ class TestSharedAcrossMachines:
         hits, misses = cache.hits, cache.misses
         run_workload("spmspm", "M4", second, "small", variants=("baseline",))
         assert (cache.hits, cache.misses) == (hits + 1, misses)
+
+
+def _same_objects(first, second) -> bool:
+    return all(s is t for s, t in zip(first, second, strict=True))
+
+
+class TestOneArrayPerContent:
+    """Streams of equal content that several kernels or schemes issue
+    are one read-only array, so the walk cache reuses them by identity."""
+
+    def test_mttkrp_schemes_and_cpals_share_streams(self):
+        machine = experiment_machine("small")
+        tensor = _load_input(WORKLOADS["mttkrp_mp"], "T4", "small")
+        p1, p2 = (
+            characterize_mttkrp(tensor, FACTOR_RANK, machine, scheme)
+            for scheme in ("mode", "rank")
+        )
+        assert _same_objects(p1.streams, p2.streams)
+        rmw, write = p1.streams[-2:]
+        assert rmw.addresses is write.addresses
+        m1, m2 = (
+            mttkrp_timing_model(tensor, FACTOR_RANK, machine, parallel=scheme)
+            for scheme in ("mode", "rank")
+        )
+        cpals = cpals_timing_model(tensor, FACTOR_RANK, machine)
+        assert _same_objects(m1.tmu_streams, m2.tmu_streams)
+        assert _same_objects(m1.tmu_streams * 3, cpals.tmu_streams)
+
+    def test_spmspm_baseline_and_tmu_share_b_scans(self, small_csr):
+        machine = experiment_machine("small")
+        b = small_csr.transpose()
+        trace = characterize_spmspm(small_csr, b, machine)
+        model = spmspm_timing_model(small_csr, b, machine)
+        base = {s.label: s.addresses for s in trace.streams}
+        tmu = {s.label: s.addresses for s in model.tmu_streams}
+        for label in ("A ptrs", "A idxs", "A vals", "B idxs scan", "B vals scan"):
+            assert base[label] is tmu[label], label
+
+    def test_tc_never_gathers_columns(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("TC built the column gather")
+
+        # the package re-exports the kernel function under the
+        # submodule's name
+        kernel_module = sys.modules["repro.kernels.spmspm"]
+        monkeypatch.setattr(kernel_module, "scan_arrays", refuse)
+        machine = experiment_machine("small")
+        l_mat = lower_triangle(uniform_random_matrix(90, 90, 8, seed=11))
+        expect = gather_scan_positions(l_mat.ptrs, l_mat.idxs)
+        for trace_streams in (
+            characterize_triangle(l_mat, machine).streams,
+            triangle_timing_model(l_mat, machine).tmu_streams,
+        ):
+            scan = trace_streams[-1]
+            assert scan.label == "L_j idxs" and scan.count == expect.size
 
 
 def test_run_memo_is_bounded():

@@ -1,14 +1,25 @@
 """The two-tier persistent walk cache: correctness under eviction,
-disk round-trips, and telemetry.
+disk round-trips, weakly held entries, and telemetry.
 
 The memory tier's LRU eviction replaced a wholesale ``clear()`` at
 capacity; the regression tests here prove an eviction (or a full
 churn past capacity) never changes any profile — an evicted walk is
 recomputed, bit-identically, because the walk is a pure function of
 geometry and stream content.
+
+Both in-memory memos hold their streams weakly, so an entry dies with
+its streams.  Tests that count evictions keep their streams alive:
+otherwise an entry would die before the bound ever evicts it.
 """
 
+import gc
 import json
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
+from collections import OrderedDict
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -34,7 +45,6 @@ from repro.sim.memsys import (
     WalkCache,
     _decode_walk,
     _encode_walk,
-    _stream_fingerprint,
     _walk_digest,
     configure_walk_store,
     llc_only_profile,
@@ -97,47 +107,53 @@ class TestMemoryTierLRU:
         wc.capacity = 3
         machine = MachineConfig()
         hot = _trace(0, n=500)
+        cold = [_trace(seed, n=500) for seed in range(1, 4)]
         _profiles(hot, machine)
-        for seed in range(1, 3):
-            _profiles(_trace(seed, n=500), machine)
+        for trace in cold[:2]:
+            _profiles(trace, machine)
             _profiles(hot, machine)  # keep hot at the MRU end
         hits_before = wc.hits
-        _profiles(_trace(3, n=500), machine)  # evicts an LRU entry
+        _profiles(cold[2], machine)  # evicts an LRU entry
+        assert wc.evictions == 1
         _profiles(hot, machine)
         assert wc.hits > hits_before  # hot survived the eviction
 
     def test_fingerprint_collision_is_verified(self, _isolated_walk_cache):
-        """A key collision must fall through to a miss, not serve the
-        colliding entry's value."""
+        """One caller key, several streams: a stream never receives
+        another stream's value, whatever their contents."""
         wc = _isolated_walk_cache
         a = [AccessStream(addresses=np.arange(10) * 64, elem_bytes=8)]
         b = [AccessStream(addresses=np.arange(10)[::-1].copy() * 64,
                           elem_bytes=8)]
+        twin = [AccessStream(addresses=np.arange(10) * 64, elem_bytes=8)]
         wc.put(("k",), a, (["va"], [(1, 1)]))
         assert wc.lookup(("k",), a) is not None
         assert wc.lookup(("k",), b) is None
-        # both variants live under the same key afterwards
+        # equal content in another array is not the stored stream
+        assert wc.lookup(("k",), twin) is None
+        # both variants live under the same caller key afterwards
         wc.put(("k",), b, (["vb"], [(2, 2)]))
         assert wc.lookup(("k",), a)[0] == ["va"]
         assert wc.lookup(("k",), b)[0] == ["vb"]
 
     def test_capacity_bounds_walks_not_keys(self, _isolated_walk_cache):
-        """Contents that share a fingerprint share a key; the bound
-        must count their stored walks, or one key grows without
-        limit."""
+        """Walks that share a geometry key are separate entries, one per
+        stream identity; the bound must count those entries, or one key
+        grows without limit.  The streams stay alive, so every entry
+        beyond the bound leaves by eviction."""
         wc = _isolated_walk_cache
         wc.capacity = 8
         machine = MachineConfig()
         base = np.arange(64) * 64
-        prints = set()
+        held = []
         for i in range(50):
             addrs = base.copy()
-            addrs[1] = (1000 + i) * 64  # off the fingerprint's samples
+            addrs[1] = (1000 + i) * 64
             stream = AccessStream(addresses=addrs, elem_bytes=8, label="a")
-            prints.add(_stream_fingerprint(stream))
+            held.append(stream)
             _profiles(KernelTrace(name="t", streams=[stream]), machine)
             assert len(wc) <= wc.capacity
-        assert len(prints) == 1
+        assert len(wc) == wc.capacity
         assert wc.evictions == 50 - wc.capacity
 
 
@@ -295,7 +311,8 @@ class TestStreamDigest:
         _profiles(trace, machine)
         llc_only_profile(machine, trace.streams)
         assert sha256_calls == []
-        assert all(s.addresses.flags.writeable for s in trace.streams)
+        # read-only because the memory tier holds them, not digested
+        assert not any(s.addresses.flags.writeable for s in trace.streams)
 
 
 class TestRuntimeWiring:
@@ -371,9 +388,10 @@ def test_walk_cache_telemetry_counters(_isolated_walk_cache, tmp_path):
 
 def test_walk_cache_capacity_type():
     wc = WalkCache(capacity=2)
-    for i in range(5):
-        wc.put((i,), [AccessStream(addresses=np.arange(4) * 64,
-                                   elem_bytes=8)], ([], [(0, 0)]))
+    held = [AccessStream(addresses=np.arange(4) * 64, elem_bytes=8)
+            for _ in range(5)]
+    for i, stream in enumerate(held):
+        wc.put((i,), [stream], ([], [(0, 0)]))
     assert len(wc) <= 2
     assert wc.evictions >= 3
 
@@ -455,8 +473,9 @@ class TestFirstLevelMemo:
         wc.store = WalkStore(tmp_path / "walks")
         machine = MachineConfig()
         walks = FIRST_LEVEL_ENTRIES + 6
-        for seed in range(walks):
-            _profiles(_trace(seed, n=200), machine)
+        held = [_trace(seed, n=200) for seed in range(walks)]
+        for trace in held:
+            _profiles(trace, machine)
             assert len(wc._first_level) <= FIRST_LEVEL_ENTRIES
         assert len(wc._first_level) == FIRST_LEVEL_ENTRIES
         assert len(wc.store) == walks  # whole walks only
@@ -510,3 +529,111 @@ class TestTracedWalk:
         assert sorted(misses) == sorted(set(misses))
         assert set(misses) <= {"sim.cache.l1", "sim.cache.l2",
                                "sim.cache.llc"}
+
+
+class TestWeakEntries:
+    """Both in-memory memos hold their streams weakly and by identity:
+    an entry dies with its streams, and a walked stream is read-only."""
+
+    def test_walked_streams_refuse_writes(self, _isolated_walk_cache):
+        machine = experiment_machine("small")
+        core, tmu = _trace(8), _trace(9)
+        _profiles(core, machine)               # memory tier + first level
+        llc_only_profile(machine, tmu.streams)  # memory tier only
+        assert len(_isolated_walk_cache._first_level) == 1
+        for stream in (*core.streams, *tmu.streams):
+            with pytest.raises(ValueError):
+                stream.addresses[0] = 0
+
+    def test_dropped_trace_leaves_both_memos(self, _isolated_walk_cache):
+        wc = _isolated_walk_cache
+        machine = MachineConfig()
+        _profiles(_trace(10, n=500), machine)  # warm any lazy state
+        gc.collect()
+        assert len(wc) == len(wc._first_level) == 0
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            trace = _trace(11, n=200_000)
+            _profiles(trace, machine)
+            llc_only_profile(machine, trace.streams)
+            walked, _ = tracemalloc.get_traced_memory()
+            assert len(wc) == 2 and len(wc._first_level) == 1
+            del trace
+            gc.collect()
+            # the dead entries leave on the memos' next call
+            assert len(wc) == len(wc._first_level) == 0
+            end, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walked - start > 3 * 2**20  # the streams were traced
+        assert end - start < 2**20
+
+    def test_collection_during_put_neither_deadlocks_nor_leaks(self):
+        """An array that dies while another thread's ``put`` holds the
+        lock only records its entry; the next call purges it."""
+        wc = WalkCache()
+        value = ([], [(0, 0)])
+        doomed = AccessStream(addresses=np.arange(64) * 64, elem_bytes=8)
+        live = AccessStream(addresses=np.arange(64) * 128, elem_bytes=8)
+        wc.put(("doomed",), [doomed], value)
+        assert len(wc) == 1
+
+        class CollectOnInsert(OrderedDict):
+            def __setitem__(self, key, item):
+                gc.collect()  # inside put, under the lock
+                super().__setitem__(key, item)
+
+        lru = wc._memory
+        lru._entries = CollectOnInsert(lru._entries)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            cycle = [doomed]
+            cycle.append(cycle)  # reachable only through a cycle now
+            del doomed, cycle
+            worker = threading.Thread(
+                target=wc.put, args=(("live",), [live], value), daemon=True)
+            worker.start()
+            worker.join(timeout=30)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert not worker.is_alive(), "put deadlocked on a collection"
+        assert len(wc) == 1
+        assert wc.lookup(("live",), [live]) is value
+
+    def test_live_gauges(self, _isolated_walk_cache):
+        machine = MachineConfig()
+        trace = _trace(12, n=400)
+        with obs.capture() as registry:
+            _profiles(trace, machine)
+            llc_only_profile(machine, trace.streams)
+        gauges = registry.as_dict()["gauges"]
+        pre = "sim.memsys.walk_cache."
+        assert gauges[pre + "live_walks"]["value"] == 2
+        assert gauges[pre + "first_level_live"]["value"] == 1
+        assert pre + "live_walks" not in registry.as_dict()["counters"]
+
+
+def test_mttkrp_and_cpals_cells_hit_on_identity(tmp_path):
+    """MTTKRP P1, P2 and CP-ALS walk one set of streams per tensor, so
+    the memory tier answers their repeats by identity: the counts an
+    ``array_equal`` check used to reach."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    snapshot = tmp_path / "snapshot.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "fig13", "--scale", "small",
+         "--workloads", "mttkrp_mp,mttkrp_cp,cpals", "--jobs", "1",
+         "--no-cache", "--walk-cache", "off",
+         "--telemetry", str(snapshot)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads(snapshot.read_text())["counters"]
+    pre = "sim.memsys.walk_cache."
+    assert counters[pre + "mem_hits"] == 16
+    assert counters[pre + "misses"] == 12
