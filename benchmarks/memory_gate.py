@@ -1,13 +1,22 @@
-"""Peak-memory gate: run one medium-scale Fig. 13 session in a child
-process and fail when its peak RSS exceeds the committed bound.
+"""Peak-memory gate: run each gated session in its own child process
+and fail when a child's peak RSS exceeds the session's committed bound.
 
     PYTHONPATH=src python -m benchmarks.memory_gate
 
-The session is the MTTKRP, CP-ALS and TC slice of ``fig13 --scale
-medium`` with both result caches off, so every cell simulates and every
-stream is walked.  Its peak is dominated by what the walk memos and the
-operand memo keep alive, which is what the bound protects.  The bound
-and the measurement it was set from are in
+Both sessions run with both result caches off, so every cell simulates
+and every stream is walked.  Their peaks are dominated by what the walk
+memos and the operand memo keep alive, which is what the bounds
+protect:
+
+* ``fig13_medium_slice``: the MTTKRP, CP-ALS and TC slice of ``fig13
+  --scale medium``.
+* ``fig13_mixed_scale``: one process that runs a small-scale ``fig13``
+  and then a medium-scale one, as a long-running ``repro serve`` does
+  when sweeps change scale.  The input loaders drop the small inputs
+  when the medium ones load; a memo that keeps dead operands, or the
+  streams built from them, carries them into the medium session.
+
+The bounds and the measurements they were set from are in
 ``benchmarks/baselines/memory.json``.
 """
 
@@ -15,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -24,33 +32,57 @@ from pathlib import Path
 BASELINE = Path(__file__).resolve().parent / "baselines" / "memory.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: the gated session's CLI arguments
-COMMAND = (
-    "fig13", "--scale", "medium",
-    "--workloads", "mttkrp_mp,mttkrp_cp,cpals,tc",
-    "--jobs", "1", "--no-cache", "--walk-cache", "off",
-)
+#: flags every gated CLI call shares: serial, both caches off
+_COLD = ("--jobs", "1", "--no-cache", "--walk-cache", "off")
+
+#: gated session -> the CLI argument lists its one child runs in turn
+SESSIONS = {
+    "fig13_medium_slice": [
+        ("fig13", "--scale", "medium",
+         "--workloads", "mttkrp_mp,mttkrp_cp,cpals,tc", *_COLD),
+    ],
+    "fig13_mixed_scale": [
+        ("fig13", "--workloads", "spmv,spmspm,tc", *_COLD),
+        ("fig13", "--scale", "medium", "--workloads", "spmv,tc", *_COLD),
+    ],
+}
+
+#: the child: run each argument list through ``repro.cli.main`` in one
+#: process, then write its peak RSS in KiB (``ru_maxrss`` on Linux)
+_CHILD = """
+import json, resource, sys
+from repro.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv):
+        sys.exit(f"repro {' '.join(argv)} failed")
+with open(sys.argv[2], "w") as fh:
+    fh.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+"""
 
 
-def peak_rss_mb() -> float:
-    """Run the gated session in a child and return its peak RSS in MB
-    (``ru_maxrss`` is in KiB on Linux)."""
+def peak_rss_mb(calls: list[tuple[str, ...]]) -> float:
+    """Run ``calls`` in one child and return its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     with tempfile.TemporaryDirectory() as cwd:
-        subprocess.run([sys.executable, "-m", "repro", *COMMAND],
+        out = Path(cwd) / "maxrss"
+        subprocess.run([sys.executable, "-c", _CHILD,
+                        json.dumps([list(c) for c in calls]), str(out)],
                        cwd=cwd, env=env, check=True,
                        stdout=subprocess.DEVNULL)
-    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        return int(out.read_text()) / 1024.0
 
 
 def main() -> int:
-    bound = json.loads(BASELINE.read_text(encoding="utf-8"))[
-        "fig13_medium_slice_max_rss_mb"]
-    peak = peak_rss_mb()
-    verdict = "ok" if peak <= bound else "FAIL"
-    print(f"fig13 medium slice peak RSS {peak:.0f} MB "
-          f"(bound {bound:.0f} MB): {verdict}")
-    return 0 if peak <= bound else 1
+    baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+    failed = 0
+    for name, calls in SESSIONS.items():
+        bound = baseline[f"{name}_max_rss_mb"]
+        peak = peak_rss_mb(calls)
+        verdict = "ok" if peak <= bound else "FAIL"
+        failed += peak > bound
+        print(f"{name} peak RSS {peak:.0f} MB "
+              f"(bound {bound:.0f} MB): {verdict}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

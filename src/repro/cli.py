@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR|off",
         help="persistent hierarchy walk cache: 'auto' (default) keeps "
              "it at <cache-dir>/walks, a path pins it elsewhere, 'off' "
-             "disables it; the REPRO_WALK_CACHE env var overrides",
+             "disables it",
     )
     parser.add_argument(
         "--profile",

@@ -97,10 +97,6 @@ class CsfTensor:
     def nnz(self) -> int:
         return int(self.vals.size)
 
-    def num_nodes(self, level: int) -> int:
-        """Number of tree nodes at ``level``."""
-        return int(self.idxs[level].size)
-
     def nbytes(self) -> int:
         """Storage footprint as the simulated machine sees it."""
         total = self.vals.size * VALUE_BYTES

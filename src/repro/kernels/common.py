@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict
 
 import numpy as np
 
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, AddressSpace
+from ..memo import IdentityLRU
+from ..sim.trace import AddressSpace
 from ..types import INDEX_BYTES, VALUE_BYTES
 
 #: entries the operand memo keeps.  A full paper evaluation needs about
@@ -18,56 +17,33 @@ from ..types import INDEX_BYTES, VALUE_BYTES
 #: machine, so the bound must cover one workload's inputs with room.
 MEMO_ENTRIES = 128
 
-_MEMO: OrderedDict[tuple, tuple] = OrderedDict()
-_MEMO_LOCK = threading.Lock()
-
-
-def _freeze(value):
-    """Mark the arrays of a memoized result read-only: callers share
-    them, so an in-place write must raise instead of corrupting another
-    cell."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, AccessStream):
-        value.addresses.setflags(write=False)
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _freeze(item)
-    return value
-
-
-def _arg_key(arg):
-    """An argument's part of a memo key: an ``int`` by value (equal
-    ints need not be one object), anything else by identity."""
-    return ("int", arg) if type(arg) is int else id(arg)
+_MEMO = IdentityLRU(MEMO_ENTRIES)
 
 
 def operand_memo(fn):
     """Memoize ``fn`` on the identity of its positional arguments (the
-    value of its ``int`` ones).
+    value and position of its ``int`` ones).
 
     Architecture sweeps re-run a kernel on the same operands under many
     machines; everything that depends only on the operands (derived
     operands, scan arrays, address streams) is built once and shared.
-    All memoized functions share one LRU of :data:`MEMO_ENTRIES`
-    entries.  Each entry holds its arguments, so no new object can take
-    over a memoized ``id`` while the entry lives.  Results are shared
-    by every caller: their arrays are marked read-only.
+    All memoized functions share one :class:`~repro.memo.IdentityLRU`
+    of :data:`MEMO_ENTRIES` entries, which holds the operands weakly:
+    an entry lives as long as its operands do, so the memo never keeps
+    an operand that the input loaders have dropped, nor anything built
+    from it.  A non-``int`` argument must support weak references.
+    Results are shared by every caller: their arrays (and the
+    operands') are marked read-only.
     """
 
     @functools.wraps(fn)
     def wrapper(*args):
-        key = (wrapper, *map(_arg_key, args))
-        with _MEMO_LOCK:
-            hit = _MEMO.get(key)
-            if hit is not None:
-                _MEMO.move_to_end(key)
-                return hit[1]
-        value = _freeze(fn(*args))
-        with _MEMO_LOCK:
-            _MEMO[key] = (args, value)
-            while len(_MEMO) > MEMO_ENTRIES:
-                _MEMO.popitem(last=False)
+        key = (wrapper, *(a if type(a) is int else None for a in args))
+        objs = [a for a in args if type(a) is not int]
+        value = _MEMO.get(key, objs)
+        if value is None:
+            value = fn(*args)
+            _MEMO.put(key, objs, value)
         return value
 
     return wrapper

@@ -18,13 +18,6 @@ from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES
 
 
-def _csf_top_fibers(t: CsfTensor):
-    """Yield ``(coord0, positions-range)`` for each root node of a CSF
-    tensor."""
-    for n in range(t.idxs[0].size):
-        yield int(t.idxs[0][n]), n
-
-
 def _build_b_lookup(b: CsfTensor) -> dict[tuple[int, int], int]:
     """Map (l, k) — the first two coordinates of ``B_lkj`` — to the
     level-1 node position holding that fiber of j's."""

@@ -32,14 +32,3 @@ def spttv(a: CsfTensor, b) -> dict[tuple[int, int], float]:
             out[(i, j)] = acc
     return out
 
-
-def spttv_numpy(a: CsfTensor, b) -> dict[tuple[int, int], float]:
-    """Vectorized check implementation via COO expansion."""
-    coords, vals = a.to_coo_arrays()
-    b = np.asarray(b, dtype=np.float64)
-    contrib = vals * b[coords[2]]
-    out: dict[tuple[int, int], float] = {}
-    for i, j, v in zip(coords[0].tolist(), coords[1].tolist(),
-                       contrib.tolist()):
-        out[(i, j)] = out.get((i, j), 0.0) + v
-    return out

@@ -21,7 +21,6 @@ harness configure it, and tests may swap it via :func:`using`.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
@@ -72,16 +71,10 @@ _active: Runtime | None = None
 
 def _resolve_walk_dir(walk_cache: str | Path | None,
                       cache_dir: str | Path | None) -> Path | None:
-    """The on-disk walk-cache directory, or ``None`` when disabled.
-
-    Precedence: the ``REPRO_WALK_CACHE`` environment variable (a
-    path, or ``0``/``off`` to disable) overrides the argument;
+    """The on-disk walk-cache directory, or ``None`` when disabled:
     ``"auto"`` places the tier at ``<cache_dir>/walks`` and disables
-    it when the result cache itself is off.
+    it when the result cache itself is off; ``0``/``off`` disables it.
     """
-    env = os.environ.get("REPRO_WALK_CACHE")
-    if env is not None:
-        walk_cache = env
     if walk_cache is None:
         return None
     text = str(walk_cache).strip()
@@ -109,8 +102,7 @@ def configure(*, jobs: int = 1,
     into it.  ``walk_cache`` controls the persistent walk-cache tier
     (:class:`WalkStore`): ``"auto"`` (default) keeps it beside the
     result cache at ``<cache_dir>/walks``, a path pins it there, and
-    ``None``/``"off"`` disables it; the ``REPRO_WALK_CACHE``
-    environment variable overrides all of these.  ``reference``
+    ``None``/``"off"`` disables it.  ``reference``
     selects the golden-reference cache walk
     (:func:`repro.sim.memsys.configure_reference`) in-process; pool
     workers receive the selection with each task.

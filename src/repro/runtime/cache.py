@@ -92,52 +92,106 @@ class NullCache:
 
 
 @dataclass
-class ResultCache:
+class _JsonFiles:
+    """The file layer of both disk stores: ``<name>.json`` records
+    under ``root``, written by atomic rename of a per-pid/tid temp
+    file; a record that does not parse is dropped on read and on
+    :meth:`gc`."""
+
+    root: Path
+
+    def __post_init__(self) -> None:
+        self.root = Path(self.root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def path_for(self, name: SimTask | str) -> Path:
+        return self.root / f"{_task_hash(name)}.json"
+
+    def _read(self, path: Path) -> tuple[object, int] | None:
+        """``(payload, size_in_bytes)`` of one record, or ``None``
+        when absent.  A corrupt record is dropped and raises
+        ``ValueError``."""
+        try:
+            raw = path.read_bytes()
+            return json.loads(raw), len(raw)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            path.unlink(missing_ok=True)
+            raise ValueError(f"corrupt record {path.name}") from exc
+
+    def _write(self, path: Path, payload) -> int:
+        """Atomically persist one record; returns bytes written."""
+        tmp = path.with_suffix(
+            f".tmp.{os.getpid()}.{threading.get_ident()}")
+        data = json.dumps(payload, sort_keys=True)
+        tmp.write_text(data, encoding="utf-8")
+        os.replace(tmp, path)
+        return len(data)
+
+    def _stale(self, payload) -> bool:
+        """Whether :meth:`gc` reclaims a parsable record."""
+        return False
+
+    def gc(self) -> int:
+        """Remove stale temp files, unparsable records and the records
+        :meth:`_stale` rejects; returns the number reclaimed."""
+        removed = 0
+        for tmp in self.root.glob("*.tmp.*"):
+            tmp.unlink(missing_ok=True)
+            removed += 1
+        for path in self.root.glob("*.json"):
+            try:
+                stale = self._stale(
+                    json.loads(path.read_text(encoding="utf-8")))
+            except (OSError, ValueError):
+                stale = True
+            if stale:
+                path.unlink(missing_ok=True)
+                removed += 1
+        return removed
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.root.glob("*.json"))
+
+
+@dataclass
+class ResultCache(_JsonFiles):
     """Content-addressed store of task result records.
 
     All operations are safe against concurrent writers of the *same*
     record (writes are atomic renames of a per-pid temp file, and any
     writer produces identical bytes for a given hash by construction).
+    :meth:`gc` also reclaims records whose code-version salt no longer
+    matches the running code.
     """
 
-    root: Path
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
-        self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        super().__post_init__()
         # not a dataclass field: locks don't compare, copy or serialize
         self._lock = threading.Lock()
-
-    def path_for(self, task: SimTask | str) -> Path:
-        return self.root / f"{_task_hash(task)}.json"
 
     def get(self, task: SimTask | str) -> dict | None:
         """The stored record, or ``None`` on miss (corrupt entries are
         dropped and counted as misses)."""
-        path = self.path_for(task)
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except FileNotFoundError:
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        except (OSError, json.JSONDecodeError):
+            found = self._read(self.path_for(task))
+        except ValueError:
             with self._lock:
                 self.stats.misses += 1
                 self.stats.errors += 1
-            path.unlink(missing_ok=True)
             return None
-        if record.get("salt") != CODE_SALT:
-            # hash collisions across salts are impossible, but a record
-            # written by a hand-rolled tool might lie; be strict.
+        # hash collisions across salts are impossible, but a record
+        # written by a hand-rolled tool might lie; be strict.
+        if found is None or self._stale(found[0]):
             with self._lock:
                 self.stats.misses += 1
             return None
         with self._lock:
             self.stats.hits += 1
-        return record
+        return found[0]
 
     def get_many(self, tasks: Iterable[SimTask | str]
                  ) -> dict[str, dict | None]:
@@ -148,12 +202,7 @@ class ResultCache:
         return {_task_hash(t): self.get(_task_hash(t)) for t in tasks}
 
     def put(self, task: SimTask | str, record: dict) -> None:
-        path = self.path_for(task)
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(json.dumps(record, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, path)
+        self._write(self.path_for(task), record)
         with self._lock:
             self.stats.puts += 1
 
@@ -172,35 +221,17 @@ class ResultCache:
             removed += 1
         return removed
 
-    def gc(self) -> int:
-        """Remove records whose code-version salt no longer matches the
-        running code (plus unparsable files and stale temp files);
-        returns the number reclaimed."""
-        removed = 0
-        for tmp in self.root.glob("*.tmp.*"):
-            tmp.unlink(missing_ok=True)
-            removed += 1
-        for path in self.root.glob("*.json"):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                stale = record.get("salt") != CODE_SALT
-            except (OSError, json.JSONDecodeError):
-                stale = True
-            if stale:
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+    def _stale(self, payload) -> bool:
+        return not isinstance(payload, dict) or payload.get(
+            "salt") != CODE_SALT
 
 
 @dataclass
-class WalkStore:
+class WalkStore(_JsonFiles):
     """On-disk tier of the hierarchy walk cache (see
     :class:`repro.sim.memsys.WalkCache`).
 
-    Same layout and concurrency story as :class:`ResultCache` —
+    Same file layer and concurrency story as :class:`ResultCache` —
     ``<sha256>.json`` records, atomic per-pid/tid temp renames,
     identical bytes for identical digests — but keyed by the *walk*
     content address (cache geometry + raw stream bytes) rather than a
@@ -210,51 +241,14 @@ class WalkStore:
     model-code changes that would invalidate task results.
     """
 
-    root: Path
-
-    def __post_init__(self) -> None:
-        self.root = Path(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path_for(self, digest: str) -> Path:
-        return self.root / f"{digest}.json"
-
     def load(self, digest: str) -> tuple[dict | None, int]:
         """``(payload, size_in_bytes)`` for a stored walk, or
         ``(None, 0)`` on miss; corrupt records are dropped."""
-        path = self.path_for(digest)
         try:
-            raw = path.read_bytes()
-            return json.loads(raw), len(raw)
-        except FileNotFoundError:
-            return None, 0
-        except (OSError, json.JSONDecodeError):
-            path.unlink(missing_ok=True)
+            return self._read(self.path_for(digest)) or (None, 0)
+        except ValueError:
             return None, 0
 
     def save(self, digest: str, payload: dict) -> int:
         """Atomically persist one walk record; returns bytes written."""
-        path = self.path_for(digest)
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}")
-        data = json.dumps(payload, sort_keys=True)
-        tmp.write_text(data, encoding="utf-8")
-        os.replace(tmp, path)
-        return len(data)
-
-    def gc(self) -> int:
-        """Drop stale temp files and unparsable records."""
-        removed = 0
-        for tmp in self.root.glob("*.tmp.*"):
-            tmp.unlink(missing_ok=True)
-            removed += 1
-        for path in self.root.glob("*.json"):
-            try:
-                json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
+        return self._write(self.path_for(digest), payload)

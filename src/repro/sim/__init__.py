@@ -8,7 +8,6 @@ the first-order effects the paper's analysis rests on:
   and a bounded MSHR count.
 * :mod:`repro.sim.memsys` — the three-level hierarchy plus HBM2e
   channel bandwidth, assembled per :class:`repro.config.MachineConfig`.
-* :mod:`repro.sim.noc` — mesh network-on-chip latency contribution.
 * :mod:`repro.sim.core` — an interval-analysis out-of-order core model
   producing the committing / frontend-stall / backend-stall breakdown of
   Figures 3 and 11.

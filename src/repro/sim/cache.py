@@ -151,9 +151,6 @@ class Cache:
         settle_lookup(self, int(lines.size), hit_count)
         return hits
 
-    def contains_line(self, line: int) -> bool:
-        return line in self._sets[line & self._set_mask]
-
     @property
     def mshrs(self) -> int:
         return self.config.mshrs

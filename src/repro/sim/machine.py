@@ -109,9 +109,6 @@ class SystemResult:
     tmu_cycles: float = 0.0
     core_cycles: float = 0.0
 
-    def speedup_over(self, other: "SystemResult") -> float:
-        return other.cycles / self.cycles if self.cycles else float("inf")
-
 
 #: line requests one lane's queues keep in flight (queue-depth bound of
 #: a single traversal stream; parallel lanes multiply it)

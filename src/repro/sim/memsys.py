@@ -24,15 +24,13 @@ Modeling notes (vs. gem5):
 from __future__ import annotations
 
 import hashlib
-import threading
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import obs
 from ..config import MachineConfig
+from ..memo import IdentityLRU
 from . import stackdist
 from .cache import Cache, dedup_consecutive, settle_lookup, to_lines
 from .trace import AccessStream, KernelTrace
@@ -151,93 +149,20 @@ def _decode_walk(payload: dict):
     return profiles, levels
 
 
+#: Bound of the memory tier, in stored walks.  A whole ``repro all``
+#: session stores 110.
+WALK_ENTRIES = 512
+
 #: Bound of the first-level memo, in stored walks.  One Fig. 3 host
 #: sweep walks 18 traces (three kernels on six matrices) through one
 #: L1; the next host with the same L1 geometry reuses every one.
 FIRST_LEVEL_ENTRIES = 48
 
 
-class _VerifiedLRU:
-    """An LRU of walk values that holds its streams weakly.
-
-    An entry's key is the caller's key plus, for each stream, the
-    ``id`` of its address array and its metadata.  The entry keeps a
-    ``weakref.ref`` to each of those arrays, and a lookup returns the
-    value only when every reference resolves to the caller's own array,
-    so an ``id`` that a new array took over can never serve a dead
-    array's value.  A put marks the arrays read-only: an identity hit
-    then implies equal content.
-
-    No entry outlives its streams.  A dying array's weakref callback
-    only records the entry's key; the next ``get`` or ``put`` purges
-    it under the lock, so a collection that runs inside ``put`` cannot
-    deadlock.  The bound counts live entries, and eviction drops the
-    least recently used one.
-    """
-
-    def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self._dead: list[tuple] = []
-        self._lock = threading.Lock()
-
-    def _purge(self) -> None:
-        """Drop the entries whose arrays died (under the lock).  A key
-        may since hold a newer entry of live arrays, which stays."""
-        while self._dead:
-            key = self._dead.pop()
-            entry = self._entries.get(key)
-            if entry is not None and any(r() is None for r in entry[0]):
-                del self._entries[key]
-
-    @staticmethod
-    def _key(key: tuple, streams: list[AccessStream]) -> tuple:
-        return (key, *((id(s.addresses), *_stream_meta(s))
-                       for s in streams))
-
-    def get(self, key: tuple, streams: list[AccessStream]):
-        key = self._key(key, streams)
-        with self._lock:
-            self._purge()
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            refs, value = entry
-            if any(r() is not s.addresses for r, s in zip(refs, streams)):
-                return None
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: tuple, streams: list[AccessStream], value,
-            capacity: int) -> int:
-        """Store an entry; returns how many entries were evicted."""
-        key = self._key(key, streams)
-        dead = self._dead
-
-        def died(_ref, key=key) -> None:
-            dead.append(key)
-
-        for s in streams:
-            s.addresses.flags.writeable = False
-        refs = [weakref.ref(s.addresses, died) for s in streams]
-        evicted = 0
-        with self._lock:
-            self._purge()
-            self._entries.pop(key, None)
-            while len(self._entries) >= capacity and self._entries:
-                self._entries.popitem(last=False)
-                evicted += 1
-            self._entries[key] = (refs, value)
-        return evicted
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._dead.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            self._purge()
-            return len(self._entries)
+def _identity(key: tuple, streams: list[AccessStream]) -> tuple:
+    """A walk memo's key and objects: the caller's key plus each
+    stream's metadata, and the address arrays by identity."""
+    return (key, *map(_stream_meta, streams)), [s.addresses for s in streams]
 
 
 class WalkCache:
@@ -248,28 +173,28 @@ class WalkCache:
     and the walk is a pure function of both, so its result can be
     reused freely:
 
-    * **memory tier**: an in-process LRU (:class:`_VerifiedLRU`) keyed
-      by each stream's address array *identity* plus its metadata.  It
-      holds the arrays weakly: a hit requires the caller's own arrays,
-      which are read-only from their first walk on, and an entry is
-      gone once one of its arrays is.  Content that is built once (the
+    * **memory tier**: a :class:`~repro.memo.IdentityLRU` of
+      :data:`WALK_ENTRIES` walks, keyed by the geometry key, each
+      stream's metadata and its address array *identity*.  It holds
+      the arrays weakly: a hit requires the caller's own arrays, which
+      are read-only from their first walk on, and an entry is gone
+      once one of its arrays is.  Content that is built once (the
       operand memo of :mod:`repro.kernels.common`) is therefore reused
       for as long as anyone holds it, and the cache never pins a
-      stream.  At ``capacity`` live walks the least-recently-used one
-      is evicted (an eviction only costs a recompute, never
-      correctness).
+      stream.  At the bound the least-recently-used walk is evicted
+      (an eviction only costs a recompute, never correctness).
     * **disk tier** (optional, installed by the runtime beside the
       result cache): records keyed by a sha256 over the geometry key
       and the full stream bytes, shared across ProcessPool workers,
       server jobs and sessions.  A disk hit is promoted into the
       memory tier.
     * **first-level memo**: the outcome of a multi-level walk's first
-      level (its miss stream included), held like the memory tier, so
-      its arrays are freed with their streams, and bounded by
-      :data:`FIRST_LEVEL_ENTRIES`.  A level depends only on its own
-      geometry and the traffic reaching it, so hosts that share an L1
-      and differ below it classify it once.  It never reaches the disk
-      tier.
+      level (its miss stream included), in a second ``IdentityLRU``
+      keyed like the memory tier, so its arrays are freed with their
+      streams, and bounded by :data:`FIRST_LEVEL_ENTRIES`.  A level
+      depends only on its own geometry and the traffic reaching it, so
+      hosts that share an L1 and differ below it classify it once.  It
+      never reaches the disk tier.
 
     Replaying a cached walk reproduces the walk's observable side
     effects (per-level counters and stats) exactly, keeping telemetry
@@ -279,10 +204,9 @@ class WalkCache:
     ``first_level_live``.
     """
 
-    def __init__(self, capacity: int = 512) -> None:
-        self.capacity = capacity
-        self._memory = _VerifiedLRU()
-        self._first_level = _VerifiedLRU()
+    def __init__(self) -> None:
+        self._memory = IdentityLRU(WALK_ENTRIES)
+        self._first_level = IdentityLRU(FIRST_LEVEL_ENTRIES)
         self.store = None  # disk tier (duck-typed: load/save)
         self.hits = 0
         self.disk_hits = 0
@@ -314,7 +238,7 @@ class WalkCache:
         """The cached walk for ``key``/``streams``, or None.  Checks
         the memory tier (by identity), then the disk tier (content-
         addressed, so trusted by construction)."""
-        value = self._memory.get(key, streams)
+        value = self._memory.get(*_identity(key, streams))
         if value is not None:
             self.hits += 1
             self._tele("mem_hits")
@@ -345,7 +269,7 @@ class WalkCache:
 
     def _install(self, key: tuple, streams: list[AccessStream],
                  value) -> None:
-        evicted = self._memory.put(key, streams, value, self.capacity)
+        evicted = self._memory.put(*_identity(key, streams), value)
         if evicted:
             self.evictions += evicted
             self._tele("evictions", evicted)
@@ -354,7 +278,7 @@ class WalkCache:
     def lookup_first_level(self, key: tuple, streams: list[AccessStream]):
         """The memoized first-level outcome for ``key``/``streams``, or
         None."""
-        value = self._first_level.get(key, streams)
+        value = self._first_level.get(*_identity(key, streams))
         if value is not None:
             self.first_level_hits += 1
             self._tele("first_level_hits")
@@ -362,7 +286,7 @@ class WalkCache:
 
     def put_first_level(self, key: tuple, streams: list[AccessStream],
                         value) -> None:
-        self._first_level.put(key, streams, value, FIRST_LEVEL_ENTRIES)
+        self._first_level.put(*_identity(key, streams), value)
         self._publish_live()
 
     def clear(self) -> None:
@@ -514,8 +438,6 @@ def _first_level(cache: Cache, streams: list[AccessStream],
              else np.zeros(0, dtype=np.int64))
     value = (prep, *_filter_level(cache, lines, counts))
     if key is not None:
-        for array in value[1:]:
-            array.flags.writeable = False
         _WALK_CACHE.put_first_level(key, streams, value)
     return value
 

@@ -67,10 +67,6 @@ class ParallelResult:
         mean = float(np.mean(self.shard_cycles))
         return max(self.shard_cycles) / mean if mean else 1.0
 
-    def speedup_over_serial(self, serial_cycles: float) -> float:
-        return serial_cycles / self.total_cycles if self.total_cycles \
-            else float("inf")
-
 
 def run_parallel(shard_runner: Callable[[int, int], float],
                  row_weights, machine: MachineConfig, *,

@@ -180,21 +180,6 @@ class KernelTrace:
         return sum(s.bytes for s in self.streams
                    if kind is None or s.kind == kind)
 
-    def read_streams(self) -> list[AccessStream]:
-        return [s for s in self.streams if s.kind == "read"]
-
-    def write_streams(self) -> list[AccessStream]:
-        return [s for s in self.streams if s.kind == "write"]
-
-    def merged_addresses(self, kind: str | None = None) -> np.ndarray:
-        """All addresses of the selected streams, concatenated in stream
-        order (streams are already internally program-ordered)."""
-        parts = [s.addresses for s in self.streams
-                 if kind is None or s.kind == kind]
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(parts)
-
     def arithmetic_intensity(self) -> float:
         """Flops per byte moved — the roofline x axis."""
         total = self.total_bytes()

@@ -156,18 +156,6 @@ class MemoryArbiter:
             ))
         return streams
 
-    def per_layer_lines(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for log in self._logs.values():
-            out[log.layer] = out.get(log.layer, 0) + len(log.lines)
-        return out
-
-    def grant_distribution(self) -> list[tuple[str, int]]:
-        """(stream label, line requests granted) in priority order —
-        how the fixed-hierarchy arbiter divided the request bandwidth."""
-        return [(log.label, len(log.lines))
-                for log in self.priority_order()]
-
     def observe(self, view) -> None:
         """Publish request totals and the per-(layer, lane) grant
         distribution into a telemetry registry view."""

@@ -279,21 +279,6 @@ class TraversalUnit:
         else:
             self._trace_t0 = None
 
-    def resolve_bounds(self, parent_slot: Slot | None) -> tuple[int, int]:
-        """Compute (beg, end) for a new activation given the parent
-        layer's current slot (None for constant-bound TUs)."""
-        if self.kind is PrimitiveKind.DENSE:
-            return int(self.beg), int(self.end)
-        if parent_slot is None:
-            raise TMURuntimeError(
-                f"{self.name}: stream-bound TU activated without a "
-                "parent slot"
-            )
-        beg = int(parent_slot[self.beg])
-        if self.kind is PrimitiveKind.RANGE:
-            return beg, int(parent_slot[self.end])
-        return beg, beg + int(self.size)  # INDEX
-
     def peek(self, engine: "TmuEngine | None" = None) -> Slot | None:
         """Return the head slot, producing it if needed; None at fiber
         end (after emitting the ``fend`` token)."""

@@ -4,6 +4,7 @@ never returned stale, bounded, and read-only to its callers."""
 
 import gc
 import os
+import subprocess
 import sys
 import time
 
@@ -45,7 +46,7 @@ from repro.programs.mttkrp import mttkrp_timing_model
 from repro.programs.spmspm import spmspm_timing_model
 from repro.programs.triangle import triangle_timing_model
 from repro.serve import SimService, Submission
-from repro.sim.memsys import FIRST_LEVEL_ENTRIES, walk_cache
+from repro.sim.memsys import FIRST_LEVEL_ENTRIES, WALK_ENTRIES, walk_cache
 
 
 def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
@@ -86,6 +87,25 @@ class TestNeverStale:
 
     def test_hit_returns_the_same_object(self, small_csr):
         assert spmv_streams(small_csr) is spmv_streams(small_csr)
+
+    def test_ints_key_by_value_and_position(self):
+        calls = []
+
+        @operand_memo
+        def scaled(a, k, j):
+            calls.append((k, j))
+            return a * k + j
+
+        arr = np.arange(3)
+        big = 10**6
+        first = scaled(arr, big, 2)
+        assert scaled(arr, int(str(big)), 2) is first  # equal, not same
+        scaled(arr, 2, big)
+        assert calls == [(big, 2), (2, big)]
+
+    def test_refuses_operands_without_weak_references(self):
+        with pytest.raises(TypeError):
+            operand_memo(len)((1, 2))
 
 
 class TestReadOnly:
@@ -226,6 +246,54 @@ class TestOneArrayPerContent:
             assert scan.label == "L_j idxs" and scan.count == expect.size
 
 
+#: Runs small cells of four workloads, drops every holder of the
+#: inputs (the loaders and the run memo), and prints the live entries
+#: of the operand memo, the walk memory tier and the first-level memo,
+#: read in that order (a dead operand releases its streams, whose walks
+#: then leave).
+_LIFETIME_SCRIPT = """
+import gc
+from repro.config import experiment_machine
+from repro.eval.workloads import run_workload
+from repro.generators.suite import load_matrix, load_tensor
+from repro.kernels import common
+from repro.sim.memsys import walk_cache
+
+machine = experiment_machine("small")
+for workload, inputs in (("spmv", "M1 M2"), ("spmspm", "M1 M2"),
+                         ("tc", "M1 M2"), ("mttkrp_mp", "T1 T2")):
+    for input_id in inputs.split():
+        run_workload(workload, input_id, machine, "small")
+wc = walk_cache()
+print(len(common._MEMO), len(wc), len(wc._first_level))
+for memo in (load_matrix, load_tensor, run_workload):
+    memo.cache_clear()
+gc.collect()
+print(len(common._MEMO), len(wc), len(wc._first_level))
+"""
+
+
+def test_memos_keep_nothing_once_the_inputs_are_gone():
+    """No memo keeps a dropped input alive, nor anything built from it:
+    derived operands (``_lower``'s L keys TC's scan positions), their
+    streams, and the walks of those streams all leave with one read of
+    each memo.  Runs in a fresh process, so no other test holds an
+    input."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", _LIFETIME_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    live, after = (tuple(map(int, line.split()))
+                   for line in proc.stdout.splitlines())
+    assert all(live), live
+    assert after == (0, 0, 0)
+
+
 def test_run_memo_is_bounded():
     assert run_workload.cache_info().maxsize == RUN_MEMO_ENTRIES
 
@@ -260,7 +328,7 @@ def test_repeated_sweep_keeps_memos_flat():
     and the memos below it see the full traffic a second time."""
     bounds = {
         "operand": common.MEMO_ENTRIES,
-        "walk": walk_cache().capacity,
+        "walk": WALK_ENTRIES,
         "first_level": FIRST_LEVEL_ENTRIES,
         "runs": RUN_MEMO_ENTRIES,
         "matrices": len(MATRIX_SUITE),

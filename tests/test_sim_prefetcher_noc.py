@@ -5,7 +5,6 @@ import pytest
 from repro.config import NocConfig
 from repro.errors import SimulationError
 from repro.sim.memsys import AccessProfile, StreamProfile
-from repro.sim.noc import NocModel
 from repro.sim.prefetcher import ImpConfig, apply_imp
 
 
@@ -66,20 +65,3 @@ class TestNoc:
         noc = NocConfig(mesh_x=4, mesh_y=4)
         # mean Manhattan distance of a 4x4 mesh is 2.5
         assert noc.average_hops() == pytest.approx(2.5)
-
-    def test_latency_inflates_with_utilization(self):
-        model = NocModel(NocConfig())
-        assert model.average_latency(0.8) > model.average_latency(0.0)
-
-    def test_utilization_bounds(self):
-        model = NocModel(NocConfig())
-        with pytest.raises(SimulationError):
-            model.average_latency(1.0)
-        with pytest.raises(SimulationError):
-            model.average_latency(-0.1)
-
-    def test_bisection_capacity(self):
-        model = NocModel(NocConfig(mesh_x=4, mesh_y=4))
-        assert model.bisection_lines_per_cycle() == pytest.approx(2.0)
-        assert model.saturation_utilization(1.0) == pytest.approx(0.5)
-        assert model.saturation_utilization(100.0) == 1.0

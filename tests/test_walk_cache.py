@@ -17,9 +17,7 @@ import json
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
-from collections import OrderedDict
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -73,7 +71,7 @@ def _profiles(trace: KernelTrace, machine: MachineConfig) -> list[dict]:
 def _isolated_walk_cache():
     """Each test gets a cleared process cache with no disk tier."""
     wc = walk_cache()
-    saved_store, saved_capacity = wc.store, wc.capacity
+    saved_store = wc.store
     wc.clear()
     wc.store = None
     wc.hits = wc.disk_hits = wc.misses = wc.evictions = 0
@@ -83,28 +81,29 @@ def _isolated_walk_cache():
     finally:
         wc.clear()
         wc.store = saved_store
-        wc.capacity = saved_capacity
 
 
 class TestMemoryTierLRU:
-    def test_eviction_never_changes_results(self, _isolated_walk_cache):
+    def test_eviction_never_changes_results(self, _isolated_walk_cache,
+                                            monkeypatch):
         """Regression for the old clear-all behaviour: churn 3x the
         capacity through the cache, then recompute everything — every
         profile must match its pre-eviction value even though the early
         entries were evicted and re-simulated."""
         wc = _isolated_walk_cache
-        wc.capacity = 4
+        monkeypatch.setattr(wc._memory, "maxsize", 4)
         machine = MachineConfig()
         traces = [_trace(seed, n=800) for seed in range(12)]
         first = [_profiles(t, machine) for t in traces]
-        assert len(wc) <= wc.capacity
+        assert len(wc) <= 4
         assert wc.evictions > 0
         second = [_profiles(t, machine) for t in traces]
         assert first == second
 
-    def test_lru_keeps_recently_used(self, _isolated_walk_cache):
+    def test_lru_keeps_recently_used(self, _isolated_walk_cache,
+                                     monkeypatch):
         wc = _isolated_walk_cache
-        wc.capacity = 3
+        monkeypatch.setattr(wc._memory, "maxsize", 3)
         machine = MachineConfig()
         hot = _trace(0, n=500)
         cold = [_trace(seed, n=500) for seed in range(1, 4)]
@@ -136,13 +135,14 @@ class TestMemoryTierLRU:
         assert wc.lookup(("k",), a)[0] == ["va"]
         assert wc.lookup(("k",), b)[0] == ["vb"]
 
-    def test_capacity_bounds_walks_not_keys(self, _isolated_walk_cache):
+    def test_capacity_bounds_walks_not_keys(self, _isolated_walk_cache,
+                                            monkeypatch):
         """Walks that share a geometry key are separate entries, one per
         stream identity; the bound must count those entries, or one key
         grows without limit.  The streams stay alive, so every entry
         beyond the bound leaves by eviction."""
         wc = _isolated_walk_cache
-        wc.capacity = 8
+        monkeypatch.setattr(wc._memory, "maxsize", 8)
         machine = MachineConfig()
         base = np.arange(64) * 64
         held = []
@@ -152,9 +152,9 @@ class TestMemoryTierLRU:
             stream = AccessStream(addresses=addrs, elem_bytes=8, label="a")
             held.append(stream)
             _profiles(KernelTrace(name="t", streams=[stream]), machine)
-            assert len(wc) <= wc.capacity
-        assert len(wc) == wc.capacity
-        assert wc.evictions == 50 - wc.capacity
+            assert len(wc) <= 8
+        assert len(wc) == 8
+        assert wc.evictions == 50 - 8
 
 
 class TestDiskTier:
@@ -335,20 +335,6 @@ class TestRuntimeWiring:
             runtime.reset()
             configure_walk_store(saved)
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        saved = walk_cache().store
-        try:
-            monkeypatch.setenv("REPRO_WALK_CACHE", "off")
-            runtime.configure(cache_dir=tmp_path / "cache")
-            assert walk_cache().store is None
-            monkeypatch.setenv("REPRO_WALK_CACHE",
-                               str(tmp_path / "pinned"))
-            runtime.configure(cache_dir=None)
-            assert walk_cache().store.root == tmp_path / "pinned"
-        finally:
-            runtime.reset()
-            configure_walk_store(saved)
-
     def test_worker_entry_installs_store(self, tmp_path):
         from repro.runtime.executor import _install_walk_store
 
@@ -387,7 +373,8 @@ def test_walk_cache_telemetry_counters(_isolated_walk_cache, tmp_path):
 
 
 def test_walk_cache_capacity_type():
-    wc = WalkCache(capacity=2)
+    wc = WalkCache()
+    wc._memory.maxsize = 2
     held = [AccessStream(addresses=np.arange(4) * 64, elem_bytes=8)
             for _ in range(5)]
     for i, stream in enumerate(held):
@@ -533,7 +520,8 @@ class TestTracedWalk:
 
 class TestWeakEntries:
     """Both in-memory memos hold their streams weakly and by identity:
-    an entry dies with its streams, and a walked stream is read-only."""
+    an entry dies with its streams, and a walked stream is read-only.
+    The mechanics of the memo class itself are in ``test_memo.py``."""
 
     def test_walked_streams_refuse_writes(self, _isolated_walk_cache):
         machine = experiment_machine("small")
@@ -568,40 +556,6 @@ class TestWeakEntries:
             tracemalloc.stop()
         assert walked - start > 3 * 2**20  # the streams were traced
         assert end - start < 2**20
-
-    def test_collection_during_put_neither_deadlocks_nor_leaks(self):
-        """An array that dies while another thread's ``put`` holds the
-        lock only records its entry; the next call purges it."""
-        wc = WalkCache()
-        value = ([], [(0, 0)])
-        doomed = AccessStream(addresses=np.arange(64) * 64, elem_bytes=8)
-        live = AccessStream(addresses=np.arange(64) * 128, elem_bytes=8)
-        wc.put(("doomed",), [doomed], value)
-        assert len(wc) == 1
-
-        class CollectOnInsert(OrderedDict):
-            def __setitem__(self, key, item):
-                gc.collect()  # inside put, under the lock
-                super().__setitem__(key, item)
-
-        lru = wc._memory
-        lru._entries = CollectOnInsert(lru._entries)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            cycle = [doomed]
-            cycle.append(cycle)  # reachable only through a cycle now
-            del doomed, cycle
-            worker = threading.Thread(
-                target=wc.put, args=(("live",), [live], value), daemon=True)
-            worker.start()
-            worker.join(timeout=30)
-        finally:
-            if was_enabled:
-                gc.enable()
-        assert not worker.is_alive(), "put deadlocked on a collection"
-        assert len(wc) == 1
-        assert wc.lookup(("live",), [live]) is value
 
     def test_live_gauges(self, _isolated_walk_cache):
         machine = MachineConfig()
