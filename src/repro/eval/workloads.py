@@ -105,19 +105,35 @@ class Workload:
     category: str                 # memory / compute / merge
     input_kind: str               # matrix / tensor
     baseline: Callable[[object, MachineConfig], KernelTrace]
-    tmu_model: Callable[[object, MachineConfig], object]
+    #: ``None`` for a kernel without a TMU mapping
+    tmu_model: Callable[[object, MachineConfig], object] | None
     #: whether the kernel relies on merging (Single-Lane/IMP excluded)
     needs_merge: bool = False
     #: optional composite runner returning (baseline, tmu) directly
     #: (multi-phase applications like CP-ALS)
     composite: Callable[[object, MachineConfig], tuple] | None = None
+    #: optional derivation of the kernel operand from the loaded input,
+    #: run once per cell: both halves take the same operand, and it
+    #: (with everything the operand memo built from it) leaves with
+    #: the cell instead of living as long as the input
+    operand: Callable[[object], object] | None = None
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        """The system variants :func:`run_workload` can produce: a
+        composite gives its (baseline, TMU) pair only, and a kernel
+        without a TMU mapping has no TMU-side variant."""
+        if self.composite is not None:
+            return ("baseline", "tmu")
+        if self.tmu_model is None:
+            return ("baseline", "imp")
+        return ("baseline", "tmu", "single_lane", "imp")
 
 
 # Derived operands, built once per input: architecture sweeps
 # (Figure 14) rebuild the same operands dozens of times otherwise.
 _transposed = operand_memo(lambda a: a.transpose())
 _lower = operand_memo(lower_triangle)
-_split = operand_memo(lambda a: split_rows_cyclic(a, SPKADD_K))
 _csf_ikl = operand_memo(coo_to_csf)
 _csf_lki = operand_memo(lambda t: coo_to_csf(t, mode_order=(2, 1, 0)))
 # Folding an order-n tensor builds a fresh object; memoizing it keeps
@@ -125,6 +141,13 @@ _csf_lki = operand_memo(lambda t: coo_to_csf(t, mode_order=(2, 1, 0)))
 # derived operands and streams between them.  ``as_order3`` is looked
 # up per fold, so a profiler's wrapper of it sees every fold.
 _order3 = operand_memo(lambda t: as_order3(t))
+
+
+def _split(a):
+    """SpKAdd's K inputs.  Split per cell (``Workload.operand``), not
+    memoized: their streams are as large as the split itself, and a
+    split held per input would keep both."""
+    return split_rows_cyclic(a, SPKADD_K)
 
 
 WORKLOADS: dict[str, Workload] = {
@@ -140,9 +163,10 @@ WORKLOADS: dict[str, Workload] = {
     ),
     "spkadd": Workload(
         "spkadd", "SpKAdd", "merge", "matrix",
-        baseline=lambda a, m: characterize_spkadd(_split(a), m),
-        tmu_model=lambda a, m: spkadd_timing_model(_split(a), m),
+        baseline=lambda ms, m: characterize_spkadd(ms, m),
+        tmu_model=lambda ms, m: spkadd_timing_model(ms, m),
         needs_merge=True,
+        operand=lambda a: _split(a),
     ),
     "pr": Workload(
         "pr", "PR", "memory", "matrix",
@@ -187,7 +211,7 @@ WORKLOADS: dict[str, Workload] = {
     "spadd": Workload(
         "spadd", "SpAdd", "merge", "matrix",
         baseline=lambda a, m: characterize_spadd(a, _transposed(a), m),
-        tmu_model=lambda a, m: None,
+        tmu_model=None,
         needs_merge=True,
     ),
 }
@@ -198,13 +222,28 @@ def workload_ids(category: str | None = None) -> list[str]:
             if category is None or spec.category == category]
 
 
-def inputs_for(workload_id: str) -> list[str]:
+def _spec(workload_id: str) -> Workload:
     if workload_id not in WORKLOADS:
         raise WorkloadError(
             f"unknown workload {workload_id!r}; known: {sorted(WORKLOADS)}"
         )
-    spec = WORKLOADS[workload_id]
+    return WORKLOADS[workload_id]
+
+
+def inputs_for(workload_id: str) -> list[str]:
+    spec = _spec(workload_id)
     return matrix_ids() if spec.input_kind == "matrix" else tensor_ids()
+
+
+def check_variants(workload_id: str, variants) -> None:
+    """Raise :class:`WorkloadError` unless the workload can produce
+    every one of ``variants``."""
+    spec = _spec(workload_id)
+    missing = sorted(set(variants) - set(spec.variants))
+    if missing:
+        raise WorkloadError(
+            f"workload {workload_id!r} cannot produce variants {missing}; "
+            f"it produces {list(spec.variants)}")
 
 
 @dataclass
@@ -225,8 +264,10 @@ class WorkloadRun:
 
 def _load_input(spec: Workload, input_id: str, scale: str):
     if spec.input_kind == "matrix":
-        return load_matrix(input_id, scale)
-    return _order3(load_tensor(input_id, scale))
+        data = load_matrix(input_id, scale)
+    else:
+        data = _order3(load_tensor(input_id, scale))
+    return data if spec.operand is None else spec.operand(data)
 
 
 #: runs :func:`run_workload` keeps.  Figures share cells (Figs. 10,
@@ -245,12 +286,10 @@ def run_workload(workload_id: str, input_id: str,
     """Run one workload on one input under one machine, memoized.
 
     ``variants`` selects which systems to evaluate: ``baseline``,
-    ``tmu``, ``single_lane``, ``imp``.
+    ``tmu``, ``single_lane``, ``imp``.  A variant the workload cannot
+    produce (:attr:`Workload.variants`) raises :class:`WorkloadError`.
     """
-    if workload_id not in WORKLOADS:
-        raise WorkloadError(
-            f"unknown workload {workload_id!r}; known: {sorted(WORKLOADS)}"
-        )
+    check_variants(workload_id, variants)
     spec = WORKLOADS[workload_id]
     data = _load_input(spec, input_id, scale)
     if spec.composite is not None:
@@ -268,9 +307,9 @@ def run_workload(workload_id: str, input_id: str,
     )
     model = spec.tmu_model(data, machine) if "tmu" in variants or (
         "single_lane" in variants) else None
-    if "tmu" in variants and model is not None:
+    if "tmu" in variants:
         run.tmu = run_tmu(model, machine)
-    if "single_lane" in variants and model is not None:
+    if "single_lane" in variants:
         run.single_lane = run_single_lane(model, machine)
     if "imp" in variants:
         run.imp = run_imp(trace, machine)

@@ -46,6 +46,29 @@ def mttkrp(tensor: CooTensor, b, c, mode: int = 0) -> np.ndarray:
 
 
 @operand_memo
+def coo_streams(tensor: CooTensor) -> tuple[tuple[AccessStream, ...], int]:
+    """The walks over the tensor's COO arrays, which the baseline and
+    the TMU model both issue: its three coordinate arrays and its
+    values (``coords i``, ``coords k``, ``coords l``, ``A vals``).
+    Both place them first in one fresh address space; returns them
+    with the region that follows, where each caller continues
+    placing."""
+    nnz = tensor.nnz
+    space = AddressSpace()
+    coord_bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
+    val_base = space.place(nnz * VALUE_BYTES)
+    nnzidx = np.arange(nnz, dtype=np.int64)
+    streams = (
+        *(AccessStream(base + nnzidx * INDEX_BYTES, INDEX_BYTES, "read",
+                       f"coords {mode}")
+          for base, mode in zip(coord_bases, "ikl")),
+        AccessStream(val_base + nnzidx * VALUE_BYTES, VALUE_BYTES,
+                     "read", "A vals"),
+    )
+    return streams, space.next_region
+
+
+@operand_memo
 def mttkrp_streams(tensor: CooTensor, rank: int, lanes: int
                    ) -> tuple[AccessStream, ...]:
     """The baseline's address streams.  They depend on the tensor, the
@@ -54,14 +77,12 @@ def mttkrp_streams(tensor: CooTensor, rank: int, lanes: int
     nnz = tensor.nnz
     rank_chunks = ceil_div(rank, lanes)
 
-    space = AddressSpace()
-    coord_bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
-    val_base = space.place(nnz * VALUE_BYTES)
+    coords, next_region = coo_streams(tensor)
+    space = AddressSpace(next_region)
     b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
     c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
     out_base = space.place(tensor.shape[0] * rank * VALUE_BYTES)
 
-    nnzidx = np.arange(nnz, dtype=np.int64)
     vec_bytes = min(64, lanes * VALUE_BYTES)
     # One sampled address per rank-chunk per factor row.
     chunk_off = np.arange(rank_chunks, dtype=np.int64) * lanes
@@ -73,14 +94,7 @@ def mttkrp_streams(tensor: CooTensor, rank: int, lanes: int
     z_addresses = out_base + (z_rows + tiled) * VALUE_BYTES
 
     return (
-        AccessStream(coord_bases[0] + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "coords i"),
-        AccessStream(coord_bases[1] + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "coords k"),
-        AccessStream(coord_bases[2] + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "coords l"),
-        AccessStream(val_base + nnzidx * VALUE_BYTES, VALUE_BYTES,
-                     "read", "A vals"),
+        *coords,
         # Factor-row gathers: only the first chunk of each row is
         # address-dependent; later chunks stream sequentially, so the
         # stream is not marked dependent (the trace-level

@@ -20,7 +20,7 @@ from ..formats.dcsr import DcsrMatrix
 from ..formats.coo import CooMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, VALUE_BYTES, ptrs_from_ids, stable_order
-from .common import sorted_unique
+from .common import operand_memo, sorted_unique
 
 
 def split_rows_cyclic(a: CsrMatrix, k: int) -> list[DcsrMatrix]:
@@ -129,24 +129,14 @@ def merged_output_points(matrices: list[DcsrMatrix]) -> tuple[int, int]:
     return row_points, nnz_out
 
 
-def characterize_spkadd(matrices: list[DcsrMatrix],
-                        machine: MachineConfig) -> KernelTrace:
-    """Characterize the software K-way merge baseline.
-
-    Every input element passes through the merge network once: a
-    compare-tree descent (~log2 K compares), a head advance, and a
-    highly data-dependent branch per element — plus the per-row lane
-    activation checks on the DCSR row dimension.
-    """
-    k = len(matrices)
-    total_nnz = sum(m.nnz for m in matrices)
-    total_rows = sum(m.num_nonempty_rows for m in matrices)
-    rows = matrices[0].num_rows if matrices else 0
-    log_k = max(1, int(np.ceil(np.log2(max(2, k)))))
-
-    # Output nnz: distinct columns per output row across inputs.
-    _row_points, nnz_out = merged_output_points(matrices)
-
+@operand_memo
+def spkadd_streams(*matrices: DcsrMatrix
+                   ) -> tuple[tuple[AccessStream, ...], int, int]:
+    """The streams the baseline and the TMU model both issue: each
+    input's four array walks (``A{x} row_idxs``, ``ptrs``, ``idxs``,
+    ``vals``), then the result writes (``Z idxs``, ``Z vals``).
+    Returns them with the union's :func:`merged_output_points`."""
+    row_points, nnz_out = merged_output_points(matrices)
     space = AddressSpace()
     streams: list[AccessStream] = []
     for x, m in enumerate(matrices):
@@ -175,6 +165,26 @@ def characterize_spkadd(matrices: list[DcsrMatrix],
         AccessStream(out_val + onnz * VALUE_BYTES, VALUE_BYTES, "write",
                      "Z vals"),
     ])
+    return tuple(streams), row_points, nnz_out
+
+
+def characterize_spkadd(matrices: list[DcsrMatrix],
+                        machine: MachineConfig) -> KernelTrace:
+    """Characterize the software K-way merge baseline.
+
+    Every input element passes through the merge network once: a
+    compare-tree descent (~log2 K compares), a head advance, and a
+    highly data-dependent branch per element — plus the per-row lane
+    activation checks on the DCSR row dimension.
+    """
+    k = len(matrices)
+    total_nnz = sum(m.nnz for m in matrices)
+    total_rows = sum(m.num_nonempty_rows for m in matrices)
+    rows = matrices[0].num_rows if matrices else 0
+    log_k = max(1, int(np.ceil(np.log2(max(2, k)))))
+
+    streams, _row_points, nnz_out = spkadd_streams(*matrices)
+
     return KernelTrace(
         name="spkadd",
         scalar_ops=(2 * log_k + 2) * total_nnz + 6 * total_rows,
@@ -184,7 +194,7 @@ def characterize_spkadd(matrices: list[DcsrMatrix],
         branches=(log_k + 1) * total_nnz + total_rows + rows,
         datadep_branches=int(0.4 * log_k * total_nnz),
         flops=float(total_nnz - nnz_out),
-        streams=streams,
+        streams=list(streams),
         dependent_load_fraction=0.1,
         parallel_units=rows,
     )

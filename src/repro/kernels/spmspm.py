@@ -45,8 +45,7 @@ def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
 @operand_memo
 def scan_positions(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     """The B positions visited by the Gustavson B-row scans (the rows
-    of ``b`` that ``a``'s column indexes select), in traversal order.
-    Triangle counting reads only these."""
+    of ``b`` that ``a``'s column indexes select), in traversal order."""
     return gather_scan_positions(b.ptrs, a.idxs)
 
 

@@ -16,6 +16,7 @@ from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES
+from .common import operand_memo
 
 
 def _build_b_lookup(b: CsfTensor) -> dict[tuple[int, int], int]:
@@ -106,6 +107,19 @@ def sptc_numeric(a: CsfTensor, b: CsfTensor) -> dict[tuple[int, int], float]:
     return out
 
 
+@operand_memo
+def leaf_scan(a: CsfTensor) -> tuple[AccessStream, int]:
+    """The walk over A's leaf coordinates (``A kl idxs``), which the
+    baseline and the TMU model both issue first.  Both place A's
+    leaves first in one fresh address space; returns the stream with
+    the region that follows, where each caller continues placing."""
+    space = AddressSpace()
+    base = space.place(a.nnz * INDEX_BYTES)
+    return AccessStream(base + np.arange(a.nnz, dtype=np.int64)
+                        * INDEX_BYTES, INDEX_BYTES, "read", "A kl idxs"
+                        ), space.next_region
+
+
 def characterize_sptc(a: CsfTensor, b: CsfTensor,
                       machine: MachineConfig) -> KernelTrace:
     """Characterize the symbolic-phase baseline.
@@ -122,9 +136,9 @@ def characterize_sptc(a: CsfTensor, b: CsfTensor,
     j_scanned = int((b.ptrs[2][pos[hit] + 1] - b.ptrs[2][pos[hit]]).sum())
     directory_size = int(b.idxs[1].size)
 
-    space = AddressSpace()
+    leaves, next_region = leaf_scan(a)
+    space = AddressSpace(next_region)
     nnz_a = a.nnz
-    a_idx_base = space.place(nnz_a * INDEX_BYTES)
     b_dir_base = space.place(directory_size * 2 * INDEX_BYTES)
     b_j_base = space.place(b.nnz * INDEX_BYTES)
     out_base = space.place(max(1, matches) * INDEX_BYTES)
@@ -135,8 +149,7 @@ def characterize_sptc(a: CsfTensor, b: CsfTensor,
     j_scan_idx = np.arange(j_scanned, dtype=np.int64) % max(1, b.nnz)
 
     streams = [
-        AccessStream(a_idx_base + np.arange(nnz_a, dtype=np.int64)
-                     * INDEX_BYTES, INDEX_BYTES, "read", "A kl idxs"),
+        leaves,
         AccessStream(b_dir_base + dir_probe, INDEX_BYTES, "read",
                      "B fiber directory", dependent=True),
         AccessStream(b_j_base + j_scan_idx * INDEX_BYTES, INDEX_BYTES,

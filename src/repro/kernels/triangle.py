@@ -15,7 +15,7 @@ from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import INDEX_BYTES, ptrs_from_ids
-from .common import CsrOperand
+from .common import CsrOperand, gather_scan_positions, operand_memo
 
 
 def lower_triangle(a: CsrMatrix) -> CsrMatrix:
@@ -63,6 +63,23 @@ def triangle_count(l: CsrMatrix) -> int:
     return int(np.count_nonzero(edge_keys[pos] == wedge_keys))
 
 
+@operand_memo
+def triangle_streams(l: CsrMatrix) -> tuple[AccessStream, ...]:
+    """The streams the baseline and the TMU model both issue: L's
+    pointer and index walks (``L ptrs``, ``L_i idxs``) and the re-scans
+    of row j's list per edge (i, j) (``L_j idxs``), a dependent lookup.
+    The scan positions are built here and dropped: the held stream is
+    all TC keeps of them."""
+    op = CsrOperand(AddressSpace(), l)
+    positions = gather_scan_positions(l.ptrs, l.idxs)
+    return (
+        AccessStream(op.ptr_addresses(), INDEX_BYTES, "read", "L ptrs"),
+        AccessStream(op.idx_addresses(), INDEX_BYTES, "read", "L_i idxs"),
+        AccessStream(op.idx_addresses(positions), INDEX_BYTES,
+                     "read", "L_j idxs", dependent=True),
+    )
+
+
 def characterize_triangle(l: CsrMatrix,
                           machine: MachineConfig) -> KernelTrace:
     """Characterize the masked-SpMSpM TC baseline.
@@ -77,20 +94,6 @@ def characterize_triangle(l: CsrMatrix,
     row_of = np.repeat(np.arange(rows), row_nnz)
     merge_steps = int(row_nnz[row_of].sum() + row_nnz[l.idxs].sum())
 
-    space = AddressSpace()
-    op = CsrOperand(space, l)
-    # Row i's list is re-scanned per edge; row j's list is a dependent
-    # lookup.  Sample re-scan positions per edge.
-    from .spmspm import scan_positions
-
-    positions = scan_positions(l, l)
-
-    streams = [
-        AccessStream(op.ptr_addresses(), INDEX_BYTES, "read", "L ptrs"),
-        AccessStream(op.idx_addresses(), INDEX_BYTES, "read", "L_i idxs"),
-        AccessStream(op.idx_addresses(positions), INDEX_BYTES,
-                     "read", "L_j idxs", dependent=True),
-    ]
     return KernelTrace(
         name="triangle",
         scalar_ops=3 * merge_steps + 4 * rows,
@@ -100,7 +103,7 @@ def characterize_triangle(l: CsrMatrix,
         branches=int(1.2 * merge_steps) + rows,
         datadep_branches=int(0.6 * merge_steps),
         flops=0.0,                      # integer kernel (Figure 12 note)
-        streams=streams,
+        streams=list(triangle_streams(l)),
         dependent_load_fraction=0.4,
         parallel_units=rows,
     )

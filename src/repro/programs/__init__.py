@@ -10,7 +10,11 @@ Each module provides up to two entry points per kernel variant:
   :class:`repro.sim.machine.TmuWorkloadModel` describing the same
   workload's TMU/core split for the interval timing model.  Tests
   cross-check the analytic counts against the functional engine on
-  small inputs.
+  small inputs.  The TMU walks the operand arrays the baseline reads,
+  so a model takes every address stream the baseline also issues
+  (traversal walks, and result writes where the core writes the
+  baseline's result) from the baseline's operand-memoized builder in
+  :mod:`repro.kernels`: each stream content is one array.
 
 The registry at the bottom maps Table 4 row names to builders.
 """

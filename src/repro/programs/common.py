@@ -1,4 +1,10 @@
-"""Shared helpers for TMU program builders and timing models."""
+"""Shared helpers for TMU program builders and timing models.
+
+Timing models build no address stream that the baseline also issues:
+they take those from the baseline's builders under
+:mod:`repro.kernels`.  :func:`write_stream` places a result stream
+that only the TMU-side core writes.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +14,8 @@ from typing import Callable
 import numpy as np
 
 from ..config import MachineConfig
-from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace
-from ..types import INDEX_BYTES, VALUE_BYTES
+from ..types import VALUE_BYTES
 from ..tmu.outq import MASK_BYTES, RECORD_HEADER_BYTES, SCALAR_BYTES
 
 
@@ -38,31 +43,6 @@ def record_bytes(num_vec_operands: int, lanes: int,
     if with_mask:
         total += MASK_BYTES
     return total
-
-
-def csr_tmu_streams(a: CsrMatrix, space: AddressSpace, prefix: str = "A",
-                    *, with_ptrs: bool = True) -> tuple[list[AccessStream],
-                                                        dict[str, int]]:
-    """The traversal streams the TMU issues to walk a CSR matrix row by
-    row, plus the base addresses for further gathers."""
-    bases = {
-        "ptrs": space.place((a.num_rows + 1) * INDEX_BYTES),
-        "idxs": space.place(max(1, a.nnz) * INDEX_BYTES),
-        "vals": space.place(max(1, a.nnz) * VALUE_BYTES),
-    }
-    streams = []
-    if with_ptrs:
-        streams.append(AccessStream(
-            bases["ptrs"] + np.arange(a.num_rows + 1, dtype=np.int64)
-            * INDEX_BYTES, INDEX_BYTES, "read", f"{prefix} ptrs"))
-    nnzidx = np.arange(a.nnz, dtype=np.int64)
-    streams.append(AccessStream(
-        bases["idxs"] + nnzidx * INDEX_BYTES, INDEX_BYTES, "read",
-        f"{prefix} idxs"))
-    streams.append(AccessStream(
-        bases["vals"] + nnzidx * VALUE_BYTES, VALUE_BYTES, "read",
-        f"{prefix} vals"))
-    return streams, bases
 
 
 def write_stream(space: AddressSpace, num_elems: int, label: str,

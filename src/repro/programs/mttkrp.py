@@ -16,6 +16,7 @@ from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.coo import CooTensor
 from ..kernels.common import operand_memo
+from ..kernels.mttkrp import coo_streams
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
@@ -100,31 +101,21 @@ def mttkrp_tmu_streams(tensor: CooTensor, rank: int
     """The operand-only half of :func:`mttkrp_timing_model`: the TMU's
     traversal streams, which depend on neither the parallel scheme nor
     the machine, and the address-space region that follows them (where
-    each call places the core's result stream)."""
+    each call places the core's result stream).  The COO walks are the
+    baseline's own (:func:`~repro.kernels.mttkrp.coo_streams`)."""
     nnz = tensor.nnz
-    space = AddressSpace()
-    bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
-    val_base = space.place(nnz * VALUE_BYTES)
+    coords, next_region = coo_streams(tensor)
+    space = AddressSpace(next_region)
     b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
     c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
-    seq = np.arange(nnz, dtype=np.int64)
 
     # Factor-row element traffic: rank elements per factor per nnz.
-    rank_off = np.arange(rank, dtype=np.int64)
-    b_elems = (np.repeat(tensor.coords[1] * rank, rank)
-               + np.tile(rank_off, nnz)) if nnz else seq
-    c_elems = (np.repeat(tensor.coords[2] * rank, rank)
-               + np.tile(rank_off, nnz)) if nnz else seq
+    rank_off = np.tile(np.arange(rank, dtype=np.int64), nnz)
+    b_elems = np.repeat(tensor.coords[1] * rank, rank) + rank_off
+    c_elems = np.repeat(tensor.coords[2] * rank, rank) + rank_off
 
     streams = (
-        AccessStream(bases[0] + seq * INDEX_BYTES, INDEX_BYTES, "read",
-                     "coords i"),
-        AccessStream(bases[1] + seq * INDEX_BYTES, INDEX_BYTES, "read",
-                     "coords k"),
-        AccessStream(bases[2] + seq * INDEX_BYTES, INDEX_BYTES, "read",
-                     "coords l"),
-        AccessStream(val_base + seq * VALUE_BYTES, VALUE_BYTES, "read",
-                     "A vals"),
+        *coords,
         AccessStream(b_base + b_elems * VALUE_BYTES, VALUE_BYTES, "read",
                      "B[k,:]", dependent=True),
         AccessStream(c_base + c_elems * VALUE_BYTES, VALUE_BYTES, "read",

@@ -10,13 +10,9 @@ provides the timing model that adds the un-accelerated update.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace
-from ..types import VALUE_BYTES
 from .common import sve_lanes_of
 from .spmv import spmv_timing_model
 
@@ -30,23 +26,14 @@ def pagerank_timing_model(adj: CsrMatrix, machine: MachineConfig, *,
     lanes = sve_lanes_of(machine)
     chunks = -(-n // lanes)
 
-    space = AddressSpace()
-    ranks_base = space.place(n * VALUE_BYTES)
-    deg_base = space.place(n * VALUE_BYTES)
-    seq = np.arange(n, dtype=np.int64) * VALUE_BYTES
-
     trace = model.core_trace
     # contribution divide, damping fma, delta abs/reduce, convergence
-    # bookkeeping — GAP PR touches the rank arrays twice per iteration
+    # bookkeeping — GAP PR touches the rank arrays twice per iteration.
+    # The rank and degree reads are charged through the instruction mix
+    # only: the callback core walks no read stream.
     trace.vector_ops += 8 * chunks
     trace.loads += 4 * chunks
     trace.stores += 2 * chunks
     trace.branches += chunks
     trace.flops += 4.0 * n
-    trace.streams = trace.streams + [
-        AccessStream(ranks_base + seq, VALUE_BYTES, "read", "ranks"),
-        AccessStream(deg_base + seq, VALUE_BYTES, "read", "out_deg"),
-    ]
-    model.core_trace = trace
-    model.name = name
     return model

@@ -15,12 +15,12 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.dcsr import DcsrMatrix
-from ..kernels.spkadd import merged_output_points
+from ..kernels.spkadd import spkadd_streams
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram, record_bytes, write_stream
+from .common import BuiltProgram, record_bytes
 
 
 def build_spkadd_program(matrices: list[DcsrMatrix],
@@ -131,29 +131,7 @@ def spkadd_timing_model(matrices: list[DcsrMatrix],
     total_nnz = sum(m.nnz for m in matrices)
     total_rows = sum(m.num_nonempty_rows for m in matrices)
     rows = matrices[0].num_rows if matrices else 0
-
-    # Merged output points (union sizes), one vectorized pass.
-    row_points, nnz_out = merged_output_points(matrices)
-
-    space = AddressSpace()
-    streams: list[AccessStream] = []
-    for x, m in enumerate(matrices):
-        rbase = space.place(max(1, m.num_nonempty_rows) * INDEX_BYTES)
-        pbase = space.place((m.num_nonempty_rows + 1) * INDEX_BYTES)
-        ibase = space.place(max(1, m.nnz) * INDEX_BYTES)
-        vbase = space.place(max(1, m.nnz) * VALUE_BYTES)
-        nr = np.arange(m.num_nonempty_rows, dtype=np.int64)
-        nz = np.arange(m.nnz, dtype=np.int64)
-        streams.extend([
-            AccessStream(rbase + nr * INDEX_BYTES, INDEX_BYTES, "read",
-                         f"A{x} row_idxs"),
-            AccessStream(pbase + nr * INDEX_BYTES, INDEX_BYTES, "read",
-                         f"A{x} ptrs"),
-            AccessStream(ibase + nz * INDEX_BYTES, INDEX_BYTES, "read",
-                         f"A{x} idxs"),
-            AccessStream(vbase + nz * VALUE_BYTES, VALUE_BYTES, "read",
-                         f"A{x} vals"),
-        ])
+    streams, row_points, nnz_out = spkadd_streams(*matrices)
 
     ri_bytes = record_bytes(1, k, with_mask=True)
     outq_bytes = nnz_out * ri_bytes + row_points * record_bytes(
@@ -168,16 +146,13 @@ def spkadd_timing_model(matrices: list[DcsrMatrix],
         branches=nnz_out + row_points,
         datadep_branches=0,
         flops=float(total_nnz - nnz_out),
-        streams=[
-            write_stream(space, nnz_out, "Z idxs", INDEX_BYTES),
-            write_stream(space, nnz_out, "Z vals", VALUE_BYTES),
-        ],
+        streams=list(streams[-2:]),
         dependent_load_fraction=0.0,
         parallel_units=rows,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=streams,
+        tmu_streams=list(streams[:-2]),
         layer_elements=[total_rows, total_nnz],
         layer_lanes=[k, k],
         merge_steps=nnz_out + row_points,

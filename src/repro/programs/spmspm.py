@@ -16,17 +16,12 @@ import numpy as np
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
 from ..kernels.common import operand_memo
-from ..kernels.spmspm import _symbolic_counts_fast, shared_streams
+from ..kernels.spmspm import shared_streams, spmspm_streams
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AccessStream, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import (
-    BuiltProgram,
-    record_bytes,
-    sve_lanes_of,
-    write_stream,
-)
+from .common import BuiltProgram, record_bytes, sve_lanes_of
 
 
 def build_spmspm_program(a: CsrMatrix, b: CsrMatrix, *, lanes: int = 2,
@@ -126,38 +121,29 @@ def build_spmspm_program(a: CsrMatrix, b: CsrMatrix, *, lanes: int = 2,
 
 @operand_memo
 def spmspm_tmu_streams(a: CsrMatrix, b: CsrMatrix
-                       ) -> tuple[tuple[AccessStream, ...], int, int]:
-    """The operand-only half of :func:`spmspm_timing_model`: the TMU's
-    traversal streams, the address-space region that follows them, and
-    the output non-zero count.  All streams but ``B ptrs lookup`` are
-    the baseline's own (:func:`~repro.kernels.spmspm.shared_streams`).
-    The core's result streams are placed from that region per call:
-    they are never walked, so sharing them would only pin memory."""
-    shared, b_ptr_base, next_region = shared_streams(a, b)
-    streams = (
+                       ) -> tuple[AccessStream, ...]:
+    """The TMU's traversal streams.  All but ``B ptrs lookup`` are the
+    baseline's own (:func:`~repro.kernels.spmspm.shared_streams`)."""
+    shared, b_ptr_base, _ = shared_streams(a, b)
+    return (
         *shared[:3],
         AccessStream(b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES,
                      "read", "B ptrs lookup", dependent=True),
         *shared[3:],
     )
 
-    # Output size for the core-side assembly cost.
-    nnz_out = int(_symbolic_counts_fast(a, b).sum())
-    return streams, next_region, nnz_out
-
 
 def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
                         machine: MachineConfig, *,
                         name: str = "spmspm") -> TmuWorkloadModel:
-    """Analytic TMU workload model for SpMSpM P2 (``Z = A B``)."""
-    streams, next_region, nnz_out = spmspm_tmu_streams(a, b)
+    """Analytic TMU workload model for SpMSpM P2 (``Z = A B``).  The
+    core writes the baseline's result arrays (``Z idxs``, ``Z vals``
+    of :func:`~repro.kernels.spmspm.spmspm_streams`)."""
+    base, scanned, nnz_out = spmspm_streams(a, b)
     lanes = sve_lanes_of(machine)
     rows, nnz_a = a.num_rows, a.nnz
-    b_row_nnz = np.diff(b.ptrs)
-    scanned = b_row_nnz[a.idxs] if nnz_a else np.zeros(0, dtype=np.int64)
     total_scanned = int(scanned.sum())
-    steps = int(np.sum(-(-scanned // lanes))) if nnz_a else 0
-    space = AddressSpace(next_region)
+    steps = int(np.sum(-(-scanned // lanes)))
 
     ji_bytes = record_bytes(2, lanes, with_mask=True)
     ki_bytes = record_bytes(1, 1)
@@ -173,16 +159,13 @@ def spmspm_timing_model(a: CsrMatrix, b: CsrMatrix,
         branches=steps + nnz_a + rows + nnz_out,
         datadep_branches=nnz_out // 8,   # touched-list dedup
         flops=2.0 * total_scanned,
-        streams=[
-            write_stream(space, nnz_out, "Z idxs", INDEX_BYTES),
-            write_stream(space, nnz_out, "Z vals", VALUE_BYTES),
-        ],
+        streams=list(base[-2:]),
         dependent_load_fraction=0.3,     # accumulator gathers
         parallel_units=rows,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=list(streams),
+        tmu_streams=list(spmspm_tmu_streams(a, b)),
         layer_elements=[rows, nnz_a, total_scanned],
         layer_lanes=[1, 1, lanes],
         merge_steps=0,

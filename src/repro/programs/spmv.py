@@ -13,18 +13,12 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
-from ..kernels.common import operand_memo
+from ..kernels.spmv import spmv_streams
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import (
-    BuiltProgram,
-    csr_tmu_streams,
-    record_bytes,
-    sve_lanes_of,
-    write_stream,
-)
+from .common import BuiltProgram, record_bytes, sve_lanes_of
 
 
 def build_spmv_program(a: CsrMatrix, b, *, lanes: int = 2,
@@ -85,24 +79,13 @@ def build_spmv_program(a: CsrMatrix, b, *, lanes: int = 2,
     )
 
 
-@operand_memo
-def spmv_tmu_streams(a: CsrMatrix) -> tuple[tuple[AccessStream, ...], int]:
-    """The operand-only half of :func:`spmv_timing_model`: the TMU's
-    traversal streams and the address-space region that follows them,
-    where each call places the core's result stream."""
-    space = AddressSpace()
-    streams, _ = csr_tmu_streams(a, space)
-    b_base = space.place(a.num_cols * VALUE_BYTES)
-    streams.append(AccessStream(
-        b_base + a.idxs * VALUE_BYTES, VALUE_BYTES, "read", "b[idx]",
-        dependent=True))
-    return tuple(streams), space.next_region
-
-
 def spmv_timing_model(a: CsrMatrix, machine: MachineConfig,
                       *, name: str = "spmv") -> TmuWorkloadModel:
-    """Analytic TMU workload model for SpMV P1."""
-    streams, next_region = spmv_tmu_streams(a)
+    """Analytic TMU workload model for SpMV P1.  The TMU walks the
+    baseline's arrays (:func:`~repro.kernels.spmv.spmv_streams`): A's
+    three arrays and the ``b[idx]`` gather, while the core writes the
+    baseline's result vector."""
+    *traversal, result = spmv_streams(a)
     lanes = sve_lanes_of(machine)
     rows, nnz = a.num_rows, a.nnz
     row_nnz = a.row_nnz()
@@ -121,13 +104,13 @@ def spmv_timing_model(a: CsrMatrix, machine: MachineConfig,
         branches=steps + rows,            # outQ dispatch, predictable
         datadep_branches=0,
         flops=2.0 * nnz,
-        streams=[write_stream(AddressSpace(next_region), rows, "x[i]")],
+        streams=[result],
         dependent_load_fraction=0.0,
         parallel_units=rows,
     )
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=list(streams),
+        tmu_streams=traversal,
         layer_elements=[rows, nnz],
         layer_lanes=[1, lanes],
         merge_steps=0,

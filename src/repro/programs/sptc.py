@@ -19,7 +19,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
-from ..kernels.sptc import match_b_fibers
+from ..kernels.sptc import leaf_scan, match_b_fibers
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program, ScalarOperand
@@ -165,21 +165,19 @@ def sptc_timing_model(a: CsfTensor, b: CsfTensor,
     matches = int(hit.sum())
     j_scanned = int((b.ptrs[2][pos[hit] + 1] - b.ptrs[2][pos[hit]]).sum())
 
-    space = AddressSpace()
-    a_key_base = space.place(max(1, a.nnz) * INDEX_BYTES)
+    leaves, next_region = leaf_scan(a)
+    space = AddressSpace(next_region)
     l_index_base = space.place(max(1, b.shape[0]) * INDEX_BYTES)
     k_scan_base = space.place(max(1, b.idxs[1].size) * INDEX_BYTES)
     b_j_base = space.place(max(1, b.nnz) * INDEX_BYTES)
 
-    a_leaf_scan = np.arange(a.nnz, dtype=np.int64)
     l_probes = a.idxs[2]                    # dense-index probes at l
     k_scan = np.arange(merge_elements, dtype=np.int64) % max(
         1, b.idxs[1].size)
     j_positions = np.arange(j_scanned, dtype=np.int64) % max(1, b.nnz)
 
     streams = [
-        AccessStream(a_key_base + a_leaf_scan * INDEX_BYTES,
-                     INDEX_BYTES, "read", "A kl leaves"),
+        leaves,
         AccessStream(l_index_base + l_probes * INDEX_BYTES, INDEX_BYTES,
                      "read", "B l-index", dependent=True),
         AccessStream(k_scan_base + k_scan * INDEX_BYTES, INDEX_BYTES,

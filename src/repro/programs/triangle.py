@@ -13,8 +13,9 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
+from ..kernels.triangle import triangle_count, triangle_streams
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES
 from .common import BuiltProgram, record_bytes
@@ -76,25 +77,7 @@ def triangle_timing_model(l_mat: CsrMatrix, machine: MachineConfig, *,
     scan_j = row_nnz[l_mat.idxs] if l_mat.nnz else np.zeros(0, np.int64)
     rescan_i = np.repeat(row_nnz, row_nnz) if l_mat.nnz else scan_j
     merge_elements = int(scan_j.sum() + rescan_i.sum())
-    from ..kernels.triangle import triangle_count
-
     hits = triangle_count(l_mat)
-
-    space = AddressSpace()
-    ptr_base = space.place((rows + 1) * INDEX_BYTES)
-    idx_base = space.place(max(1, l_mat.nnz) * INDEX_BYTES)
-    streams = [
-        AccessStream(ptr_base + np.arange(rows + 1, dtype=np.int64)
-                     * INDEX_BYTES, INDEX_BYTES, "read", "L ptrs"),
-        AccessStream(idx_base + np.arange(l_mat.nnz, dtype=np.int64)
-                     * INDEX_BYTES, INDEX_BYTES, "read", "L_i idxs"),
-    ]
-    from ..kernels.spmspm import scan_positions
-
-    positions = scan_positions(l_mat, l_mat)
-    streams.append(AccessStream(
-        idx_base + positions * INDEX_BYTES, INDEX_BYTES, "read",
-        "L_j idxs", dependent=True))
 
     outq_bytes = hits * record_bytes(0, 0, with_mask=True) + (
         l_mat.nnz * 4)
@@ -117,7 +100,7 @@ def triangle_timing_model(l_mat: CsrMatrix, machine: MachineConfig, *,
     # not overlap.
     return TmuWorkloadModel(
         name=name,
-        tmu_streams=streams,
+        tmu_streams=list(triangle_streams(l_mat)),
         layer_elements=[rows, l_mat.nnz, merge_elements],
         layer_lanes=[1, 1, 2],
         merge_steps=int(merge_elements / 1.6),

@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..errors import ServeError
+from ..errors import ServeError, WorkloadError
 from ..runtime.task import (
     KNOWN_VARIANTS,
     SimTask,
@@ -123,7 +123,7 @@ class SweepSpec:
 
     def expand(self) -> list[SimTask]:
         """The sweep's cells, expanded and validated server-side."""
-        from ..eval.workloads import WORKLOADS, inputs_for
+        from ..eval.workloads import WORKLOADS, check_variants, inputs_for
 
         unknown = set(self.workloads) - set(WORKLOADS)
         if unknown:
@@ -139,6 +139,10 @@ class SweepSpec:
                     from exc
         tasks: list[SimTask] = []
         for workload in self.workloads:
+            try:
+                check_variants(workload, self.variants)
+            except WorkloadError as exc:
+                raise ServeError(str(exc)) from exc
             suite = inputs_for(workload)
             input_ids = suite if self.inputs is None else self.inputs
             bad = set(input_ids) - set(suite)

@@ -42,6 +42,17 @@ class TestRegistry:
         assert run.imp is not None
         assert run.tmu is None
 
+    @pytest.mark.parametrize("workload,input_id,variants", [
+        ("cpals", "T1", ("baseline", "imp")),
+        ("cpals", "T1", ("baseline", "single_lane")),
+        ("spadd", "M1", ("baseline", "tmu")),
+    ])
+    def test_unproducible_variant_raises(self, small_machine, workload,
+                                         input_id, variants):
+        with pytest.raises(WorkloadError, match="cannot produce"):
+            run_workload(workload, input_id, small_machine, "small",
+                         variants=variants)
+
 
 class TestAsOrder3:
     def test_passthrough_for_3d(self, small_tensor):

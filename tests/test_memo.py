@@ -90,7 +90,7 @@ def test_bound_counts_live_entries():
 
 def test_dead_value_releases_a_dependent_entry_in_one_purge():
     """A value that holds another entry's only object (``_lower(a)``
-    holds the L that keys ``scan_positions(L, L)``): when its own
+    holds the L that keys TC's ``triangle_streams(L)``): when its own
     object dies, one call purges both entries."""
     lru = IdentityLRU(8)
     outer = Box()

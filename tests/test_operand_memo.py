@@ -19,6 +19,7 @@ from repro.eval.workloads import (
     RUN_MEMO_ENTRIES,
     WORKLOADS,
     _load_input,
+    inputs_for,
     run_workload,
 )
 from repro.formats.csr import CsrMatrix
@@ -176,11 +177,6 @@ class TestSharedAcrossMachines:
         assert all(
             s is t for s, t in zip(one.tmu_streams, two.tmu_streams, strict=True)
         )
-        # the core's result streams are placed per call, after the
-        # shared regions
-        top = max(int(s.addresses.max()) for s in one.tmu_streams if s.count)
-        for model in (one, two):
-            assert all(s.addresses[0] > top for s in model.core_trace.streams)
 
     def test_second_baseline_walk_is_a_memory_hit(self):
         first, second = _machines()
@@ -198,6 +194,26 @@ def _same_objects(first, second) -> bool:
 class TestOneArrayPerContent:
     """Streams of equal content that several kernels or schemes issue
     are one read-only array, so the walk cache reuses them by identity."""
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_one_array_per_content_in_a_cell(self, workload):
+        """Within one cell, the baseline trace, the TMU's traversal
+        streams and the core's result streams issue each address
+        content as one array object."""
+        spec = WORKLOADS[workload]
+        machine = experiment_machine("small")
+        data = _load_input(spec, inputs_for(workload)[0], "small")
+        streams = list(spec.baseline(data, machine).streams)
+        if spec.tmu_model is not None:
+            model = spec.tmu_model(data, machine)
+            streams += model.tmu_streams + model.core_trace.streams
+        groups: dict[tuple, dict[int, str]] = {}
+        for s in streams:
+            if s.count:  # an empty array has no content to share
+                key = (s.addresses.dtype.str, s.addresses.tobytes())
+                groups.setdefault(key, {})[id(s.addresses)] = s.label
+        shared = [sorted(g.values()) for g in groups.values() if len(g) > 1]
+        assert not shared, shared
 
     def test_mttkrp_schemes_and_cpals_share_streams(self):
         machine = experiment_machine("small")

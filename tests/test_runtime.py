@@ -229,6 +229,16 @@ class TestRuntimeSerial:
         with pytest.raises(ExecutorError):
             rt.run_cells([SimTask("nope", "M1")])
 
+    def test_unproducible_variant_is_a_failed_cell(self, cache):
+        """A cell naming a variant its workload cannot produce fails
+        instead of caching a record without that variant."""
+        rt = Runtime(jobs=1, cache=cache, retries=0)
+        task = SimTask("cpals", "T1", variants=("baseline", "imp"))
+        [outcome] = rt.run([task]).outcomes
+        assert not outcome.ok
+        assert "cannot produce" in outcome.error
+        assert cache.get(task) is None
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ExecutorError):
             Runtime(jobs=0)

@@ -72,6 +72,12 @@ class TestSweepSpec:
             SweepSpec(workloads=("nope",)).expand()
         with pytest.raises(ServeError):
             SweepSpec(workloads=("spmv",), inputs=("T1",)).expand()
+        # variants the workload's registry entry cannot produce
+        with pytest.raises(ServeError, match="cannot produce"):
+            SweepSpec(workloads=("cpals",),
+                      variants=("baseline", "imp")).expand()
+        with pytest.raises(ServeError, match="cannot produce"):
+            SweepSpec(workloads=("spmv", "spadd")).expand()
         with pytest.raises(ServeError):
             SweepSpec.from_dict({"workloads": ["spmv"], "zap": 1})
 
