@@ -81,33 +81,3 @@ def test_design_ablations(benchmark, results_dir):
     assert all(outstanding[a] >= outstanding[b] - 1e-9
                for a, b in zip(outs, outs[1:]))
     assert outstanding[128] == outstanding[256]  # saturated
-
-
-def _core_scaling_study():
-    """Core-count scaling of the TMU-accelerated SpMV (the knee sits on
-    the shared bandwidth wall the Figure 12 rooflines show)."""
-    from repro.sim.parallel import core_scaling
-
-    machine = experiment_machine("small")
-    matrix = load_matrix("M2", "small")
-    model = spmv_timing_model(matrix, machine)
-    tmu = run_tmu(model, machine)
-    per_core_bytes = tmu.breakdown.mem_bytes
-    curve = core_scaling(machine, per_core_cycles=tmu.cycles,
-                         per_core_mem_bytes=per_core_bytes,
-                         core_counts=(1, 2, 4, 8, 16, 32))
-    return curve
-
-
-def test_core_scaling(benchmark, results_dir):
-    curve = benchmark.pedantic(_core_scaling_study, rounds=1,
-                               iterations=1)
-    rows = [[c, f"{s:.2f}x"] for c, s in sorted(curve.items())]
-    save_artifact(results_dir, "ablation_core_scaling.txt", text_table(
-        ["cores", "speedup over 1 core"], rows,
-        "TMU SpMV core-count scaling (shared-bandwidth wall)"))
-    # monotone non-decreasing, saturating at the bandwidth wall
-    cores = sorted(curve)
-    assert all(curve[a] <= curve[b] + 1e-9
-               for a, b in zip(cores, cores[1:]))
-    assert curve[32] == curve[16] or curve[32] / curve[16] < 1.3

@@ -1,10 +1,11 @@
 """Software reference kernels (the paper's TACO/SVE baselines).
 
 Each module implements one kernel of Section 6 with the same loop and
-merge structure as the paper's software baseline, plus a
-``characterize_*`` function that derives the baseline's committed
-instruction mix and ordered memory-address streams for the timing model
-(:mod:`repro.sim`).
+merge structure as the paper's software baseline.  Each kernel a figure
+evaluates also has a ``characterize_*`` function that derives the
+baseline's committed instruction mix and ordered memory-address streams
+for the timing model (:mod:`repro.sim`); the rest (SpMM, SpMSpV, SpTTV,
+SpTTM) are functional only.
 
 Kernels
 -------
@@ -12,7 +13,6 @@ Kernels
 * :mod:`repro.kernels.spmm` — SpMM, CSR x dense matrix.
 * :mod:`repro.kernels.spmspv` — SpMSpV, CSR x sparse vector.
 * :mod:`repro.kernels.spmspm` — Gustavson SpMSpM (Z = A·Aᵀ in the eval).
-* :mod:`repro.kernels.schedules` — the ijk/kij alternatives (§2.1).
 * :mod:`repro.kernels.spadd` — two-matrix disjunctive addition.
 * :mod:`repro.kernels.spkadd` — K-matrix disjunctive addition (DCSR).
 * :mod:`repro.kernels.mttkrp` — COO matricized tensor times Khatri-Rao.
@@ -28,11 +28,6 @@ from .spmv import spmv
 from .spmm import spmm
 from .spmspv import spmspv
 from .spmspm import spmspm
-from .schedules import (
-    schedule_merge_work,
-    spmspm_inner_product,
-    spmspm_outer_product,
-)
 from .spadd import spadd
 from .spkadd import spkadd, split_rows_cyclic
 from .mttkrp import mttkrp
@@ -48,9 +43,6 @@ __all__ = [
     "spmm",
     "spmspv",
     "spmspm",
-    "spmspm_inner_product",
-    "spmspm_outer_product",
-    "schedule_merge_work",
     "spadd",
     "spkadd",
     "split_rows_cyclic",

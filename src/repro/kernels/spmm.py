@@ -2,19 +2,18 @@
 
 SpMM is SpMV with an extra inner dense loop: instead of looking up one
 scalar ``b[k]``, the kernel scans the whole row ``B[k, :]`` (the paper
-maps this to an ``IdxFbrT`` primitive on the TMU).
+maps this to an ``IdxFbrT`` primitive on the TMU, see
+:mod:`repro.programs.spmm`).  No figure evaluates SpMM, so unlike the
+other kernels this one has no ``characterize_*`` baseline: it is the
+functional reference only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import CsrOperand, DenseOperand, ceil_div, sve_lanes
 
 
 def spmm(a: CsrMatrix, b) -> np.ndarray:
@@ -28,59 +27,3 @@ def spmm(a: CsrMatrix, b) -> np.ndarray:
     row_of = np.repeat(np.arange(a.num_rows), np.diff(a.ptrs))
     np.add.at(out, row_of, a.vals[:, None] * b[a.idxs])
     return out
-
-
-def characterize_spmm(a: CsrMatrix, num_cols_b: int,
-                      machine: MachineConfig) -> KernelTrace:
-    """Characterize the SVE SpMM baseline (schedule ikj, vectorized j).
-
-    Per A-non-zero the kernel streams ``ceil(J / VL)`` chunks of row
-    ``B[k, :]`` and of the output row, each chunk one load + one FMA +
-    one store-accumulate.
-    """
-    lanes = sve_lanes(machine.core.vector_bits)
-    rows, nnz = a.num_rows, a.nnz
-    j_chunks = ceil_div(num_cols_b, lanes)
-
-    space = AddressSpace()
-    mat = CsrOperand(space, a)
-    b_op = DenseOperand(space, a.num_cols * num_cols_b)
-    out = DenseOperand(space, rows * num_cols_b)
-
-    # B row scans: for each nonzero (in traversal order) touch
-    # B[k*J .. k*J+J).  Sample one address per vector chunk.
-    chunk_offsets = np.arange(j_chunks, dtype=np.int64) * lanes
-    b_rows = np.repeat(a.idxs * num_cols_b, j_chunks)
-    b_scan = b_rows + np.tile(chunk_offsets, nnz)
-    row_of = np.repeat(np.arange(rows), np.diff(a.ptrs))
-    z_rows = np.repeat(row_of * num_cols_b, j_chunks)
-    z_scan = z_rows + np.tile(chunk_offsets, nnz)
-
-    # Each sampled address stands for one full vector access of `lanes`
-    # elements, so the element size is a whole vector register.
-    vec_bytes = lanes * VALUE_BYTES
-    streams = [
-        AccessStream(mat.ptr_addresses(), INDEX_BYTES, "read", "row_ptrs"),
-        AccessStream(mat.idx_addresses(), INDEX_BYTES, "read", "col_idxs"),
-        AccessStream(mat.val_addresses(), VALUE_BYTES, "read", "nnz_vals"),
-        AccessStream(b_op.addresses(b_scan), vec_bytes, "read",
-                     "B[k,:]", dependent=True),
-        AccessStream(out.addresses(z_scan), vec_bytes, "read",
-                     "Z[i,:] rmw"),
-        AccessStream(out.addresses(z_scan), vec_bytes, "write",
-                     "Z[i,:]"),
-    ]
-    total_chunks = nnz * j_chunks
-    return KernelTrace(
-        name="spmm",
-        scalar_ops=4 * nnz + 4 * rows,
-        vector_ops=2 * total_chunks,            # fma + induction
-        loads=2 * total_chunks + nnz * 2 + 2 * rows,
-        stores=total_chunks,
-        branches=total_chunks + nnz + rows,
-        datadep_branches=rows,
-        flops=2.0 * nnz * num_cols_b,
-        streams=streams,
-        dependent_load_fraction=0.5,
-        parallel_units=rows,
-    )

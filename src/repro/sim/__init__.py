@@ -1,4 +1,4 @@
-"""The multicore timing-model substrate.
+"""The timing-model substrate, per core of the paper's symmetric multicore.
 
 The paper evaluates the TMU with gem5 full-system simulation; this
 package replaces gem5 with a Python interval/event model that reproduces
@@ -17,6 +17,8 @@ the first-order effects the paper's analysis rests on:
   (IMP) models for the Figure 15 comparison.
 * :mod:`repro.sim.machine` — whole-system runs: software baseline,
   TMU-accelerated, Single-Lane and IMP variants.
+* :mod:`repro.sim.pipeline` — a chunk-level simulation of the outQ
+  double buffer behind ``run_tmu``'s closed form; no figure uses it.
 * :mod:`repro.sim.stats` — derived metrics (roofline, ratios).
 """
 
@@ -31,13 +33,6 @@ from .machine import (
     run_tmu,
 )
 from .memsys import MemoryHierarchy, AccessProfile
-from .parallel import (
-    ParallelResult,
-    core_scaling,
-    parallel_speedup,
-    partition_rows,
-    run_parallel,
-)
 from .pipeline import (
     PipelineResult,
     chunk_times_from_totals,
@@ -59,11 +54,6 @@ __all__ = [
     "run_tmu",
     "MemoryHierarchy",
     "AccessProfile",
-    "ParallelResult",
-    "core_scaling",
-    "parallel_speedup",
-    "partition_rows",
-    "run_parallel",
     "PipelineResult",
     "chunk_times_from_totals",
     "simulate_outq_pipeline",

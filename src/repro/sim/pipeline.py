@@ -1,7 +1,9 @@
 """Chunk-level pipeline simulation of the decoupled TMU/core pair.
 
 :func:`repro.sim.machine.run_tmu` composes producer and consumer with a
-closed-form ``max(...) + fill`` — exact when chunk times are uniform.
+closed-form ``max(...) + fill``.  On uniform chunks the two agree when
+the core is the bottleneck; when the TMU is, the closed form's fill is
+one produce time where this simulation's tail is one consume time.
 This module simulates the double-buffered outQ *per chunk* (paper
 Section 5.3: "the TMU populates another outQ chunk, overlapping data
 loading and computation"), which additionally captures:
@@ -11,8 +13,9 @@ loading and computation"), which additionally captures:
 * producer stalls when both buffers are full (the core is behind);
 * consumer stalls when no chunk is ready (the engine is behind).
 
-It is used by the pipeline tests, the ablation bench and the
-`outq_pipeline` example; the closed-form stays the default for sweeps.
+No figure uses it: its only consumers are ``tests/test_sim_pipeline.py``
+and ``examples/outq_pipeline.py``.  The closed form stays the model
+behind every sweep.
 """
 
 from __future__ import annotations

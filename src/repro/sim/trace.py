@@ -123,25 +123,6 @@ def strided_addresses(base: int, count: int, elem_bytes: int,
     )
 
 
-def indexed_addresses(base: int, indices, elem_bytes: int) -> np.ndarray:
-    """Addresses of ``array[indices[k]]`` for each k, in order."""
-    return base + np.asarray(indices, dtype=np.int64) * elem_bytes
-
-
-def interleave(*streams: np.ndarray) -> np.ndarray:
-    """Interleave equal-length address arrays element-wise, modeling the
-    program-order alternation of accesses inside one loop body."""
-    if not streams:
-        return np.zeros(0, dtype=np.int64)
-    length = streams[0].size
-    if any(s.size != length for s in streams):
-        raise SimulationError("interleave requires equal-length streams")
-    out = np.empty(length * len(streams), dtype=np.int64)
-    for k, s in enumerate(streams):
-        out[k::len(streams)] = s
-    return out
-
-
 @dataclass
 class KernelTrace:
     """Characterization of one kernel run on one input.

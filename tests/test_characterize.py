@@ -13,7 +13,6 @@ from repro.kernels.mttkrp import characterize_mttkrp
 from repro.kernels.pagerank import characterize_pagerank
 from repro.kernels.spadd import characterize_spadd
 from repro.kernels.spkadd import characterize_spkadd
-from repro.kernels.spmm import characterize_spmm
 from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import characterize_spmv
 from repro.kernels.sptc import characterize_sptc
@@ -40,7 +39,6 @@ def all_traces(machine, matrix, tensor):
     csf_b = coo_to_csf(tensor, mode_order=(2, 1, 0))
     return {
         "spmv": characterize_spmv(matrix, machine),
-        "spmm": characterize_spmm(matrix, 8, machine),
         "spmspm": characterize_spmspm(matrix, matrix.transpose(),
                                       machine),
         "spadd": characterize_spadd(matrix, matrix.transpose(), machine),

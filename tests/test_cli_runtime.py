@@ -9,6 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from benchmarks.e2e.harness import (
+    counter_mismatches,
+    golden_counters,
+    load_golden,
+    rows_digest,
+)
 from repro import cli, runtime
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -68,6 +74,30 @@ class TestSubprocess:
         assert reference.returncode == 0, reference.stderr
         assert "0 cached (0%), 6 simulated" in reference.stderr
         assert reference.stdout == fast.stdout
+
+
+class TestGolden:
+    def test_all_matches_the_benchmark_golden_file(self, tmp_path):
+        """``repro all`` prints the rows and counts the counters that
+        ``benchmarks/e2e/golden.json`` pins for its ``all-cold``
+        session: a change that moves any figure row or cache/core
+        counter must regenerate that file on purpose."""
+        golden = load_golden()["all-cold"]
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = REPO_SRC
+        telemetry = tmp_path / "t.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "all", "--scale", "small",
+             "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
+             "--telemetry", str(telemetry)],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert rows_digest(proc.stdout) == golden["rows"]
+        assert counter_mismatches(golden["counters"],
+                                  golden_counters(telemetry)) == []
 
 
 class TestInProcess:

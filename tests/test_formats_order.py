@@ -22,7 +22,6 @@ from repro.formats.levels import build_level_tensor
 from repro.generators.matrices import uniform_random_matrix
 from repro.generators.suite import load_matrix, load_tensor, tensor_ids
 from repro.kernels import split_rows_cyclic
-from repro.kernels.schedules import schedule_merge_work
 from repro.kernels.triangle import lower_triangle
 from repro.types import lex_order, ptrs_from_ids, stable_order
 
@@ -221,21 +220,6 @@ class TestFormatOutputsUnchanged:
         nonunique = build_level_tensor(CooTensor.from_dense(dense),
                                        ("dense", "compressed_nonunique"))
         assert np.array_equal(nonunique.levels[1].ptrs, _add_at_ptrs(r, 40))
-
-    def test_schedule_counts(self):
-        def csc_counts(m):
-            counts = np.zeros(m.num_cols, dtype=np.int64)
-            np.add.at(counts, m.idxs, 1)
-            return counts
-
-        a = uniform_random_matrix(60, 50, 4, seed=1)
-        b = uniform_random_matrix(50, 70, 3, seed=2)
-        b_rows = np.diff(b.ptrs)
-        assert schedule_merge_work(a, b) == {
-            "ijk": int(a.num_rows * csc_counts(b).sum() + b.num_cols * a.nnz),
-            "kij": int((csc_counts(a) * b_rows).sum()),
-            "ikj": int(b_rows[a.idxs].sum()),
-        }
 
 
 def _split_oracle(a: CsrMatrix, k: int):

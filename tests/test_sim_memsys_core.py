@@ -15,8 +15,6 @@ from repro.sim.trace import (
     AccessStream,
     AddressSpace,
     KernelTrace,
-    indexed_addresses,
-    interleave,
     strided_addresses,
 )
 
@@ -36,16 +34,6 @@ class TestTraceHelpers:
 
     def test_strided_and_indexed(self):
         assert strided_addresses(100, 3, 8).tolist() == [100, 108, 116]
-        assert indexed_addresses(0, [2, 0], 4).tolist() == [8, 0]
-
-    def test_interleave(self):
-        a = np.array([1, 3])
-        b = np.array([2, 4])
-        assert interleave(a, b).tolist() == [1, 2, 3, 4]
-
-    def test_interleave_length_check(self):
-        with pytest.raises(SimulationError):
-            interleave(np.array([1]), np.array([1, 2]))
 
     def test_stream_validation(self):
         with pytest.raises(SimulationError):
@@ -78,8 +66,7 @@ class TestHierarchy:
 
     def test_random_stream_misses_small_cache(self, small_machine):
         rng = np.random.default_rng(0)
-        addrs = indexed_addresses(1 << 30, rng.integers(0, 1 << 20, 5000),
-                                  8)
+        addrs = (1 << 30) + rng.integers(0, 1 << 20, 5000) * 8
         h = MemoryHierarchy(small_machine)
         profile = h.profile(KernelTrace("t", streams=[
             AccessStream(addrs, 8, "read", "rand", dependent=True)]))
@@ -194,8 +181,7 @@ class TestIntervalCore:
 
     def test_memory_bound_kernel_pays_backend(self, small_machine):
         rng = np.random.default_rng(1)
-        addrs = indexed_addresses(
-            1 << 30, rng.integers(0, 1 << 22, 20_000), 8)
+        addrs = (1 << 30) + rng.integers(0, 1 << 22, 20_000) * 8
         trace = KernelTrace(
             "t", scalar_ops=20_000, loads=20_000,
             streams=[AccessStream(addrs, 8, "read", "rand",

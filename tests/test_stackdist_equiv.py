@@ -34,7 +34,6 @@ from repro.kernels.mttkrp import characterize_mttkrp
 from repro.kernels.pagerank import characterize_pagerank
 from repro.kernels.spadd import characterize_spadd
 from repro.kernels.spkadd import characterize_spkadd
-from repro.kernels.spmm import characterize_spmm
 from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import characterize_spmv
 from repro.kernels.sptc import characterize_sptc
@@ -157,7 +156,6 @@ def _kernel_traces() -> dict:
     coo = uniform_random_tensor((10, 9, 8), 150, seed=6)
     return {
         "spmv": lambda: characterize_spmv(matrix, machine),
-        "spmm": lambda: characterize_spmm(matrix, 8, machine),
         "spmspm": lambda: characterize_spmspm(
             matrix, matrix.transpose(), machine),
         "spadd": lambda: characterize_spadd(
