@@ -7,7 +7,6 @@ plugin is not installed (CI's tier-1 job, for instance).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 pytest.importorskip("pytest_benchmark")
@@ -20,19 +19,28 @@ from repro.sim import stackdist  # noqa: E402
 from repro.sim.cache import Cache  # noqa: E402
 from repro.tmu import TmuEngine  # noqa: E402
 
-CFG = CacheConfig(64 * 8 * 64, 8, 1, 4)
-LINES = np.arange(400_000)
+from .test_stackdist import WALK_GEOMETRIES, walk_mix  # noqa: E402
+
+#: The walk-shaped stream of the micro gate: a monotone stream would
+#: leave ``hit_mask`` through its early exit and time no decision.
+LINES = walk_mix()
 
 
 def test_bench_lookup_fast(benchmark):
-    benchmark.pedantic(lambda: stackdist.hit_mask(LINES, CFG.num_sets,
-                                                  CFG.ways),
-                       rounds=3, iterations=1)
+    def run():
+        for sets, ways in WALK_GEOMETRIES:
+            stackdist.hit_mask(LINES, sets, ways)
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
 
 
 def test_bench_lookup_reference(benchmark):
-    benchmark.pedantic(lambda: Cache(CFG).lookup_lines(LINES),
-                       rounds=3, iterations=1)
+    def run():
+        for sets, ways in WALK_GEOMETRIES:
+            Cache(CacheConfig(sets * ways * 64, ways, 1, 4)).lookup_lines(
+                LINES)
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
 
 
 def test_bench_engine_run_spkadd(benchmark):

@@ -410,8 +410,9 @@ def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray):
     Returns the per-stream hits, the per-stream misses, and the miss
     lines passed down."""
     hit = _walk_level(cache, lines)
-    seg = np.repeat(np.arange(counts.size), counts)
-    hits = np.bincount(seg[hit], minlength=counts.size)
+    cum = np.zeros(lines.size + 1, dtype=np.int64)
+    np.cumsum(hit, out=cum[1:])
+    hits = np.diff(cum[np.cumsum(counts)], prepend=0)
     return hits, counts - hits, lines[~hit]
 
 
@@ -451,7 +452,8 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
     exact: a level's state depends only on the lookups it serves, and
     the per-level access order (stream 0's lines, then stream 1's, ...)
     is the one the per-stream reference walk produces.  Per-stream
-    attribution is a segment-id ``bincount`` on each level's hit mask.
+    attribution reads a cumulative sum of each level's hit mask at the
+    stream boundaries.
 
     Outside tracing and the reference model, the whole walk goes
     through the walk cache, keyed by each level's sets, ways and line

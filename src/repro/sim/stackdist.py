@@ -16,22 +16,30 @@ The pass:
    (sequential scans, marshaled operand/output streams touch every
    line exactly once);
 2. groups accesses by set with one stable packed sort (int32 when the
-   pack fits 31 bits) and computes previous/next-occurrence links
-   (``f``/``nxt``) with a second;
+   pack fits 31 bits) and links each access to the previous occurrence
+   of its line (``f``) with a second, read off that sort's own keys;
 3. screens: ``f < 0`` is a cold-start miss; a positional reuse
    distance ``k - f[k] <= ways`` is a definite hit;
-4. retires the survivors through a *block distinct-count table*: the
-   packed stream is cut into fixed ``B``-sized blocks and each block's
-   exact distinct-line count is one vectorized reduction
-   (``f[j] < block_start`` marks j's line as new within the block).
-   Any window that fully contains a block with ``>= ways`` distinct
-   lines is a certain miss, and the summed block counts plus the raw
-   boundary widths upper-bound the window's distinct count for a
-   certain hit — both O(1) per query off two block-level prefix sums;
-5. resolves the remainder (narrow windows shorter than two blocks,
-   and rare duplicate-heavy wide windows whose bounds stay ambiguous)
-   with a lockstep bounded backward scan (:func:`_resolve`), straggler
-   fallback included, in bounded-size chunks.
+4. decides every other window ``(p, k)``, ``p = f[k]``, with a *row
+   scan*: its distinct-line count is ``#{p < j < k : f[j] < p}`` (j
+   brings a line new to the window iff its previous occurrence lies
+   before the window; none lies at ``p``, whose next occurrence is
+   ``k``), counted over contiguous rows of ``2B`` entries of ``f``
+   ending at ``k - 1`` — a sliding-window view, one gather per row, no
+   per-element index arithmetic.  ``B`` is the block size of step 5
+   (8, 16 and 32 for 4, 8 and 16 ways).  A row that reaches past ``p``
+   needs no mask: every ``j <= p`` has ``f[j] < j <= p`` and so counts
+   too, a known surplus, and ``2B`` int32-min sentinels before the
+   stream stand in for positions before 0.  A window with
+   ``k - p <= 2B`` is decided by its one row;
+5. screens wider windows first through a *block distinct-count
+   table*: the packed stream is cut into ``B``-sized blocks, each
+   block's exact distinct-line count is one vectorized reduction
+   (``f[j] < block_start``), and a window that fully contains a block
+   with ``>= ways`` distinct lines is a certain miss, O(1) per query
+   off a block-level prefix sum.  The survivors take the row scan in
+   steps of ``2B`` back from ``k``; the rare duplicate-heavy window
+   still open after ``_MAX_STEPS`` rows falls back to an exact count.
 
 Every path is exact, so the mask is bit-identical to the reference
 :class:`~repro.sim.cache.Cache` from a cold start —
@@ -45,72 +53,22 @@ and route here unless the run selects the reference model
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import SimulationError
-from ..types import stable_order
+from ..types import stable_order, stable_runs
 
-#: Queries per lockstep-scan batch.  The scan materializes
-#: ``queries x block`` work matrices; bounding the batch keeps them
-#: cache-resident instead of page-fault-bound on multi-million-access
-#: streams.  Each batch is an independent pure function of the shared
-#: ``f``/``nxt`` links, so chunking cannot change any verdict.
-_SCAN_CHUNK = 1 << 16
+#: Row-scan cells (queries x row width) per batch.  A batch gathers a
+#: 1 MiB int32 row matrix, cache-resident on multi-million-access
+#: streams; each batch is a pure function of ``f``, so batching cannot
+#: change a verdict.
+_BATCH_CELLS = 1 << 18
 
+#: Rows a wide window's scan reads before its exact fallback.
+_MAX_STEPS = 8
 
-def _resolve(f, nxt, q, ways):
-    """Exact hit/miss for accesses the screens could not decide.
-
-    Lockstep backward block scan over all queries at once: walk a
-    cursor from ``k-1`` down in blocks of ``B`` positions, counting
-    positions whose line does not recur before ``k`` (``nxt[j] > k``
-    ⇔ a distinct line of the window).  A query retires as a miss
-    when the count reaches ``ways`` and as a hit when the scan
-    exhausts the window (reaches the previous occurrence) first.
-    Real streams retire within a block or two; the rare straggler
-    (duplicate-heavy long windows) falls back to an exact
-    first-in-window count, one vectorized reduction per query.
-    """
-    block = int(min(48, max(8, 2 * ways)))
-    max_blocks = 1 + (8 * ways + 64) // block
-    offs = np.arange(block, dtype=np.int32)
-    p = f[q]
-    c = q - 1
-    cnt = np.zeros(q.size, dtype=np.int32)
-    verdict = np.zeros(q.size, dtype=bool)
-    alive = np.arange(q.size)
-    qa, pa, ca, cna = q, p, c, cnt
-    for _ in range(max_blocks):
-        if not alive.size:
-            break
-        win = ca[:, None] - offs[None, :]
-        valid = win > pa[:, None]
-        dist = (nxt[np.maximum(win, 0)] > qa[:, None]) & valid
-        totals = cna + dist.sum(axis=1, dtype=np.int32)
-        # A miss is decided as soon as the running count reaches
-        # `ways`; counts only accrue inside the window, so the block
-        # total is exact for deciding both outcomes below.
-        missed = totals >= ways
-        exhausted = ~valid[:, -1]
-        retired = missed | exhausted
-        verdict[alive[exhausted & ~missed]] = True
-        keep = ~retired
-        alive = alive[keep]
-        qa, pa, cna = qa[keep], pa[keep], totals[keep]
-        ca = ca[keep] - block
-    for i in alive:  # stragglers: count first-in-window occurrences
-        verdict[i] = int(
-            np.count_nonzero(f[p[i] + 1:q[i]] <= p[i])) < ways
-    return verdict
-
-
-def _scan(f, nxt, q, ways):
-    if q.size <= _SCAN_CHUNK:
-        return _resolve(f, nxt, q, ways)
-    out = np.empty(q.size, dtype=bool)
-    for lo in range(0, q.size, _SCAN_CHUNK):
-        part = q[lo:lo + _SCAN_CHUNK]
-        out[lo:lo + part.size] = _resolve(f, nxt, part, ways)
-    return out
+#: Byte-lane summing constant of :func:`_row_counts`.
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
@@ -140,40 +98,100 @@ def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     order = stable_order(lines & (num_sets - 1), num_sets)
     pv = lines[order]
 
-    # Previous/next occurrence of the same line (same line ⇒ same set,
-    # so the links never leave a set segment).
-    o2 = stable_order(pv, int(pv.max()) + 1)
-    sv = pv[o2]
-    same = sv[1:] == sv[:-1]
-    prev_idx = o2[:-1][same]
-    next_idx = o2[1:][same]
+    # Previous occurrence of the same line (same line ⇒ same set, so
+    # the links never leave a set segment).
+    o2, same = stable_runs(pv, int(pv.max()) + 1)
     f = np.full(n, -1, dtype=np.int32)
-    f[next_idx] = prev_idx
+    f[o2[1:][same]] = o2[:-1][same]
 
     # Screens: cold-start miss / positional-reuse hit.  A window of
     # ``gap - 1 <= ways - 1`` packed positions cannot reach ``ways``
     # distinct lines, whatever it contains.
-    pos32 = np.arange(n, dtype=np.int32)
-    gap = pos32 - f
+    gap = np.arange(n, dtype=np.int32) - f
     seen = f >= 0
     hit_packed = seen & (gap <= ways)
     q = np.flatnonzero(seen & (gap > ways)).astype(np.int32)
-
     if q.size:
-        q = _block_screen(f, pos32, hit_packed, q, ways, n)
-    if q.size:
-        nxt = np.full(n, n, dtype=np.int32)
-        nxt[prev_idx] = next_idx
-        hit_packed[q] = _scan(f, nxt, q, ways)
+        lb = max(3, (2 * ways - 1).bit_length())
+        width = 2 << lb
+        wide = gap[q] > width
+        if wide.any():
+            q = np.concatenate([q[~wide],
+                                _block_screen(f, q[wide], ways, lb)])
+        hit_packed[q] = _row_scan(f, q, ways, width)
 
     hits = np.empty(n, dtype=bool)
     hits[order] = hit_packed
     return hits
 
 
-def _block_screen(f, pos32, hit_packed, q, ways, n):
-    """Retire queries through the block distinct-count table; returns
-    the remainder for the lockstep scan.
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """Per-row true counts of a C-contiguous bool matrix whose rows
+    are a multiple of 8 entries.  Each row is read as 64-bit words of
+    0/1 bytes: adding words sums their byte lanes without carries, and
+    one multiply by ``0x0101..01`` sums the lanes into the top byte.
+    That byte holds at most 255, so a row is summed 31 words (248
+    entries) at a time: in one go for every geometry up to 32 ways."""
+    words = mask.view(np.uint64)
+    total = np.zeros(words.shape[0], dtype=np.int32)
+    for lo in range(0, words.shape[1], 31):
+        acc = words[:, lo].copy()
+        for i in range(lo + 1, min(lo + 31, words.shape[1])):
+            acc += words[:, i]
+        acc *= _BYTE_SUM
+        acc >>= np.uint64(56)
+        total += acc.astype(np.int32)
+    return total
+
+
+def _row_scan(f, q, ways, width):
+    """Exact hit/miss of the windows ending at ``q``, read from rows of
+    ``width`` (``2B``) entries of ``f``: the row ending at position
+    ``e - 1`` is row ``e`` of a sliding-window view over ``f`` behind
+    ``width`` int32-min sentinels."""
+    padded = np.concatenate(
+        [np.full(width, np.iinfo(np.int32).min, dtype=np.int32), f])
+    rows = sliding_window_view(padded, width)
+    verdict = np.empty(q.size, dtype=bool)
+    batch = max(1, _BATCH_CELLS // width)
+    for lo in range(0, q.size, batch):
+        verdict[lo:lo + batch] = _scan_batch(
+            rows, f, q[lo:lo + batch], ways, width)
+    return verdict
+
+
+def _scan_batch(rows, f, k, ways, width):
+    """Row scan of one batch of windows ``(p, k)``, stepping back one
+    row at a time.  ``count`` sums ``f[j] < p`` over the rows read and
+    ``left`` is the number of window positions not yet read.  While
+    ``left > 0`` the rows lie inside the window, so ``count`` is a
+    lower bound of its distinct count: ``>= ways`` is a certain miss.
+    Once ``left <= 0`` the rows cover the window plus ``-left``
+    positions ``j <= p``, all counted, so ``count + left`` is exact."""
+    p = f[k]
+    verdict = np.zeros(k.size, dtype=bool)
+    alive = np.arange(k.size)
+    end, pa, left = k, p, k - p - 1
+    count = np.zeros(k.size, dtype=np.int32)
+    for _ in range(_MAX_STEPS):
+        if not alive.size:
+            break
+        count += _row_counts(rows[end] < pa[:, None])
+        left -= width
+        done = left <= 0
+        verdict[alive[done]] = (count + left)[done] < ways
+        keep = ~done & (count < ways)
+        alive = alive[keep]
+        end, pa = end[keep] - width, pa[keep]
+        count, left = count[keep], left[keep]
+    for i in alive:  # duplicate-heavy windows still open: exact count
+        verdict[i] = np.count_nonzero(f[p[i] + 1:k[i]] < p[i]) < ways
+    return verdict
+
+
+def _block_screen(f, q, ways, lb):
+    """Drop the wide windows (``k - p > 2B``) that are certain misses;
+    returns the rest for the row scan.
 
     The packed stream is cut into blocks of ``B = 2^lb`` positions
     (the smallest power of two holding ``2 * ways`` accesses, so a
@@ -185,44 +203,19 @@ def _block_screen(f, pos32, hit_packed, q, ways, n):
     observe: a window ``(p, k)`` never crosses its set segment, so any
     block it fully contains lies inside that segment too.
 
-    For a query window ``(p, k)``, the blocks ``bp1 .. bk-1`` are
-    exactly the fully-contained ones, giving two O(1) verdicts off
-    prefix sums over blocks:
-
-    * ``miss``  — some contained block alone holds ``>= ways``
-      distinct lines (window distinct count can only be larger);
-    * ``hit``   — the *sum* of contained block counts plus the raw
-      widths of the two boundary fragments stays ``< ways`` (the sum
-      double-counts lines recurring across blocks and the fragments
-      are counted undeduplicated, so it upper-bounds the window's
-      distinct count).
-
-    The survivors are narrow windows (no fully-contained block) and
-    duplicate-heavy wide windows sitting between the two bounds; both
-    retire in the bounded lockstep scan, whose cost is proportional to
-    exactly the ambiguity the table could not remove.
+    The blocks ``p // B + 1 .. k // B - 1`` are exactly the ones the
+    window fully contains, and a window wider than ``2B`` contains at
+    least one.  If any of them alone holds ``>= ways`` distinct lines,
+    so does the window: a miss, read off a prefix sum over blocks.
+    What stays is windows whose lines spread across blocks or repeat
+    within them; the row scan decides them, most in its first row.
     """
-    lb = max(3, (2 * ways - 1).bit_length())
-    nfull = n >> lb
-    if nfull < 2:
-        return q
-    B = 1 << lb
-    first_in_blk = f < (pos32 & np.int32(~(B - 1)))
-    bd = first_in_blk[:nfull << lb].reshape(nfull, B).sum(
-        axis=1, dtype=np.int32)
+    block = 1 << lb
+    nfull = f.size >> lb
+    starts = np.arange(0, nfull << lb, block, dtype=np.int32)
+    bd = _row_counts(f[:nfull << lb].reshape(nfull, block)
+                     < starts[:, None])
     cbad = np.zeros(nfull + 1, dtype=np.int32)
     np.cumsum(bd >= ways, out=cbad[1:])
-    cgood = np.zeros(nfull + 1, dtype=np.int32)
-    np.cumsum(bd, out=cgood[1:])
-
-    p = f[q]
-    bp1 = np.minimum((p >> lb) + 1, nfull)  # first candidate block
-    bk = np.minimum(q >> lb, nfull)         # first block past the last
-    contained = bk > bp1
-    miss = contained & (cbad[bk] - cbad[bp1] > 0)
-    interior = np.where(contained, cgood[bk] - cgood[bp1], 0)
-    left = np.where(contained, (bp1 << lb) - 1 - p, q - 1 - p)
-    right = np.maximum(np.where(contained, q - (bk << lb), 0), 0)
-    hit = ~miss & (interior + left + right < ways)
-    hit_packed[q[hit]] = True
-    return q[~miss & ~hit]
+    miss = cbad[q >> lb] > cbad[(f[q] >> lb) + 1]
+    return q[~miss]

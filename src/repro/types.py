@@ -47,6 +47,20 @@ def _packed_dtype(bound: int, n: int):
     return None, pos_bits
 
 
+def _packed_sort(keys, bound: int):
+    """Sorted ``key << pos_bits | position`` values of ``keys`` (all
+    below ``bound``) and the position bit count; the values are
+    ``None`` when 63 bits cannot hold the pack."""
+    n = keys.size
+    dtype, pos_bits = _packed_dtype(int(bound), n)
+    if dtype is None:
+        return None, pos_bits
+    packed = np.left_shift(keys, pos_bits, dtype=dtype)
+    packed |= np.arange(n, dtype=dtype)
+    packed.sort()
+    return packed, pos_bits
+
+
 def stable_order(keys, bound: int) -> np.ndarray:
     """Stable sorting permutation of non-negative integer ``keys``, all
     below ``bound``: exactly the permutation a stable argsort returns.
@@ -58,16 +72,30 @@ def stable_order(keys, bound: int) -> np.ndarray:
     stable argsort runs instead.
     """
     keys = np.asarray(keys)
-    n = keys.size
-    dtype, pos_bits = _packed_dtype(int(bound), n)
-    if dtype is None:
+    packed, pos_bits = _packed_sort(keys, bound)
+    if packed is None:
         return np.argsort(keys, kind="stable")
-    packed = keys.astype(dtype)
-    packed <<= pos_bits
-    packed |= np.arange(n, dtype=dtype)
-    packed.sort()
     packed &= (1 << pos_bits) - 1
     return packed
+
+
+def stable_runs(keys, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stable_order` of ``keys`` plus ``same``, where ``same[i]``
+    tells whether sorted positions ``i`` and ``i + 1`` hold equal keys.
+
+    The packed sort answers ``same`` from its own sorted values, with no
+    gather of the keys: two packed values share a key iff their XOR has
+    no bit above the position bits.
+    """
+    keys = np.asarray(keys)
+    packed, pos_bits = _packed_sort(keys, bound)
+    if packed is None:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        return order, ordered[1:] == ordered[:-1]
+    same = (packed[1:] ^ packed[:-1]) < (1 << pos_bits)
+    packed &= (1 << pos_bits) - 1
+    return packed, same
 
 
 def lex_order(coords, shape) -> np.ndarray:

@@ -23,7 +23,7 @@ from repro.generators.matrices import uniform_random_matrix
 from repro.generators.suite import load_matrix, load_tensor, tensor_ids
 from repro.kernels import split_rows_cyclic
 from repro.kernels.triangle import lower_triangle
-from repro.types import lex_order, ptrs_from_ids, stable_order
+from repro.types import lex_order, ptrs_from_ids, stable_order, stable_runs
 
 
 def _lexsort(coords):
@@ -87,6 +87,27 @@ class TestStableOrder:
         keys = rng.integers(0, 8, 4000).astype(np.uint8)
         assert np.array_equal(stable_order(keys, 8),
                               np.argsort(keys, kind="stable"))
+
+
+class TestStableRuns:
+    @pytest.mark.parametrize("n,bound", [(1000, 7), (5000, 1 << 20),
+                                         (3000, 1 << 40),
+                                         (1024, (1 << 53) + 1)])
+    def test_order_and_equal_neighbours(self, rng, n, bound):
+        """int32 pack, int64 pack and the argsort fallback: the order is
+        :func:`stable_order`'s and ``same`` marks equal sorted keys."""
+        keys = rng.integers(max(0, bound - 40), bound, n)
+        order, same = stable_runs(keys, bound)
+        assert np.array_equal(order, stable_order(keys, bound))
+        ordered = keys[order]
+        assert np.array_equal(same, ordered[1:] == ordered[:-1])
+        assert same.any() and not same.all()
+
+    @pytest.mark.parametrize("keys", [[], [5]])
+    def test_empty_and_single(self, keys):
+        order, same = stable_runs(np.array(keys, dtype=np.int64), 6)
+        assert order.size == len(keys)
+        assert same.size == 0
 
 
 class TestLexOrder:

@@ -40,7 +40,7 @@ from repro.kernels.sptc import characterize_sptc
 from repro.kernels.triangle import characterize_triangle, lower_triangle
 from repro.sim.cache import Cache
 from repro.sim.machine import run_baseline
-from repro.sim import memsys
+from repro.sim import memsys, stackdist
 from repro.sim.memsys import (
     MemoryHierarchy,
     llc_only_profile,
@@ -146,6 +146,110 @@ class TestFuzzEquivalence:
         _two_way(rng.integers(0, 64, 4000), 1, 16)  # fully assoc.
 
 
+#: The walk's small-scale geometries (sets, ways): its L1, L2 and LLC.
+WALK_GEOMETRIES = ((4, 4), (4, 8), (32, 16))
+
+
+def _block(ways: int) -> int:
+    """Block size ``B`` of the stack-distance pass; its rows are 2B."""
+    return 1 << max(3, (2 * ways - 1).bit_length())
+
+
+def _set_lines(set_idx: int, sets: int, tags) -> np.ndarray:
+    """Lines of one set: ``tags`` placed in set ``set_idx``."""
+    return set_idx + sets * np.asarray(tags, dtype=np.int64)
+
+
+def _window(gap: int, distinct: int) -> list[int]:
+    """Tag 0, then ``gap - 1`` accesses over exactly ``distinct`` other
+    tags, then tag 0 again: the last access's window has that gap and
+    that distinct count."""
+    fill = [1 + i % distinct for i in range(gap - 1)]
+    return [0, *fill, 0]
+
+
+class TestRowScanEdges:
+    """Windows at the row scan's boundaries, each checked against the
+    reference Cache, on the walk's geometries."""
+
+    @pytest.mark.parametrize("sets,ways", WALK_GEOMETRIES)
+    def test_gap_boundaries(self, sets, ways):
+        """Gaps of exactly ways+1 (the first window the positional
+        screen leaves), 2B (the widest one-row window) and 2B+1 (the
+        narrowest block-screened one), just under and at ``ways``
+        distinct lines, behind other sets' traffic."""
+        rng = np.random.default_rng(FUZZ_SEED ^ 0xB0B)
+        width = 2 * _block(ways)
+        for gap in (ways + 1, width, width + 1):
+            for distinct in (ways - 1, ways):
+                target = _set_lines(sets - 1, sets,
+                                    np.array(_window(gap, distinct)) + 7)
+                noise = rng.integers(0, 8 * sets * ways, 3 * gap)
+                noise = noise[(noise & (sets - 1)) != sets - 1]
+                lines = np.concatenate([noise, target])
+                _two_way(lines, sets, ways)
+                assert hit_mask(lines, sets, ways)[-1] == (distinct < ways)
+
+    @pytest.mark.parametrize("sets,ways", WALK_GEOMETRIES)
+    def test_windows_at_both_ends_of_the_stream(self, sets, ways):
+        """Windows ending in the last 2B packed positions, and windows
+        so close to the start that their row reaches before position 0
+        into the sentinel padding."""
+        rng = np.random.default_rng(FUZZ_SEED ^ 0xE1D5)
+        width = 2 * _block(ways)
+        for gap in range(ways + 1, width + 1):
+            for distinct in {ways - 1, ways, gap - 1}:
+                head = _set_lines(0, sets, _window(gap, distinct))
+                tail = _set_lines(sets - 1, sets, _window(gap, distinct))
+                middle = rng.integers(0, 4 * sets * ways, 2 * width)
+                lines = np.concatenate([head, middle, tail])
+                _two_way(lines, sets, ways)
+
+    @pytest.mark.parametrize("sets,ways", WALK_GEOMETRIES)
+    def test_streams_shorter_than_one_row(self, sets, ways):
+        rng = np.random.default_rng(FUZZ_SEED ^ 0x5407)
+        width = 2 * _block(ways)
+        for n in range(2, width):
+            for span in (ways + 1, 2 * ways, 4 * sets * ways):
+                _two_way(rng.integers(0, span, n), sets, ways)
+            _two_way(_set_lines(0, sets, rng.integers(0, 2 * ways, n)),
+                     sets, ways)
+
+    @pytest.mark.parametrize("sets,ways", WALK_GEOMETRIES)
+    def test_duplicate_heavy_window_takes_the_exact_fallback(self, sets,
+                                                             ways):
+        """``A, (B C)x20000, A`` in one set: two distinct lines in a
+        window far longer than the rows the scan reads before falling
+        back to the exact count.  With ``ways - 3`` more lines at the
+        window's far end and one at its near end, the fallback must
+        count both ends to find the miss."""
+        reps = 20_000
+        assert 2 * reps > stackdist._MAX_STEPS * 2 * _block(ways)
+        pairs = [1, 2] * reps
+        far = list(range(3, ways))  # with B, C and `near`: ways lines
+        near = ways + 1
+        hit = _set_lines(1 % sets, sets, [0, *pairs, 0])
+        miss = _set_lines(1 % sets, sets, [0, *far, *pairs, near, 0])
+        for lines, expect in ((hit, True), (miss, False)):
+            _two_way(lines, sets, ways)
+            assert hit_mask(lines, sets, ways)[-1] == expect
+
+    @pytest.mark.parametrize("sets,ways", [(1, 1), (4, 1), (64, 1),
+                                           (1, 4), (1, 8), (1, 16),
+                                           (1, 40), (2, 128)])
+    def test_one_way_and_one_set(self, sets, ways):
+        """Direct-mapped and single-set caches, and associativities
+        whose rows run past 248 entries (several word groups per row
+        count)."""
+        rng = np.random.default_rng(FUZZ_SEED ^ 0x1E57)
+        capacity = sets * ways
+        for n in (3, 300, 5000):
+            for span in (2, capacity + 1, 3 * capacity + 2):
+                _two_way(rng.integers(0, span, n), sets, ways)
+        loop = np.arange(3000) % (capacity + sets)
+        _two_way(loop, sets, ways)
+
+
 # ---------------------------------------------- Table 4 kernel walk parity
 
 
@@ -238,6 +342,38 @@ def test_fuzzed_traces_walk_parity():
             pr = MemoryHierarchy(machine).profile(trace)
         assert [asdict(a) for a in pf.streams] == \
                [asdict(b) for b in pr.streams]
+
+
+def test_walk_attributes_hits_around_an_empty_stream():
+    """Per-stream hits at every level, read off the concatenated walk,
+    equal a per-stream replay through reference caches, with an empty
+    stream between two non-empty ones."""
+    rng = np.random.default_rng(FUZZ_SEED ^ 0xE3B7)
+    machine = default_machine()
+    streams = [
+        AccessStream(addresses=rng.integers(0, 1 << 14, n) * 8,
+                     elem_bytes=8, label=label)
+        for label, n in (("a", 3000), ("empty", 0), ("b", 2000))]
+    walk_cache().clear()
+    profiles = MemoryHierarchy(machine).profile(
+        KernelTrace(name="gap", streams=streams)).streams
+
+    levels = [Cache(c) for c in (machine.l1d, machine.l2, machine.llc)]
+    traffic = [memsys.prepare_lines(s, machine.l1d.line_bytes)[0]
+               for s in streams]
+    expected = {f: [] for f in ("l1_hits", "l2_hits", "llc_hits")}
+    for field, cache in zip(expected, levels):
+        passed = []
+        for lines in traffic:
+            hit = cache.lookup_lines(lines)
+            expected[field].append(int(hit.sum()))
+            passed.append(lines[~hit])
+        traffic = passed
+    assert profiles[1].accesses == 0
+    for field, per_stream in expected.items():
+        assert [getattr(sp, field) for sp in profiles] == per_stream
+    assert [sp.mem_accesses for sp in profiles] == \
+        [lines.size for lines in traffic]
 
 
 def _geometry(rng, line_bytes=64) -> CacheConfig:
