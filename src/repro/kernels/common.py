@@ -8,7 +8,7 @@ import numpy as np
 
 from ..formats.csr import CsrMatrix
 from ..memo import IdentityLRU
-from ..sim.trace import AddressSpace
+from ..sim.trace import AccessStream, AddressSpace, Ranges
 from ..types import INDEX_BYTES, VALUE_BYTES
 
 #: entries the operand memo keeps.  A full paper evaluation needs about
@@ -77,68 +77,64 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 class CsrOperand:
-    """Virtual placement of a CSR matrix's three arrays, with address
-    helpers for characterization."""
+    """Virtual placement of a CSR matrix's three arrays, and the
+    streams that walk them (the index and value walks share one
+    index)."""
 
     def __init__(self, space: AddressSpace, matrix: CsrMatrix) -> None:
         self.matrix = matrix
         self.ptrs_base = space.place((matrix.num_rows + 1) * INDEX_BYTES)
         self.idxs_base = space.place(matrix.nnz * INDEX_BYTES)
         self.vals_base = space.place(matrix.nnz * VALUE_BYTES)
+        self._nnz = Ranges.span(matrix.nnz)
 
-    def ptr_addresses(self) -> np.ndarray:
+    def ptr_stream(self, label: str) -> AccessStream:
         """Sequential walk over the row-pointer array."""
-        n = self.matrix.num_rows + 1
-        return self.ptrs_base + np.arange(n, dtype=np.int64) * INDEX_BYTES
+        return AccessStream(Ranges.span(self.matrix.num_rows + 1),
+                            INDEX_BYTES, "read", label,
+                            base=self.ptrs_base, stride=INDEX_BYTES)
 
-    def idx_addresses(self, positions=None) -> np.ndarray:
-        if positions is None:
-            positions = np.arange(self.matrix.nnz, dtype=np.int64)
-        return self.idxs_base + np.asarray(positions, np.int64) * INDEX_BYTES
+    def idx_stream(self, label: str, index=None, **flags) -> AccessStream:
+        """Reads of the index array at ``index`` (all of it in order by
+        default)."""
+        return AccessStream(self._nnz if index is None else index,
+                            INDEX_BYTES, "read", label,
+                            base=self.idxs_base, stride=INDEX_BYTES, **flags)
 
-    def val_addresses(self, positions=None) -> np.ndarray:
-        if positions is None:
-            positions = np.arange(self.matrix.nnz, dtype=np.int64)
-        return self.vals_base + np.asarray(positions, np.int64) * VALUE_BYTES
+    def val_stream(self, label: str, index=None, **flags) -> AccessStream:
+        """Reads of the value array at ``index`` (all of it in order by
+        default)."""
+        return AccessStream(self._nnz if index is None else index,
+                            VALUE_BYTES, "read", label,
+                            base=self.vals_base, stride=VALUE_BYTES, **flags)
 
 
-class DenseOperand:
-    """Virtual placement of a dense array."""
+def sequential_stream(space: AddressSpace, count: int, elem_bytes: int,
+                      kind: str, label: str) -> AccessStream:
+    """A sequential walk over a fresh ``count``-element array placed
+    in ``space``."""
+    base = space.place(count * elem_bytes)
+    return AccessStream(Ranges.span(count), elem_bytes, kind, label,
+                        base=base, stride=elem_bytes)
 
-    def __init__(self, space: AddressSpace, num_elems: int,
-                 elem_bytes: int = VALUE_BYTES) -> None:
-        self.base = space.place(num_elems * elem_bytes)
-        self.elem_bytes = elem_bytes
-        self.num_elems = num_elems
 
-    def addresses(self, indices=None) -> np.ndarray:
-        if indices is None:
-            indices = np.arange(self.num_elems, dtype=np.int64)
-        return self.base + np.asarray(indices, np.int64) * self.elem_bytes
+def output_streams(space: AddressSpace, nnz: int
+                   ) -> tuple[AccessStream, AccessStream]:
+    """The sequential writes of a compressed result's ``nnz`` indexes
+    and values (``Z idxs``, ``Z vals``), placed in ``space`` in that
+    order, over one index."""
+    idxs_base = space.place(nnz * INDEX_BYTES)
+    vals_base = space.place(nnz * VALUE_BYTES)
+    walk = Ranges.span(nnz)
+    return (
+        AccessStream(walk, INDEX_BYTES, "write", "Z idxs",
+                     base=idxs_base, stride=INDEX_BYTES),
+        AccessStream(walk, VALUE_BYTES, "write", "Z vals",
+                     base=vals_base, stride=VALUE_BYTES),
+    )
 
 
 def row_chunk_count(row_nnz: np.ndarray, lanes: int) -> int:
     """Total vectorized inner-loop iterations when each row is processed
     in ``lanes``-wide chunks (the SVE baseline's trip count)."""
     return int(np.sum(-(-row_nnz // lanes)))
-
-
-def gather_scan_positions(ptrs, keys) -> np.ndarray:
-    """Positions visited when scanning fiber ``keys[k]`` of a compressed
-    structure for each k, concatenated in order (vectorized).
-
-    Equivalent to ``concatenate([arange(ptrs[k], ptrs[k+1]) for k in
-    keys])`` without the Python loop.
-    """
-    ptrs = np.asarray(ptrs)
-    keys = np.asarray(keys, dtype=np.int64)
-    if keys.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = ptrs[keys].astype(np.int64)
-    lens = (ptrs[keys + 1] - ptrs[keys]).astype(np.int64)
-    total = int(lens.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    return np.repeat(starts, lens) + (np.arange(total, dtype=np.int64)
-                                      - offsets)

@@ -14,7 +14,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.coo import CooTensor
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
 from ..types import INDEX_BYTES, VALUE_BYTES
 from .common import ceil_div, operand_memo, sve_lanes
 
@@ -49,23 +49,40 @@ def mttkrp(tensor: CooTensor, b, c, mode: int = 0) -> np.ndarray:
 def coo_streams(tensor: CooTensor) -> tuple[tuple[AccessStream, ...], int]:
     """The walks over the tensor's COO arrays, which the baseline and
     the TMU model both issue: its three coordinate arrays and its
-    values (``coords i``, ``coords k``, ``coords l``, ``A vals``).
-    Both place them first in one fresh address space; returns them
-    with the region that follows, where each caller continues
-    placing."""
+    values (``coords i``, ``coords k``, ``coords l``, ``A vals``), over
+    one index.  Both place them first in one fresh address space;
+    returns them with the region that follows, where each caller
+    continues placing."""
     nnz = tensor.nnz
     space = AddressSpace()
     coord_bases = [space.place(nnz * INDEX_BYTES) for _ in range(3)]
     val_base = space.place(nnz * VALUE_BYTES)
-    nnzidx = np.arange(nnz, dtype=np.int64)
+    walk = Ranges.span(nnz)
     streams = (
-        *(AccessStream(base + nnzidx * INDEX_BYTES, INDEX_BYTES, "read",
-                       f"coords {mode}")
+        *(AccessStream(walk, INDEX_BYTES, "read", f"coords {mode}",
+                       base=base, stride=INDEX_BYTES)
           for base, mode in zip(coord_bases, "ikl")),
-        AccessStream(val_base + nnzidx * VALUE_BYTES, VALUE_BYTES,
-                     "read", "A vals"),
+        AccessStream(walk, VALUE_BYTES, "read", "A vals", base=val_base,
+                     stride=VALUE_BYTES),
     )
     return streams, space.next_region
+
+
+def factor_rows(rows: np.ndarray, rank: int, chunk: int
+                ) -> tuple[np.ndarray | Ranges, int]:
+    """Index and byte stride of the reads of one ``rank``-wide factor
+    row per entry of ``rows``, one read per ``chunk`` elements: each
+    row's range of chunks when ``chunk`` divides the rank, else the
+    element position of every read."""
+    if rank % chunk == 0:
+        per_row = rank // chunk
+        starts = rows * per_row
+        return (Ranges(starts, np.broadcast_to(per_row, starts.shape)),
+                chunk * VALUE_BYTES)
+    reads = ceil_div(rank, chunk)
+    offsets = np.arange(reads, dtype=np.int64) * chunk
+    return (np.repeat(rows * rank, reads) + np.tile(offsets, rows.size),
+            VALUE_BYTES)
 
 
 @operand_memo
@@ -73,38 +90,32 @@ def mttkrp_streams(tensor: CooTensor, rank: int, lanes: int
                    ) -> tuple[AccessStream, ...]:
     """The baseline's address streams.  They depend on the tensor, the
     rank and the SVE lanes, not on the parallel scheme, so MTTKRP P1,
-    P2 and CP-ALS walk one set of read-only arrays."""
-    nnz = tensor.nnz
-    rank_chunks = ceil_div(rank, lanes)
-
+    P2 and CP-ALS walk one set of read-only indexes."""
     coords, next_region = coo_streams(tensor)
     space = AddressSpace(next_region)
     b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
     c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
     out_base = space.place(tensor.shape[0] * rank * VALUE_BYTES)
-
     vec_bytes = min(64, lanes * VALUE_BYTES)
     # One sampled address per rank-chunk per factor row.
-    chunk_off = np.arange(rank_chunks, dtype=np.int64) * lanes
-    b_rows = np.repeat(tensor.coords[1] * rank, rank_chunks)
-    c_rows = np.repeat(tensor.coords[2] * rank, rank_chunks)
-    z_rows = np.repeat(tensor.coords[0] * rank, rank_chunks)
-    tiled = np.tile(chunk_off, nnz)
+    b_rows, stride = factor_rows(tensor.coords[1], rank, lanes)
+    c_rows, _ = factor_rows(tensor.coords[2], rank, lanes)
     # the output row is read, updated and written at the same addresses
-    z_addresses = out_base + (z_rows + tiled) * VALUE_BYTES
-
+    z_rows, _ = factor_rows(tensor.coords[0], rank, lanes)
     return (
         *coords,
         # Factor-row gathers: only the first chunk of each row is
         # address-dependent; later chunks stream sequentially, so the
         # stream is not marked dependent (the trace-level
         # dependent_load_fraction captures the per-row serialization).
-        AccessStream(b_base + (b_rows + tiled) * VALUE_BYTES, vec_bytes,
-                     "read", "B[k,:]"),
-        AccessStream(c_base + (c_rows + tiled) * VALUE_BYTES, vec_bytes,
-                     "read", "C[l,:]"),
-        AccessStream(z_addresses, vec_bytes, "read", "Z[i,:] rmw"),
-        AccessStream(z_addresses, vec_bytes, "write", "Z[i,:]"),
+        AccessStream(b_rows, vec_bytes, "read", "B[k,:]", base=b_base,
+                     stride=stride),
+        AccessStream(c_rows, vec_bytes, "read", "C[l,:]", base=c_base,
+                     stride=stride),
+        AccessStream(z_rows, vec_bytes, "read", "Z[i,:] rmw", base=out_base,
+                     stride=stride),
+        AccessStream(z_rows, vec_bytes, "write", "Z[i,:]", base=out_base,
+                     stride=stride),
     )
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, KernelTrace
+from ..sim.trace import KernelTrace
 from ..types import VALUE_BYTES
 from .spmv import characterize_spmv, spmv
 
@@ -57,22 +57,16 @@ def characterize_pagerank(adj: CsrMatrix, machine: MachineConfig,
     streaming, non-accelerated) contribution and damping updates."""
     trace = characterize_spmv(adj, machine)
     n = adj.num_rows
-    from ..sim.trace import AddressSpace, strided_addresses
-    from .common import sve_lanes, ceil_div
+    from ..sim.trace import AddressSpace
+    from .common import sequential_stream, sve_lanes, ceil_div
 
     lanes = sve_lanes(machine.core.vector_bits)
     chunks = ceil_div(n, lanes)
     space = AddressSpace()
-    ranks_base = space.place(n * VALUE_BYTES)
-    deg_base = space.place(n * VALUE_BYTES)
-    contrib_base = space.place(n * VALUE_BYTES)
     extra = [
-        AccessStream(strided_addresses(ranks_base, n, VALUE_BYTES),
-                     VALUE_BYTES, "read", "ranks"),
-        AccessStream(strided_addresses(deg_base, n, VALUE_BYTES),
-                     VALUE_BYTES, "read", "out_deg"),
-        AccessStream(strided_addresses(contrib_base, n, VALUE_BYTES),
-                     VALUE_BYTES, "write", "contrib"),
+        sequential_stream(space, n, VALUE_BYTES, kind, label)
+        for kind, label in (("read", "ranks"), ("read", "out_deg"),
+                            ("write", "contrib"))
     ]
     return KernelTrace(
         name="pagerank",

@@ -16,8 +16,7 @@ from ..fibers.fiber import Fiber
 from ..fibers.merge import disjunctive_merge
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import CsrOperand, operand_memo, sorted_unique
+from .common import CsrOperand, operand_memo, output_streams, sorted_unique
 
 
 def spadd(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
@@ -86,20 +85,14 @@ def spadd_streams(a: CsrMatrix, b: CsrMatrix
     space = AddressSpace()
     a_op = CsrOperand(space, a)
     b_op = CsrOperand(space, b)
-    out_idx = space.place(nnz_out * INDEX_BYTES)
-    out_val = space.place(nnz_out * VALUE_BYTES)
-
     streams = (
-        AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
-        AccessStream(b_op.ptr_addresses(), INDEX_BYTES, "read", "B ptrs"),
-        AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
-        AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
-        AccessStream(b_op.idx_addresses(), INDEX_BYTES, "read", "B idxs"),
-        AccessStream(b_op.val_addresses(), VALUE_BYTES, "read", "B vals"),
-        AccessStream(out_idx + np.arange(nnz_out, dtype=np.int64)
-                     * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
-        AccessStream(out_val + np.arange(nnz_out, dtype=np.int64)
-                     * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
+        a_op.ptr_stream("A ptrs"),
+        b_op.ptr_stream("B ptrs"),
+        a_op.idx_stream("A idxs"),
+        a_op.val_stream("A vals"),
+        b_op.idx_stream("B idxs"),
+        b_op.val_stream("B vals"),
+        *output_streams(space, nnz_out),
     )
     return streams, steps, both
 

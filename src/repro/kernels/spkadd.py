@@ -18,9 +18,9 @@ from ..formats.csr import CsrMatrix
 from ..formats.convert import coo_to_dcsr
 from ..formats.dcsr import DcsrMatrix
 from ..formats.coo import CooMatrix
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
 from ..types import INDEX_BYTES, VALUE_BYTES, ptrs_from_ids, stable_order
-from .common import operand_memo, sorted_unique
+from .common import operand_memo, output_streams, sorted_unique
 
 
 def split_rows_cyclic(a: CsrMatrix, k: int) -> list[DcsrMatrix]:
@@ -144,27 +144,19 @@ def spkadd_streams(*matrices: DcsrMatrix
         ptr_base = space.place((m.num_nonempty_rows + 1) * INDEX_BYTES)
         idx_base = space.place(m.nnz * INDEX_BYTES)
         val_base = space.place(m.nnz * VALUE_BYTES)
-        nridx = np.arange(m.num_nonempty_rows, dtype=np.int64)
-        nnzidx = np.arange(m.nnz, dtype=np.int64)
+        rows = Ranges.span(m.num_nonempty_rows)
+        nnz = Ranges.span(m.nnz)
         streams.extend([
-            AccessStream(row_base + nridx * INDEX_BYTES, INDEX_BYTES,
-                         "read", f"A{x} row_idxs"),
-            AccessStream(ptr_base + nridx * INDEX_BYTES, INDEX_BYTES,
-                         "read", f"A{x} ptrs"),
-            AccessStream(idx_base + nnzidx * INDEX_BYTES, INDEX_BYTES,
-                         "read", f"A{x} idxs"),
-            AccessStream(val_base + nnzidx * VALUE_BYTES, VALUE_BYTES,
-                         "read", f"A{x} vals"),
+            AccessStream(rows, INDEX_BYTES, "read", f"A{x} row_idxs",
+                         base=row_base, stride=INDEX_BYTES),
+            AccessStream(rows, INDEX_BYTES, "read", f"A{x} ptrs",
+                         base=ptr_base, stride=INDEX_BYTES),
+            AccessStream(nnz, INDEX_BYTES, "read", f"A{x} idxs",
+                         base=idx_base, stride=INDEX_BYTES),
+            AccessStream(nnz, VALUE_BYTES, "read", f"A{x} vals",
+                         base=val_base, stride=VALUE_BYTES),
         ])
-    out_idx = space.place(nnz_out * INDEX_BYTES)
-    out_val = space.place(nnz_out * VALUE_BYTES)
-    onnz = np.arange(nnz_out, dtype=np.int64)
-    streams.extend([
-        AccessStream(out_idx + onnz * INDEX_BYTES, INDEX_BYTES, "write",
-                     "Z idxs"),
-        AccessStream(out_val + onnz * VALUE_BYTES, VALUE_BYTES, "write",
-                     "Z vals"),
-    ])
+    streams.extend(output_streams(space, nnz_out))
     return tuple(streams), row_points, nnz_out
 
 

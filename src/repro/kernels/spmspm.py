@@ -14,12 +14,12 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES, VALUE_BYTES
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
+from ..types import VALUE_BYTES
 from .common import (
     CsrOperand,
-    gather_scan_positions,
     operand_memo,
+    output_streams,
     sorted_unique,
     sve_lanes,
 )
@@ -43,24 +43,16 @@ def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
 
 
 @operand_memo
-def scan_positions(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
-    """The B positions visited by the Gustavson B-row scans (the rows
-    of ``b`` that ``a``'s column indexes select), in traversal order."""
-    return gather_scan_positions(b.ptrs, a.idxs)
+def scan_columns(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
+    """The B column indexes visited by the Gustavson B-row scans (the
+    rows of ``b`` that ``a``'s column indexes select), in traversal
+    order.
 
-
-@operand_memo
-def scan_arrays(a: CsrMatrix, b: CsrMatrix
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """The positions and B column indexes visited by the Gustavson
-    B-row scans, in traversal order.
-
-    The baseline characterization, the symbolic counts, and the TMU
-    timing model all walk the same expansion, so it is built once per
-    operand pair.
+    The accumulator stream and the symbolic counts both read them, so
+    they are built once per operand pair; the scan positions they are
+    gathered at are not kept.
     """
-    positions = scan_positions(a, b)
-    return positions, b.idxs[positions]
+    return b.idxs[Ranges.fibers(b.ptrs, a.idxs).expand()]
 
 
 @operand_memo
@@ -69,7 +61,7 @@ def shared_streams(a: CsrMatrix, b: CsrMatrix
     """The streams the baseline and the TMU model both issue: A's three
     array walks (``A ptrs``, ``A idxs``, ``A vals``) and the B-row
     scans over B's index and value arrays (``B idxs scan``, ``B vals
-    scan``).
+    scan``, one :class:`~repro.sim.trace.Ranges` of B's rows).
 
     Both place A's three arrays and then B's three in one fresh
     address space, so these streams have one content, built once.
@@ -79,15 +71,13 @@ def shared_streams(a: CsrMatrix, b: CsrMatrix
     space = AddressSpace()
     a_op = CsrOperand(space, a)
     b_op = CsrOperand(space, b)
-    positions = scan_positions(a, b)
+    b_rows = Ranges.fibers(b.ptrs, a.idxs)
     streams = (
-        AccessStream(a_op.ptr_addresses(), INDEX_BYTES, "read", "A ptrs"),
-        AccessStream(a_op.idx_addresses(), INDEX_BYTES, "read", "A idxs"),
-        AccessStream(a_op.val_addresses(), VALUE_BYTES, "read", "A vals"),
-        AccessStream(b_op.idx_addresses(positions), INDEX_BYTES,
-                     "read", "B idxs scan", dependent=True),
-        AccessStream(b_op.val_addresses(positions), VALUE_BYTES,
-                     "read", "B vals scan", dependent=True),
+        a_op.ptr_stream("A ptrs"),
+        a_op.idx_stream("A idxs"),
+        a_op.val_stream("A vals"),
+        b_op.idx_stream("B idxs scan", b_rows, dependent=True),
+        b_op.val_stream("B vals scan", b_rows, dependent=True),
     )
     return streams, b_op.ptrs_base, space.next_region
 
@@ -105,7 +95,7 @@ def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     row_of = np.repeat(np.arange(a.num_rows, dtype=np.int64),
                        np.diff(a.ptrs))
     blk = np.diff(b.ptrs)[a.idxs]
-    _, cols = scan_arrays(a, b)
+    cols = scan_columns(a, b)
     if cols.size == 0:
         return np.zeros(a.num_rows, dtype=np.int64)
     i_rep = np.repeat(row_of, blk)
@@ -166,19 +156,13 @@ def spmspm_streams(a: CsrMatrix, b: CsrMatrix
     # Output row assembly touches each produced non-zero ~twice
     # (accumulate + gather-out); symbolic counts give its footprint.
     nnz_out = int(_symbolic_counts_fast(a, b).sum())
-    out_idx_base = space.place(nnz_out * INDEX_BYTES)
-    out_val_base = space.place(nnz_out * VALUE_BYTES)
+    outputs = output_streams(space, nnz_out)
     acc_base = space.place(b.num_cols * VALUE_BYTES)
-
-    _, scan_cols = scan_arrays(a, b)
     streams = (
         *shared,
-        AccessStream(acc_base + scan_cols * VALUE_BYTES,
-                     VALUE_BYTES, "read", "accumulator", dependent=True),
-        AccessStream(out_idx_base + np.arange(nnz_out, dtype=np.int64)
-                     * INDEX_BYTES, INDEX_BYTES, "write", "Z idxs"),
-        AccessStream(out_val_base + np.arange(nnz_out, dtype=np.int64)
-                     * VALUE_BYTES, VALUE_BYTES, "write", "Z vals"),
+        AccessStream(scan_columns(a, b), VALUE_BYTES, "read", "accumulator",
+                     dependent=True, base=acc_base, stride=VALUE_BYTES),
+        *outputs,
     )
     scanned = np.diff(b.ptrs)[a.idxs]    # B-row lengths per A non-zero
     return streams, scanned, nnz_out

@@ -13,12 +13,12 @@ from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES, VALUE_BYTES
+from ..types import VALUE_BYTES
 from .common import (
     CsrOperand,
-    DenseOperand,
     operand_memo,
     row_chunk_count,
+    sequential_stream,
     sve_lanes,
 )
 
@@ -48,15 +48,14 @@ def spmv_streams(a: CsrMatrix) -> tuple[AccessStream, ...]:
     only, so a sweep over machines builds them once."""
     space = AddressSpace()
     mat = CsrOperand(space, a)
-    vec = DenseOperand(space, a.num_cols)
-    out = DenseOperand(space, a.num_rows)
+    vec_base = space.place(a.num_cols * VALUE_BYTES)
     return (
-        AccessStream(mat.ptr_addresses(), INDEX_BYTES, "read", "row_ptrs"),
-        AccessStream(mat.idx_addresses(), INDEX_BYTES, "read", "col_idxs"),
-        AccessStream(mat.val_addresses(), VALUE_BYTES, "read", "nnz_vals"),
-        AccessStream(vec.addresses(a.idxs), VALUE_BYTES, "read", "b[idx]",
-                     dependent=True, gather=True),
-        AccessStream(out.addresses(), VALUE_BYTES, "write", "x[i]"),
+        mat.ptr_stream("row_ptrs"),
+        mat.idx_stream("col_idxs"),
+        mat.val_stream("nnz_vals"),
+        AccessStream(a.idxs, VALUE_BYTES, "read", "b[idx]", dependent=True,
+                     gather=True, base=vec_base, stride=VALUE_BYTES),
+        sequential_stream(space, a.num_rows, VALUE_BYTES, "write", "x[i]"),
     )
 
 

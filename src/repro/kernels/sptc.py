@@ -14,9 +14,9 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
 from ..types import INDEX_BYTES
-from .common import operand_memo
+from .common import operand_memo, sequential_stream
 
 
 def _build_b_lookup(b: CsfTensor) -> dict[tuple[int, int], int]:
@@ -114,10 +114,9 @@ def leaf_scan(a: CsfTensor) -> tuple[AccessStream, int]:
     leaves first in one fresh address space; returns the stream with
     the region that follows, where each caller continues placing."""
     space = AddressSpace()
-    base = space.place(a.nnz * INDEX_BYTES)
-    return AccessStream(base + np.arange(a.nnz, dtype=np.int64)
-                        * INDEX_BYTES, INDEX_BYTES, "read", "A kl idxs"
-                        ), space.next_region
+    leaves = sequential_stream(space, a.nnz, INDEX_BYTES, "read",
+                               "A kl idxs")
+    return leaves, space.next_region
 
 
 def characterize_sptc(a: CsfTensor, b: CsfTensor,
@@ -141,23 +140,20 @@ def characterize_sptc(a: CsfTensor, b: CsfTensor,
     nnz_a = a.nnz
     b_dir_base = space.place(directory_size * 2 * INDEX_BYTES)
     b_j_base = space.place(b.nnz * INDEX_BYTES)
-    out_base = space.place(max(1, matches) * INDEX_BYTES)
 
     rng = np.random.default_rng(7)
-    dir_probe = rng.integers(0, max(1, directory_size),
-                             size=nnz_a) * 2 * INDEX_BYTES
-    j_scan_idx = np.arange(j_scanned, dtype=np.int64) % max(1, b.nnz)
+    dir_probe = rng.integers(0, max(1, directory_size), size=nnz_a)
 
     streams = [
         leaves,
-        AccessStream(b_dir_base + dir_probe, INDEX_BYTES, "read",
-                     "B fiber directory", dependent=True),
-        AccessStream(b_j_base + j_scan_idx * INDEX_BYTES, INDEX_BYTES,
-                     "read", "B j fibers", dependent=True),
-        AccessStream(out_base + (np.arange(max(1, matches),
-                                           dtype=np.int64)
-                                 % max(1, matches)) * INDEX_BYTES,
-                     INDEX_BYTES, "write", "Z symbolic"),
+        AccessStream(dir_probe, INDEX_BYTES, "read", "B fiber directory",
+                     dependent=True, base=b_dir_base,
+                     stride=2 * INDEX_BYTES),
+        AccessStream(Ranges.cyclic(j_scanned, max(1, b.nnz)), INDEX_BYTES,
+                     "read", "B j fibers", dependent=True, base=b_j_base,
+                     stride=INDEX_BYTES),
+        sequential_stream(space, max(1, matches), INDEX_BYTES, "write",
+                          "Z symbolic"),
     ]
     steps = nnz_a + j_scanned
     return KernelTrace(

@@ -13,9 +13,9 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
-from ..types import INDEX_BYTES, ptrs_from_ids
-from .common import CsrOperand, gather_scan_positions, operand_memo
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
+from ..types import ptrs_from_ids
+from .common import CsrOperand, operand_memo
 
 
 def lower_triangle(a: CsrMatrix) -> CsrMatrix:
@@ -67,16 +67,14 @@ def triangle_count(l: CsrMatrix) -> int:
 def triangle_streams(l: CsrMatrix) -> tuple[AccessStream, ...]:
     """The streams the baseline and the TMU model both issue: L's
     pointer and index walks (``L ptrs``, ``L_i idxs``) and the re-scans
-    of row j's list per edge (i, j) (``L_j idxs``), a dependent lookup.
-    The scan positions are built here and dropped: the held stream is
-    all TC keeps of them."""
+    of row j's list per edge (i, j) (``L_j idxs``), a dependent lookup,
+    whose index is the rows' ranges: no scan position is built."""
     op = CsrOperand(AddressSpace(), l)
-    positions = gather_scan_positions(l.ptrs, l.idxs)
     return (
-        AccessStream(op.ptr_addresses(), INDEX_BYTES, "read", "L ptrs"),
-        AccessStream(op.idx_addresses(), INDEX_BYTES, "read", "L_i idxs"),
-        AccessStream(op.idx_addresses(positions), INDEX_BYTES,
-                     "read", "L_j idxs", dependent=True),
+        op.ptr_stream("L ptrs"),
+        op.idx_stream("L_i idxs"),
+        op.idx_stream("L_j idxs", Ranges.fibers(l.ptrs, l.idxs),
+                      dependent=True),
     )
 
 

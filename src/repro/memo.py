@@ -4,7 +4,7 @@ identity of some objects, which it holds weakly.
 Every identity-keyed memo of the package is an :class:`IdentityLRU`:
 the operand memo of :mod:`repro.kernels.common` (keyed by a function's
 operands) and the walk cache's memory tier and first-level memo in
-:mod:`repro.sim.memsys` (keyed by the walked address arrays).  An
+:mod:`repro.sim.memsys` (keyed by the walked streams' indexes).  An
 entry lives exactly as long as its objects do, or until the bound
 evicts it.
 """

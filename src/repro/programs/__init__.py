@@ -14,7 +14,8 @@ Each module provides up to two entry points per kernel variant:
   so a model takes every address stream the baseline also issues
   (traversal walks, and result writes where the core writes the
   baseline's result) from the baseline's operand-memoized builder in
-  :mod:`repro.kernels`: each stream content is one array.
+  :mod:`repro.kernels`: each stream content is one index object at
+  one base and stride.
 
 The registry at the bottom maps Table 4 row names to builders.
 """

@@ -2,8 +2,8 @@
 
 Timing models build no address stream that the baseline also issues:
 they take those from the baseline's builders under
-:mod:`repro.kernels`.  :func:`write_stream` places a result stream
-that only the TMU-side core writes.
+:mod:`repro.kernels`, and place a result stream that only the TMU-side
+core writes with :func:`~repro.kernels.common.sequential_stream`.
 """
 
 from __future__ import annotations
@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..config import MachineConfig
-from ..sim.trace import AccessStream, AddressSpace
-from ..types import VALUE_BYTES
 from ..tmu.outq import MASK_BYTES, RECORD_HEADER_BYTES, SCALAR_BYTES
 
 
@@ -43,14 +39,6 @@ def record_bytes(num_vec_operands: int, lanes: int,
     if with_mask:
         total += MASK_BYTES
     return total
-
-
-def write_stream(space: AddressSpace, num_elems: int, label: str,
-                 elem_bytes: int = VALUE_BYTES) -> AccessStream:
-    base = space.place(max(1, num_elems) * elem_bytes)
-    return AccessStream(
-        base + np.arange(num_elems, dtype=np.int64) * elem_bytes,
-        elem_bytes, "write", label)
 
 
 def sve_lanes_of(machine: MachineConfig) -> int:

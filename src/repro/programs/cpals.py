@@ -16,18 +16,17 @@ pair; :func:`cpals_timing_model` is kept for callers that need a single
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.coo import CooTensor
+from ..kernels.common import sequential_stream
 from ..sim.machine import (
     SystemResult,
     TmuWorkloadModel,
     run_baseline,
     run_tmu,
 )
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AddressSpace, KernelTrace
 from ..types import VALUE_BYTES
 from .mttkrp import mttkrp_timing_model
 
@@ -43,12 +42,11 @@ def cpals_dense_trace(tensor: CooTensor, rank: int) -> KernelTrace:
                    + 2.0 * tensor.nnz * rank)
     vec_ops = int(dense_flops / 8)
     space = AddressSpace()
-    streams = []
-    for mode, extent in enumerate(tensor.shape):
-        base = space.place(extent * rank * VALUE_BYTES)
-        seq = np.arange(extent * rank, dtype=np.int64) * VALUE_BYTES
-        streams.append(AccessStream(base + seq, VALUE_BYTES, "read",
-                                    f"factor{mode}"))
+    streams = [
+        sequential_stream(space, extent * rank, VALUE_BYTES, "read",
+                          f"factor{mode}")
+        for mode, extent in enumerate(tensor.shape)
+    ]
     return KernelTrace(
         name="cpals-dense",
         scalar_ops=vec_ops // 4,

@@ -15,13 +15,13 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.coo import CooTensor
-from ..kernels.common import operand_memo
-from ..kernels.mttkrp import coo_streams
+from ..kernels.common import operand_memo, sequential_stream
+from ..kernels.mttkrp import coo_streams, factor_rows
 from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram, record_bytes, sve_lanes_of, write_stream
+from .common import BuiltProgram, record_bytes, sve_lanes_of
 
 
 def build_mttkrp_program(tensor: CooTensor, b, c,
@@ -103,23 +103,20 @@ def mttkrp_tmu_streams(tensor: CooTensor, rank: int
     the machine, and the address-space region that follows them (where
     each call places the core's result stream).  The COO walks are the
     baseline's own (:func:`~repro.kernels.mttkrp.coo_streams`)."""
-    nnz = tensor.nnz
     coords, next_region = coo_streams(tensor)
     space = AddressSpace(next_region)
     b_base = space.place(tensor.shape[1] * rank * VALUE_BYTES)
     c_base = space.place(tensor.shape[2] * rank * VALUE_BYTES)
 
     # Factor-row element traffic: rank elements per factor per nnz.
-    rank_off = np.tile(np.arange(rank, dtype=np.int64), nnz)
-    b_elems = np.repeat(tensor.coords[1] * rank, rank) + rank_off
-    c_elems = np.repeat(tensor.coords[2] * rank, rank) + rank_off
-
+    b_elems, _ = factor_rows(tensor.coords[1], rank, 1)
+    c_elems, _ = factor_rows(tensor.coords[2], rank, 1)
     streams = (
         *coords,
-        AccessStream(b_base + b_elems * VALUE_BYTES, VALUE_BYTES, "read",
-                     "B[k,:]", dependent=True),
-        AccessStream(c_base + c_elems * VALUE_BYTES, VALUE_BYTES, "read",
-                     "C[l,:]", dependent=True),
+        AccessStream(b_elems, VALUE_BYTES, "read", "B[k,:]", dependent=True,
+                     base=b_base, stride=VALUE_BYTES),
+        AccessStream(c_elems, VALUE_BYTES, "read", "C[l,:]", dependent=True,
+                     base=c_base, stride=VALUE_BYTES),
     )
     return streams, space.next_region
 
@@ -171,7 +168,8 @@ def mttkrp_timing_model(tensor: CooTensor, rank: int,
         branches=steps + nnz,
         datadep_branches=0,
         flops=3.0 * nnz * rank,
-        streams=[write_stream(space, tensor.shape[0] * rank, "Z")],
+        streams=[sequential_stream(space, tensor.shape[0] * rank,
+                                   VALUE_BYTES, "write", "Z")],
         dependent_load_fraction=0.0,
         parallel_units=int(tensor.shape[0]),
     )

@@ -127,8 +127,8 @@ def spmspm_tmu_streams(a: CsrMatrix, b: CsrMatrix
     shared, b_ptr_base, _ = shared_streams(a, b)
     return (
         *shared[:3],
-        AccessStream(b_ptr_base + a.idxs * INDEX_BYTES, INDEX_BYTES,
-                     "read", "B ptrs lookup", dependent=True),
+        AccessStream(a.idxs, INDEX_BYTES, "read", "B ptrs lookup",
+                     dependent=True, base=b_ptr_base, stride=INDEX_BYTES),
         *shared[3:],
     )
 

@@ -19,12 +19,13 @@ import numpy as np
 from ..config import MachineConfig
 from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
+from ..kernels.common import sequential_stream
 from ..kernels.sptc import leaf_scan, match_b_fibers
 from ..sim.machine import TmuWorkloadModel
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace
+from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
 from ..tmu.program import Event, LayerMode, Program, ScalarOperand
 from ..types import INDEX_BYTES, stable_order
-from .common import BuiltProgram, record_bytes, write_stream
+from .common import BuiltProgram, record_bytes
 
 
 def _linearize_contraction(a: CsfTensor) -> tuple[np.ndarray, np.ndarray,
@@ -171,19 +172,17 @@ def sptc_timing_model(a: CsfTensor, b: CsfTensor,
     k_scan_base = space.place(max(1, b.idxs[1].size) * INDEX_BYTES)
     b_j_base = space.place(max(1, b.nnz) * INDEX_BYTES)
 
-    l_probes = a.idxs[2]                    # dense-index probes at l
-    k_scan = np.arange(merge_elements, dtype=np.int64) % max(
-        1, b.idxs[1].size)
-    j_positions = np.arange(j_scanned, dtype=np.int64) % max(1, b.nnz)
-
+    # dense-index probes at l; the k and j scans wrap around B's arrays
     streams = [
         leaves,
-        AccessStream(l_index_base + l_probes * INDEX_BYTES, INDEX_BYTES,
-                     "read", "B l-index", dependent=True),
-        AccessStream(k_scan_base + k_scan * INDEX_BYTES, INDEX_BYTES,
-                     "read", "B k fibers", dependent=True),
-        AccessStream(b_j_base + j_positions * INDEX_BYTES, INDEX_BYTES,
-                     "read", "B j fibers", dependent=True),
+        AccessStream(a.idxs[2], INDEX_BYTES, "read", "B l-index",
+                     dependent=True, base=l_index_base, stride=INDEX_BYTES),
+        AccessStream(Ranges.cyclic(merge_elements, max(1, b.idxs[1].size)),
+                     INDEX_BYTES, "read", "B k fibers", dependent=True,
+                     base=k_scan_base, stride=INDEX_BYTES),
+        AccessStream(Ranges.cyclic(j_scanned, max(1, b.nnz)), INDEX_BYTES,
+                     "read", "B j fibers", dependent=True, base=b_j_base,
+                     stride=INDEX_BYTES),
     ]
     outq_bytes = (j_scanned * record_bytes(0, 0, num_scalar_operands=2)
                   + matches * 4)
@@ -198,8 +197,8 @@ def sptc_timing_model(a: CsfTensor, b: CsfTensor,
         branches=j_scanned + matches,
         datadep_branches=j_scanned // 4,
         flops=0.0,
-        streams=[write_stream(space, max(1, matches), "Z symbolic",
-                              INDEX_BYTES)],
+        streams=[sequential_stream(space, max(1, matches), INDEX_BYTES,
+                                   "write", "Z symbolic")],
         dependent_load_fraction=0.1,
         parallel_units=int(a.idxs[0].size),
     )

@@ -156,12 +156,17 @@ class Cache:
         return self.config.mshrs
 
 
-def to_lines(addresses: np.ndarray, line_bytes: int = 64) -> np.ndarray:
-    """Convert byte addresses to cache-line numbers."""
+def line_shift(line_bytes: int) -> int:
+    """log2 of a line size, which must be a power of two."""
     shift = int(line_bytes).bit_length() - 1
     if (1 << shift) != line_bytes:
         raise SimulationError("line size must be a power of two")
-    return np.asarray(addresses, dtype=np.int64) >> shift
+    return shift
+
+
+def to_lines(addresses: np.ndarray, line_bytes: int = 64) -> np.ndarray:
+    """Convert byte addresses to cache-line numbers."""
+    return np.asarray(addresses, dtype=np.int64) >> line_shift(line_bytes)
 
 
 def dedup_consecutive(lines: np.ndarray) -> np.ndarray:

@@ -32,8 +32,14 @@ from .. import obs
 from ..config import MachineConfig
 from ..memo import IdentityLRU
 from . import stackdist
-from .cache import Cache, dedup_consecutive, settle_lookup, to_lines
-from .trace import AccessStream, KernelTrace
+from .cache import (
+    Cache,
+    dedup_consecutive,
+    line_shift,
+    settle_lookup,
+    to_lines,
+)
+from .trace import AccessStream, KernelTrace, Ranges
 
 
 @dataclass
@@ -110,8 +116,9 @@ WALK_SCHEMA = "repro.walk/1"
 
 
 def _stream_meta(s: AccessStream) -> tuple:
-    """Everything a walk reads from a stream besides its addresses."""
-    return (s.label, s.kind, s.dependent, s.gather, int(s.bytes))
+    """Everything a walk reads from a stream besides its index."""
+    return (s.label, s.kind, s.dependent, s.gather, int(s.bytes),
+            s.base, s.stride)
 
 
 def _walk_digest(key: tuple, streams: list[AccessStream]) -> str:
@@ -119,7 +126,7 @@ def _walk_digest(key: tuple, streams: list[AccessStream]) -> str:
     sampling key, each stream's metadata and the full stream contents,
     folded in as each stream's cached :meth:`~AccessStream.digest`.
     The hierarchy walk, the LLC-only walk and the post-miss ``put`` of
-    a stream hash its addresses once between them."""
+    a stream hash its index once between them."""
     h = hashlib.sha256()
     h.update(repr((WALK_SCHEMA, key, [_stream_meta(s) for s in streams])
                   ).encode())
@@ -161,8 +168,9 @@ FIRST_LEVEL_ENTRIES = 48
 
 def _identity(key: tuple, streams: list[AccessStream]) -> tuple:
     """A walk memo's key and objects: the caller's key plus each
-    stream's metadata, and the address arrays by identity."""
-    return (key, *map(_stream_meta, streams)), [s.addresses for s in streams]
+    stream's metadata (base and stride included), and the index
+    objects by identity."""
+    return (key, *map(_stream_meta, streams)), [s.index for s in streams]
 
 
 class WalkCache:
@@ -175,22 +183,24 @@ class WalkCache:
 
     * **memory tier**: a :class:`~repro.memo.IdentityLRU` of
       :data:`WALK_ENTRIES` walks, keyed by the geometry key, each
-      stream's metadata and its address array *identity*.  It holds
-      the arrays weakly: a hit requires the caller's own arrays, which
-      are read-only from their first walk on, and an entry is gone
-      once one of its arrays is.  Content that is built once (the
+      stream's metadata (base and stride included) and its index
+      object's *identity*.  It holds the indexes weakly: a hit
+      requires the caller's own indexes, whose arrays are read-only
+      from their first walk on, and an entry is gone once one of its
+      indexes is.  Content that is built once (the
       operand memo of :mod:`repro.kernels.common`) is therefore reused
       for as long as anyone holds it, and the cache never pins a
       stream.  At the bound the least-recently-used walk is evicted
       (an eviction only costs a recompute, never correctness).
     * **disk tier** (optional, installed by the runtime beside the
       result cache): records keyed by a sha256 over the geometry key
-      and the full stream bytes, shared across ProcessPool workers,
+      and each stream's base, stride and index bytes, shared across
+      ProcessPool workers,
       server jobs and sessions.  A disk hit is promoted into the
       memory tier.
     * **first-level memo**: the outcome of a multi-level walk's first
       level (its miss stream included), in a second ``IdentityLRU``
-      keyed like the memory tier, so its arrays are freed with their
+      keyed like the memory tier, so its entries are freed with their
       streams, and bounded by :data:`FIRST_LEVEL_ENTRIES`.  A level
       depends only on its own geometry and the traffic reaching it, so
       hosts that share an L1 and differ below it classify it once.  It
@@ -345,16 +355,123 @@ SAMPLE_WINDOW = 100_000
 
 def prepare_lines(stream: AccessStream, line_bytes: int
                   ) -> tuple[np.ndarray, int, float]:
-    """One stream's line sequence after dedup and window sampling,
-    plus the pre-sampling size and the extrapolation factor — the
-    shared prep step of the hierarchy walk and the LLC-only walk."""
-    lines = dedup_consecutive(to_lines(stream.addresses, line_bytes))
-    total = lines.size
+    """One stream's line sequence after consecutive-line dedup and
+    window sampling, plus the pre-sampling size and the extrapolation
+    factor — the shared prep step of the hierarchy walk and the
+    LLC-only walk.
+
+    The lines come from the stream's index, not from its addresses: a
+    :class:`~repro.sim.trace.Ranges` index with ``stride <= line_bytes``
+    goes through :func:`_range_lines`, any other through
+    :func:`_position_lines`.  The reference model (``--reference``)
+    dedups the materialized addresses instead, the golden answer both
+    must reproduce bit for bit.
+    """
+    shift = line_shift(line_bytes)
+    if _REFERENCE:
+        lines = dedup_consecutive(to_lines(stream.addresses, line_bytes))
+        total = lines.size
+    elif isinstance(stream.index, Ranges) and stream.stride <= line_bytes:
+        lines, total = _range_lines(stream.index, stream.base,
+                                    stream.stride, shift, SAMPLE_WINDOW)
+    else:
+        index = stream.index
+        if isinstance(index, Ranges):
+            index = index.expand()
+        lines = _position_lines(index, stream.base, stream.stride, shift)
+        total = lines.size
     scale = 1.0
     if SAMPLE_WINDOW and total > SAMPLE_WINDOW:
         lines = lines[:SAMPLE_WINDOW]
         scale = total / lines.size
     return lines, total, scale
+
+
+def _range_lines(ranges: Ranges, base: int, stride: int, shift: int,
+                 window: int | None) -> tuple[np.ndarray, int]:
+    """Deduped lines of a ranges stream whose stride is at most a line,
+    and their total, with only the first ``window`` lines built.
+
+    A step of at most a line moves to the same line or the next, so a
+    non-empty range covers every line from its first to its last, once
+    each after dedup.  Consecutive ranges share a line only where one
+    starts on the line the previous one ended on, so the total is the
+    ranges' spans less those joins.  Under :func:`_aligned_shift` the
+    base's line is added to the built lines only.
+    """
+    starts, lengths = ranges.starts, ranges.lengths
+    keep = lengths > 0
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
+    if starts.size == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    last = starts + lengths
+    last -= 1
+    steps = _aligned_shift(base, stride, shift)
+    if steps is not None:
+        first = starts >> steps
+        last >>= steps
+        offset = base >> shift
+    else:
+        first = starts * stride
+        first += base
+        first >>= shift
+        last *= stride
+        last += base
+        last >>= shift
+        offset = 0
+    # each range's first line after dedup, and its deduped line count
+    begin = first
+    begin[1:] += first[1:] == last[:-1]
+    counts = last
+    counts -= begin
+    counts += 1
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if window and total > window:
+        # only the ranges that reach the window, the last one cut
+        cut = int(np.searchsorted(ends, window)) + 1
+        begin, counts, ends = begin[:cut], counts[:cut], ends[:cut]
+        counts[-1] -= ends[-1] - window
+        ends[-1] = window
+    begin -= ends
+    begin += counts + offset
+    lines = np.repeat(begin, counts)
+    lines += np.arange(lines.size, dtype=np.int64)
+    return lines, total
+
+
+def _aligned_shift(base: int, stride: int, shift: int) -> int | None:
+    """When the base is line-aligned and the stride divides the line,
+    a position's line is the base's line plus the position shifted
+    right by the returned amount; otherwise None."""
+    line_bytes = 1 << shift
+    if base % line_bytes or line_bytes % stride:
+        return None
+    return shift - (stride.bit_length() - 1)
+
+
+def _position_lines(positions: np.ndarray, base: int, stride: int,
+                    shift: int) -> np.ndarray:
+    """Deduped lines of a positions stream.  Under
+    :func:`_aligned_shift` each position takes one shift, and the
+    base's line is added to the deduped lines only."""
+    steps = _aligned_shift(base, stride, shift)
+    if steps is not None:
+        lines = positions >> steps
+        offset = base >> shift
+    else:
+        lines = (base + stride * positions.astype(np.int64)) >> shift
+        offset = 0
+    if lines.size:
+        keep = np.empty(lines.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        lines = lines[keep]
+    lines = lines.astype(np.int64, copy=False)
+    if offset:
+        lines += offset
+    return lines
 
 
 def _walk_level(cache: Cache, lines: np.ndarray) -> np.ndarray:

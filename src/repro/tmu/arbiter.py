@@ -149,10 +149,11 @@ class MemoryArbiter:
         streams = []
         for log in self.priority_order():
             streams.append(AccessStream(
-                addresses=np.asarray(log.lines, dtype=np.int64) * LINE_BYTES,
+                np.asarray(log.lines, dtype=np.int64),
                 elem_bytes=LINE_BYTES,
                 kind="read",
                 label=log.label,
+                stride=LINE_BYTES,
             ))
         return streams
 

@@ -31,11 +31,11 @@ from repro.generators.suite import (
 )
 from repro.generators import uniform_random_matrix
 from repro.kernels import common
-from repro.kernels.common import gather_scan_positions, operand_memo
+from repro.kernels.common import operand_memo
 from repro.kernels.spadd import merge_counts
 from repro.kernels.spmspm import (
     _symbolic_counts_fast,
-    scan_arrays,
+    scan_columns,
     spmspm_symbolic,
 )
 from repro.kernels.mttkrp import characterize_mttkrp
@@ -48,6 +48,7 @@ from repro.programs.spmspm import spmspm_timing_model
 from repro.programs.triangle import triangle_timing_model
 from repro.serve import SimService, Submission
 from repro.sim.memsys import FIRST_LEVEL_ENTRIES, WALK_ENTRIES, walk_cache
+from repro.sim.trace import Ranges
 
 
 def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
@@ -56,6 +57,13 @@ def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
     rows = [np.sort(rng.choice(n, per_row, replace=False)) for _ in range(n)]
     idxs = np.concatenate(rows)
     return CsrMatrix((n, n), np.arange(n + 1) * per_row, idxs, np.ones(idxs.size))
+
+
+def _scan_positions(ptrs, keys) -> np.ndarray:
+    """Positions of fiber ``keys[k]`` for each k, concatenated: the
+    per-fiber loop the vectorized scans must equal."""
+    parts = [np.arange(ptrs[k], ptrs[k + 1]) for k in keys]
+    return np.concatenate(parts) if parts else np.zeros(0, np.int64)
 
 
 class TestNeverStale:
@@ -68,12 +76,11 @@ class TestNeverStale:
         for _ in range(300):
             a = _fixed_nnz_matrix(rng, 24, 3)
             b = a.transpose()
-            expect = gather_scan_positions(b.ptrs, a.idxs)
-            positions, cols = scan_arrays(a, b)
+            expect = _scan_positions(b.ptrs, a.idxs)
+            cols = scan_columns(a, b)
             counts = _symbolic_counts_fast(a, b)
             stale += not (
-                np.array_equal(positions, expect)
-                and np.array_equal(cols, b.idxs[expect])
+                np.array_equal(cols, b.idxs[expect])
                 and np.array_equal(counts, spmspm_symbolic(a, b))
             )
         assert stale == 0
@@ -112,13 +119,12 @@ class TestNeverStale:
 class TestReadOnly:
     def test_stream_arrays_refuse_writes(self, small_csr):
         for stream in spmv_streams(small_csr):
-            with pytest.raises(ValueError):
-                stream.addresses[0] = 0
+            for array in stream.index_arrays():
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
     def test_scan_arrays_refuse_writes(self, small_csr):
-        positions, cols = scan_arrays(small_csr, small_csr.transpose())
-        with pytest.raises(ValueError):
-            positions[0] = 0
+        cols = scan_columns(small_csr, small_csr.transpose())
         with pytest.raises(ValueError):
             cols[0] = 0
 
@@ -193,13 +199,14 @@ def _same_objects(first, second) -> bool:
 
 class TestOneArrayPerContent:
     """Streams of equal content that several kernels or schemes issue
-    are one read-only array, so the walk cache reuses them by identity."""
+    are one read-only index object at one base and stride, so the walk
+    cache reuses them by identity."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_one_array_per_content_in_a_cell(self, workload):
         """Within one cell, the baseline trace, the TMU's traversal
         streams and the core's result streams issue each address
-        content as one array object."""
+        content as one index object plus one ``(base, stride)``."""
         spec = WORKLOADS[workload]
         machine = experiment_machine("small")
         data = _load_input(spec, inputs_for(workload)[0], "small")
@@ -207,11 +214,11 @@ class TestOneArrayPerContent:
         if spec.tmu_model is not None:
             model = spec.tmu_model(data, machine)
             streams += model.tmu_streams + model.core_trace.streams
-        groups: dict[tuple, dict[int, str]] = {}
+        groups: dict[bytes, dict[tuple, str]] = {}
         for s in streams:
-            if s.count:  # an empty array has no content to share
-                key = (s.addresses.dtype.str, s.addresses.tobytes())
-                groups.setdefault(key, {})[id(s.addresses)] = s.label
+            if s.count:  # an empty stream has no content to share
+                key = (id(s.index), s.base, s.stride)
+                groups.setdefault(s.addresses.tobytes(), {})[key] = s.label
         shared = [sorted(g.values()) for g in groups.values() if len(g) > 1]
         assert not shared, shared
 
@@ -224,7 +231,9 @@ class TestOneArrayPerContent:
         )
         assert _same_objects(p1.streams, p2.streams)
         rmw, write = p1.streams[-2:]
-        assert rmw.addresses is write.addresses
+        assert (rmw.label, write.label) == ("Z[i,:] rmw", "Z[i,:]")
+        assert rmw.index is write.index
+        assert (rmw.base, rmw.stride) == (write.base, write.stride)
         m1, m2 = (
             mttkrp_timing_model(tensor, FACTOR_RANK, machine, parallel=scheme)
             for scheme in ("mode", "rank")
@@ -238,10 +247,20 @@ class TestOneArrayPerContent:
         b = small_csr.transpose()
         trace = characterize_spmspm(small_csr, b, machine)
         model = spmspm_timing_model(small_csr, b, machine)
-        base = {s.label: s.addresses for s in trace.streams}
-        tmu = {s.label: s.addresses for s in model.tmu_streams}
+        base = {s.label: s for s in trace.streams}
+        tmu = {s.label: s for s in model.tmu_streams}
         for label in ("A ptrs", "A idxs", "A vals", "B idxs scan", "B vals scan"):
             assert base[label] is tmu[label], label
+        # the two B-row scans read one Ranges of B's rows
+        scan = base["B idxs scan"].index
+        assert isinstance(scan, Ranges)
+        assert base["B vals scan"].index is scan
+        assert np.array_equal(scan.expand(),
+                              _scan_positions(b.ptrs, small_csr.idxs))
+        # the accumulator is indexed by the scanned columns themselves
+        assert base["accumulator"].index is scan_columns(small_csr, b)
+        # B's row pointers are looked up at A's own column array
+        assert tmu["B ptrs lookup"].index is small_csr.idxs
 
     def test_tc_never_gathers_columns(self, monkeypatch):
         def refuse(*args):
@@ -250,16 +269,19 @@ class TestOneArrayPerContent:
         # the package re-exports the kernel function under the
         # submodule's name
         kernel_module = sys.modules["repro.kernels.spmspm"]
-        monkeypatch.setattr(kernel_module, "scan_arrays", refuse)
+        monkeypatch.setattr(kernel_module, "scan_columns", refuse)
         machine = experiment_machine("small")
         l_mat = lower_triangle(uniform_random_matrix(90, 90, 8, seed=11))
-        expect = gather_scan_positions(l_mat.ptrs, l_mat.idxs)
+        expect = _scan_positions(l_mat.ptrs, l_mat.idxs)
         for trace_streams in (
             characterize_triangle(l_mat, machine).streams,
             triangle_timing_model(l_mat, machine).tmu_streams,
         ):
             scan = trace_streams[-1]
             assert scan.label == "L_j idxs" and scan.count == expect.size
+            # the rows' ranges, no position array
+            assert isinstance(scan.index, Ranges)
+            assert np.array_equal(scan.index.expand(), expect)
 
 
 #: Runs small cells of four workloads, drops every holder of the

@@ -15,8 +15,14 @@ from repro.sim.trace import (
     AccessStream,
     AddressSpace,
     KernelTrace,
-    strided_addresses,
+    Ranges,
 )
+
+
+def _walk(count: int, *args, **flags) -> AccessStream:
+    """A sequential walk over ``count`` 8-byte elements at 1 GiB."""
+    return AccessStream(Ranges.span(count), 8, *args, base=1 << 30,
+                        stride=8, **flags)
 
 
 class TestTraceHelpers:
@@ -33,13 +39,28 @@ class TestTraceHelpers:
         assert b - a >= 3 << 30
 
     def test_strided_and_indexed(self):
-        assert strided_addresses(100, 3, 8).tolist() == [100, 108, 116]
+        walk = AccessStream(Ranges.span(3), 8, base=100, stride=8)
+        assert walk.addresses.tolist() == [100, 108, 116]
+        scans = AccessStream(Ranges([5, 0, 2], [2, 0, 1]), 4, base=100,
+                             stride=4)
+        assert scans.addresses.tolist() == [120, 124, 108]
+        gather = AccessStream(np.array([3, 0, 3], dtype=np.int32), 8,
+                              base=64, stride=16)
+        assert gather.addresses.tolist() == [112, 64, 112]
+        assert (walk.count, scans.count, gather.count) == (3, 3, 3)
+        assert gather.bytes == 24
+        raw = AccessStream(np.array([7, 9]), 8)  # base 0, stride 1
+        assert raw.addresses.tolist() == [7, 9]
 
     def test_stream_validation(self):
         with pytest.raises(SimulationError):
             AccessStream(np.array([0]), 8, kind="modify")
         with pytest.raises(SimulationError):
             AccessStream(np.array([0]), 0)
+        with pytest.raises(SimulationError):
+            AccessStream(np.array([0]), 8, stride=0)
+        with pytest.raises(SimulationError):
+            Ranges([0, 4], [3, -1])
 
     def test_trace_totals(self):
         trace = KernelTrace("t", scalar_ops=10, vector_ops=5, loads=3,
@@ -55,8 +76,7 @@ class TestTraceHelpers:
 class TestHierarchy:
     def test_sequential_stream_mostly_hits_l1(self, small_machine):
         h = MemoryHierarchy(small_machine)
-        stream = AccessStream(strided_addresses(1 << 30, 1000, 8), 8,
-                              "read", "seq")
+        stream = _walk(1000, "read", "seq")
         profile = h.profile(KernelTrace("t", streams=[stream]))
         s = profile.streams[0]
         # 8 elements per line -> ~7/8 of deduped accesses hit nothing
@@ -75,20 +95,17 @@ class TestHierarchy:
         assert s.prefetch_coverage == 0.0  # dependent: not covered
 
     def test_sampling_extrapolates(self, small_machine, monkeypatch):
-        addrs = strided_addresses(1 << 30, 200_000, 8)
         monkeypatch.setattr(memsys, "SAMPLE_WINDOW", None)
         full = MemoryHierarchy(small_machine).profile(
-            KernelTrace("t", streams=[AccessStream(addrs, 8)]))
+            KernelTrace("t", streams=[_walk(200_000)]))
         monkeypatch.setattr(memsys, "SAMPLE_WINDOW", 5_000)
         sampled = MemoryHierarchy(small_machine).profile(
-            KernelTrace("t", streams=[AccessStream(addrs, 8)]))
+            KernelTrace("t", streams=[_walk(200_000)]))
         assert sampled.mem_lines == pytest.approx(full.mem_lines,
                                                   rel=0.05)
 
     def test_llc_only_profile(self, small_machine):
-        addrs = strided_addresses(1 << 30, 1000, 8)
-        profile = llc_only_profile(small_machine,
-                                   [AccessStream(addrs, 8)])
+        profile = llc_only_profile(small_machine, [_walk(1000)])
         s = profile.streams[0]
         assert s.l1_hits == 0 and s.l2_hits == 0
 
@@ -199,17 +216,15 @@ class TestIntervalCore:
     def test_bandwidth_floor_enforced(self, small_machine):
         # 10 MB of cold traffic cannot move faster than the per-core
         # bandwidth share allows.
-        addrs = strided_addresses(1 << 30, 10_000_000 // 8, 8)
         trace = KernelTrace("t", scalar_ops=10,
-                            streams=[AccessStream(addrs, 8)])
+                            streams=[_walk(10_000_000 // 8)])
         result = self._run(small_machine, trace)
         min_cycles = 10_000_000 / small_machine.bytes_per_cycle_per_core()
         assert result.total >= 0.9 * min_cycles
 
     def test_gflops_and_bandwidth_reporting(self, small_machine):
         trace = KernelTrace("t", scalar_ops=1000, flops=2000.0,
-                            streams=[AccessStream(
-                                strided_addresses(1 << 30, 1000, 8), 8)])
+                            streams=[_walk(1000)])
         result = self._run(small_machine, trace)
         assert result.gflops(2.4) > 0
         assert result.bandwidth_gbps(2.4) > 0

@@ -329,7 +329,7 @@ def test_fuzzed_traces_walk_parity():
             n = int(rng.integers(1, 4000, 1)[0])
             kind = "write" if rng.random() < 0.25 else "read"
             addrs = rng.integers(0, 1 << 22, n) * 8
-            streams.append(AccessStream(addresses=addrs, elem_bytes=8,
+            streams.append(AccessStream(index=addrs, elem_bytes=8,
                                         kind=kind, label=f"s{i}",
                                         dependent=bool(rng.random() < .5),
                                         gather=bool(rng.random() < .3)))
@@ -351,7 +351,7 @@ def test_walk_attributes_hits_around_an_empty_stream():
     rng = np.random.default_rng(FUZZ_SEED ^ 0xE3B7)
     machine = default_machine()
     streams = [
-        AccessStream(addresses=rng.integers(0, 1 << 14, n) * 8,
+        AccessStream(index=rng.integers(0, 1 << 14, n) * 8,
                      elem_bytes=8, label=label)
         for label, n in (("a", 3000), ("empty", 0), ("b", 2000))]
     walk_cache().clear()
@@ -407,7 +407,7 @@ def test_fuzzed_first_level_reuse():
         for i in range(int(rng.integers(1, 5, 1)[0])):
             n = int(rng.integers(1, 3000, 1)[0])
             addrs = rng.integers(0, 1 << int(rng.integers(10, 22)), n) * 8
-            streams.append(AccessStream(addresses=addrs, elem_bytes=8,
+            streams.append(AccessStream(index=addrs, elem_bytes=8,
                                         label=f"s{i}",
                                         dependent=bool(rng.random() < .5)))
         trace = KernelTrace(name="fuzz", streams=streams)

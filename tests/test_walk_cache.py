@@ -48,16 +48,16 @@ from repro.sim.memsys import (
     llc_only_profile,
     walk_cache,
 )
-from repro.sim.trace import AccessStream, KernelTrace
+from repro.sim.trace import AccessStream, KernelTrace, Ranges
 from tests.cache_model import cache_model
 
 
 def _trace(seed: int, n: int = 3000) -> KernelTrace:
     rng = np.random.default_rng(seed)
     return KernelTrace(name=f"t{seed}", streams=[
-        AccessStream(addresses=rng.integers(0, 1 << 20, n) * 8,
+        AccessStream(index=rng.integers(0, 1 << 20, n) * 8,
                      elem_bytes=8, label="a"),
-        AccessStream(addresses=np.arange(n) * 8, elem_bytes=8,
+        AccessStream(index=np.arange(n) * 8, elem_bytes=8,
                      kind="write", label="b"),
     ])
 
@@ -121,10 +121,10 @@ class TestMemoryTierLRU:
         """One caller key, several streams: a stream never receives
         another stream's value, whatever their contents."""
         wc = _isolated_walk_cache
-        a = [AccessStream(addresses=np.arange(10) * 64, elem_bytes=8)]
-        b = [AccessStream(addresses=np.arange(10)[::-1].copy() * 64,
+        a = [AccessStream(index=np.arange(10) * 64, elem_bytes=8)]
+        b = [AccessStream(index=np.arange(10)[::-1].copy() * 64,
                           elem_bytes=8)]
-        twin = [AccessStream(addresses=np.arange(10) * 64, elem_bytes=8)]
+        twin = [AccessStream(index=np.arange(10) * 64, elem_bytes=8)]
         wc.put(("k",), a, (["va"], [(1, 1)]))
         assert wc.lookup(("k",), a) is not None
         assert wc.lookup(("k",), b) is None
@@ -149,7 +149,7 @@ class TestMemoryTierLRU:
         for i in range(50):
             addrs = base.copy()
             addrs[1] = (1000 + i) * 64
-            stream = AccessStream(addresses=addrs, elem_bytes=8, label="a")
+            stream = AccessStream(index=addrs, elem_bytes=8, label="a")
             held.append(stream)
             _profiles(KernelTrace(name="t", streams=[stream]), machine)
             assert len(wc) <= 8
@@ -230,13 +230,13 @@ class TestDiskTier:
         assert decoded == value
 
     def test_digest_sensitive_to_content(self):
-        a = [AccessStream(addresses=np.arange(100) * 64, elem_bytes=8)]
-        b = [AccessStream(addresses=np.arange(100) * 64 + 64,
+        a = [AccessStream(index=np.arange(100) * 64, elem_bytes=8)]
+        b = [AccessStream(index=np.arange(100) * 64 + 64,
                           elem_bytes=8)]
         assert _walk_digest(("k",), a) != _walk_digest(("k",), b)
         assert _walk_digest(("k",), a) != _walk_digest(("k2",), a)
         assert _walk_digest(("k",), a) == _walk_digest(("k",), [
-            AccessStream(addresses=np.arange(100) * 64, elem_bytes=8)])
+            AccessStream(index=np.arange(100) * 64, elem_bytes=8)])
 
     def test_gc_reclaims_corrupt_and_temp(self, tmp_path):
         store = WalkStore(tmp_path / "walks")
@@ -271,16 +271,38 @@ class TestStreamDigest:
         return calls
 
     def test_equals_sha256_over_dtype_and_raw_bytes(self):
+        """The digest hashes the base, stride, element size, index form
+        and each index array's dtype and raw bytes, and nothing else."""
         import hashlib
 
-        base = np.arange(300, dtype=np.int64) * 24
-        for addresses in (base, base[::3]):  # contiguous and strided
-            stream = AccessStream(addresses=addresses, elem_bytes=8)
-            raw = np.ascontiguousarray(addresses)
-            h = hashlib.sha256()
-            h.update(str(raw.dtype).encode())
-            h.update(raw.data)
-            assert stream.digest() == h.hexdigest()
+        def expect(form, base, stride, elem_bytes, arrays):
+            raws = [np.ascontiguousarray(a) for a in arrays]
+            h = hashlib.sha256(repr((
+                form, base, stride, elem_bytes,
+                [(str(r.dtype), r.size) for r in raws])).encode())
+            for r in raws:
+                h.update(r.data)
+            return h.hexdigest()
+
+        positions = np.arange(300, dtype=np.int64) * 3
+        for index in (positions, positions[::3],  # contiguous and strided
+                      positions.astype(np.int32)):
+            stream = AccessStream(index=index, elem_bytes=8, base=64,
+                                  stride=8)
+            assert stream.digest() == expect("ndarray", 64, 8, 8, [index])
+        ranges = Ranges([4, 0], [3, 5])
+        stream = AccessStream(index=ranges, elem_bytes=4, base=128, stride=4)
+        assert stream.digest() == expect(
+            "Ranges", 128, 4, 4, [ranges.starts, ranges.lengths])
+        # each of base, stride, element size and form moves it
+        digests = {
+            AccessStream(index=index, elem_bytes=eb, base=b, stride=st
+                         ).digest()
+            for index, eb, b, st in (
+                (positions, 8, 0, 8), (positions, 8, 64, 8),
+                (positions, 8, 0, 16), (positions, 4, 0, 8),
+                (Ranges.span(300), 8, 0, 8))}
+        assert len(digests) == 5
 
     def test_once_per_stream_across_both_walks(self, tmp_path,
                                                _isolated_walk_cache,
@@ -297,11 +319,19 @@ class TestStreamDigest:
         assert len(sha256_calls) == len(trace.streams)
 
     def test_digested_addresses_refuse_writes(self):
-        stream = AccessStream(addresses=np.arange(64) * 8, elem_bytes=8)
-        stream.addresses[0] = 1  # writable until digested
+        stream = AccessStream(index=np.arange(64) * 8, elem_bytes=8)
+        stream.index[0] = 1  # writable until digested
         stream.digest()
         with pytest.raises(ValueError):
-            stream.addresses[0] = 2
+            stream.index[0] = 2
+        ranges = AccessStream(index=Ranges([0, 9], [4, 4]), elem_bytes=8)
+        ranges.digest()
+        for array in ranges.index_arrays():
+            with pytest.raises(ValueError):
+                array[0] = 2
+        # materialized addresses are a read-only copy
+        with pytest.raises(ValueError):
+            ranges.addresses[0] = 2
 
     def test_no_digest_with_the_tier_off(self, _isolated_walk_cache,
                                          sha256_calls):
@@ -312,7 +342,7 @@ class TestStreamDigest:
         llc_only_profile(machine, trace.streams)
         assert sha256_calls == []
         # read-only because the memory tier holds them, not digested
-        assert not any(s.addresses.flags.writeable for s in trace.streams)
+        assert not any(s.index.flags.writeable for s in trace.streams)
 
 
 class TestRuntimeWiring:
@@ -375,7 +405,7 @@ def test_walk_cache_telemetry_counters(_isolated_walk_cache, tmp_path):
 def test_walk_cache_capacity_type():
     wc = WalkCache()
     wc._memory.maxsize = 2
-    held = [AccessStream(addresses=np.arange(4) * 64, elem_bytes=8)
+    held = [AccessStream(index=np.arange(4) * 64, elem_bytes=8)
             for _ in range(5)]
     for i, stream in enumerate(held):
         wc.put((i,), [stream], ([], [(0, 0)]))
@@ -531,7 +561,7 @@ class TestWeakEntries:
         assert len(_isolated_walk_cache._first_level) == 1
         for stream in (*core.streams, *tmu.streams):
             with pytest.raises(ValueError):
-                stream.addresses[0] = 0
+                stream.index[0] = 0
 
     def test_dropped_trace_leaves_both_memos(self, _isolated_walk_cache):
         wc = _isolated_walk_cache
