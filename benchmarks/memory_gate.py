@@ -9,15 +9,22 @@ memos and the operand memo keep alive, which is what the bounds
 protect:
 
 * ``fig13_medium_slice``: the MTTKRP, CP-ALS and TC slice of ``fig13
-  --scale medium``.
+  --scale medium``.  Its peak is set by the TC cells of M3 and M4,
+  whose walks run with the slice's inputs and memo entries resident;
+  the triangle count itself no longer shows (the peak is the same
+  with it stubbed out).
 * ``fig13_mixed_scale``: one process that runs a small-scale ``fig13``
   and then a medium-scale one, as a long-running ``repro serve`` does
   when sweeps change scale.  The input loaders drop the small inputs
   when the medium ones load; a memo that keeps dead operands, or the
-  streams built from them, carries them into the medium session.
+  streams built from them, carries them into the medium session.  Its
+  peak is set by the medium SpMV cells of M1 and M4 (the first medium
+  input to load, and the one with the most rows); the small SpMSpM
+  cells come next, and the medium TC cells that follow add nothing.
 
-The bounds and the measurements they were set from are in
-``benchmarks/baselines/memory.json``.
+Until triangle counting intersected block bitsets, its wedge keys on
+the medium M1 and M5 set both peaks.  The bounds and the measurements
+they were set from are in ``benchmarks/baselines/memory.json``.
 """
 
 from __future__ import annotations
