@@ -3,7 +3,7 @@ on General-Purpose Processors" (MICRO 2023).
 
 Top-level convenience re-exports; see the subpackages for the full API:
 
-* :mod:`repro.formats`    -- COO/CSR/DCSR/CSF + the level abstraction
+* :mod:`repro.formats`    -- COO/CSR/DCSR/CSF and conversions between them
 * :mod:`repro.fibers`     -- fiber traversal and merging
 * :mod:`repro.generators` -- the synthetic input suite (Table 6)
 * :mod:`repro.kernels`    -- software baseline kernels

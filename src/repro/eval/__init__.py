@@ -5,7 +5,7 @@
   on a given input, with memoized system runs.
 * :mod:`repro.eval.experiments` — one driver per paper artifact
   (Figure 3, Figures 10–15, Tables 4–6, the area results).
-* :mod:`repro.eval.reporting` — text-table rendering and CSV export.
+* :mod:`repro.eval.reporting` — text-table rendering.
 """
 
 from .workloads import (
@@ -13,7 +13,6 @@ from .workloads import (
     Workload,
     WorkloadRun,
     run_workload,
-    workload_ids,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "Workload",
     "WorkloadRun",
     "run_workload",
-    "workload_ids",
 ]

@@ -1,9 +1,7 @@
-"""Plain-text tables and CSV export for experiment results."""
+"""Plain-text tables for experiment results."""
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Sequence
 
 
@@ -31,16 +29,6 @@ def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-def to_csv(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """Render rows as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(headers)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
 
 
 def heatmap_table(row_labels: Sequence[str], col_labels: Sequence[str],

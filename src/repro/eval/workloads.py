@@ -217,11 +217,6 @@ WORKLOADS: dict[str, Workload] = {
 }
 
 
-def workload_ids(category: str | None = None) -> list[str]:
-    return [w for w, spec in WORKLOADS.items()
-            if category is None or spec.category == category]
-
-
 def _spec(workload_id: str) -> Workload:
     if workload_id not in WORKLOADS:
         raise WorkloadError(

@@ -1,31 +1,18 @@
-"""Sparse and dense tensor storage formats.
+"""Sparse tensor storage formats.
 
 This package implements the storage substrate of the paper:
 
-* :mod:`repro.formats.dense` — dense vectors/matrices/tensors with
-  row-major fibers.
 * :mod:`repro.formats.coo` — Coordinate format (Figure 1a).
 * :mod:`repro.formats.csr` — Compressed Sparse Row (Figure 1b).
 * :mod:`repro.formats.dcsr` — Doubly-Compressed Sparse Row (Figure 1c).
 * :mod:`repro.formats.csf` — Compressed Sparse Fiber for order-n tensors.
-* :mod:`repro.formats.levels` — the hierarchical *level format*
-  abstraction of Chou et al. used by the TMU programs (Section 2.2).
 * :mod:`repro.formats.convert` — conversions between all of the above.
-* :mod:`repro.formats.io` — MatrixMarket- and FROSTT-style text I/O.
 """
 
 from .coo import CooMatrix, CooTensor
 from .csf import CsfTensor
 from .csr import CsrMatrix
 from .dcsr import DcsrMatrix
-from .dense import DenseMatrix, DenseVector
-from .levels import (
-    CompressedLevel,
-    DenseLevel,
-    LevelTensor,
-    SingletonLevel,
-    build_level_tensor,
-)
 from .convert import (
     coo_to_csf,
     coo_to_csr,
@@ -43,13 +30,6 @@ __all__ = [
     "CsfTensor",
     "CsrMatrix",
     "DcsrMatrix",
-    "DenseMatrix",
-    "DenseVector",
-    "DenseLevel",
-    "CompressedLevel",
-    "SingletonLevel",
-    "LevelTensor",
-    "build_level_tensor",
     "coo_to_csr",
     "coo_to_dcsr",
     "coo_to_csf",

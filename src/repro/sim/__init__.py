@@ -17,8 +17,6 @@ the first-order effects the paper's analysis rests on:
   (IMP) models for the Figure 15 comparison.
 * :mod:`repro.sim.machine` — whole-system runs: software baseline,
   TMU-accelerated, Single-Lane and IMP variants.
-* :mod:`repro.sim.pipeline` — a chunk-level simulation of the outQ
-  double buffer behind ``run_tmu``'s closed form; no figure uses it.
 * :mod:`repro.sim.stats` — derived metrics (roofline, ratios).
 """
 
@@ -33,11 +31,6 @@ from .machine import (
     run_tmu,
 )
 from .memsys import MemoryHierarchy, AccessProfile
-from .pipeline import (
-    PipelineResult,
-    chunk_times_from_totals,
-    simulate_outq_pipeline,
-)
 from .prefetcher import ImpConfig, apply_imp
 from .trace import AccessStream, KernelTrace
 
@@ -54,9 +47,6 @@ __all__ = [
     "run_tmu",
     "MemoryHierarchy",
     "AccessProfile",
-    "PipelineResult",
-    "chunk_times_from_totals",
-    "simulate_outq_pipeline",
     "ImpConfig",
     "apply_imp",
     "AccessStream",

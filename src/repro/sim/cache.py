@@ -32,10 +32,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    def merge(self, other: "CacheStats") -> None:
-        self.accesses += other.accesses
-        self.hits += other.hits
-
 
 class _CacheTelemetry:
     """Per-instance cache of the telemetry handles used on every call.

@@ -66,10 +66,6 @@ class AccessProfile:
     streams: list[StreamProfile] = field(default_factory=list)
     line_bytes: int = 64
 
-    @property
-    def loads(self) -> int:
-        return sum(s.accesses for s in self.streams if s.kind == "read")
-
     def total(self, attr: str, kind: str | None = None) -> int:
         return sum(getattr(s, attr) for s in self.streams
                    if kind is None or s.kind == kind)

@@ -262,8 +262,3 @@ class KernelTrace:
     def total_bytes(self, kind: str | None = None) -> int:
         return sum(s.bytes for s in self.streams
                    if kind is None or s.kind == kind)
-
-    def arithmetic_intensity(self) -> float:
-        """Flops per byte moved — the roofline x axis."""
-        total = self.total_bytes()
-        return self.flops / total if total else 0.0

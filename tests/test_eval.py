@@ -5,23 +5,26 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.eval import experiments as ex
-from repro.eval.reporting import heatmap_table, text_table, to_csv
+from repro.eval.reporting import heatmap_table, text_table
 from repro.eval.workloads import (
+    WORKLOADS,
     as_order3,
     inputs_for,
     run_workload,
-    workload_ids,
 )
 from repro.formats.coo import CooTensor
 
 
 class TestRegistry:
     def test_categories_cover_paper_grouping(self):
-        assert set(workload_ids("memory")) == {
-            "spmv", "pr", "mttkrp_mp", "mttkrp_cp", "cpals"}
-        assert workload_ids("compute") == ["spmspm"]
-        assert set(workload_ids("merge")) == {"spkadd", "tc", "sptc",
-                                              "spadd"}
+        by_category = {}
+        for w, spec in WORKLOADS.items():
+            by_category.setdefault(spec.category, set()).add(w)
+        assert by_category == {
+            "memory": {"spmv", "pr", "mttkrp_mp", "mttkrp_cp", "cpals"},
+            "compute": {"spmspm"},
+            "merge": {"spkadd", "tc", "sptc", "spadd"},
+        }
 
     def test_inputs_for(self):
         assert inputs_for("spmv") == ["M1", "M2", "M3", "M4", "M5", "M6"]
@@ -112,11 +115,6 @@ class TestReporting:
         lines = out.splitlines()
         assert lines[0] == "T"
         assert "2.50" in out and "3.00" in out
-
-    def test_csv(self):
-        out = to_csv(["x", "y"], [[1, 2], [3, 4]])
-        assert out.splitlines()[0] == "x,y"
-        assert out.splitlines()[2] == "3,4"
 
     def test_heatmap(self):
         out = heatmap_table(["r1"], ["c1", "c2"],

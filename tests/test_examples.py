@@ -25,7 +25,6 @@ def test_every_example_is_covered():
         "custom_kernel.py",
         "roofline_report.py",
         "einsum_compiler.py",
-        "outq_pipeline.py",
         "trace_spmv.py",
         "submit_sweep.py",
         "query_trajectory.py",

@@ -7,12 +7,15 @@ from repro.errors import SimulationError
 from repro.generators import load_matrix, uniform_random_matrix
 from repro.kernels.spmv import characterize_spmv
 from repro.programs import spmv_timing_model
+from repro.sim.core import IntervalCoreModel
 from repro.sim.machine import (
+    TmuWorkloadModel,
     run_baseline,
     run_imp,
     run_single_lane,
     run_tmu,
 )
+from repro.sim.trace import KernelTrace
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,56 @@ class TestTmu:
         base = run_baseline(trace, machine)
         tmu = run_tmu(model, machine)
         assert tmu.breakdown.load_to_use < base.breakdown.load_to_use
+
+
+class TestComposition:
+    """``run_tmu``'s one model of TMU/core overlap, pinned exactly:
+    ``max(tmu, core, bw_floor) + tmu / chunks``.  The fill is one
+    produce chunk; a chunk-level double buffer differs from it by at
+    most p - c per run (ROADMAP item 1).
+
+    The models have no traversal streams and no result writes, so the
+    TMU side is its iterate bound, the core side is its committing
+    time plus the outQ reads' L2 stall at an MLP of 1 (thousands of
+    instructions per miss), and the bandwidth floor is 0."""
+
+    OUTQ_CHUNKS = 32
+
+    def _model(self, machine, elements, ops):
+        return TmuWorkloadModel(
+            name="composition",
+            tmu_streams=[],
+            layer_elements=[elements],
+            layer_lanes=[machine.tmu.lanes],
+            outq_bytes=self.OUTQ_CHUNKS * machine.tmu.outq_chunk_bytes,
+            core_trace=KernelTrace("callbacks", scalar_ops=ops),
+        )
+
+    def _check(self, machine, model):
+        tmu_cycles = model.layer_elements[0] / machine.tmu.lanes
+        outq_lines = model.outq_bytes // machine.l1d.line_bytes
+        core_cycles = (model.core_trace.scalar_ops / machine.core.commit_width
+                       + outq_lines * machine.l2.latency
+                       * (1.0 - IntervalCoreModel._L2_HIDE))
+        bw_floor = 0.0
+        result = run_tmu(model, machine)
+        assert result.tmu_cycles == tmu_cycles
+        assert result.core_cycles == core_cycles
+        chunks = max(1, model.outq_bytes / machine.tmu.outq_chunk_bytes)
+        assert chunks == self.OUTQ_CHUNKS
+        assert result.cycles == (max(tmu_cycles, core_cycles, bw_floor)
+                                 + tmu_cycles / chunks)
+        return result
+
+    def test_producer_bound(self, setup):
+        machine = setup[0]
+        result = self._check(machine, self._model(machine, 80_000, 8_000))
+        assert result.tmu_cycles > result.core_cycles
+
+    def test_consumer_bound(self, setup):
+        machine = setup[0]
+        result = self._check(machine, self._model(machine, 8_000, 80_000))
+        assert result.core_cycles > result.tmu_cycles
 
 
 class TestSingleLaneAndImp:

@@ -67,11 +67,6 @@ class TestTraceHelpers:
                             stores=2, branches=1)
         assert trace.total_instructions() == 21
 
-    def test_arithmetic_intensity(self):
-        trace = KernelTrace("t", flops=100.0, streams=[
-            AccessStream(np.zeros(10, dtype=np.int64), 8)])
-        assert trace.arithmetic_intensity() == pytest.approx(100 / 80)
-
 
 class TestHierarchy:
     def test_sequential_stream_mostly_hits_l1(self, small_machine):
