@@ -48,14 +48,8 @@ EXEMPT = {
     "repro.programs": "the Table 4 programs "
                       "(benchmarks/test_table4_mappings.py)",
     "repro.compiler": "einsum lowering to a Program (ROADMAP item 2)",
-    "repro.fibers": "fiber traversal and merges (test oracles)",
-    "repro.kernels.cpals": "reference CP-ALS (test oracle, "
-                           "examples/tensor_decomposition.py) and "
-                           "characterize_cpals (ROADMAP item 7)",
-    "repro.kernels.spmm": "reference SpMM kernel (test oracle)",
-    "repro.kernels.spmspv": "reference SpMSpV kernel (test oracle)",
-    "repro.kernels.spttv": "reference SpTTV kernel (test oracle)",
-    "repro.kernels.spttm": "reference SpTTM kernel (test oracle)",
+    "repro.kernels.cpals": "CP-ALS (examples/tensor_decomposition.py) "
+                           "and characterize_cpals (ROADMAP item 7)",
 }
 
 _ALL = ("all", "--scale", "small", "--jobs", "1")

@@ -2,23 +2,17 @@
 
 This benchmark exercises the *functional* engine on every Table 4 row:
 the program builds within the engine's lane/layer/storage budget, runs
-to completion, and computes the same result as the golden software
-kernel.
+to completion, and computes exactly the einsum the row implements
+(``tests/oracle.py``): operands hold small integers, so every check is
+``np.array_equal``.
 """
 
 import numpy as np
 
 from repro.eval.reporting import text_table
-from repro.fibers.fiber import Fiber
 from repro.formats.convert import coo_to_csf
 from repro.generators import uniform_random_matrix, uniform_random_tensor
-from repro.kernels import (
-    split_rows_cyclic,
-    sptc_symbolic,
-    spttm,
-    spttv,
-    triangle_count,
-)
+from repro.kernels import split_rows_cyclic
 from repro.kernels.triangle import lower_triangle
 from repro.programs import (
     build_mttkrp_program,
@@ -33,69 +27,75 @@ from repro.programs import (
     build_triangle_program,
 )
 from repro.tmu import TmuEngine
+from tests.oracle import (
+    einsum,
+    map_matches,
+    pattern,
+    pattern_counts,
+    small_ints,
+    sparse_vector,
+    with_small_ints,
+)
 
 from .conftest import save_artifact
 
 
 def _run_all():
     rng = np.random.default_rng(0)
-    a = uniform_random_matrix(40, 40, 4, seed=31)
-    b = rng.random(40)
-    t = uniform_random_tensor((12, 10, 8), 150, seed=32)
+    a = with_small_ints(uniform_random_matrix(40, 40, 4, seed=31), seed=31)
+    b = small_ints(rng, 40)
+    t = with_small_ints(uniform_random_tensor((12, 10, 8), 150, seed=32),
+                        seed=32)
     csf = coo_to_csf(t)
     csf_b = coo_to_csf(uniform_random_tensor((8, 10, 9), 150, seed=33))
-    bf = rng.random((10, 5))
-    cf = rng.random((8, 5))
-    bm = rng.random((40, 6))
-    tm = rng.random((8, 4))
-    sv_idx = np.sort(rng.choice(40, 9, replace=False))
-    sv = Fiber(sv_idx, rng.random(9))
-    lt = lower_triangle(uniform_random_matrix(40, 40, 5, seed=34))
+    bf = small_ints(rng, (10, 5))
+    cf = small_ints(rng, (8, 5))
+    bm = small_ints(rng, (40, 6))
+    tm = small_ints(rng, (8, 4))
+    sv, sv_dense = sparse_vector(rng, 40, 9)
+    lt = pattern(lower_triangle(uniform_random_matrix(40, 40, 5, seed=34)))
     parts = split_rows_cyclic(a, 8)
-    tv = rng.random(8)
-    ttv_ref = spttv(csf, tv)
-    ttm_ref = spttm(csf, tm)
+    tv = small_ints(rng, 8)
+    spmv = einsum("ij,j->i", a, b)
+    spmm = einsum("ik,kj->ij", a, bm)
+    spmspm = einsum("ik,jk->ij", a, a)
+    mttkrp = einsum("ikl,kj,lj->ij", t, bf, cf)
 
     cases = [
         ("SpMV P0", build_spmv_program(a, b, lanes=1),
-         lambda out: np.allclose(out, a.to_dense() @ b)),
+         lambda out: np.array_equal(out, spmv)),
         ("SpMV P1", build_spmv_program(a, b, lanes=8),
-         lambda out: np.allclose(out, a.to_dense() @ b)),
+         lambda out: np.array_equal(out, spmv)),
         ("SpMSpV", build_spmspv_program(a, sv),
-         lambda out: np.allclose(out, a.to_dense() @ sv.to_dense(40))),
+         lambda out: np.array_equal(out, einsum("ij,j->i", a, sv_dense))),
         ("SpMM P0", build_spmm_program(a, bm, lanes=1),
-         lambda out: np.allclose(out, a.to_dense() @ bm)),
+         lambda out: np.array_equal(out, spmm)),
         ("SpMM P1", build_spmm_program(a, bm, lanes=4),
-         lambda out: np.allclose(out, a.to_dense() @ bm)),
+         lambda out: np.array_equal(out, spmm)),
         ("SpMM P2", build_spmm_program(a, bm, lanes=8),
-         lambda out: np.allclose(out, a.to_dense() @ bm)),
+         lambda out: np.array_equal(out, spmm)),
         ("SpMSpM P0", build_spmspm_program(a, a.transpose(), lanes=1),
-         lambda out: np.allclose(out.to_dense(),
-                                 a.to_dense() @ a.to_dense().T)),
+         lambda out: np.array_equal(out.to_dense(), spmspm)),
         ("SpMSpM P2", build_spmspm_program(a, a.transpose(), lanes=8),
-         lambda out: np.allclose(out.to_dense(),
-                                 a.to_dense() @ a.to_dense().T)),
+         lambda out: np.array_equal(out.to_dense(), spmspm)),
         ("SpKAdd", build_spkadd_program(parts),
-         lambda out: np.allclose(out.to_dense(),
-                                 sum(p.to_dense() for p in parts))),
+         lambda out: np.array_equal(out.to_dense(),
+                                    sum(einsum("ij->ij", p) for p in parts))),
         ("PageRank", build_spmv_program(a, b, lanes=8, name="pr"),
-         lambda out: np.allclose(out, a.to_dense() @ b)),
+         lambda out: np.array_equal(out, spmv)),
         ("TriangleCount", build_triangle_program(lt),
-         lambda out: out == triangle_count(lt)),
+         lambda out: np.array_equal(out, einsum("ij,ik,jk->", lt, lt, lt))),
         ("MTTKRP P1", build_mttkrp_program(t, bf, cf),
-         lambda out: np.allclose(out, np.einsum(
-             "ikl,kj,lj->ij", t.to_dense(), bf, cf))),
+         lambda out: np.array_equal(out, mttkrp)),
         ("MTTKRP P2", build_mttkrp_program(t, bf, cf, name="mttkrp_p2"),
-         lambda out: np.allclose(out, np.einsum(
-             "ikl,kj,lj->ij", t.to_dense(), bf, cf))),
+         lambda out: np.array_equal(out, mttkrp)),
         ("SpTC", build_sptc_program(csf, csf_b),
-         lambda out: np.array_equal(out, sptc_symbolic(csf, csf_b))),
+         lambda out: np.array_equal(
+             out, pattern_counts("ikl,lkj->ij", csf, csf_b)[csf.idxs[0]])),
         ("SpTTV", build_spttv_program(csf, tv),
-         lambda out: all(np.isclose(out[k], ttv_ref[k])
-                         for k in ttv_ref) and set(out) == set(ttv_ref)),
+         lambda out: map_matches(out, einsum("ijk,k->ij", csf, tv))),
         ("SpTTM", build_spttm_program(csf, tm),
-         lambda out: all(np.allclose(out[k], ttm_ref[k])
-                         for k in ttm_ref) and set(out) == set(ttm_ref)),
+         lambda out: map_matches(out, einsum("ijk,kl->ijl", csf, tm))),
     ]
 
     rows = []

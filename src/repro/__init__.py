@@ -4,10 +4,11 @@ on General-Purpose Processors" (MICRO 2023).
 Top-level convenience re-exports; see the subpackages for the full API:
 
 * :mod:`repro.formats`    -- COO/CSR/DCSR/CSF and conversions between them
-* :mod:`repro.fibers`     -- fiber traversal and merging
 * :mod:`repro.generators` -- the synthetic input suite (Table 6)
-* :mod:`repro.kernels`    -- software baseline kernels
-* :mod:`repro.tmu`        -- the TMU functional model (the contribution)
+* :mod:`repro.kernels`    -- the software baselines' characterizations,
+  plus the functional kernels an example or a timing model runs
+* :mod:`repro.tmu`        -- the TMU functional model (the contribution):
+  fiber traversal (TUs, §2.3) and merging (TGs, §2.4)
 * :mod:`repro.programs`   -- Table 4 kernel-to-TMU mappings
 * :mod:`repro.sim`        -- the multicore timing model
 * :mod:`repro.eval`       -- experiment drivers for every table/figure
@@ -22,7 +23,6 @@ from .config import (
     graviton3_like,
 )
 from .errors import (
-    FiberError,
     FormatError,
     ReproError,
     SimulationError,
@@ -44,7 +44,6 @@ __all__ = [
     "graviton3_like",
     "ReproError",
     "FormatError",
-    "FiberError",
     "TMUConfigError",
     "TMURuntimeError",
     "SimulationError",

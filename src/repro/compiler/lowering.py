@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..fibers.fiber import Fiber
 from ..formats.csr import CsrMatrix
 from ..programs import (
     build_spmm_program,
@@ -36,8 +35,9 @@ def compile_expression(expression: str | ParsedExpression,
                        lanes: int = 2) -> BuiltProgram:
     """Compile a tensor expression against concrete operands.
 
-    ``operands`` maps tensor names to :class:`CsrMatrix`,
-    :class:`Fiber` (sparse vector) or numpy arrays (dense operands).
+    ``operands`` maps tensor names to :class:`CsrMatrix`, an
+    ``(idxs, vals)`` tuple (sparse vector) or numpy arrays (dense
+    operands).
     Returns a :class:`BuiltProgram`; run it with
     ``TmuEngine(built.program).run(built.handlers)`` and read
     ``built.result()``.
@@ -102,7 +102,7 @@ def _lower_contraction(expr: ParsedExpression, operands: dict,
     b = operands[rhs.name]
 
     if len(rhs.indices) == 1:
-        if isinstance(b, Fiber):
+        if isinstance(b, tuple):
             return build_spmspv_program(a, b, name="compiled_spmspv")
         return build_spmv_program(a, np.asarray(b, dtype=np.float64),
                                   lanes=lanes, name="compiled_spmv")

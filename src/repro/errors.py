@@ -22,11 +22,6 @@ class ConversionError(FormatError):
     """A format conversion was requested that is impossible or lossy."""
 
 
-class FiberError(ReproError):
-    """A fiber traversal or merge was driven with inconsistent inputs
-    (e.g. unsorted coordinates handed to a merger)."""
-
-
 class TMUConfigError(ReproError):
     """The TMU was programmed with an invalid configuration (too many
     lanes, storage overflow, dangling stream parents, ...)."""

@@ -11,56 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import MachineConfig
-from ..errors import WorkloadError
-from ..fibers.fiber import Fiber
-from ..fibers.merge import disjunctive_merge
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from .common import CsrOperand, operand_memo, output_streams, sorted_unique
-
-
-def spadd(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
-    """Reference SpAdd via per-row disjunctive merge."""
-    if a.shape != b.shape:
-        raise WorkloadError(f"shape mismatch: {a.shape} vs {b.shape}")
-    out_ptrs = np.zeros(a.num_rows + 1, dtype=np.int64)
-    idx_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    for i in range(a.num_rows):
-        fa = Fiber(*a.row(i), validate=False)
-        fb = Fiber(*b.row(i), validate=False)
-        idxs: list[int] = []
-        vals: list[float] = []
-        for point in disjunctive_merge([fa, fb]):
-            idxs.append(point.index)
-            vals.append(point.values[0] + point.values[1])
-        idx_parts.append(np.asarray(idxs, dtype=np.int64))
-        val_parts.append(np.asarray(vals))
-        out_ptrs[i + 1] = out_ptrs[i] + len(idxs)
-    return CsrMatrix(
-        a.shape,
-        out_ptrs,
-        np.concatenate(idx_parts) if idx_parts else np.zeros(0, np.int64),
-        np.concatenate(val_parts) if val_parts else np.zeros(0),
-        validate=False,
-    )
-
-
-def spadd_numpy(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
-    """Vectorized check implementation (via COO concatenation)."""
-    if a.shape != b.shape:
-        raise WorkloadError(f"shape mismatch: {a.shape} vs {b.shape}")
-    from ..formats.convert import coo_to_csr, csr_to_coo
-    from ..formats.coo import CooMatrix
-
-    ca, cb = csr_to_coo(a), csr_to_coo(b)
-    merged = CooMatrix(
-        a.shape,
-        np.concatenate((ca.rows, cb.rows)),
-        np.concatenate((ca.cols, cb.cols)),
-        np.concatenate((ca.values, cb.values)),
-    )
-    return coo_to_csr(merged)
 
 
 def merge_counts(a: CsrMatrix, b: CsrMatrix) -> tuple[int, int]:

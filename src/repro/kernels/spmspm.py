@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import MachineConfig
-from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
 from ..types import VALUE_BYTES
@@ -23,23 +22,6 @@ from .common import (
     sorted_unique,
     sve_lanes,
 )
-
-
-def spmspm_symbolic(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
-    """Symbolic phase: per-row output non-zero counts of ``A @ B``."""
-    if a.num_cols != b.num_rows:
-        raise WorkloadError("inner dimensions of A and B do not match")
-    counts = np.zeros(a.num_rows, dtype=np.int64)
-    marker = np.full(b.num_cols, -1, dtype=np.int64)
-    for i in range(a.num_rows):
-        count = 0
-        for k in a.idxs[a.ptrs[i]:a.ptrs[i + 1]]:
-            for j in b.idxs[b.ptrs[k]:b.ptrs[k + 1]]:
-                if marker[j] != i:
-                    marker[j] = i
-                    count += 1
-        counts[i] = count
-    return counts
 
 
 @operand_memo
@@ -84,8 +66,9 @@ def shared_streams(a: CsrMatrix, b: CsrMatrix
 
 @operand_memo
 def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
-    """Vectorized equivalent of :func:`spmspm_symbolic` (same counts,
-    numpy set-union per row) for characterization of larger inputs."""
+    """Symbolic phase: per-row output non-zero counts of ``A @ B``
+    (the distinct B columns each A row's scans reach), vectorized for
+    characterization of larger inputs."""
     # Expand every (A row i, B row k) pairing into packed
     # ``i << shift | col`` keys and take one global unique — the
     # per-row distinct-column counts drop out of the keys' high
@@ -106,43 +89,6 @@ def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
                            minlength=a.num_rows).astype(np.int64)
     uniq = sorted_unique((i_rep << 32) | cols)
     return np.bincount(uniq >> 32, minlength=a.num_rows).astype(np.int64)
-
-
-def spmspm(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
-    """Reference Gustavson SpMSpM returning CSR output.
-
-    Uses a dense accumulator per output row (the classic implementation
-    the TACO baseline compiles to), with a touched-column list so reset
-    cost is proportional to the row's non-zeros.
-    """
-    if a.num_cols != b.num_rows:
-        raise WorkloadError("inner dimensions of A and B do not match")
-    acc = np.zeros(b.num_cols)
-    out_ptrs = np.zeros(a.num_rows + 1, dtype=np.int64)
-    idx_parts: list[np.ndarray] = []
-    val_parts: list[np.ndarray] = []
-    for i in range(a.num_rows):
-        touched: list[np.ndarray] = []
-        beg, end = a.row_slice(i)
-        for p in range(beg, end):
-            k = int(a.idxs[p])
-            kb, ke = b.row_slice(k)
-            cols = b.idxs[kb:ke]
-            acc[cols] += a.vals[p] * b.vals[kb:ke]
-            touched.append(cols)
-        if touched:
-            cols = np.unique(np.concatenate(touched))
-            idx_parts.append(cols)
-            val_parts.append(acc[cols].copy())
-            acc[cols] = 0.0
-            out_ptrs[i + 1] = out_ptrs[i] + cols.size
-        else:
-            out_ptrs[i + 1] = out_ptrs[i]
-    idxs = (np.concatenate(idx_parts) if idx_parts
-            else np.zeros(0, dtype=np.int64))
-    vals = np.concatenate(val_parts) if val_parts else np.zeros(0)
-    return CsrMatrix((a.num_rows, b.num_cols), out_ptrs, idxs, vals,
-                     validate=False)
 
 
 @operand_memo

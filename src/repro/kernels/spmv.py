@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import MachineConfig
-from ..errors import WorkloadError
 from ..formats.csr import CsrMatrix
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace
 from ..types import VALUE_BYTES
@@ -21,25 +20,6 @@ from .common import (
     sequential_stream,
     sve_lanes,
 )
-
-
-def spmv(a: CsrMatrix, b) -> np.ndarray:
-    """Reference SpMV: returns the dense vector ``A @ b``.
-
-    Numerically equivalent to the scalar loop of Figure 4; implemented
-    with vectorized numpy for speed (the loop *structure* matters only
-    to :func:`characterize_spmv`).
-    """
-    b = np.asarray(b, dtype=np.float64)
-    if b.size != a.num_cols:
-        raise WorkloadError(
-            f"vector length {b.size} != matrix cols {a.num_cols}"
-        )
-    contributions = a.vals * b[a.idxs]
-    out = np.zeros(a.num_rows)
-    row_of = np.repeat(np.arange(a.num_rows), np.diff(a.ptrs))
-    np.add.at(out, row_of, contributions)
-    return out
 
 
 @operand_memo

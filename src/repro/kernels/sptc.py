@@ -12,30 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import MachineConfig
-from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
 from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
 from ..types import INDEX_BYTES
 from .common import operand_memo, sequential_stream
 
 
-def _build_b_lookup(b: CsfTensor) -> dict[tuple[int, int], int]:
-    """Map (l, k) — the first two coordinates of ``B_lkj`` — to the
-    level-1 node position holding that fiber of j's."""
-    lookup: dict[tuple[int, int], int] = {}
-    for l_node in range(b.idxs[0].size):
-        l_coord = int(b.idxs[0][l_node])
-        beg, end = int(b.ptrs[1][l_node]), int(b.ptrs[1][l_node + 1])
-        for k_node in range(beg, end):
-            lookup[(l_coord, int(b.idxs[1][k_node]))] = k_node
-    return lookup
-
-
 def match_b_fibers(b: CsfTensor, l_coords: np.ndarray,
                    k_coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``_build_b_lookup`` probe: for each query ``(l, k)``
-    pair, the B level-1 node holding that fiber (undefined where not
-    found) and a found mask.
+    """Probe B's fiber directory: for each query ``(l, k)`` pair, the B
+    level-1 node holding that fiber of j's (undefined where not found)
+    and a found mask.
 
     CSF coordinate order makes the packed ``l * K + k`` keys of B's
     level-1 nodes globally sorted (root coordinates ascend, and each
@@ -54,57 +41,6 @@ def match_b_fibers(b: CsfTensor, l_coords: np.ndarray,
     hit = in_range & (pos < b_keys.size)
     hit[hit] = b_keys[pos[hit]] == keys[hit]
     return pos, hit
-
-
-def sptc_symbolic(a: CsfTensor, b: CsfTensor) -> np.ndarray:
-    """Symbolic phase: per-``i`` output non-zero counts of
-    ``Z_ij = A_ikl B_lkj``."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise WorkloadError("sptc expects two order-3 CSF tensors")
-    lookup = _build_b_lookup(b)
-    counts = np.zeros(a.idxs[0].size, dtype=np.int64)
-    for i_node in range(a.idxs[0].size):
-        j_set: set[int] = set()
-        kb, ke = int(a.ptrs[1][i_node]), int(a.ptrs[1][i_node + 1])
-        for k_node in range(kb, ke):
-            k = int(a.idxs[1][k_node])
-            lb, le = int(a.ptrs[2][k_node]), int(a.ptrs[2][k_node + 1])
-            for l_node in range(lb, le):
-                l = int(a.idxs[2][l_node])
-                match = lookup.get((l, k))
-                if match is None:
-                    continue
-                jb, je = int(b.ptrs[2][match]), int(b.ptrs[2][match + 1])
-                j_set.update(int(j) for j in b.idxs[2][jb:je])
-        counts[i_node] = len(j_set)
-    return counts
-
-
-def sptc_numeric(a: CsfTensor, b: CsfTensor) -> dict[tuple[int, int], float]:
-    """Numeric phase: the full contraction as a (i, j) → value map."""
-    if a.ndim != 3 or b.ndim != 3:
-        raise WorkloadError("sptc expects two order-3 CSF tensors")
-    lookup = _build_b_lookup(b)
-    out: dict[tuple[int, int], float] = {}
-    for i_node in range(a.idxs[0].size):
-        i = int(a.idxs[0][i_node])
-        kb, ke = int(a.ptrs[1][i_node]), int(a.ptrs[1][i_node + 1])
-        for k_node in range(kb, ke):
-            k = int(a.idxs[1][k_node])
-            lb, le = int(a.ptrs[2][k_node]), int(a.ptrs[2][k_node + 1])
-            for l_node in range(lb, le):
-                l = int(a.idxs[2][l_node])
-                a_val = float(a.vals[l_node])
-                match = lookup.get((l, k))
-                if match is None:
-                    continue
-                jb, je = int(b.ptrs[2][match]), int(b.ptrs[2][match + 1])
-                for j_node in range(jb, je):
-                    key = (i, int(b.idxs[2][j_node]))
-                    out[key] = out.get(key, 0.0) + a_val * float(
-                        b.vals[j_node]
-                    )
-    return out
 
 
 @operand_memo

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_expression, parse_expression
 from repro.compiler.parser import ExpressionError
-from repro.fibers.fiber import Fiber
+from repro.errors import WorkloadError
 from repro.generators import uniform_random_matrix
 from repro.tmu import TmuEngine
+from tests.oracle import einsum, small_ints, sparse_vector, with_small_ints
 
 
 def run(built):
@@ -18,12 +19,12 @@ def run(built):
 
 @pytest.fixture
 def a():
-    return uniform_random_matrix(24, 24, 4, seed=51)
+    return with_small_ints(uniform_random_matrix(24, 24, 4, seed=51))
 
 
 @pytest.fixture
 def b_mat():
-    return uniform_random_matrix(24, 24, 4, seed=52)
+    return with_small_ints(uniform_random_matrix(24, 24, 4, seed=52), seed=1)
 
 
 class TestParser:
@@ -69,48 +70,59 @@ class TestParser:
 
 class TestCompilation:
     def test_spmv(self, a, rng):
-        b = rng.random(24)
+        b = small_ints(rng, 24)
         out = run(compile_expression("Z(i) = A(i,j) * B(j)",
                                      {"A": a, "B": b}))
-        assert np.allclose(out, a.to_dense() @ b)
+        assert np.array_equal(out, einsum("ij,j->i", a, b))
 
     def test_spmspv(self, a, rng):
-        idx = np.sort(rng.choice(24, 6, replace=False))
-        sv = Fiber(idx, rng.random(6))
+        sv, dense = sparse_vector(rng, 24, 6)
         out = run(compile_expression("Z(i) = A(i,j) * B(j)",
                                      {"A": a, "B": sv}))
-        assert np.allclose(out, a.to_dense() @ sv.to_dense(24))
+        assert np.array_equal(out, einsum("ij,j->i", a, dense))
+
+    @pytest.mark.parametrize("idxs,vals", [
+        ([1, 4, 9], [1.0, 2.0]),
+        ([4, 1, 9], [1.0, 2.0, 3.0]),
+        ([1, 4, 4], [1.0, 2.0, 3.0]),
+        ([1, 4, 24], [1.0, 2.0, 3.0]),   # A has 24 columns
+        ([-1, 4, 9], [1.0, 2.0, 3.0]),
+    ], ids=["lengths-differ", "unsorted", "repeated-index",
+            "past-last-column", "negative-index"])
+    def test_spmspv_malformed_vector(self, a, idxs, vals):
+        with pytest.raises(WorkloadError):
+            compile_expression("Z(i) = A(i,j) * B(j)",
+                               {"A": a, "B": (np.array(idxs), np.array(vals))})
 
     def test_spmm(self, a, rng):
-        b = rng.random((24, 5))
+        b = small_ints(rng, (24, 5))
         out = run(compile_expression("Z(i,k) = A(i,j) * B(j,k)",
                                      {"A": a, "B": b}))
-        assert np.allclose(out, a.to_dense() @ b)
+        assert np.array_equal(out, einsum("ij,jk->ik", a, b))
 
     def test_spmspm(self, a, b_mat):
         out = run(compile_expression("Z(i,k) = A(i,j) * B(j,k)",
                                      {"A": a, "B": b_mat}))
-        assert np.allclose(out.to_dense(),
-                           a.to_dense() @ b_mat.to_dense())
+        assert np.array_equal(out.to_dense(), einsum("ij,jk->ik", a, b_mat))
 
     def test_operand_order_normalized(self, a, rng):
         """B(j) * A(i,j) compiles the same as A(i,j) * B(j)."""
-        b = rng.random(24)
+        b = small_ints(rng, 24)
         out = run(compile_expression("Z(i) = B(j) * A(i,j)",
                                      {"A": a, "B": b}))
-        assert np.allclose(out, a.to_dense() @ b)
+        assert np.array_equal(out, einsum("j,ij->i", b, a))
 
     def test_elementwise_add(self, a, b_mat):
         out = run(compile_expression("Z(i,j) = A(i,j) + B(i,j)",
                                      {"A": a, "B": b_mat}))
-        assert np.allclose(out.to_dense(),
-                           a.to_dense() + b_mat.to_dense())
+        assert np.array_equal(out.to_dense(),
+                              a.to_dense() + b_mat.to_dense())
 
     def test_elementwise_multiply(self, a, b_mat):
         out = run(compile_expression("Z(i,j) = A(i,j) * B(i,j)",
                                      {"A": a, "B": b_mat}))
-        assert np.allclose(out.to_dense(),
-                           a.to_dense() * b_mat.to_dense())
+        assert np.array_equal(out.to_dense(),
+                              einsum("ij,ij->ij", a, b_mat))
 
     def test_copy(self, a):
         out = run(compile_expression("Z(i,j) = A(i,j)", {"A": a}))
@@ -135,8 +147,9 @@ class TestCompilation:
     @given(st.integers(0, 25))
     @settings(max_examples=10, deadline=None)
     def test_random_elementwise_adds(self, seed):
-        x = uniform_random_matrix(12, 12, 3, seed=seed)
-        y = uniform_random_matrix(12, 12, 3, seed=seed + 100)
+        x = with_small_ints(uniform_random_matrix(12, 12, 3, seed=seed))
+        y = with_small_ints(uniform_random_matrix(12, 12, 3, seed=seed + 100),
+                            seed=1)
         out = run(compile_expression("Z(i,j) = A(i,j) + B(i,j)",
                                      {"A": x, "B": y}))
-        assert np.allclose(out.to_dense(), x.to_dense() + y.to_dense())
+        assert np.array_equal(out.to_dense(), x.to_dense() + y.to_dense())

@@ -1,32 +1,39 @@
 """Property-based and failure-injection tests for the TMU engine."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TMURuntimeError
-from repro.fibers.fiber import Fiber
-from repro.fibers.merge import conjunctive_merge, disjunctive_merge
 from repro.tmu import Event, LayerMode, Program, TmuEngine
 from repro.types import INDEX_BYTES, VALUE_BYTES
 
 
 def _merge_program(fiber_indices: list[list[int]], mode: LayerMode,
-                   sort: bool = True) -> tuple[Program, list]:
-    """A one-layer merge program over explicit coordinate lists."""
+                   sort: bool = True,
+                   values: list[list[float]] | None = None
+                   ) -> tuple[Program, list]:
+    """A one-layer merge program over explicit coordinate lists; each
+    step marshals the coordinate, the mask and the lanes' values
+    (``1, 2, ...`` per lane unless ``values`` gives them)."""
     prog = Program("prop_merge", lanes=max(1, len(fiber_indices)))
     layer = prog.add_layer(mode)
+    val_streams = []
     for lane, idx in enumerate(fiber_indices):
         arr = np.asarray(sorted(idx) if sort else idx, dtype=np.int64)
         coords = prog.place_array(arr, INDEX_BYTES, f"idx{lane}")
-        vals = prog.place_array(np.arange(1.0, arr.size + 1),
-                                VALUE_BYTES, f"val{lane}")
+        lane_vals = (np.arange(1.0, arr.size + 1) if values is None
+                     else np.asarray(values[lane], dtype=np.float64))
+        vals = prog.place_array(lane_vals, VALUE_BYTES, f"val{lane}")
         tu = layer.dns_fbrt(beg=0, end=int(arr.size))
         key = tu.add_mem_stream(coords, name=f"key{lane}")
-        tu.add_mem_stream(vals, name=f"v{lane}")
+        val_streams.append(tu.add_mem_stream(vals, name=f"v{lane}"))
         tu.set_merge_key(key)
     layer.add_callback(Event.GITE, "pt", [layer.index_operand(),
-                                          layer.mask_operand()])
+                                          layer.mask_operand(),
+                                          layer.vec_operand(val_streams)])
     points: list[tuple[int, int]] = []
     return prog, points
 
@@ -44,29 +51,34 @@ unique_fibers = st.lists(
 )
 
 
+def _lane_coords(fibers) -> list[np.ndarray]:
+    return [np.unique(np.asarray(f, dtype=np.int64)) for f in fibers]
+
+
 class TestMergeEquivalence:
-    """The hardware TG must agree with the software merge reference on
-    arbitrary sorted fibers."""
+    """The hardware TG must agree with the set algebra of Section 2.4 on
+    arbitrary sorted fibers: a disjunctive merge steps through the
+    union of the coordinates, a conjunctive one through their
+    intersection, and bit k of a step's mask is set when lane k holds
+    the step's coordinate."""
 
     @given(unique_fibers)
     @settings(max_examples=60, deadline=None)
     def test_disjunctive_matches_reference(self, fibers):
         hw = _run_merge(fibers, LayerMode.DISJ_MRG)
-        ref_fibers = [Fiber(np.sort(np.asarray(f, dtype=np.int64)),
-                            np.ones(len(f)), validate=False)
-                      for f in fibers]
-        ref = [(p.index, p.mask) for p in disjunctive_merge(ref_fibers)]
-        assert hw == ref
+        lanes = _lane_coords(fibers)
+        coords = reduce(np.union1d, lanes)
+        masks = sum(np.isin(coords, lane).astype(np.int64) << k
+                    for k, lane in enumerate(lanes))
+        assert hw == list(zip(coords.tolist(), masks.tolist()))
 
     @given(unique_fibers)
     @settings(max_examples=60, deadline=None)
     def test_conjunctive_matches_reference(self, fibers):
         hw = _run_merge(fibers, LayerMode.CONJ_MRG)
-        ref_fibers = [Fiber(np.sort(np.asarray(f, dtype=np.int64)),
-                            np.ones(len(f)), validate=False)
-                      for f in fibers]
-        ref = [(p.index, p.mask) for p in conjunctive_merge(ref_fibers)]
-        assert hw == ref
+        coords = reduce(np.intersect1d, _lane_coords(fibers))
+        all_lanes = (1 << len(fibers)) - 1
+        assert hw == [(c, all_lanes) for c in coords.tolist()]
 
     @given(unique_fibers)
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,4 @@
-"""Application kernels: PageRank and triangle counting, validated
-against networkx."""
+"""Triangle counting, validated against networkx."""
 
 import tracemalloc
 
@@ -10,7 +9,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.formats.csr import CsrMatrix
 from repro.generators import load_matrix, uniform_random_matrix
-from repro.kernels import pagerank, triangle_count
+from repro.kernels import triangle_count
 from repro.kernels.triangle import lower_triangle
 
 
@@ -132,35 +131,3 @@ class TestTriangleCount:
         with pytest.raises(WorkloadError):
             triangle_count(bad)
 
-
-class TestPageRank:
-    def test_matches_networkx(self):
-        adj = _symmetric_graph(50, 0.12, seed=7)
-        ours = pagerank(adj, damping=0.85, iterations=80)
-        g = nx.from_numpy_array(adj.to_dense().T, create_using=nx.DiGraph)
-        theirs = nx.pagerank(g, alpha=0.85, max_iter=200, tol=1e-12)
-        theirs_vec = np.array([theirs[i] for i in range(adj.num_rows)])
-        assert np.allclose(ours, theirs_vec, atol=1e-4)
-
-    def test_rank_mass_bounded(self):
-        # Dangling nodes leak rank mass (GAP PR does not redistribute),
-        # so the sum is at most 1 and positive.
-        square = uniform_random_matrix(40, 40, 4, seed=2)
-        ranks = pagerank(square, iterations=30)
-        assert 0.5 < ranks.sum() <= 1.0 + 1e-9
-        assert np.all(ranks > 0)
-
-    def test_tolerance_early_exit(self):
-        adj = _symmetric_graph(30, 0.2, seed=9)
-        r1 = pagerank(adj, iterations=500, tolerance=1e-12)
-        r2 = pagerank(adj, iterations=500, tolerance=0.0)
-        assert np.allclose(r1, r2, atol=1e-6)
-
-    def test_nonsquare_rejected(self):
-        bad = uniform_random_matrix(4, 5, 2, seed=0)
-        with pytest.raises(WorkloadError):
-            pagerank(bad)
-
-    def test_empty_graph(self):
-        empty = CsrMatrix((0, 0), [0], [], [])
-        assert pagerank(empty).size == 0

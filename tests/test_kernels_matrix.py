@@ -1,125 +1,41 @@
-"""Matrix-kernel correctness tests against dense numpy references."""
+"""Matrix-kernel correctness tests against the einsum oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.fibers.fiber import Fiber
+from repro.formats.csr import CsrMatrix
 from repro.generators import uniform_random_matrix
-from repro.kernels import (
-    spadd,
-    spkadd,
-    split_rows_cyclic,
-    spmm,
-    spmspm,
-    spmspv,
-    spmv,
-)
-from repro.kernels.spadd import spadd_numpy
-from repro.kernels.spmspm import spmspm_symbolic
-from repro.kernels.spmspv import spmspv_numpy
+from repro.kernels import spkadd, split_rows_cyclic
+from repro.kernels.spmspm import _symbolic_counts_fast
+from tests.oracle import pattern_counts, with_small_ints
 
 
-class TestSpmv:
-    def test_matches_dense(self, small_csr, rng):
-        b = rng.random(small_csr.num_cols)
-        assert np.allclose(spmv(small_csr, b),
-                           small_csr.to_dense() @ b)
+class TestSymbolicCounts:
+    """SpMSpM's symbolic phase: the per-row output sizes of ``A @ B``
+    are the oracle's pattern counts of ``ik,kj->ij``."""
 
-    def test_empty_rows_produce_zero(self, figure1_matrix, rng):
-        from repro.formats.convert import coo_to_csr
+    def test_nonsquare_with_empty_rows(self):
+        a = uniform_random_matrix(30, 20, 2, seed=3).to_dense()
+        b = uniform_random_matrix(20, 45, 3, seed=4).to_dense()
+        a[[0, 7, 8, 29]] = 0.0
+        b[[1, 2, 19]] = 0.0
+        a, b = CsrMatrix.from_dense(a), CsrMatrix.from_dense(b)
+        counts = _symbolic_counts_fast(a, b)
+        expected = pattern_counts("ik,kj->ij", a, b)
+        assert np.array_equal(counts, expected)
+        assert expected[[0, 7, 8, 29]].sum() == 0 < expected.sum()
 
-        csr = coo_to_csr(figure1_matrix)
-        out = spmv(csr, rng.random(4))
-        assert out[2] == 0.0
-
-    def test_dimension_check(self, small_csr):
-        with pytest.raises(WorkloadError):
-            spmv(small_csr, np.zeros(small_csr.num_cols + 1))
-
-    @given(st.integers(0, 50))
-    @settings(max_examples=20, deadline=None)
-    def test_random(self, seed):
-        a = uniform_random_matrix(17, 13, 3, seed=seed)
-        b = np.random.default_rng(seed).random(13)
-        assert np.allclose(spmv(a, b), a.to_dense() @ b)
-
-
-class TestSpmm:
-    def test_matches_dense(self, small_csr, rng):
-        b = rng.random((small_csr.num_cols, 9))
-        assert np.allclose(spmm(small_csr, b),
-                           small_csr.to_dense() @ b)
-
-    def test_dimension_check(self, small_csr):
-        with pytest.raises(WorkloadError):
-            spmm(small_csr, np.zeros((small_csr.num_cols + 1, 3)))
-
-
-class TestSpmspv:
-    def test_matches_numpy_variant(self, small_csr, rng):
-        idx = np.sort(rng.choice(small_csr.num_cols, 8, replace=False))
-        sv = Fiber(idx, rng.random(8))
-        assert np.allclose(spmspv(small_csr, sv),
-                           spmspv_numpy(small_csr, sv))
-
-    def test_out_of_range_vector(self, small_csr):
-        sv = Fiber([small_csr.num_cols + 5], [1.0])
-        with pytest.raises(WorkloadError):
-            spmspv(small_csr, sv)
-
-
-class TestSpmspm:
-    def test_matches_dense(self, small_csr):
-        b = small_csr.transpose()
-        z = spmspm(small_csr, b)
-        assert np.allclose(z.to_dense(),
-                           small_csr.to_dense() @ b.to_dense())
-
-    def test_output_rows_sorted(self, small_csr):
-        z = spmspm(small_csr, small_csr.transpose())
-        for i in range(z.num_rows):
-            idxs, _ = z.row(i)
-            assert np.all(np.diff(idxs) > 0)
-
-    def test_symbolic_counts_match_numeric(self, small_csr):
-        b = small_csr.transpose()
-        counts = spmspm_symbolic(small_csr, b)
-        z = spmspm(small_csr, b)
-        assert np.array_equal(counts, z.row_nnz())
-
-    def test_dimension_check(self, small_csr):
-        bad = uniform_random_matrix(small_csr.num_cols + 1, 4, 2, seed=1)
-        with pytest.raises(WorkloadError):
-            spmspm(small_csr, bad)
-
-    @given(st.integers(0, 40))
-    @settings(max_examples=12, deadline=None)
-    def test_random(self, seed):
-        a = uniform_random_matrix(12, 10, 3, seed=seed)
-        b = uniform_random_matrix(10, 14, 3, seed=seed + 1)
-        z = spmspm(a, b)
-        assert np.allclose(z.to_dense(), a.to_dense() @ b.to_dense())
-
-
-class TestSpadd:
-    def test_matches_dense(self, small_csr):
-        b = uniform_random_matrix(*small_csr.shape,
-                                  nnz_per_row=4, seed=9)
-        z = spadd(small_csr, b)
-        assert np.allclose(z.to_dense(),
-                           small_csr.to_dense() + b.to_dense())
-
-    def test_matches_numpy_variant(self, small_csr):
-        b = uniform_random_matrix(*small_csr.shape,
-                                  nnz_per_row=4, seed=9)
-        assert spadd(small_csr, b) == spadd_numpy(small_csr, b)
-
-    def test_shape_check(self, small_csr):
-        bad = uniform_random_matrix(5, 5, 2, seed=1)
-        with pytest.raises(WorkloadError):
-            spadd(small_csr, bad)
+    def test_wide_b_packs_int64_keys(self):
+        # B has more than 2**16 columns, so ``row << 16 | col`` would
+        # carry column 65540 into the row bits: the counts must come
+        # from the int64 packing.
+        a = CsrMatrix((2, 3), [0, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+        b = CsrMatrix((3, 70_000), [0, 2, 4, 5], [4, 65_540, 65_540, 69_999, 4],
+                      np.ones(5))
+        counts = _symbolic_counts_fast(a, b)
+        assert counts.tolist() == [3, 1]
+        assert np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
 
 
 class TestSpkadd:
@@ -136,15 +52,15 @@ class TestSpkadd:
                     assert np.allclose(d[i], src[orig])
 
     def test_sum_matches_dense(self, small_csr):
-        parts = split_rows_cyclic(small_csr, 3)
+        parts = split_rows_cyclic(with_small_ints(small_csr), 3)
         z = spkadd(parts)
         expected = sum(p.to_dense() for p in parts)
-        assert np.allclose(z.to_dense(), expected)
+        assert np.array_equal(z.to_dense(), expected)
 
     def test_k1_is_identity(self, small_csr):
         parts = split_rows_cyclic(small_csr, 1)
         z = spkadd(parts)
-        assert np.allclose(z.to_dense(), small_csr.to_dense())
+        assert np.array_equal(z.to_dense(), small_csr.to_dense())
 
     def test_requires_inputs(self):
         with pytest.raises(WorkloadError):

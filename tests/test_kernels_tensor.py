@@ -1,40 +1,31 @@
-"""Tensor-kernel correctness tests against einsum references."""
+"""Tensor-kernel correctness tests against the einsum oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.formats.convert import coo_to_csf
-from repro.generators import uniform_random_tensor
-from repro.kernels import (
-    cp_als,
-    mttkrp,
-    sptc_numeric,
-    sptc_symbolic,
-    spttm,
-    spttv,
-)
+from repro.kernels import cp_als, mttkrp
+from tests.oracle import einsum, small_ints, with_small_ints
 
 
 class TestMttkrp:
     def test_matches_einsum_mode0(self, small_tensor, rng):
-        b = rng.random((16, 6))
-        c = rng.random((12, 6))
-        ref = np.einsum("ikl,kj,lj->ij", small_tensor.to_dense(), b, c)
-        assert np.allclose(mttkrp(small_tensor, b, c), ref)
+        t = with_small_ints(small_tensor)
+        b = small_ints(rng, (16, 6))
+        c = small_ints(rng, (12, 6))
+        ref = einsum("ikl,kj,lj->ij", t, b, c)
+        assert np.array_equal(mttkrp(t, b, c), ref)
 
     @pytest.mark.parametrize("mode,spec", [
         (0, "ikl,kj,lj->ij"), (1, "kil,kj,lj->ij"), (2, "kli,kj,lj->ij"),
     ])
     def test_all_modes(self, small_tensor, rng, mode, spec):
-        dense = small_tensor.to_dense()
+        t = with_small_ints(small_tensor)
         axes = [m for m in range(3) if m != mode]
-        b = rng.random((small_tensor.shape[axes[0]], 5))
-        c = rng.random((small_tensor.shape[axes[1]], 5))
-        moved = np.moveaxis(dense, mode, 0)
-        ref = np.einsum("ikl,kj,lj->ij", moved, b, c)
-        assert np.allclose(mttkrp(small_tensor, b, c, mode=mode), ref)
+        b = small_ints(rng, (t.shape[axes[0]], 5))
+        c = small_ints(rng, (t.shape[axes[1]], 5))
+        assert np.array_equal(mttkrp(t, b, c, mode=mode),
+                              einsum(spec, t, b, c))
 
     def test_rank_mismatch(self, small_tensor, rng):
         with pytest.raises(WorkloadError):
@@ -45,67 +36,6 @@ class TestMttkrp:
         with pytest.raises(WorkloadError):
             mttkrp(small_tensor, rng.random((99, 6)),
                    rng.random((12, 6)))
-
-
-class TestSptc:
-    @given(st.integers(0, 25))
-    @settings(max_examples=10, deadline=None)
-    def test_numeric_matches_einsum(self, seed):
-        a = coo_to_csf(uniform_random_tensor((8, 7, 6), 60, seed=seed))
-        b = coo_to_csf(uniform_random_tensor((6, 7, 9), 60,
-                                             seed=seed + 100))
-        out = sptc_numeric(a, b)
-        ref = np.einsum("ikl,lkj->ij", a.to_dense(), b.to_dense())
-        dd = np.zeros_like(ref)
-        for (i, j), v in out.items():
-            dd[i, j] = v
-        assert np.allclose(dd, ref)
-
-    def test_symbolic_counts_distinct_js(self):
-        a = coo_to_csf(uniform_random_tensor((6, 5, 4), 40, seed=3))
-        b = coo_to_csf(uniform_random_tensor((4, 5, 7), 40, seed=4))
-        counts = sptc_symbolic(a, b)
-        numeric = sptc_numeric(a, b)
-        per_i: dict[int, set] = {}
-        for (i, j) in numeric:
-            per_i.setdefault(i, set()).add(j)
-        # the symbolic phase upper-bounds numeric structure (numeric
-        # cancellation aside, they should coincide for random values)
-        order = {int(c): n for n, c in enumerate(a.idxs[0])}
-        for i, js in per_i.items():
-            assert counts[order[i]] == len(js)
-
-    def test_arity_check(self, small_csf):
-        bad = coo_to_csf(uniform_random_tensor((4, 4), 10, seed=0))
-        with pytest.raises(WorkloadError):
-            sptc_symbolic(small_csf, bad)
-
-
-class TestSpttv:
-    def test_matches_einsum(self, small_csf, rng):
-        v = rng.random(small_csf.shape[2])
-        out = spttv(small_csf, v)
-        ref = np.einsum("ijk,k->ij", small_csf.to_dense(), v)
-        for (i, j), val in out.items():
-            assert val == pytest.approx(ref[i, j])
-        assert len(out) == small_csf.idxs[1].size
-
-    def test_vector_length_check(self, small_csf):
-        with pytest.raises(WorkloadError):
-            spttv(small_csf, np.zeros(small_csf.shape[2] + 1))
-
-
-class TestSpttm:
-    def test_matches_einsum(self, small_csf, rng):
-        m = rng.random((small_csf.shape[2], 4))
-        out = spttm(small_csf, m)
-        ref = np.einsum("ijk,kr->ijr", small_csf.to_dense(), m)
-        for (i, j), row in out.items():
-            assert np.allclose(row, ref[i, j])
-
-    def test_matrix_shape_check(self, small_csf, rng):
-        with pytest.raises(WorkloadError):
-            spttm(small_csf, rng.random((small_csf.shape[2] + 1, 4)))
 
 
 class TestCpAls:

@@ -33,11 +33,7 @@ from repro.generators import uniform_random_matrix
 from repro.kernels import common
 from repro.kernels.common import operand_memo
 from repro.kernels.spadd import merge_counts
-from repro.kernels.spmspm import (
-    _symbolic_counts_fast,
-    scan_columns,
-    spmspm_symbolic,
-)
+from repro.kernels.spmspm import _symbolic_counts_fast, scan_columns
 from repro.kernels.mttkrp import characterize_mttkrp
 from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import spmv_streams
@@ -49,6 +45,7 @@ from repro.programs.triangle import triangle_timing_model
 from repro.serve import SimService, Submission
 from repro.sim.memsys import FIRST_LEVEL_ENTRIES, WALK_ENTRIES, walk_cache
 from repro.sim.trace import Ranges
+from tests.oracle import pattern_counts
 
 
 def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
@@ -81,7 +78,7 @@ class TestNeverStale:
             counts = _symbolic_counts_fast(a, b)
             stale += not (
                 np.array_equal(cols, b.idxs[expect])
-                and np.array_equal(counts, spmspm_symbolic(a, b))
+                and np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
             )
         assert stale == 0
 

@@ -1,21 +1,15 @@
-"""Table 4 completeness: every kernel's TMU program computes the same
-result as its golden software kernel, on the functional engine."""
+"""Table 4 completeness: every kernel's TMU program computes exactly
+the einsum it implements, on the functional engine."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import TMUConfig
-from repro.fibers.fiber import Fiber
+from repro.errors import WorkloadError
 from repro.formats.convert import coo_to_csf
 from repro.generators import uniform_random_matrix, uniform_random_tensor
-from repro.kernels import (
-    split_rows_cyclic,
-    sptc_symbolic,
-    spttm,
-    spttv,
-    triangle_count,
-)
+from repro.kernels import split_rows_cyclic
 from repro.kernels.triangle import lower_triangle
 from repro.programs import (
     build_mttkrp_program,
@@ -30,6 +24,15 @@ from repro.programs import (
     build_triangle_program,
 )
 from repro.tmu import TmuEngine
+from tests.oracle import (
+    einsum,
+    map_matches,
+    pattern,
+    pattern_counts,
+    small_ints,
+    sparse_vector,
+    with_small_ints,
+)
 
 
 def run(built):
@@ -40,12 +43,12 @@ def run(built):
 
 @pytest.fixture
 def matrix():
-    return uniform_random_matrix(30, 30, 4, seed=13)
+    return with_small_ints(uniform_random_matrix(30, 30, 4, seed=13))
 
 
 @pytest.fixture
 def vector(rng, matrix):
-    return rng.random(matrix.num_cols)
+    return small_ints(rng, matrix.num_cols)
 
 
 class TestSpmvVariants:
@@ -54,7 +57,7 @@ class TestSpmvVariants:
         """P0 (lanes=1) and P1 (multi-lane) produce identical results."""
         built = build_spmv_program(matrix, vector, lanes=lanes)
         out, stats, _ = run(built)
-        assert np.allclose(out, matrix.to_dense() @ vector)
+        assert np.array_equal(out, einsum("ij,j->i", matrix, vector))
         # layer 1 touches every non-zero exactly once, any lane count
         assert stats.layer_iterations[1] == matrix.nnz
 
@@ -77,84 +80,112 @@ class TestSpmvVariants:
     @given(st.integers(0, 30))
     @settings(max_examples=10, deadline=None)
     def test_random_matrices(self, seed):
-        a = uniform_random_matrix(15, 15, 3, seed=seed)
-        b = np.random.default_rng(seed).random(15)
+        a = with_small_ints(uniform_random_matrix(15, 15, 3, seed=seed))
+        b = small_ints(np.random.default_rng(seed), 15)
         built = build_spmv_program(a, b, lanes=2)
         out, _, _ = run(built)
-        assert np.allclose(out, a.to_dense() @ b)
+        assert np.array_equal(out, einsum("ij,j->i", a, b))
 
 
 class TestOtherKernels:
     def test_spmspv(self, matrix, rng):
-        idx = np.sort(rng.choice(matrix.num_cols, 7, replace=False))
-        sv = Fiber(idx, rng.random(7))
+        sv, dense = sparse_vector(rng, matrix.num_cols, 7)
         built = build_spmspv_program(matrix, sv)
         out, _, _ = run(built)
-        assert np.allclose(out,
-                           matrix.to_dense() @ sv.to_dense(matrix.num_cols))
+        assert np.array_equal(out, einsum("ij,j->i", matrix, dense))
 
     def test_spmm(self, matrix, rng):
-        b = rng.random((matrix.num_cols, 5))
+        b = small_ints(rng, (matrix.num_cols, 5))
         built = build_spmm_program(matrix, b, lanes=2)
         out, _, _ = run(built)
-        assert np.allclose(out, matrix.to_dense() @ b)
+        assert np.array_equal(out, einsum("ik,kj->ij", matrix, b))
 
     def test_spmspm(self, matrix):
         at = matrix.transpose()
         built = build_spmspm_program(matrix, at, lanes=2)
         out, _, _ = run(built)
-        assert np.allclose(out.to_dense(),
-                           matrix.to_dense() @ at.to_dense())
+        assert np.array_equal(out.to_dense(),
+                              einsum("ik,kj->ij", matrix, at))
+        assert np.array_equal(out.row_nnz(),
+                              pattern_counts("ik,kj->ij", matrix, at))
 
     def test_spkadd(self, matrix):
         parts = split_rows_cyclic(matrix, 4)
         built = build_spkadd_program(parts)
         out, stats, _ = run(built)
-        assert np.allclose(out.to_dense(),
-                           sum(p.to_dense() for p in parts))
+        assert np.array_equal(out.to_dense(),
+                              sum(p.to_dense() for p in parts))
         # both layers merge: gites recorded
         assert stats.layer_merge_steps[0] > 0
         assert stats.layer_merge_steps[1] > 0
 
     def test_triangle(self):
         g = uniform_random_matrix(40, 40, 5, seed=21)
-        lt = lower_triangle(g)
+        lt = pattern(lower_triangle(g))
         built = build_triangle_program(lt)
         out, _, _ = run(built)
-        assert out == triangle_count(lt)
+        assert out == einsum("ij,ik,jk->", lt, lt, lt) > 0
 
     def test_mttkrp(self, rng):
-        t = uniform_random_tensor((10, 8, 6), 120, seed=5)
-        b = rng.random((8, 4))
-        c = rng.random((6, 4))
+        t = with_small_ints(uniform_random_tensor((10, 8, 6), 120, seed=5))
+        b = small_ints(rng, (8, 4))
+        c = small_ints(rng, (6, 4))
         built = build_mttkrp_program(t, b, c)
         out, _, _ = run(built)
-        ref = np.einsum("ikl,kj,lj->ij", t.to_dense(), b, c)
-        assert np.allclose(out, ref)
+        assert np.array_equal(out, einsum("ikl,kj,lj->ij", t, b, c))
 
     def test_spttv(self, rng):
-        csf = coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6))
-        v = rng.random(7)
+        csf = with_small_ints(
+            coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6)))
+        v = small_ints(rng, 7)
         built = build_spttv_program(csf, v)
         out, _, _ = run(built)
-        assert out == pytest.approx(spttv(csf, v))
+        assert map_matches(out, einsum("ijk,k->ij", csf, v))
 
     def test_spttm(self, rng):
-        csf = coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6))
-        m = rng.random((7, 3))
+        csf = with_small_ints(
+            coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6)))
+        m = small_ints(rng, (7, 3))
         built = build_spttm_program(csf, m)
         out, _, _ = run(built)
-        ref = spttm(csf, m)
-        assert set(out) == set(ref)
-        for key in ref:
-            assert np.allclose(out[key], ref[key])
+        assert map_matches(out, einsum("ijk,kl->ijl", csf, m))
 
     def test_sptc(self):
         ta = coo_to_csf(uniform_random_tensor((8, 7, 6), 90, seed=7))
         tb = coo_to_csf(uniform_random_tensor((6, 7, 9), 90, seed=8))
         built = build_sptc_program(ta, tb)
         out, _, _ = run(built)
-        assert np.array_equal(out, sptc_symbolic(ta, tb))
+        counts = pattern_counts("ikl,lkj->ij", ta, tb)
+        assert np.array_equal(out, counts[ta.idxs[0]])
+
+    def test_sptc_arity_check(self, small_csf):
+        bad = coo_to_csf(uniform_random_tensor((4, 4), 10, seed=0))
+        with pytest.raises(WorkloadError):
+            build_sptc_program(small_csf, bad)
+
+
+class TestSpmspvInput:
+    """The merger assumes sorted fibers, so the SpMSpV builder refuses a
+    sparse vector whose ``(idxs, vals)`` break that or A's columns."""
+
+    @pytest.mark.parametrize("idxs,vals", [
+        ([1, 4, 9], [1.0, 2.0]),
+        ([4, 1, 9], [1.0, 2.0, 3.0]),
+        ([1, 4, 4], [1.0, 2.0, 3.0]),
+        ([1, 4, 30], [1.0, 2.0, 3.0]),   # A has 30 columns
+        ([-1, 4, 9], [1.0, 2.0, 3.0]),
+    ], ids=["lengths-differ", "unsorted", "repeated-index",
+            "past-last-column", "negative-index"])
+    def test_malformed_vector_rejected(self, matrix, idxs, vals):
+        with pytest.raises(WorkloadError):
+            build_spmspv_program(matrix, (np.array(idxs), np.array(vals)))
+
+    def test_edge_columns_accepted(self, matrix):
+        built = build_spmspv_program(matrix, ([0, 29], [2.0, 3.0]))
+        dense = np.zeros(30)
+        dense[[0, 29]] = [2.0, 3.0]
+        out, _, _ = run(built)
+        assert np.array_equal(out, einsum("ij,j->i", matrix, dense))
 
 
 class TestEngineConstraints:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import TMUConfigError
-from repro.fibers.fiber import Fiber
 from repro.formats.convert import coo_to_csf
 from repro.generators import uniform_random_matrix, uniform_random_tensor
 from repro.kernels import split_rows_cyclic
@@ -140,7 +139,7 @@ def _builders():
     csf = coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6))
     return {
         "spmv": lambda: build_spmv_program(matrix, vector, lanes=2),
-        "spmspv": lambda: build_spmspv_program(matrix, Fiber(sv_idx, rng.random(7))),
+        "spmspv": lambda: build_spmspv_program(matrix, (sv_idx, rng.random(7))),
         "spmm": lambda: build_spmm_program(
             matrix, rng.random((matrix.num_cols, 5)), lanes=2
         ),
