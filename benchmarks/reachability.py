@@ -3,16 +3,20 @@ run call?
 
     PYTHONPATH=src python -m benchmarks.reachability
 
-Each mode runs ``repro all --scale small --jobs 1`` (every cell in
-process) under ``sys.setprofile``, each session in its own child
-process, so that no in-process memo (``run_workload``'s ``lru_cache``,
-the walk memos) answers for a later session:
+Each mode runs its sessions under ``sys.setprofile``, each session in
+its own child process, so that no in-process memo (``run_workload``'s
+``lru_cache``, the walk memos) answers for a later session.  The first
+four run ``repro all --scale small --jobs 1`` (every cell in process):
 
 * ``default``: ``--no-cache --walk-cache off``
 * ``reference``: ``--reference``, the golden cache walk
 * ``walk-warm``: ``--no-cache --walk-cache DIR`` twice; the first
   session fills the walk tier, the second reads every walk from it
 * ``telemetry``: ``--no-cache --walk-cache off --telemetry PATH``
+
+The last, ``table4``, runs ``pytest benchmarks/test_table4_mappings.py``
+in process (``REPRO_BENCH_SNAPSHOT=0``): every Table 4 program on the
+functional engine, the reference the timing models are checked against.
 
 The code objects the sessions call are matched by file and first line
 to every ``def`` under ``src/repro``.  The script prints the unreached
@@ -44,28 +48,33 @@ EXEMPT = {
     "repro.store": "platform layer: the experiment store (`repro query`)",
     "repro.obs": "platform layer: telemetry, tracing, `repro stats`",
     "repro.cli": "platform layer: the CLI subcommands",
-    "repro.tmu": "the functional engine, reference for the timing models",
-    "repro.programs": "the Table 4 programs "
-                      "(benchmarks/test_table4_mappings.py)",
+    "repro.tmu.context": "§5.6 context save/restore "
+                         "(tests/test_tmu_context_area.py)",
     "repro.compiler": "einsum lowering to a Program (ROADMAP item 2)",
     "repro.kernels.cpals": "CP-ALS (examples/tensor_decomposition.py) "
                            "and characterize_cpals (ROADMAP item 7)",
 }
 
-_ALL = ("all", "--scale", "small", "--jobs", "1")
+_ALL = ("repro", "all", "--scale", "small", "--jobs", "1")
 _COLD = (*_ALL, "--no-cache", "--walk-cache", "off")
+_TABLE4 = Path(__file__).resolve().parent / "test_table4_mappings.py"
 
-#: mode -> the CLI argument lists it runs, one child process each;
-#: ``{tmp}`` is the mode's scratch directory
+#: mode -> the sessions it runs, one child process each: the entry
+#: point (``repro`` or ``pytest``) and its arguments; ``{tmp}`` is the
+#: mode's scratch directory
 MODES = {
     "default": [_COLD],
     "reference": [(*_ALL, "--reference")],
     "walk-warm": [(*_ALL, "--no-cache", "--walk-cache", "{tmp}/walks")] * 2,
     "telemetry": [(*_COLD, "--telemetry", "{tmp}/snapshot.json")],
+    # pytest-benchmark lifts the profile hook while it times a body;
+    # --benchmark-disable runs the body once, untimed, under the hook
+    "table4": [("pytest", str(_TABLE4), "-q", "-p", "no:cacheprovider",
+                "--benchmark-disable")],
 }
 
 #: the child: install the profile hook before ``repro`` is imported,
-#: run one CLI call, then write the ``(file, first line)`` of every code
+#: run one session, then write the ``(file, first line)`` of every code
 #: object it called
 _CHILD = """
 import json, sys
@@ -73,12 +82,16 @@ called = set()
 def hook(frame, event, arg):
     if event == "call":
         called.add(frame.f_code)
+entry, *argv = json.loads(sys.argv[1])
 sys.setprofile(hook)
-from repro.cli import main
-status = main(json.loads(sys.argv[1]))
+if entry == "pytest":
+    from pytest import main
+else:
+    from repro.cli import main
+status = main(argv)
 sys.setprofile(None)
 if status:
-    sys.exit(f"repro exited with status {status}")
+    sys.exit(f"{entry} exited with status {status}")
 with open(sys.argv[2], "w") as fh:
     json.dump(sorted({(c.co_filename, c.co_firstlineno) for c in called}), fh)
 """
@@ -118,9 +131,10 @@ def exemption(module: str) -> str | None:
 
 
 def trace(argv: tuple[str, ...], tmp: str) -> set[tuple[str, int]]:
-    """Run one CLI call in a child under the profile hook and return
+    """Run one session in a child under the profile hook and return
     the ``(resolved file, first line)`` of every code object it called."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # the Table 4 session appends no perf snapshot to the repo
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_BENCH_SNAPSHOT="0")
     out = Path(tmp) / "called.json"
     subprocess.run([sys.executable, "-c", _CHILD,
                     json.dumps([a.format(tmp=tmp) for a in argv]), str(out)],

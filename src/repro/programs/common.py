@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..config import MachineConfig
+from ..errors import WorkloadError
 from ..tmu.outq import MASK_BYTES, RECORD_HEADER_BYTES, SCALAR_BYTES
 
 
@@ -27,6 +28,16 @@ class BuiltProgram:
     handlers: dict[str, Callable]
     result: Callable[[], object]
     description: str = ""
+
+
+def check_contracted(kernel: str, a_extent: int, b_extent: int) -> None:
+    """Refuse a B whose leading extent is not A's contracted one: a
+    longer B would run to a wrong result, a shorter one would fail
+    mid-run on an out-of-bounds load."""
+    if b_extent != a_extent:
+        raise WorkloadError(
+            f"{kernel}: B's leading extent {b_extent} does not match "
+            f"A's contracted extent {a_extent}")
 
 
 def record_bytes(num_vec_operands: int, lanes: int,

@@ -13,13 +13,14 @@ import numpy as np
 from ..formats.csr import CsrMatrix
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram
+from .common import BuiltProgram, check_contracted
 
 
 def build_spmm_program(a: CsrMatrix, b, *, lanes: int = 2,
                        name: str = "spmm") -> BuiltProgram:
     """Build the runnable SpMM program (inner j-loop parallelized)."""
     b = np.asarray(b, dtype=np.float64)
+    check_contracted("SpMM", a.num_cols, len(b))
     num_cols_b = b.shape[1]
     b_flat = np.ascontiguousarray(b.reshape(-1))
 

@@ -21,12 +21,13 @@ from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import AccessStream, KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram, record_bytes, sve_lanes_of
+from .common import BuiltProgram, check_contracted, record_bytes, sve_lanes_of
 
 
 def build_spmspm_program(a: CsrMatrix, b: CsrMatrix, *, lanes: int = 2,
                          name: str = "spmspm") -> BuiltProgram:
     """Build the runnable SpMSpM program (P2: j-level parallelism)."""
+    check_contracted("SpMSpM", a.num_cols, b.num_rows)
     prog = Program(name, lanes=max(1, lanes))
     a_ptrs = prog.place_array(a.ptrs, INDEX_BYTES, "a->ptrs")
     a_idxs = prog.place_array(a.idxs, INDEX_BYTES, "a->idxs")

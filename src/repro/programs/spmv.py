@@ -18,7 +18,7 @@ from ..sim.machine import TmuWorkloadModel
 from ..sim.trace import KernelTrace
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram, record_bytes, sve_lanes_of
+from .common import BuiltProgram, check_contracted, record_bytes, sve_lanes_of
 
 
 def build_spmv_program(a: CsrMatrix, b, *, lanes: int = 2,
@@ -26,6 +26,7 @@ def build_spmv_program(a: CsrMatrix, b, *, lanes: int = 2,
     """Build the runnable SpMV program (P1 when ``lanes > 1``, P0 when
     ``lanes == 1``) plus its core callbacks."""
     b = np.asarray(b, dtype=np.float64)
+    check_contracted("SpMV", a.num_cols, len(b))
     prog = Program(name, lanes=max(1, lanes))
     ptrs = prog.place_array(a.ptrs, INDEX_BYTES, "a->ptrs")
     idxs = prog.place_array(a.idxs, INDEX_BYTES, "a->idxs")

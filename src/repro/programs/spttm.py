@@ -13,7 +13,7 @@ from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
 from ..tmu.program import Event, LayerMode, Program, ScalarOperand
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram
+from .common import BuiltProgram, check_contracted
 
 
 def build_spttm_program(a: CsfTensor, b,
@@ -22,6 +22,7 @@ def build_spttm_program(a: CsfTensor, b,
     if a.ndim != 3:
         raise WorkloadError("the SpTTM program expects an order-3 CSF")
     b = np.asarray(b, dtype=np.float64)
+    check_contracted("SpTTM", a.shape[2], len(b))
     rank = b.shape[1]
     b_flat = np.ascontiguousarray(b.reshape(-1))
 

@@ -14,7 +14,7 @@ from ..errors import WorkloadError
 from ..formats.csf import CsfTensor
 from ..tmu.program import Event, LayerMode, Program
 from ..types import INDEX_BYTES, VALUE_BYTES
-from .common import BuiltProgram
+from .common import BuiltProgram, check_contracted
 
 
 def build_spttv_program(a: CsfTensor, b,
@@ -23,6 +23,7 @@ def build_spttv_program(a: CsfTensor, b,
     if a.ndim != 3:
         raise WorkloadError("the SpTTV program expects an order-3 CSF")
     b = np.asarray(b, dtype=np.float64)
+    check_contracted("SpTTV", a.shape[2], len(b))
 
     prog = Program(name, lanes=1)
     idx0 = prog.place_array(a.idxs[0], INDEX_BYTES, "A->idxs0")

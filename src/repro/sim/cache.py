@@ -147,10 +147,6 @@ class Cache:
         settle_lookup(self, int(lines.size), hit_count)
         return hits
 
-    @property
-    def mshrs(self) -> int:
-        return self.config.mshrs
-
 
 def line_shift(line_bytes: int) -> int:
     """log2 of a line size, which must be a power of two."""

@@ -258,7 +258,3 @@ class KernelTrace:
     def total_instructions(self) -> int:
         return (self.scalar_ops + self.vector_ops + self.loads
                 + self.stores + self.branches)
-
-    def total_bytes(self, kind: str | None = None) -> int:
-        return sum(s.bytes for s in self.streams
-                   if kind is None or s.kind == kind)

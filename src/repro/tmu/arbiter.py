@@ -49,36 +49,6 @@ class StreamRequestLog:
             return True
         return False
 
-    def record_batch(self, addresses: list[int]) -> None:
-        """Log a fiber's worth of touches at once.
-
-        Equivalent to calling :meth:`record` per address (consecutive
-        same-line dedup included) — only the bookkeeping is vectorized;
-        per-stream touch order, the sole ordering the request streams
-        depend on, is preserved."""
-        n = len(addresses)
-        if n == 0:
-            return
-        self.touches += n
-        if n >= 32:
-            lines = np.asarray(addresses, dtype=np.int64) // LINE_BYTES
-            keep = np.empty(n, dtype=bool)
-            keep[0] = lines[0] != self.last_line
-            np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-            kept = lines[keep]
-            if kept.size:
-                self.lines.extend(kept.tolist())
-                self.last_line = int(kept[-1])
-            return
-        last = self.last_line
-        lines_out = self.lines
-        for address in addresses:
-            line = address // LINE_BYTES
-            if line != last:
-                lines_out.append(line)
-                last = line
-        self.last_line = last
-
 
 class MemoryArbiter:
     """Collects and orders the TMU's memory requests."""
@@ -111,17 +81,6 @@ class MemoryArbiter:
                 "layer": log.layer,
                 "lane": log.lane,
             })
-
-    def record_touches(self, tu: TraversalUnit, stream: Stream,
-                       addresses: list[int]) -> None:
-        """Batched :meth:`record_touch`: one fiber's addresses for one
-        stream.  Used on the untraced fast path (per-grant trace
-        instants need the per-touch entry point)."""
-        log = self._logs.get(stream)
-        if log is None:
-            self.register(tu, stream)
-            log = self._logs[stream]
-        log.record_batch(addresses)
 
     # -- reporting ----------------------------------------------------
 

@@ -68,8 +68,7 @@ class TmuEngine:
     """Execute a TMU program functionally, collecting statistics."""
 
     def __init__(self, program: Program,
-                 config: TMUConfig | None = None,
-                 *, collect_records: bool = True) -> None:
+                 config: TMUConfig | None = None) -> None:
         program.validate()
         self.program = program
         self.config = config or TMUConfig()
@@ -92,7 +91,6 @@ class TmuEngine:
                                   self.config.per_lane_storage_bytes)
         self.arbiter = MemoryArbiter()
         self.outq = OutQueue(self.config.outq_chunk_bytes)
-        self.collect_records = collect_records
         self.groups: list[TraversalGroup] = [
             layer.build_group() for layer in program.layers
         ]
@@ -101,25 +99,6 @@ class TmuEngine:
         self._tracer = obs.NULL_TRACER
         self._tracing = False
         self._trace_run_start = 0
-        #: TUs buffer touches per fiber and flush them in batches when
-        #: set; ``run()`` derives it from ``batch_touches_enabled``,
-        #: clearing it while tracing (per-grant instants need the
-        #: per-touch path).  Flip ``batch_touches_enabled`` off to force
-        #: the per-touch reference path (equivalence tests, benchmarks).
-        self.batch_touches = True
-        self.batch_touches_enabled = True
-        self._resolvers: dict[tuple[int, int], Callable] = {}
-        self._layer_callbacks: list[tuple[list, list, list]] = []
-
-    # -- hooks -----------------------------------------------------------
-
-    def record_memory_touch(self, tu: TraversalUnit, stream: Stream,
-                            address: int) -> None:
-        self.arbiter.record_touch(tu, stream, address)
-
-    def record_touch_batch(self, tu: TraversalUnit, stream: Stream,
-                           addresses: list[int]) -> None:
-        self.arbiter.record_touches(tu, stream, addresses)
 
     # -- operand resolution ------------------------------------------------
 
@@ -158,120 +137,17 @@ class TmuEngine:
                 raise TMURuntimeError(f"unknown operand {operand!r}")
         return tuple(resolved)
 
-    def _compile_operand(self, operand, layer_idx: int) -> Callable:
-        """One closure computing this operand from (step, envs, first
-        active lane) — the per-``_fire`` isinstance ladder of
-        :meth:`_resolve_operands` hoisted to ``run()`` time."""
-        if isinstance(operand, MaskOperand):
-            return lambda step, envs, first: MaskValue(
-                step.mask if step is not None else 0)
-        if isinstance(operand, IndexOperand):
-            return lambda step, envs, first: (
-                step.index if step is not None else -1)
-        if isinstance(operand, VectorOperand):
-            # (lane, value index) pairs; index_in_tu is frozen once the
-            # program is built, so the positional read is safe to bind
-            pairs = tuple((s.tu.lane if s.tu else 0, s.index_in_tu)
-                          for s in operand.streams)
-            zeros = (0.0,) * len(pairs)
-
-            def vector(step, envs, first, pairs=pairs, zeros=zeros):
-                if step is None:
-                    return zeros
-                slots = step.slots
-                return tuple([
-                    slots[lane].values[vi] if slots[lane] is not None
-                    else 0.0
-                    for lane, vi in pairs])
-            return vector
-        if isinstance(operand, ScalarOperand):
-            s = operand.stream
-            same_layer = s.tu is not None and s.tu.layer == layer_idx
-            lane = s.tu.lane if same_layer else 0
-            vi = s.index_in_tu
-
-            def scalar(step, envs, first, s=s, lane=lane, vi=vi,
-                       same_layer=same_layer, layer_idx=layer_idx):
-                if same_layer and step is not None:
-                    slot = step.slots[lane]
-                    return slot.values[vi] if slot is not None else 0.0
-                env = envs[first] if envs else {}
-                try:
-                    return env[s]
-                except KeyError:
-                    raise TMURuntimeError(
-                        f"operand {s.name} not available at layer "
-                        f"{layer_idx}"
-                    ) from None
-            return scalar
-        raise TMURuntimeError(  # pragma: no cover - exhaustive
-            f"unknown operand {operand!r}")
-
-    def _compile_callback(self, callback: Callback,
-                          layer_idx: int) -> Callable:
-        """One resolver per (layer, callback): ``(step, envs, first
-        active lane) -> operand tuple``, with the common arities
-        unrolled so a fire costs one call per operand and no generator
-        machinery."""
-        parts = [self._compile_operand(op, layer_idx)
-                 for op in callback.operands]
-        if not parts:
-            return lambda step, envs, first: ()
-        if len(parts) == 1:
-            p0, = parts
-            return lambda step, envs, first: (p0(step, envs, first),)
-        if len(parts) == 2:
-            p0, p1 = parts
-            return lambda step, envs, first: (
-                p0(step, envs, first), p1(step, envs, first))
-        if len(parts) == 3:
-            p0, p1, p2 = parts
-            return lambda step, envs, first: (
-                p0(step, envs, first), p1(step, envs, first),
-                p2(step, envs, first))
-        return lambda step, envs, first, parts=tuple(parts): tuple(
-            [p(step, envs, first) for p in parts])
-
-    def _compile_resolvers(self) -> None:
-        """Precompile one operand-resolver per (layer, callback) so
-        ``_fire`` runs a flat tuple build instead of re-dispatching on
-        operand types every record; also snapshot the per-event callback
-        lists ``Layer.callbacks_for`` would otherwise rebuild per
-        activation, pairing each callback with its resolver."""
-        self._resolvers = {}
-        self._layer_callbacks = []
-        for layer_idx, layer in enumerate(self.program.layers):
-            per_event = []
-            for event in (Event.GBEG, Event.GITE, Event.GEND):
-                pairs = []
-                for cb in layer.callbacks_for(event):
-                    resolver = self._compile_callback(cb, layer_idx)
-                    self._resolvers[(layer_idx, id(cb))] = resolver
-                    pairs.append((cb, resolver))
-                per_event.append(pairs)
-            self._layer_callbacks.append(tuple(per_event))
-
     def _fire(self, callback: Callback, layer_idx: int,
               step: GroupStep | None,
-              envs: list[dict[Stream, object]], active_mask: int,
-              resolver: Callable | None = None) -> None:
-        if resolver is None:
-            resolver = self._resolvers.get((layer_idx, id(callback)))
-        if resolver is not None:
-            first = (active_mask & -active_mask).bit_length() - 1
-            operands = resolver(step, envs, first)
-        else:  # direct _fire outside run(): reference resolution
-            operands = self._resolve_operands(callback, layer_idx, step,
-                                              envs, active_mask)
+              envs: list[dict[Stream, object]], active_mask: int) -> None:
         record = OutQueueRecord(
             callback_id=callback.callback_id,
-            operands=operands,
+            operands=self._resolve_operands(callback, layer_idx, step,
+                                            envs, active_mask),
             mask=step.mask if step else 0,
             layer=layer_idx,
         )
         self.outq.push(record)
-        if not self.collect_records:
-            self.outq.records.clear()
         self._stats.callback_counts[callback.callback_id] = (
             self._stats.callback_counts.get(callback.callback_id, 0) + 1
         )
@@ -311,24 +187,15 @@ class TmuEngine:
         self._trace_run_start = tracer.now
         self.arbiter.tracer = tracer if self._tracing else None
         self.outq.tracer = tracer if self._tracing else None
-        self.batch_touches = self.batch_touches_enabled and not (
-            self._tracing)
-        self._compile_resolvers()
         self._run_layer(0, None, None,
                         [dict() for _ in range(self.program.lanes)])
-        # fibers cut short (conjunctive early end) never reach fend,
-        # so their buffered touches drain here
-        for group in self.groups:
-            for tu in group.tus:
-                tu.flush_touches(self)
 
         stats = self._stats
         for idx, group in enumerate(self.groups):
             stats.layer_iterations[idx] = sum(
                 tu.iterations for tu in group.tus)
             stats.layer_merge_steps[idx] = group.merge_steps
-        stats.outq_records = self.outq.num_records if (
-            self.collect_records) else sum(stats.callback_counts.values())
+        stats.outq_records = self.outq.num_records
         stats.outq_bytes = self.outq.total_bytes
         stats.outq_chunks = self.outq.num_chunks
         stats.memory_touches = self.arbiter.total_touches
@@ -464,9 +331,8 @@ class TmuEngine:
                     end = beg + int(tu.size)
             tu.begin(beg, end, fwd_values=env)
 
-        gbeg_cbs, gite_cbs, gend_cbs = self._layer_callbacks[layer_idx]
-        for cb, res in gbeg_cbs:
-            self._fire(cb, layer_idx, None, envs, mask, res)
+        for cb in layer.callbacks_for(Event.GBEG):
+            self._fire(cb, layer_idx, None, envs, mask)
 
         tracing = self._tracing
         if tracing:
@@ -475,18 +341,18 @@ class TmuEngine:
             t0 = tracer.now
 
         last = layer_idx == len(self.program.layers) - 1
+        gite_cbs = layer.callbacks_for(Event.GITE)
         for step in group.iterate(mask, engine=self):
             if tracing:
                 tracer.tick()
                 tracer.instant(track, "gite", args={"mask": step.mask})
-            for cb, res in gite_cbs:
-                self._fire(cb, layer_idx, step, envs, mask, res)
+            for cb in gite_cbs:
+                self._fire(cb, layer_idx, step, envs, mask)
             if not last:
                 self._run_layer(layer_idx + 1, layer.mode, step, envs)
-            group.recycle(step)
 
-        for cb, res in gend_cbs:
-            self._fire(cb, layer_idx, None, envs, mask, res)
+        for cb in layer.callbacks_for(Event.GEND):
+            self._fire(cb, layer_idx, None, envs, mask)
 
         if tracing:
             tracer.span(track, "activation", t0, tracer.now - t0)

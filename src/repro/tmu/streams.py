@@ -71,9 +71,9 @@ class Stream:
     element ``x``; memory-backed streams additionally report the byte
     address they touch so the engine can drive the arbiter.  A stream
     that overrides :meth:`touched_address` (today only ``MemStream``)
-    is detected structurally by the TU's precompiled plan, which gives
-    it a per-fiber touch buffer — overriding on a subclass is all it
-    takes to join the batched arbiter path.
+    is detected structurally by the TU's precompiled plan, which logs
+    each of its touches with the arbiter — overriding on a subclass is
+    all it takes to reach the arbiter.
 
     ``index_in_tu`` is the stream's position in its TU's stream list,
     assigned at attach time; it doubles as the positional key into

@@ -124,16 +124,6 @@ class TraversalGroup:
         for tu in self.tus:
             tu.observe(view)
 
-    def recycle(self, step: GroupStep) -> None:
-        """Return a fully-consumed step's slots to their TUs' pools.
-
-        Called by the engine once a step's values have been marshaled
-        (callbacks fired, child layers done); callers that hold slots
-        themselves simply never recycle."""
-        for lane, slot in enumerate(step.slots):
-            if slot is not None:
-                self.tus[lane].release(slot)
-
     def iterate(self, active_mask: int, engine=None):
         """Generate the :class:`GroupStep` sequence of one activation.
 

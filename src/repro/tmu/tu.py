@@ -62,11 +62,7 @@ class Slot:
     Values are stored positionally (``values[stream.index_in_tu]``)
     instead of in a per-iteration dict; ``slot[stream]`` keeps the
     mapping-style access the TGs, the engine and the callbacks use, and
-    ``items()`` iterates ``(stream, value)`` pairs.  Slots are pooled:
-    the engine returns consumed slots to their TU's free list once a
-    step's values have been marshaled, so steady-state iteration
-    allocates nothing.  Callers outside the engine (tests draining a
-    fiber by hand) simply never release slots and may hold them freely.
+    ``items()`` iterates ``(stream, value)`` pairs.
     """
 
     __slots__ = ("streams", "values")
@@ -121,11 +117,9 @@ class TraversalUnit:
         self._end = 0
         self._fwd_values: dict[Stream, object] = {}
         self._head: Slot | None = None
-        # precompiled per-stream derivation plan + pooled slots
+        # precompiled per-stream derivation plan
         self._plan: list[tuple] | None = None
         self._plan_len = 0
-        self._free: list[Slot] = []
-        self._touch_entries: list[tuple[Stream, list[int]]] = []
         self.iterations = 0
         self.fiber_count = 0
         self.control_tokens: int = 0  # total tokens emitted (0s and 1s)
@@ -222,12 +216,10 @@ class TraversalUnit:
         """Compile the stream tree into a flat per-stream plan.
 
         ``peek`` resolves each non-ite stream through one precompiled
-        ``(op, stream, src, touch_buf)`` tuple instead of re-walking the
-        isinstance ladder every iteration.  ``touch_buf`` is a per-stream
-        address buffer (non-None only for streams that touch memory) the
-        engine drains per fiber via :meth:`flush_touches`."""
+        ``(op, stream, src, touches)`` tuple instead of re-walking the
+        isinstance ladder every iteration; ``touches`` is true for the
+        streams that touch memory."""
         plan: list[tuple] = []
-        self._touch_entries = []
         for stream in self.streams[1:]:
             if isinstance(stream, FwdStream):
                 op, src = _OP_FWD, stream.source
@@ -239,27 +231,11 @@ class TraversalUnit:
                     op, src = _OP_LOCAL, parent.index_in_tu
                 else:
                     op, src = _OP_REMOTE, parent
-            buf: list[int] | None = None
-            if type(stream).touched_address is not Stream.touched_address:
-                buf = []
-                self._touch_entries.append((stream, buf))
-            plan.append((op, stream, src, buf))
+            touches = (type(stream).touched_address
+                       is not Stream.touched_address)
+            plan.append((op, stream, src, touches))
         self._plan = plan
         self._plan_len = len(self.streams)
-        self._free.clear()  # pooled slots are sized for the old plan
-
-    def release(self, slot: Slot) -> None:
-        """Return a consumed slot to the pool for reuse (engine only)."""
-        if slot.streams is self.streams and len(slot.values) == \
-                self._plan_len:
-            self._free.append(slot)
-
-    def flush_touches(self, engine: "TmuEngine") -> None:
-        """Hand the buffered per-stream memory touches to the engine."""
-        for stream, buf in self._touch_entries:
-            if buf:
-                engine.record_touch_batch(self, stream, buf)
-                buf.clear()
 
     def begin(self, beg_value: int, end_value: int,
               fwd_values: dict[Stream, object] | None = None) -> None:
@@ -293,8 +269,6 @@ class TraversalUnit:
         if not forward:
             self.state = TuState.FEND
             self.control_tokens += 1  # the `1` end token
-            if engine is not None:
-                self.flush_touches(engine)
             if self._trace_t0 is not None:
                 tracer = obs.tracer()
                 fiber_len = self.iterations - self._trace_it0
@@ -307,17 +281,9 @@ class TraversalUnit:
         if self._plan is None or self._plan_len != len(self.streams):
             self._build_plan()
         cur = self._cur
-        free = self._free
-        if free:
-            slot = free.pop()
-            values = slot.values
-            values[0] = cur
-        else:
-            values = [cur] * self._plan_len
-            slot = Slot(self.streams, values)
-        batch = engine is not None and getattr(
-            engine, "batch_touches", False)
-        for i, (op, stream, src, buf) in enumerate(self._plan, 1):
+        values = [cur] * self._plan_len
+        slot = Slot(self.streams, values)
+        for i, (op, stream, src, touches) in enumerate(self._plan, 1):
             if op == _OP_FWD:
                 values[i] = self._fwd_values.get(src)
                 continue
@@ -333,13 +299,10 @@ class TraversalUnit:
                         f"{stream.name} not forwarded"
                     )
             values[i] = stream.derive(x)
-            if buf is not None and engine is not None:
+            if touches and engine is not None:
                 addr = stream.touched_address(x)
                 if addr is not None:
-                    if batch:
-                        buf.append(addr)
-                    else:
-                        engine.record_memory_touch(self, stream, addr)
+                    engine.arbiter.record_touch(self, stream, addr)
         self._head = slot
         self.control_tokens += 1  # the `0` iteration token
         return self._head

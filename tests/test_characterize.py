@@ -99,7 +99,9 @@ class TestTraceInvariants:
 
     def test_read_bytes_cover_operands(self, traces, matrix):
         # SpMV must at least stream the matrix once.
-        assert traces["spmv"].total_bytes("read") >= matrix.nbytes()
+        read = sum(s.bytes for s in traces["spmv"].streams
+                   if s.kind == "read")
+        assert read >= matrix.nbytes()
 
     def test_parallel_units_positive(self, traces):
         for name, t in traces.items():

@@ -94,6 +94,12 @@ class TestCompilation:
             compile_expression("Z(i) = A(i,j) * B(j)",
                                {"A": a, "B": (np.array(idxs), np.array(vals))})
 
+    @pytest.mark.parametrize("length", [23, 25])   # A has 24 columns
+    def test_vector_of_wrong_length(self, a, length):
+        with pytest.raises(WorkloadError, match="contracted extent"):
+            compile_expression("Z(i) = A(i,j) * B(j)",
+                               {"A": a, "B": np.ones(length)})
+
     def test_spmm(self, a, rng):
         b = small_ints(rng, (24, 5))
         out = run(compile_expression("Z(i,k) = A(i,j) * B(j,k)",

@@ -188,6 +188,29 @@ class TestSpmspvInput:
         assert np.array_equal(out, einsum("ij,j->i", matrix, dense))
 
 
+class TestContractedExtent:
+    """Every builder refuses a B whose leading extent is not A's
+    contracted one: the matrix's 30 columns, the tensor's k = 7."""
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["too-short", "too-long"])
+    @pytest.mark.parametrize("kernel", ["spmv", "spmm", "spmspm", "spttv",
+                                        "spttm"])
+    def test_mismatched_b_rejected(self, matrix, kernel, delta):
+        n = matrix.num_cols + delta
+        csf = coo_to_csf(uniform_random_tensor((9, 8, 7), 100, seed=6))
+        k = csf.shape[2] + delta
+        build = {
+            "spmv": lambda: build_spmv_program(matrix, np.ones(n)),
+            "spmm": lambda: build_spmm_program(matrix, np.ones((n, 3))),
+            "spmspm": lambda: build_spmspm_program(
+                matrix, uniform_random_matrix(n, 7, 2, seed=1)),
+            "spttv": lambda: build_spttv_program(csf, np.ones(k)),
+            "spttm": lambda: build_spttm_program(csf, np.ones((k, 3))),
+        }[kernel]
+        with pytest.raises(WorkloadError, match="contracted extent"):
+            build()
+
+
 class TestEngineConstraints:
     def test_program_wider_than_engine_rejected(self, matrix, vector):
         from repro.errors import TMUConfigError

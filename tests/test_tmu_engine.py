@@ -155,10 +155,3 @@ class TestRuntimeGuards:
 
         with pytest.raises(TMUConfigError):
             TmuEngine(prog, TMUConfig(layers=1))
-
-    def test_collect_records_off_still_counts(self):
-        prog = two_layer_program(rows=2, cols_per_row=2)
-        engine = TmuEngine(prog, collect_records=False)
-        stats = engine.run()
-        assert stats.outq_records == 10  # all callbacks counted
-        assert len(engine.outq.records) == 0
