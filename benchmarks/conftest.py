@@ -12,9 +12,8 @@ Run with::
 The session also captures :mod:`repro.obs` telemetry and appends a perf
 snapshot to the repo's trajectory (``BENCH_<rev>.json`` at the repo
 root) when it finishes; set ``REPRO_BENCH_SNAPSHOT=0`` to skip, or
-``REPRO_BENCH_DIR`` to redirect the snapshot.  ``REPRO_CACHE_DIR``
-points the session's result cache at a persistent directory (CI uses
-this to carry the cache across jobs); by default a temp dir is used.
+``REPRO_BENCH_DIR`` to redirect the snapshot.  The session's result
+cache lives in a fresh temp dir.
 ``REPRO_STORE`` names an experiment database (:mod:`repro.store`);
 when set, the session snapshot is also ingested there so CI can gate
 on ``repro query regressions`` straight after the benchmark run.
@@ -88,18 +87,10 @@ def runtime_cache(tmp_path_factory):
     :mod:`repro.runtime`, so benchmarks that revisit the same
     (workload, input, machine) cells — Fig. 10/11/12/13 share a full
     sweep — are served from this cache instead of re-simulating.
-
-    ``REPRO_CACHE_DIR`` overrides the location so CI can persist the
-    cache across jobs; unset, each session gets a fresh temp dir.
     """
     from repro import runtime
 
-    env_dir = os.environ.get("REPRO_CACHE_DIR")
-    if env_dir:
-        cache_dir = Path(env_dir)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-    else:
-        cache_dir = tmp_path_factory.mktemp("repro-runtime-cache")
+    cache_dir = tmp_path_factory.mktemp("repro-runtime-cache")
     rt = runtime.configure(jobs=1, cache_dir=cache_dir)
     yield rt.cache
     runtime.reset()

@@ -3,10 +3,12 @@ run call?
 
     PYTHONPATH=src python -m benchmarks.reachability
 
-Each mode runs its sessions under ``sys.setprofile``, each session in
-its own child process, so that no in-process memo (``run_workload``'s
-``lru_cache``, the walk memos) answers for a later session.  The first
-four run ``repro all --scale small --jobs 1`` (every cell in process):
+Each mode runs its sessions under ``sys.setprofile`` and
+``threading.setprofile`` (so the service's scheduler and HTTP threads
+are traced too), each session in its own child process, so that no
+in-process memo (``run_workload``'s ``lru_cache``, the walk memos)
+answers for a later session.  The first four run ``repro all --scale
+small --jobs 1`` (every cell in process):
 
 * ``default``: ``--no-cache --walk-cache off``
 * ``reference``: ``--reference``, the golden cache walk
@@ -14,16 +16,26 @@ four run ``repro all --scale small --jobs 1`` (every cell in process):
   session fills the walk tier, the second reads every walk from it
 * ``telemetry``: ``--no-cache --walk-cache off --telemetry PATH``
 
-The last, ``table4``, runs ``pytest benchmarks/test_table4_mappings.py``
-in process (``REPRO_BENCH_SNAPSHOT=0``): every Table 4 program on the
+``table4`` runs ``pytest benchmarks/test_table4_mappings.py`` in
+process (``REPRO_BENCH_SNAPSHOT=0``): every Table 4 program on the
 functional engine, the reference the timing models are checked against.
+
+``platform`` runs what else the repo ships and CI runs: the command
+steps of CI's ``bench-smoke`` and ``store-smoke`` jobs in their order
+(a traced, snapshotted ``fig13`` smoke run, ``stats``, ``trace``,
+``ingest`` and ``query``), ``report`` over the resulting store,
+``cache-gc`` and ``cache-clear`` on a cache one ``fig10`` run filled,
+and every ``examples/*.py`` in process as ``__main__``.
 
 The code objects the sessions call are matched by file and first line
 to every ``def`` under ``src/repro``.  The script prints the unreached
 functions per module and exits 1 when a session fails or when a module
 outside ``EXEMPT`` defines functions and reaches none of them.  The
 ``reference`` session takes most of the time: about 4 of the ≈5
-minutes the trace takes on a 2-core VM.
+minutes the first five modes take on a 2-core VM; ``platform`` adds
+about 30 seconds.  A session's cells that run in
+``--jobs 2`` pool workers are not collected: only the parent process
+writes what it called.
 """
 
 from __future__ import annotations
@@ -37,27 +49,50 @@ import tempfile
 import textwrap
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 PACKAGE = SRC / "repro"
 
 #: module (or package prefix) -> the consumer that keeps it although
-#: ``repro all`` may reach none of its functions
+#: no mode reaches any of its functions
 EXEMPT = {
-    "repro.runtime": "platform layer: the cell runtime and its caches",
-    "repro.serve": "platform layer: the job service (`repro serve`)",
-    "repro.store": "platform layer: the experiment store (`repro query`)",
-    "repro.obs": "platform layer: telemetry, tracing, `repro stats`",
-    "repro.cli": "platform layer: the CLI subcommands",
     "repro.tmu.context": "§5.6 context save/restore "
                          "(tests/test_tmu_context_area.py)",
-    "repro.compiler": "einsum lowering to a Program (ROADMAP item 2)",
-    "repro.kernels.cpals": "CP-ALS (examples/tensor_decomposition.py) "
-                           "and characterize_cpals (ROADMAP item 7)",
 }
 
 _ALL = ("repro", "all", "--scale", "small", "--jobs", "1")
 _COLD = (*_ALL, "--no-cache", "--walk-cache", "off")
 _TABLE4 = Path(__file__).resolve().parent / "test_table4_mappings.py"
+
+# CI's bench-smoke and store-smoke jobs, command by command
+_SMOKE = ("repro", "fig13", "--scale", "small", "--jobs", "2",
+          "--workloads", "spmv,spkadd", "--no-cache")
+_BASELINE = str(REPO / "benchmarks" / "baselines" / "bench-smoke.json")
+_BENCH_DB = ("--store", "{tmp}/bench-smoke.sqlite")
+_STORE_DB = ("--store", "{tmp}/store-smoke.sqlite")
+_BENCH_SMOKE = [
+    (*_SMOKE, "--telemetry", "{tmp}/run-snapshot.json",
+     "--trace", "{tmp}/run-trace.json", "--trace-sample", "4"),
+    ("repro", "stats", "dump", "{tmp}/run-snapshot.json"),
+    ("repro", "trace", "export", "{tmp}/run-trace.json",
+     "--out", "{tmp}/run-trace.perfetto.json"),
+    ("repro", "trace", "report", "{tmp}/run-trace.json"),
+    ("repro", "stats", "diff", _BASELINE, "{tmp}/run-snapshot.json",
+     "--changed-only"),
+    ("repro", "ingest", _BASELINE, "{tmp}/run-snapshot.json", *_BENCH_DB),
+    ("repro", "query", "runs", *_BENCH_DB),
+    ("repro", "query", "regressions", "--bound", "0.2", *_BENCH_DB),
+]
+_STORE_SMOKE = [
+    (*_SMOKE, "--telemetry", "{tmp}/store-run.json", *_STORE_DB),
+    ("repro", "ingest", *map(str, sorted(REPO.glob("BENCH_*.json"))),
+     *_STORE_DB),
+    ("repro", "query", "runs", *_STORE_DB),
+    ("repro", "query", "cells-per-sec", "--by", "rev", *_STORE_DB),
+    ("repro", "query", "cells", *_STORE_DB),
+    ("repro", "query", "regressions", "--bound", "0.20", *_STORE_DB),
+]
+_CACHE = ("--cache-dir", "{tmp}/cache")
 
 #: mode -> the sessions it runs, one child process each: the entry
 #: point (``repro`` or ``pytest``) and its arguments; ``{tmp}`` is the
@@ -71,28 +106,47 @@ MODES = {
     # --benchmark-disable runs the body once, untimed, under the hook
     "table4": [("pytest", str(_TABLE4), "-q", "-p", "no:cacheprovider",
                 "--benchmark-disable")],
+    "platform": [
+        *_BENCH_SMOKE,
+        *_STORE_SMOKE,
+        ("repro", "report", *_STORE_DB, "--out", "{tmp}/report.html"),
+        ("repro", "fig10", "--workloads", "spmv", *_CACHE),
+        ("repro", "cache-gc", *_CACHE),
+        ("repro", "cache-clear", *_CACHE),
+        *(("example", str(path))
+          for path in sorted((REPO / "examples").glob("*.py"))),
+    ],
 }
 
-#: the child: install the profile hook before ``repro`` is imported,
-#: run one session, then write the ``(file, first line)`` of every code
-#: object it called
+#: the child: install the profile hook (on this thread and on every
+#: thread it starts) before ``repro`` is imported, run one session, then
+#: write the ``(file, first line)`` of every code object it called.
+#: An example runs as ``__main__`` with no arguments of its own, so the
+#: child takes its output path from ``sys.argv`` first.
 _CHILD = """
-import json, sys
+import json, runpy, sys, threading
 called = set()
 def hook(frame, event, arg):
     if event == "call":
         called.add(frame.f_code)
-entry, *argv = json.loads(sys.argv[1])
+(entry, *argv), out = json.loads(sys.argv[1]), sys.argv[2]
+threading.setprofile(hook)
 sys.setprofile(hook)
-if entry == "pytest":
-    from pytest import main
+if entry == "example":
+    sys.argv = argv
+    runpy.run_path(argv[0], run_name="__main__")
+    status = 0
 else:
-    from repro.cli import main
-status = main(argv)
+    if entry == "pytest":
+        from pytest import main
+    else:
+        from repro.cli import main
+    status = main(argv)
 sys.setprofile(None)
+threading.setprofile(None)
 if status:
     sys.exit(f"{entry} exited with status {status}")
-with open(sys.argv[2], "w") as fh:
+with open(out, "w") as fh:
     json.dump(sorted({(c.co_filename, c.co_firstlineno) for c in called}), fh)
 """
 
@@ -132,7 +186,8 @@ def exemption(module: str) -> str | None:
 
 def trace(argv: tuple[str, ...], tmp: str) -> set[tuple[str, int]]:
     """Run one session in a child under the profile hook and return
-    the ``(resolved file, first line)`` of every code object it called."""
+    the ``(resolved file, first line)`` of every code object it called.
+    The child runs in ``tmp``, so whatever a session writes stays there."""
     # the Table 4 session appends no perf snapshot to the repo
     env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_BENCH_SNAPSHOT="0")
     out = Path(tmp) / "called.json"

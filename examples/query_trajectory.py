@@ -5,8 +5,10 @@ repo root.  This walkthrough ingests that committed trajectory into a
 fresh experiment database (:mod:`repro.store`) and asks it the
 question the files themselves cannot answer directly: *how has the
 headline cells/sec metric moved across revisions?*  The same query
-backs the CI ``store-smoke`` gate, so the numbers printed here are the
-ones pull requests are judged against.
+backs the CI ``store-smoke`` gate.  That gate catches only a collapse:
+the trajectory points come from different hosts.  Pull requests are
+judged by ``python -m benchmarks.e2e compare``, which runs the parent
+and the change alternately on one host.
 
 Run:  python examples/query_trajectory.py
 """

@@ -7,9 +7,9 @@ Usage::
     python -m repro fig10 --workloads spmv,spkadd --jobs 2 --no-cache
     python -m repro fig13 --telemetry run.json   # write a perf snapshot
     python -m repro stats dump run.json          # inspect a snapshot
-    python -m repro stats diff base.json run.json --max-regression 0.2
+    python -m repro stats diff base.json run.json --changed-only
     python -m repro fig13 --trace trace.json     # record an event timeline
-    python -m repro trace record fig13 --out trace.json --sample 4
+    python -m repro fig13 --no-cache --trace trace.json --trace-sample 4
     python -m repro trace export trace.json      # Perfetto-loadable JSON
     python -m repro trace report trace.json      # stall attribution
     python -m repro fig13 --profile 20    # cProfile bottleneck dump
@@ -33,14 +33,15 @@ processes, and every invocation writes a run manifest (task hashes,
 wall times, cache hits, failures) next to the cache.
 
 ``--telemetry PATH`` enables the :mod:`repro.obs` layer for the run and
-writes a schema-versioned perf snapshot to PATH; ``stats`` dumps,
-diffs, and regression-gates such snapshots (the ``bench-smoke`` CI job
-is built from exactly these two pieces).
+writes a schema-versioned perf snapshot to PATH; ``stats`` dumps and
+diffs such snapshots.  ``repro query regressions`` gates them once they
+are ingested (see ``--store`` below).
 
 ``--trace [PATH]`` additionally records an event timeline
 (:mod:`repro.obs.tracing`) and writes a ``repro.trace/1`` JSON file;
 ``trace export`` converts it to Perfetto-loadable JSON and ``trace
 report`` folds it into a per-component stall/cycle decomposition.
+Add ``--no-cache`` so every cell is simulated, and so traced.
 
 ``serve`` runs the long-lived simulation job service
 (:mod:`repro.serve`); ``submit``, ``jobs`` and ``fetch`` talk to it
@@ -58,12 +59,15 @@ recorder (:mod:`repro.obs.report`): inline SVG charts for cells/sec
 by rev and per-layer stall shares, plus run/cell/span tables — one
 file with no external assets, built from the same query functions as
 ``repro query`` so the numbers always agree.
+
+Every command shares one error policy (:func:`main`): a
+:class:`~repro.errors.ReproError` prints ``error: ...`` on stderr and
+exits 2, and a closed stdout pipe (``| head``) exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -71,7 +75,7 @@ import time
 from pathlib import Path
 
 from . import obs, runtime
-from .errors import ReproError
+from .errors import ReproError, StoreError
 from .eval import experiments as ex
 from .runtime.manifest import RunManifest
 from .sim.memsys import configure_reference
@@ -99,19 +103,6 @@ _COMMANDS = {
 }
 
 _CACHE_COMMANDS = ("cache-gc", "cache-clear")
-
-
-def _pipe_safe(fn):
-    """Exit cleanly when stdout's pipe closes mid-print (``| head``):
-    the reader got everything it asked for, which is success."""
-    @functools.wraps(fn)
-    def wrapped(argv):
-        try:
-            return fn(argv)
-        except BrokenPipeError:
-            sys.stderr.close()  # suppress the interpreter's epilogue
-            return 0
-    return wrapped
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,32 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_trace_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmu-repro trace",
-        description="Record, export and analyze repro.trace event "
-                    "timelines.",
+        description="Export and analyze the repro.trace event timelines "
+                    "that '<experiment> --trace PATH' records.",
     )
     sub = parser.add_subparsers(dest="action", required=True)
-
-    record = sub.add_parser(
-        "record",
-        help="run an experiment with tracing enabled (shorthand for "
-             "'<experiment> --trace PATH --no-cache'; the cache is "
-             "bypassed so every cell is actually simulated)")
-    record.add_argument("experiment", choices=sorted(_COMMANDS),
-                        help="experiment to trace")
-    record.add_argument("--out", default="trace.json", metavar="PATH",
-                        help="trace output path (default: trace.json)")
-    record.add_argument("--scale", default="small",
-                        choices=("small", "medium", "paper"))
-    record.add_argument("--workloads", default=None, metavar="W1,W2",
-                        help="comma-separated workload filter")
-    record.add_argument("--jobs", "-j", type=int, default=1, metavar="N")
-    record.add_argument("--sample", type=int, default=1, metavar="N",
-                        help="keep every Nth instant/counter event")
-    record.add_argument("--capacity", type=int, default=65536,
-                        metavar="N", help="ring-buffer capacity")
-    record.add_argument("--reference", action="store_true",
-                        help="trace the golden-reference cache walk "
-                             "instead of the stack-distance model")
 
     export = sub.add_parser(
         "export", help="validate a trace and export Perfetto-loadable "
@@ -314,36 +283,16 @@ def _build_trace_parser() -> argparse.ArgumentParser:
 
 def _trace_main(argv: list[str]) -> int:
     args = _build_trace_parser().parse_args(argv)
-    try:
-        if args.action == "record":
-            forwarded = [args.experiment, "--scale", args.scale,
-                         "--jobs", str(args.jobs), "--no-cache",
-                         "--trace", args.out,
-                         "--trace-sample", str(args.sample),
-                         "--trace-capacity", str(args.capacity)]
-            if args.workloads:
-                forwarded += ["--workloads", args.workloads]
-            if args.reference:
-                forwarded.append("--reference")
-            return main(forwarded)
-        trace = obs.load_trace(args.trace)
-        if args.action == "export":
-            out = args.out
-            if out is None:
-                out = str(Path(args.trace).with_suffix("")) + (
-                    ".perfetto.json")
-            path = obs.write_perfetto(trace, out)
-            print(f"perfetto export: {path} "
-                  f"({len(trace['events'])} events)")
-            return 0
-        print(obs.stall_report(trace))
+    trace = obs.load_trace(args.trace)
+    if args.action == "export":
+        out = args.out
+        if out is None:
+            out = str(Path(args.trace).with_suffix("")) + ".perfetto.json"
+        path = obs.write_perfetto(trace, out)
+        print(f"perfetto export: {path} ({len(trace['events'])} events)")
         return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        sys.stderr.close()
-        return 0
+    print(obs.stall_report(trace))
+    return 0
 
 
 # ------------------------------------------------------------------- stats
@@ -351,8 +300,9 @@ def _trace_main(argv: list[str]) -> int:
 def _build_stats_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmu-repro stats",
-        description="Dump, diff and regression-gate repro.obs perf "
-                    "snapshots.",
+        description="Dump and diff repro.obs perf snapshots (gate them "
+                    "with 'tmu-repro ingest' and 'tmu-repro query "
+                    "regressions').",
     )
     sub = parser.add_subparsers(dest="action", required=True)
 
@@ -369,63 +319,23 @@ def _build_stats_parser() -> argparse.ArgumentParser:
     diff.add_argument("run", help="run snapshot JSON file")
     diff.add_argument("--changed-only", action="store_true",
                       help="hide metrics with a zero delta")
-    diff.add_argument(
-        "--metric",
-        default="runtime.executor.cells_per_sec",
-        metavar="NAME",
-        help="headline metric for --max-regression (default: "
-             "runtime.executor.cells_per_sec)",
-    )
-    diff.add_argument(
-        "--max-regression",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="exit non-zero if the run's --metric regressed vs the "
-             "baseline by more than FRAC (e.g. 0.2 = 20%%)",
-    )
-    diff.add_argument(
-        "--lower-is-better",
-        action="store_true",
-        help="treat increases of --metric as regressions (cycle or "
-             "byte counts rather than rates)",
-    )
     return parser
 
 
 def _stats_main(argv: list[str]) -> int:
     args = _build_stats_parser().parse_args(argv)
-    try:
-        if args.action == "dump":
-            snap = obs.load_snapshot(args.snapshot)
-            if args.json:
-                print(json.dumps(snap, indent=2, sort_keys=True))
-            else:
-                print(obs.render_snapshot(snap))
-            return 0
-        baseline = obs.load_snapshot(args.baseline)
-        run = obs.load_snapshot(args.run)
-        print(obs.render_diff(obs.diff_snapshots(baseline, run),
-                              changed_only=args.changed_only))
-        if args.max_regression is not None:
-            ok, message = obs.check_regression(
-                run, baseline,
-                metric=args.metric,
-                max_regression=args.max_regression,
-                higher_is_better=not args.lower_is_better,
-            )
-            print(message)
-            if not ok:
-                return 1
+    if args.action == "dump":
+        snap = obs.load_snapshot(args.snapshot)
+        if args.json:
+            print(json.dumps(snap, indent=2, sort_keys=True))
+        else:
+            print(obs.render_snapshot(snap))
         return 0
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # stdout went away mid-print (e.g. `stats dump ... | head`);
-        # suppress the traceback and exit quietly like a good filter.
-        sys.stderr.close()
-        return 0
+    baseline = obs.load_snapshot(args.baseline)
+    run = obs.load_snapshot(args.run)
+    print(obs.render_diff(obs.diff_snapshots(baseline, run),
+                          changed_only=args.changed_only))
+    return 0
 
 
 # ------------------------------------------------------------------- store
@@ -533,18 +443,13 @@ def _build_query_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@_pipe_safe
 def _ingest_main(argv: list[str]) -> int:
     from . import store as st
 
     args = _build_ingest_parser().parse_args(argv)
-    try:
-        with st.ExperimentStore(args.store) as db:
-            results = st.ingest_paths(db, args.paths, rev=args.rev)
-            counts = db.counts()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with st.ExperimentStore(args.store) as db:
+        results = st.ingest_paths(db, args.paths, rev=args.rev)
+        counts = db.counts()
     created = sum(1 for r in results if r["created"])
     by_kind: dict[str, int] = {}
     for r in results:
@@ -564,46 +469,36 @@ def _query_main(argv: list[str]) -> int:
 
     args = _build_query_parser().parse_args(argv)
     gate_ok = True
-    try:
-        with st.ExperimentStore(args.store) as db:
-            if args.action == "runs":
-                rows, columns = st.runs_overview(db)
-            elif args.action == "cells-per-sec":
-                rows, columns = st.cells_per_sec(db, by=args.by)
-            elif args.action == "metric":
-                rows, columns = st.metric_history(db, args.name,
-                                                  by=args.by)
-            elif args.action == "cells":
-                rows, columns = st.cell_outcomes(db, args.workload)
-            elif args.action == "stalls":
-                rows, columns = st.stall_shares(db, by=args.by)
-            else:  # regressions
-                rows, columns, gate_ok = st.regressions(
-                    db, metric=args.metric, baseline=args.baseline,
-                    bound=args.bound,
-                    lower_is_better=args.lower_is_better)
-            print(st.render_rows(rows, columns, args.format))
-            if args.action == "regressions" and args.format == "table":
-                latest = rows[-1]
-                if latest["status"] == "baseline":
-                    print(f"ok {args.metric}: latest run is the "
-                          f"baseline, nothing to gate")
-                elif latest["change"] is None:
-                    print(f"ok {args.metric}: baseline is 0, "
-                          f"nothing to gate")
-                else:
-                    verdict = "ok" if gate_ok else "REGRESSION"
-                    print(f"{verdict} {args.metric}: "
-                          f"latest={_fmt_cli(latest['value'])} "
-                          f"change={latest['change']:+.1%} vs baseline "
-                          f"(limit -{args.bound:.0%})")
-        return 0 if gate_ok else 1
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        sys.stderr.close()
-        return 0
+    with st.ExperimentStore(args.store) as db:
+        if args.action == "runs":
+            rows, columns = st.runs_overview(db)
+        elif args.action == "cells-per-sec":
+            rows, columns = st.cells_per_sec(db, by=args.by)
+        elif args.action == "metric":
+            rows, columns = st.metric_history(db, args.name, by=args.by)
+        elif args.action == "cells":
+            rows, columns = st.cell_outcomes(db, args.workload)
+        elif args.action == "stalls":
+            rows, columns = st.stall_shares(db, by=args.by)
+        else:  # regressions
+            rows, columns, gate_ok = st.regressions(
+                db, metric=args.metric, baseline=args.baseline,
+                bound=args.bound, lower_is_better=args.lower_is_better)
+    print(st.render_rows(rows, columns, args.format))
+    if args.action == "regressions" and args.format == "table":
+        latest = rows[-1]
+        if latest["status"] == "baseline":
+            print(f"ok {args.metric}: latest run is the baseline, "
+                  f"nothing to gate")
+        elif latest["change"] is None:
+            print(f"ok {args.metric}: baseline is 0, nothing to gate")
+        else:
+            verdict = "ok" if gate_ok else "REGRESSION"
+            print(f"{verdict} {args.metric}: "
+                  f"latest={_fmt_cli(latest['value'])} "
+                  f"change={latest['change']:+.1%} vs baseline "
+                  f"(limit -{args.bound:.0%})")
+    return 0 if gate_ok else 1
 
 
 def _fmt_cli(value) -> str:
@@ -633,7 +528,6 @@ def _build_report_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@_pipe_safe
 def _report_main(argv: list[str]) -> int:
     from .obs.report import write_report
     from .store import ExperimentStore
@@ -642,16 +536,10 @@ def _report_main(argv: list[str]) -> int:
     if not Path(args.store).exists():
         # opening would silently create an empty database; a report
         # over nothing is a typo'd path, not a request
-        print(f"error: no experiment database at {args.store}",
-              file=sys.stderr)
-        return 2
-    try:
-        with ExperimentStore(args.store) as db:
-            runs = db.counts()["runs"]
-            path = write_report(db, args.out, title=args.title)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise StoreError(f"no experiment database at {args.store}")
+    with ExperimentStore(args.store) as db:
+        runs = db.counts()["runs"]
+        path = write_report(db, args.out, title=args.title)
     print(f"report: {path} ({runs} runs from {args.store})")
     return 0
 
@@ -800,7 +688,7 @@ def _serve_main(argv: list[str]) -> int:
             store_path=args.store)
         recovered = service.start()
         server = make_server(service, host=args.host, port=args.port)
-    except (ReproError, OSError) as exc:
+    except OSError as exc:  # a taken port, an unwritable state dir
         print(f"error: {exc}", file=sys.stderr)
         return 2
     port = server.server_address[1]
@@ -822,7 +710,6 @@ def _serve_main(argv: list[str]) -> int:
     return 0
 
 
-@_pipe_safe
 def _submit_main(argv: list[str]) -> int:
     from .serve import ServeClient, make_sweep
 
@@ -836,19 +723,14 @@ def _submit_main(argv: list[str]) -> int:
         inputs=split(args.inputs) if args.inputs else None,
         scale=args.scale, variants=split(args.variants))
     client = ServeClient(args.url)
-    try:
-        job = client.submit(sweep, client=args.client,
-                            priority=args.priority)
-        created = job.get("_created", True)
-        if args.wait:
-            job = client.wait(
-                job["id"],
-                on_event=lambda e: print(
-                    e.get("message", e["event"]), file=sys.stderr))
-            job["_created"] = created
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    job = client.submit(sweep, client=args.client, priority=args.priority)
+    created = job.get("_created", True)
+    if args.wait:
+        job = client.wait(
+            job["id"],
+            on_event=lambda e: print(e.get("message", e["event"]),
+                                     file=sys.stderr))
+        job["_created"] = created
     if args.json:
         print(json.dumps(job, indent=2, sort_keys=True))
     else:
@@ -862,16 +744,11 @@ def _submit_main(argv: list[str]) -> int:
     return 0 if job["state"] in ("pending", "running", "done") else 1
 
 
-@_pipe_safe
 def _jobs_main(argv: list[str]) -> int:
     args = _build_jobs_parser().parse_args(argv)
     from .serve import ServeClient
 
-    try:
-        jobs = ServeClient(args.url).jobs()
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    jobs = ServeClient(args.url).jobs()
     if args.json:
         print(json.dumps(jobs, indent=2, sort_keys=True))
         return 0
@@ -888,19 +765,14 @@ def _jobs_main(argv: list[str]) -> int:
     return 0
 
 
-@_pipe_safe
 def _fetch_main(argv: list[str]) -> int:
     args = _build_fetch_parser().parse_args(argv)
     from .serve import ServeClient
 
     client = ServeClient(args.url)
-    try:
-        if args.wait:
-            client.wait(args.job)
-        result = client.result(args.job)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.wait:
+        client.wait(args.job)
+    result = client.result(args.job)
     rendered = json.dumps(result, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(rendered + "\n", encoding="utf-8")
@@ -909,14 +781,6 @@ def _fetch_main(argv: list[str]) -> int:
     else:
         print(rendered)
     return 0 if result["job"]["state"] == "done" else 1
-
-
-_SERVICE_COMMANDS = {
-    "serve": _serve_main,
-    "submit": _submit_main,
-    "jobs": _jobs_main,
-    "fetch": _fetch_main,
-}
 
 
 def _combined_manifest(rt: runtime.Runtime) -> RunManifest | None:
@@ -951,20 +815,7 @@ def _run_cache_command(action: str, args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] == "stats":
-        return _stats_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return _trace_main(argv[1:])
-    if argv and argv[0] == "ingest":
-        return _ingest_main(argv[1:])
-    if argv and argv[0] == "query":
-        return _query_main(argv[1:])
-    if argv and argv[0] == "report":
-        return _report_main(argv[1:])
-    if argv and argv[0] in _SERVICE_COMMANDS:
-        return _SERVICE_COMMANDS[argv[0]](argv[1:])
+def _experiment_main(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.experiment in _CACHE_COMMANDS:
@@ -973,12 +824,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry is not None:
         obs.enable()
     if args.trace is not None:
-        try:
-            obs.enable_tracing(capacity=args.trace_capacity,
-                               sample_every=args.trace_sample)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        obs.enable_tracing(capacity=args.trace_capacity,
+                           sample_every=args.trace_sample)
 
     workloads = None
     if args.workloads:
@@ -988,20 +835,16 @@ def main(argv: list[str] | None = None) -> int:
     # A golden-reference run computes every cell and walk: it never
     # reads what a fast run cached.
     no_cache = args.no_cache or args.reference
-    try:
-        rt = runtime.configure(
-            jobs=args.jobs,
-            cache_dir=None if no_cache else args.cache_dir,
-            timeout=args.timeout,
-            retries=args.retries,
-            progress=lambda msg: print(msg, file=sys.stderr),
-            store=args.store,
-            walk_cache="off" if args.reference else args.walk_cache,
-            reference=args.reference,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rt = runtime.configure(
+        jobs=args.jobs,
+        cache_dir=None if no_cache else args.cache_dir,
+        timeout=args.timeout,
+        retries=args.retries,
+        progress=lambda msg: print(msg, file=sys.stderr),
+        store=args.store,
+        walk_cache="off" if args.reference else args.walk_cache,
+        reference=args.reference,
+    )
 
     out_dir = None
     if args.output is not None:
@@ -1024,16 +867,14 @@ def main(argv: list[str] | None = None) -> int:
             if out_dir is not None:
                 (out_dir / f"{name}.txt").write_text(rendered + "\n",
                                                      encoding="utf-8")
-    except ReproError as exc:
+    except (ReproError, BrokenPipeError) as exc:
+        # a failed or cut-short run leaves no telemetry switched on
+        obs.disable()
+        obs.disable_tracing()
+        if isinstance(exc, BrokenPipeError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        obs.disable()
-        obs.disable_tracing()
-        return 1
-    except BrokenPipeError:
-        sys.stderr.close()
-        obs.disable()
-        obs.disable_tracing()
-        return 0
+        return 1  # a cell failed: not a usage error
     finally:
         # restore the fast model so embedded callers (tests, notebooks)
         # see the default again
@@ -1107,6 +948,40 @@ def main(argv: list[str] | None = None) -> int:
             path = manifest.write(manifest_path)
             print(f"manifest: {path}", file=sys.stderr)
     return 0
+
+
+#: first argument -> handler of the rest; any other first argument
+#: names an experiment (or a cache action)
+_SUBCOMMANDS = {
+    "stats": _stats_main,
+    "trace": _trace_main,
+    "ingest": _ingest_main,
+    "query": _query_main,
+    "report": _report_main,
+    "serve": _serve_main,
+    "submit": _submit_main,
+    "jobs": _jobs_main,
+    "fetch": _fetch_main,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _SUBCOMMANDS:
+        command, argv = _SUBCOMMANDS[argv[0]], argv[1:]
+    else:
+        command = _experiment_main
+    try:
+        return command(argv)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``) after taking what it
+        # wanted: success; closing stderr mutes the interpreter's
+        # epilogue about the unflushed pipe
+        sys.stderr.close()
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,6 @@ from ..config import (
     scale_caches,
     CACHE_SCALE_DIVISOR,
 )
-from ..generators.matrices import fixed_nnz_per_row_matrix
 from ..generators.suite import MATRIX_SUITE, TENSOR_SUITE, load_matrix, \
     load_tensor, matrix_ids
 from ..runtime import SimTask, active_runtime
@@ -247,24 +246,6 @@ def fig12_roofline(scale: str = "small") -> dict:
     out["nnz_per_row_ceilings"] = {
         n: nnz_per_row_ceiling(machine, n) for n in (1, 8, 64)
     }
-    return out
-
-
-def fig12_ceiling_matrices(scale: str = "small") -> dict[int, float]:
-    """Measured SpMSpM throughput on the synthetic fixed-nnz/row
-    matrices that define Figure 12c's dashed ceilings."""
-    machine = experiment_machine(scale)
-    from ..kernels.spmspm import characterize_spmspm
-    from ..sim.machine import run_baseline as _run_baseline
-
-    out = {}
-    for n in (1, 8, 64):
-        rows = 4096
-        matrix = fixed_nnz_per_row_matrix(rows, n, seed=12)
-        trace = characterize_spmspm(matrix, matrix, machine)
-        result = _run_baseline(trace, machine)
-        out[n] = result.breakdown.gflops(machine.core.freq_ghz) * (
-            machine.num_cores)
     return out
 
 

@@ -12,7 +12,6 @@ paper's M*/T* names.
 
 from .matrices import (
     banded_matrix,
-    diagonal_block_matrix,
     fixed_nnz_per_row_matrix,
     power_law_matrix,
     road_network_matrix,
@@ -32,7 +31,6 @@ from .suite import (
 
 __all__ = [
     "banded_matrix",
-    "diagonal_block_matrix",
     "fixed_nnz_per_row_matrix",
     "power_law_matrix",
     "road_network_matrix",

@@ -157,22 +157,6 @@ def road_network_matrix(rows: int, seed: int = 0) -> CsrMatrix:
     return _assemble(rows, rows, r, c, rng)
 
 
-def diagonal_block_matrix(rows: int, block: int, fill: float = 0.5,
-                          seed: int = 0) -> CsrMatrix:
-    """Block-diagonal matrix with dense-ish blocks — high spatial
-    locality, used by ablation studies."""
-    rng = np.random.default_rng(seed)
-    n_blocks = (rows + block - 1) // block
-    rs, cs = [], []
-    for b in range(n_blocks):
-        base = b * block
-        size = min(block, rows - base)
-        count = int(size * size * fill)
-        rs.append(base + rng.integers(0, size, size=count))
-        cs.append(base + rng.integers(0, size, size=count))
-    return _assemble(rows, rows, np.concatenate(rs), np.concatenate(cs), rng)
-
-
 def fixed_nnz_per_row_matrix(rows: int, nnz_per_row: int,
                              seed: int = 0) -> CsrMatrix:
     """Every row stores exactly ``nnz_per_row`` non-zeros at columns

@@ -22,9 +22,9 @@ Instrumented library code stays declarative::
         ...
 
 Snapshots serialize to the stable JSON schema in
-:mod:`repro.obs.snapshot`; ``repro stats`` dumps and diffs them, and the
-``bench-smoke`` CI job gates on schema validity plus a cells/sec
-regression bound.
+:mod:`repro.obs.snapshot`; ``repro stats`` dumps and diffs them, and
+``repro query regressions`` gates their cells/sec once ``repro ingest``
+has stored them.
 
 The metrics answer *how much*; :mod:`repro.obs.tracing` answers *when*:
 an event timeline (spans / instants / counter samples on the same
@@ -89,7 +89,6 @@ from .tracing import (
 from .snapshot import (
     SCHEMA,
     bench_rev,
-    check_regression,
     current_rev,
     diff_snapshots,
     load_snapshot,
@@ -129,7 +128,6 @@ __all__ = [
     "diff_snapshots",
     "render_diff",
     "render_snapshot",
-    "check_regression",
     "current_rev",
     "bench_rev",
     "worktree_dirty",

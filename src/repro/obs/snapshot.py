@@ -16,9 +16,10 @@ schema::
                      "min_s": ..., "max_s": ...}, ...}
     }
 
-Snapshots are what the ``repro stats`` CLI dumps and diffs, what the
-``bench-smoke`` CI job gates on, and what the benchmark harness appends
-to the repo's perf trajectory as ``BENCH_<rev>.json``.
+Snapshots are what the ``repro stats`` CLI dumps and diffs, what
+``repro ingest`` feeds the experiment store that ``repro query
+regressions`` gates on, and what the benchmark harness appends to the
+repo's perf trajectory as ``BENCH_<rev>.json``.
 """
 
 from __future__ import annotations
@@ -302,41 +303,3 @@ def render_snapshot(snap: dict) -> str:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
-
-# -------------------------------------------------------------- regression
-
-def check_regression(
-    run: dict,
-    baseline: dict,
-    *,
-    metric: str,
-    max_regression: float,
-    higher_is_better: bool = True,
-) -> tuple[bool, str]:
-    """Gate a run snapshot against a baseline on one headline metric.
-
-    Returns ``(ok, message)``; ``ok`` is False when the run is worse
-    than the baseline by more than ``max_regression`` (a fraction, e.g.
-    0.2 = 20%).  Missing metrics fail the gate — a silently vanished
-    metric is itself a regression.
-    """
-    found = []
-    for snap, label in ((run, "run"), (baseline, "baseline")):
-        for kind in _BODY_KINDS:
-            if metric in snap.get(kind, {}):
-                found.append(_scalar_of(kind, snap[kind][metric]))
-                break
-        else:
-            return False, f"metric {metric!r} missing from the {label} snapshot"
-    run_v, base_v = found
-    if base_v == 0:
-        return True, f"{metric}: baseline is 0, nothing to gate"
-    change = (run_v - base_v) / base_v
-    regression = -change if higher_is_better else change
-    message = (
-        f"{metric}: run={run_v:.6g} baseline={base_v:.6g} "
-        f"change={change:+.1%} (limit -{max_regression:.0%})"
-    )
-    if regression > max_regression:
-        return False, "REGRESSION " + message
-    return True, "ok " + message

@@ -135,8 +135,14 @@ def active_runtime() -> Runtime:
 
 
 def reset() -> None:
-    """Drop the process-wide runtime (tests / teardown)."""
+    """Drop the process-wide runtime (tests / teardown), and with it
+    the walk disk tier and cache-model selection :func:`configure`
+    installed in :mod:`repro.sim.memsys`."""
     global _active
+    from ..sim.memsys import configure_reference, configure_walk_store
+
+    configure_walk_store(None)
+    configure_reference(False)
     _active = None
 
 

@@ -37,19 +37,6 @@ class CacheStats:
     puts: int = 0
     errors: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts, "errors": self.errors,
-                "hit_rate": self.hit_rate}
-
 
 def _task_hash(task: SimTask | str) -> str:
     return task if isinstance(task, str) else task.content_hash()

@@ -191,9 +191,6 @@ class RunReport:
     def failures(self) -> list[TaskOutcome]:
         return [o for o in self.outcomes if not o.ok]
 
-    def records(self) -> dict[SimTask, dict]:
-        return {o.task: o.record for o in self.outcomes if o.ok}
-
     def runs(self) -> dict[SimTask, object]:
         """Result records rebuilt into driver-facing ``WorkloadRun``s."""
         return {o.task: run_from_record(o.record)

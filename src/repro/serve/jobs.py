@@ -90,10 +90,6 @@ class Job:
     def total(self) -> int:
         return len(self.cells)
 
-    @property
-    def remaining(self) -> int:
-        return self.total - self.completed - self.failed
-
     def advance(self, state: JobState | str) -> None:
         """Move to ``state``, enforcing the legal transitions."""
         state = JobState(state)

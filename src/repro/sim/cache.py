@@ -25,10 +25,6 @@ class CacheStats:
     hits: int = 0
 
     @property
-    def misses(self) -> int:
-        return self.accesses - self.hits
-
-    @property
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 

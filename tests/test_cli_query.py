@@ -117,12 +117,18 @@ class TestQueryRendering:
         out = capsys.readouterr().out
         assert out.count("12") == 3
 
-    def test_missing_store_is_an_error(self, tmp_path, capsys):
+    def test_missing_store_is_an_error(self, trajectory, tmp_path, capsys):
         # opening a store creates it, so an empty one queried for a
         # metric reports there is nothing to read — exit 2, not 1
         assert main(["query", "regressions",
                      "--store", str(tmp_path / "empty.sqlite")]) == 2
         assert "error:" in capsys.readouterr().err
+        # so does a metric that no ingested run carries
+        db = self._ingest(trajectory)
+        capsys.readouterr()
+        assert main(["query", "regressions", "--metric", "nope",
+                     "--store", str(db)]) == 2
+        assert "carries 'nope'" in capsys.readouterr().err
 
 
 class TestRegressionGate:
@@ -147,6 +153,10 @@ class TestRegressionGate:
         out = capsys.readouterr().out
         assert "REGRESSION" in out
         assert "-33" in out or "-0.33" in out  # 4.0 vs 6.0 baseline
+        # the same drop passes when the metric is a cost
+        assert main(["query", "regressions", "--bound", "0.2",
+                     "--lower-is-better", "--store", str(db)]) == 0
+        assert "ok runtime.executor.cells_per_sec" in capsys.readouterr().out
 
     def test_bound_is_respected(self, trajectory, capsys):
         files, degraded, db = trajectory

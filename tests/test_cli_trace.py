@@ -99,24 +99,30 @@ class TestRecord:
         assert out.exists()
 
     def test_trace_record_shorthand(self, tmp_path, capsys):
+        # an experiment records its own trace: --no-cache so every cell
+        # is simulated, --trace-sample to thin the instants
         out = tmp_path / "rec.json"
         rc = main(
             [
-                "trace",
-                "record",
                 "fig10",
                 "--workloads",
                 "spmv",
-                "--out",
+                "--no-cache",
+                "--trace",
                 str(out),
-                "--sample",
+                "--trace-sample",
                 "4",
             ]
         )
         assert rc == 0
-        trace = obs.load_trace(out)
-        assert trace["sample_every"] == 4
+        assert obs.load_trace(out)["sample_every"] == 4
         capsys.readouterr()
+
+    def test_trace_has_no_record_action(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "record", "fig10"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'record'" in capsys.readouterr().err
 
     def test_bad_sample_value_is_an_error(self, tmp_path, capsys):
         rc = main(

@@ -126,14 +126,30 @@ class TestCli:
     def test_cli_table5(self, capsys):
         from repro.cli import main
 
-        assert main(["table5"]) == 0
+        assert main(["table5", "--no-cache"]) == 0
         assert "Table 5" in capsys.readouterr().out
 
     def test_cli_area(self, capsys):
         from repro.cli import main
 
-        assert main(["area"]) == 0
+        assert main(["area", "--no-cache"]) == 0
         assert "0.0704" in capsys.readouterr().out
+
+    def test_reset_drops_the_walk_tier_and_cache_model(
+            self, tmp_path, monkeypatch, capsys):
+        # the default --cache-dir installs a walk disk tier process-wide;
+        # a reset must take it down, or every later caller in the
+        # process reads and writes walks under the old directory
+        from repro import runtime
+        from repro.cli import main
+        from repro.sim.memsys import uses_reference, walk_cache
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["table5"]) == 0
+        assert walk_cache().store is not None
+        runtime.reset()
+        assert walk_cache().store is None
+        assert not uses_reference()
 
     def test_cli_rejects_unknown(self):
         from repro.cli import main
@@ -146,6 +162,6 @@ class TestCliOutput:
     def test_output_directory(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["area", "--output", str(tmp_path)]) == 0
+        assert main(["area", "--no-cache", "--output", str(tmp_path)]) == 0
         written = (tmp_path / "area.txt").read_text()
         assert "0.0704" in written

@@ -7,7 +7,6 @@ from repro.errors import WorkloadError
 from repro.generators import (
     banded_matrix,
     clustered_tensor,
-    diagonal_block_matrix,
     fixed_nnz_per_row_matrix,
     load_matrix,
     load_tensor,
@@ -77,11 +76,6 @@ class TestGenerators:
         m = fixed_nnz_per_row_matrix(32, 8, seed=0)
         assert np.all(m.row_nnz() == 8)
         assert np.all(m.idxs < 8)  # columns 0..n-1, as Figure 12c says
-
-    def test_diagonal_block_structure(self):
-        m = diagonal_block_matrix(64, block=16, fill=0.5, seed=1)
-        row_of = np.repeat(np.arange(m.num_rows), m.row_nnz())
-        assert np.all(row_of // 16 == m.idxs // 16)
 
     def test_clustered_tensor_shapes(self):
         t = clustered_tensor((10, 20, 30), 200, skews=[0, 1, 2], seed=1)

@@ -22,7 +22,6 @@ from repro.obs import (
 )
 from repro.obs.snapshot import (
     SCHEMA,
-    check_regression,
     diff_snapshots,
     load_snapshot,
     make_snapshot,
@@ -275,43 +274,6 @@ class TestDiffAndGate:
         rows = {r["metric"]: r for r in diff_snapshots(a, b)}
         assert rows["only_b"]["a"] is None
         assert rows["only_b"]["delta"] is None
-
-    def test_gate_passes_within_bound(self):
-        ok, msg = check_regression(
-            self._snap(9.0),
-            self._snap(10.0),
-            metric="cells_per_sec",
-            max_regression=0.2,
-        )
-        assert ok and msg.startswith("ok")
-
-    def test_gate_fails_beyond_bound(self):
-        ok, msg = check_regression(
-            self._snap(7.0),
-            self._snap(10.0),
-            metric="cells_per_sec",
-            max_regression=0.2,
-        )
-        assert not ok and msg.startswith("REGRESSION")
-
-    def test_gate_fails_on_missing_metric(self):
-        ok, msg = check_regression(
-            self._snap(10.0),
-            self._snap(10.0),
-            metric="nonexistent",
-            max_regression=0.2,
-        )
-        assert not ok and "missing" in msg
-
-    def test_gate_lower_is_better_flips_direction(self):
-        ok, _ = check_regression(
-            self._snap(13.0),
-            self._snap(10.0),
-            metric="cells_per_sec",
-            max_regression=0.2,
-            higher_is_better=False,
-        )
-        assert not ok
 
 
 def _two_layer_program(rows=3, cols_per_row=2):

@@ -42,7 +42,6 @@ class TestBasics:
         c.lookup_lines(np.array([0, 0, 1]))
         assert c.stats.accesses == 3
         assert c.stats.hits == 1
-        assert c.stats.misses == 2
         assert c.stats.hit_rate == pytest.approx(1 / 3)
 
     def test_reset(self):

@@ -351,11 +351,19 @@ class TestQueries:
         assert rows[0]["status"] == "baseline"
         assert rows[-1]["status"] == "REGRESSION"
         assert rows[-1]["change"] == pytest.approx(-0.5)
+        # for a cost (cycles, bytes) the same drop is an improvement
+        rows, _, ok = regressions(store, bound=0.2, lower_is_better=True)
+        assert ok is True
+        assert rows[-1]["status"] == "ok"
 
     def test_regression_gate_passes_within_bound(self, store):
         self._trajectory(store)
         _, _, ok = regressions(store, bound=0.2)
         assert ok is True
+        # 6.0 -> 16.0 is +167%: a regression when lower is better
+        rows, _, ok = regressions(store, bound=0.2, lower_is_better=True)
+        assert ok is False
+        assert rows[-1]["status"] == "REGRESSION"
 
     def test_regression_baseline_by_rev_and_best(self, store):
         self._trajectory(store)
@@ -379,6 +387,10 @@ class TestQueries:
     def test_empty_store_raises(self, store):
         with pytest.raises(StoreError, match="no run"):
             regressions(store)
+        # a metric that no run carries is an error, not a pass
+        self._trajectory(store)
+        with pytest.raises(StoreError, match="carries 'nope'"):
+            regressions(store, metric="nope")
 
 
 # -------------------------------------------------------------------- hooks
