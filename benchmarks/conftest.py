@@ -13,10 +13,8 @@ The session also captures :mod:`repro.obs` telemetry and appends a perf
 snapshot to the repo's trajectory (``BENCH_<rev>.json`` at the repo
 root) when it finishes; set ``REPRO_BENCH_SNAPSHOT=0`` to skip, or
 ``REPRO_BENCH_DIR`` to redirect the snapshot.  The session's result
-cache lives in a fresh temp dir.
-``REPRO_STORE`` names an experiment database (:mod:`repro.store`);
-when set, the session snapshot is also ingested there so CI can gate
-on ``repro query regressions`` straight after the benchmark run.
+cache lives in a fresh temp dir.  ``repro ingest BENCH_<rev>.json
+--store DB`` files the snapshot in an experiment database.
 """
 
 from __future__ import annotations
@@ -65,18 +63,6 @@ def telemetry_session():
     out_dir = Path(os.environ.get("REPRO_BENCH_DIR", REPO_ROOT))
     path = obs.write_bench_snapshot(snap, out_dir)
     print(f"\nperf trajectory snapshot: {path}")
-    store_path = os.environ.get("REPRO_STORE")
-    if store_path:
-        from repro.errors import ReproError
-        from repro.store import ExperimentStore, ingest_snapshot
-
-        try:
-            with ExperimentStore(store_path) as db:
-                ingest_snapshot(db, snap, kind="bench",
-                                source=str(path))
-            print(f"ingested into experiment store: {store_path}")
-        except ReproError as exc:
-            print(f"store ingest failed: {exc}")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -85,6 +85,7 @@ _BENCH_SMOKE = [
 ]
 _STORE_SMOKE = [
     (*_SMOKE, "--telemetry", "{tmp}/store-run.json", *_STORE_DB),
+    ("repro", "query", "runs", "--format", "json", *_STORE_DB),
     ("repro", "ingest", *map(str, sorted(REPO.glob("BENCH_*.json"))),
      *_STORE_DB),
     ("repro", "query", "runs", *_STORE_DB),

@@ -19,7 +19,7 @@ Usage::
     python -m repro submit --workloads spmv,spkadd --wait
     python -m repro jobs                         # list service jobs
     python -m repro fetch <job-id> --out results.json
-    python -m repro fig13 --store results.sqlite # auto-ingest the run
+    python -m repro fig13 --store results.sqlite # file the run
     python -m repro ingest BENCH_*.json --store results.sqlite
     python -m repro query cells-per-sec --by rev --store results.sqlite
     python -m repro query regressions --bound 0.2 --store results.sqlite
@@ -29,7 +29,7 @@ Usage::
 Simulation cells are executed through :mod:`repro.runtime`: results
 are cached content-addressed under ``--cache-dir`` (default
 ``.repro-cache``), ``--jobs N`` fans cache misses out over N worker
-processes, and every invocation writes a run manifest (task hashes,
+processes, and every invocation writes one run manifest (task hashes,
 wall times, cache hits, failures) next to the cache.
 
 ``--telemetry PATH`` enables the :mod:`repro.obs` layer for the run and
@@ -48,11 +48,12 @@ Add ``--no-cache`` so every cell is simulated, and so traced.
 over HTTP — submit a declarative sweep, watch its progress, fetch its
 content-addressed results.
 
-``--store PATH`` auto-ingests a run's manifests (and its telemetry
-snapshot / trace, when recorded) into the queryable experiment
-database (:mod:`repro.store`); ``ingest`` feeds it existing result
-files and ``query`` runs cross-run analytics over it — including the
-``regressions`` gate the ``store-smoke`` CI job exits on.
+``--store PATH`` files the invocation as one run (its manifest, plus
+its telemetry snapshot and trace when recorded) in the queryable
+experiment database (:mod:`repro.store`), failed runs included;
+``ingest`` feeds it existing result files and ``query`` runs cross-run
+analytics over it — including the ``regressions`` gate the
+``store-smoke`` CI job exits on.
 
 ``report`` renders that database as a self-contained HTML flight
 recorder (:mod:`repro.obs.report`): inline SVG charts for cells/sec
@@ -77,7 +78,6 @@ from pathlib import Path
 from . import obs, runtime
 from .errors import ReproError, StoreError
 from .eval import experiments as ex
-from .runtime.manifest import RunManifest
 from .sim.memsys import configure_reference
 
 #: name -> callable(scale, workloads); drivers without a workload
@@ -248,9 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="DB",
-        help="auto-ingest this run (manifests, and the --telemetry "
-             "snapshot / --trace timeline when recorded) into the "
-             "experiment database at DB; analyze it with "
+        help="file this run, as one row, in the experiment database "
+             "at DB: its manifest, plus the --telemetry snapshot and "
+             "--trace timeline when recorded; analyze it with "
              "'tmu-repro query'",
     )
     return parser
@@ -593,8 +593,8 @@ def _build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-telemetry", action="store_true",
                         help="skip the repro.obs service gauges")
     parser.add_argument("--store", default=None, metavar="DB",
-                        help="auto-ingest every finished job's journal "
-                             "into the experiment database at DB")
+                        help="file every finished job, once, in the "
+                             "experiment database at DB")
     parser.add_argument("--log-level", default="info",
                         choices=("debug", "info", "warning", "error"),
                         help="structured JSON log level on stderr "
@@ -685,7 +685,7 @@ def _serve_main(argv: list[str]) -> int:
             timeout=args.timeout, retries=args.retries,
             batch_size=args.batch_size,
             telemetry=not args.no_telemetry,
-            store_path=args.store)
+            db_path=args.store)
         recovered = service.start()
         server = make_server(service, host=args.host, port=args.port)
     except OSError as exc:  # a taken port, an unwritable state dir
@@ -783,22 +783,6 @@ def _fetch_main(argv: list[str]) -> int:
     return 0 if result["job"]["state"] == "done" else 1
 
 
-def _combined_manifest(rt: runtime.Runtime) -> RunManifest | None:
-    """Merge the manifests of every executor batch this invocation ran
-    into one provenance record."""
-    if not rt.manifests:
-        return None
-    combined = RunManifest(
-        jobs=rt.jobs,
-        mode=rt.manifests[-1].mode,
-        created_at=rt.manifests[0].created_at,
-        wall_time=sum(m.wall_time for m in rt.manifests),
-        entries=[e for m in rt.manifests for e in m.entries],
-        rev=rt.manifests[0].rev,
-    )
-    return combined
-
-
 def _run_cache_command(action: str, args) -> int:
     if args.no_cache:
         print("cache maintenance requires the cache; drop --no-cache",
@@ -841,7 +825,6 @@ def _experiment_main(argv: list[str]) -> int:
         timeout=args.timeout,
         retries=args.retries,
         progress=lambda msg: print(msg, file=sys.stderr),
-        store=args.store,
         walk_cache="off" if args.reference else args.walk_cache,
         reference=args.reference,
     )
@@ -859,6 +842,7 @@ def _experiment_main(argv: list[str]) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
+    status = 0
     try:
         for name in names:
             rendered = _COMMANDS[name](args.scale, workloads)
@@ -867,14 +851,15 @@ def _experiment_main(argv: list[str]) -> int:
             if out_dir is not None:
                 (out_dir / f"{name}.txt").write_text(rendered + "\n",
                                                      encoding="utf-8")
-    except (ReproError, BrokenPipeError) as exc:
-        # a failed or cut-short run leaves no telemetry switched on
+    except ReproError as exc:
+        # a failed run still writes and files its record below
+        print(f"error: {exc}", file=sys.stderr)
+        status = 1  # a cell failed: not a usage error
+    except BrokenPipeError:
+        # a cut-short run leaves no telemetry switched on
         obs.disable()
         obs.disable_tracing()
-        if isinstance(exc, BrokenPipeError):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 1  # a cell failed: not a usage error
+        raise
     finally:
         # restore the fast model so embedded callers (tests, notebooks)
         # see the default again
@@ -898,8 +883,8 @@ def _experiment_main(argv: list[str]) -> int:
             "workloads": args.workloads or "all",
             "cache_model": "reference" if args.reference else "fast",
         })
-        path = obs.write_snapshot(snap, args.telemetry)
         obs.disable()
+        path = obs.write_snapshot(snap, args.telemetry)
         print(f"telemetry snapshot: {path}", file=sys.stderr)
 
     if args.trace is not None:
@@ -915,39 +900,32 @@ def _experiment_main(argv: list[str]) -> int:
               f"{trace['ticks']} ticks, {trace['dropped']} dropped)",
               file=sys.stderr)
 
-    if args.store is not None and (snap is not None
-                                   or trace is not None):
-        # manifests were auto-ingested per batch by the runtime; the
-        # snapshot and trace ride in alongside them under the same rev.
-        from .runtime.manifest import manifest_rev
-        from .store import ExperimentStore, ingest_snapshot, ingest_trace
+    manifest = rt.manifest
+    if manifest is None:
+        return status
+    print(manifest.summary(), file=sys.stderr)
+    manifest_path = args.manifest
+    if manifest_path is None and not no_cache:
+        # millisecond stamp + pid so back-to-back invocations never
+        # overwrite each other's provenance
+        manifest_path = (
+            Path(args.cache_dir) / "manifests" /
+            f"run-{int(time.time() * 1000)}-{os.getpid()}.json")
+    if manifest_path is not None:
+        manifest_path = manifest.write(manifest_path)
+        print(f"manifest: {manifest_path}", file=sys.stderr)
+    if args.store is not None:
+        from .store import ExperimentStore, ingest_manifest
 
         try:
             with ExperimentStore(args.store) as db:
-                if snap is not None:
-                    ingest_snapshot(db, snap, source=args.telemetry)
-                if trace is not None:
-                    ingest_trace(db, trace, source=args.trace,
-                                 rev=manifest_rev())
-            print(f"store: ingested run into {args.store}",
-                  file=sys.stderr)
+                ingest_manifest(
+                    db, manifest, snapshot=snap, trace=trace,
+                    source=str(manifest_path or f"cli:{args.experiment}"))
+            print(f"store: filed run in {args.store}", file=sys.stderr)
         except ReproError as exc:
             print(f"store ingest failed: {exc}", file=sys.stderr)
-
-    manifest = _combined_manifest(rt)
-    if manifest is not None:
-        print(manifest.summary(), file=sys.stderr)
-        manifest_path = args.manifest
-        if manifest_path is None and not no_cache:
-            # millisecond stamp + pid so back-to-back invocations never
-            # overwrite each other's provenance
-            manifest_path = (
-                Path(args.cache_dir) / "manifests" /
-                f"run-{int(time.time() * 1000)}-{os.getpid()}.json")
-        if manifest_path is not None:
-            path = manifest.write(manifest_path)
-            print(f"manifest: {path}", file=sys.stderr)
-    return 0
+    return status
 
 
 #: first argument -> handler of the rest; any other first argument

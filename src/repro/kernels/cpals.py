@@ -32,18 +32,6 @@ class CpDecomposition:
     factors: list[np.ndarray]
     fit_history: list[float]
 
-    def reconstruct(self) -> np.ndarray:
-        """Materialize the (dense) rank-R reconstruction."""
-        a, b, c = self.factors
-        rank = self.weights.size
-        shape = (a.shape[0], b.shape[0], c.shape[0])
-        out = np.zeros(shape)
-        for r in range(rank):
-            out += self.weights[r] * np.einsum(
-                "i,j,k->ijk", a[:, r], b[:, r], c[:, r]
-            )
-        return out
-
 
 def _normalize_columns(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(factor, axis=0)

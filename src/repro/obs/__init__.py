@@ -74,7 +74,6 @@ from .tracing import (
     NULL_TRACER,
     TRACE_SCHEMA,
     Tracer,
-    active_tracer,
     disable_tracing,
     enable_tracing,
     load_trace,
@@ -137,7 +136,6 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "tracing_enabled",
-    "active_tracer",
     "tracer",
     "trace_capture",
     "trace_snapshot",

@@ -152,16 +152,6 @@ class Tracer:
         t = self._now if ts is None else int(ts)
         self._append([t, 0, "C", track, name, {"value": value}])
 
-    @contextmanager
-    def region(self, track: str, name: str, args: dict | None = None):
-        """Span context manager measured on the virtual clock; the body
-        is expected to advance it (``tick``/``alloc``)."""
-        start = self._now
-        try:
-            yield self
-        finally:
-            self.span(track, name, start, self._now - start, args)
-
     # ---------------------------------------------------- (de)serialization
 
     def as_dict(self) -> dict:
@@ -208,10 +198,6 @@ class _NullTracer:
     def sample(self, track, name, value, ts=None) -> None:
         pass
 
-    @contextmanager
-    def region(self, track, name, args=None):
-        yield self
-
     def merge(self, body, *, offset=None) -> None:
         pass
 
@@ -244,11 +230,6 @@ def disable_tracing() -> None:
 
 def tracing_enabled() -> bool:
     return _active is not None
-
-
-def active_tracer() -> Tracer | None:
-    """The live tracer, or None when tracing is off."""
-    return _active
 
 
 def tracer():

@@ -11,8 +11,9 @@ which layers three services under the drivers:
 * **parallel fan-out** (:class:`Runtime`): misses run across a process
   pool (``jobs > 1``) with per-cell timeout, bounded retry and a
   serial fallback;
-* **provenance** (:class:`RunManifest`): every run records task
-  hashes, wall-times, cache hits and failures.
+* **provenance** (:class:`RunManifest`): every batch records task
+  hashes, wall-times, cache hits and failures, and the runtime keeps
+  one manifest for its whole run (:attr:`Runtime.manifest`).
 
 The module-level :func:`configure` / :func:`active_runtime` pair holds
 the process-wide runtime the drivers use; the CLI and the benchmark
@@ -89,7 +90,6 @@ def configure(*, jobs: int = 1,
               cache_dir: str | Path | None = None,
               timeout: float | None = None, retries: int = 1,
               progress: Callable[[ProgressEvent], None] | None = None,
-              store: str | Path | None = None,
               walk_cache: str | Path | None = "auto",
               reference: bool = False,
               ) -> Runtime:
@@ -97,12 +97,12 @@ def configure(*, jobs: int = 1,
 
     ``cache_dir=None`` disables the on-disk cache (results still
     benefit from the library's in-process memoization when running
-    serially).  ``store`` names an experiment database
-    (:mod:`repro.store`); every batch's manifest is auto-ingested
-    into it.  ``walk_cache`` controls the persistent walk-cache tier
-    (:class:`WalkStore`): ``"auto"`` (default) keeps it beside the
-    result cache at ``<cache_dir>/walks``, a path pins it there, and
-    ``None``/``"off"`` disables it.  ``reference``
+    serially).  The runtime writes nothing to the experiment store
+    (:mod:`repro.store`): the caller files the run's one manifest,
+    :attr:`Runtime.manifest`.  ``walk_cache`` controls the persistent
+    walk-cache tier (:class:`WalkStore`): ``"auto"`` (default) keeps
+    it beside the result cache at ``<cache_dir>/walks``, a path pins
+    it there, and ``None``/``"off"`` disables it.  ``reference``
     selects the golden-reference cache walk
     (:func:`repro.sim.memsys.configure_reference`) in-process; pool
     workers receive the selection with each task.
@@ -121,7 +121,6 @@ def configure(*, jobs: int = 1,
     configure_reference(reference)
     _active = Runtime(jobs=jobs, cache=cache, timeout=timeout,
                       retries=retries, progress=progress,
-                      store=None if store is None else str(store),
                       walk_dir=None if walk_dir is None else str(walk_dir))
     return _active
 

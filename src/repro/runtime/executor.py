@@ -4,8 +4,11 @@ The :class:`Runtime` takes a batch of :class:`~repro.runtime.task.SimTask`
 cells, serves what it can from the result cache, fans the misses out
 over a ``ProcessPoolExecutor`` (``jobs > 1``) or runs them in-process
 (``jobs <= 1`` — which preserves the library's in-process memoization),
-and returns a :class:`RunReport` with per-cell outcomes plus a
-provenance :class:`~repro.runtime.manifest.RunManifest`.
+and returns a :class:`RunReport` with per-cell outcomes plus the
+batch's provenance :class:`~repro.runtime.manifest.RunManifest`.  The
+runtime folds every batch into one run-level manifest
+(:attr:`Runtime.manifest`) and writes nothing to the experiment store:
+whoever owns the run (the CLI, the job service) files it once.
 
 Failure policy: each failed cell is retried up to ``retries`` times
 with exponential backoff (retries always run in-process, where the
@@ -27,13 +30,13 @@ from contextlib import ExitStack
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
     FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 __all__ = ["ProgressEvent", "TaskOutcome", "RunReport", "Runtime"]
 
 from .. import obs
-from ..errors import ExecutorError, StoreError
+from ..errors import ExecutorError
 from ..obs.logging import (
     correlation,
     get_logger,
@@ -129,9 +132,8 @@ class ProgressEvent:
     ``kind`` is one of ``"batch"`` (a batch was accepted: ``done`` of
     ``total`` cells came from cache), ``"cell"`` (one cell finished,
     ``state`` is ``"simulated"`` or ``"failed"``), ``"pool"`` (an
-    executor mode change: pool unavailable / broke, serial fallback),
-    ``"store"`` (an experiment-store auto-ingest warning) or
-    ``"summary"`` (the batch's manifest summary).
+    executor mode change: pool unavailable / broke, serial fallback)
+    or ``"summary"`` (the batch's manifest summary).
     """
 
     kind: str
@@ -205,7 +207,6 @@ class Runtime:
                  timeout: float | None = None, retries: int = 1,
                  backoff: float = 0.25,
                  progress: Callable[[ProgressEvent], None] | None = None,
-                 store: "str | None" = None,
                  walk_dir: "str | None" = None,
                  ) -> None:
         if jobs < 1:
@@ -218,21 +219,20 @@ class Runtime:
         self.retries = retries
         self.backoff = backoff
         self.progress = progress
-        self.store_path = store
         #: on-disk walk-cache directory shipped to pool workers (the
         #: parent's own tier is installed by ``runtime.configure``).
         self.walk_dir = walk_dir
-        self.last_manifest: RunManifest | None = None
-        self.manifests: list[RunManifest] = []
+        #: the run-level record: every batch's entries, in order
+        #: (``None`` until the first batch ran).
+        self.manifest: RunManifest | None = None
         #: correlation id tying every log record of this runtime's
         #: batches (and its workers') together.
         self.run_key = uuid.uuid4().hex[:12]
 
     # ------------------------------------------------------------- helpers
 
-    _LOG_LEVELS = {"pool": logging.WARNING, "store": logging.WARNING,
-                   "cell": logging.INFO, "batch": logging.INFO,
-                   "summary": logging.INFO}
+    _LOG_LEVELS = {"pool": logging.WARNING, "cell": logging.INFO,
+                   "batch": logging.INFO, "summary": logging.INFO}
 
     def _emit(self, kind: str, message: str, **fields) -> None:
         event = ProgressEvent(kind=kind, message=message, **fields)
@@ -473,9 +473,10 @@ class Runtime:
             sim_total = view.counter("cells_simulated").value
             if sim_total and timer.total > 0:
                 view.gauge("cells_per_sec").set(sim_total / timer.total)
-        self.last_manifest = manifest
-        self.manifests.append(manifest)
-        self._ingest_manifest(manifest)
+        if self.manifest is None:
+            self.manifest = replace(manifest, entries=list(entries))
+        else:
+            self.manifest.extend(manifest)
         report = RunReport(
             outcomes=[outcomes[t.content_hash()] for t in ordered],
             manifest=manifest)
@@ -484,25 +485,6 @@ class Runtime:
                        elapsed=manifest.wall_time,
                        done=len(ordered), total=len(ordered))
         return report
-
-    def _ingest_manifest(self, manifest: RunManifest) -> None:
-        """Auto-ingest this batch's manifest into the experiment store
-        when one is configured (the CLI's ``--store`` flag).  A broken
-        store degrades to a progress warning — analytics must never
-        fail a sweep."""
-        if self.store_path is None:
-            return
-        from ..store import ExperimentStore, ingest_manifest
-
-        try:
-            with ExperimentStore(self.store_path) as store:
-                ingest_manifest(store, manifest,
-                                source="runtime.executor")
-        except StoreError as exc:
-            # _emit already logs this at WARNING; the counter makes it
-            # visible on a live server's /metrics.
-            self._emit("store", f"store ingest failed: {exc}")
-            obs.counter("store.ingest_failures").add()
 
     def run_cells(self, tasks: Iterable[SimTask]) -> dict[SimTask, object]:
         """Run a batch and return ``{task: WorkloadRun}``; raises

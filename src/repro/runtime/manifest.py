@@ -1,9 +1,12 @@
-"""Run manifests: the provenance record of one executor invocation.
+"""Run manifests: the provenance record of one run.
 
 A manifest captures what was asked (task hashes and labels), what it
 cost (per-cell wall time, attempts), and where results came from
-(cache hit vs fresh simulation vs failure).  Drivers and the CLI write
-it next to the cache so a result directory is self-describing.
+(cache hit vs fresh simulation vs failure).  Each executor batch gets
+one, and the runtime folds every batch into one run-level manifest
+(:attr:`Runtime.manifest`), which the CLI writes next to the cache so
+a result directory is self-describing, and files in the experiment
+store.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ class ManifestEntry:
 
 @dataclass
 class RunManifest:
-    """The provenance record of one :meth:`Runtime.run` call."""
+    """The provenance record of one :meth:`Runtime.run` call, or of
+    every call of one runtime (see :meth:`extend`)."""
 
     jobs: int
     mode: str                       # serial / process-pool / fallback-serial
@@ -85,6 +89,13 @@ class RunManifest:
     def simulated(self) -> int:
         """Cells that actually ran a simulation (miss and succeeded)."""
         return sum(1 for e in self.entries if not e.cached and e.ok)
+
+    def extend(self, batch: "RunManifest") -> None:
+        """Fold a later batch into this record: its entries append,
+        its wall time adds, and its execution mode becomes the run's."""
+        self.mode = batch.mode
+        self.wall_time += batch.wall_time
+        self.entries.extend(batch.entries)
 
     # ------------------------------------------------------------ plumbing
 

@@ -80,7 +80,6 @@ class Job:
     failed: int = 0
     requeues: int = 0
     error: str | None = None
-    telemetry: dict | None = None
     schema: str = SERVE_SCHEMA
 
     def __post_init__(self) -> None:

@@ -19,8 +19,10 @@ journal + :meth:`JobStore.recover` at the next startup.
 
 When :mod:`repro.obs` telemetry is enabled the scheduler maintains the
 service gauges — ``serve.queue_depth``, ``serve.inflight_cells``, and
-per-client ``serve.client.<id>.{cells,cells_per_sec}`` — and each
-finished job carries a ``repro.obs/1`` snapshot on its record.
+per-client ``serve.client.<id>.{cells,cells_per_sec}`` — which the
+service exposes live on ``/metrics`` and ``/stats``.  With an
+experiment database configured, each finished job is filed there once,
+as its ``serve-job`` row.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from ..errors import ServeError
 from ..obs.logging import correlation, get_logger, log_event
 from ..runtime.cache import NullCache, ResultCache
 from ..runtime.executor import ProgressEvent, Runtime
+from ..runtime.manifest import manifest_rev
 from ..runtime.task import task_from_spec
 from .jobs import Job, JobState, JobStore
 from .protocol import Submission, SweepSpec, job_id_for
@@ -58,7 +61,7 @@ class Scheduler:
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  max_requeues: int = 1,
                  runtime_factory: Callable[..., Runtime] | None = None,
-                 store_path: str | None = None,
+                 db_path: str | None = None,
                  ) -> None:
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
@@ -71,7 +74,7 @@ class Scheduler:
         self.retries = retries
         self.batch_size = max(1, batch_size)
         self.max_requeues = max_requeues
-        self.store_path = store_path
+        self.db_path = db_path
         self._runtime_factory = runtime_factory or self._make_runtime
         self._stop = threading.Event()
         self._lock = threading.RLock()
@@ -330,8 +333,6 @@ class Scheduler:
                 job.advance(JobState.FAILED)
             else:
                 job.advance(JobState.DONE)
-            if obs.enabled():
-                job.telemetry = obs.snapshot(meta={"job": job.id})
             self.store.put(job)
             self.store.append_event(job.id, {
                 "event": job.state.value,
@@ -360,28 +361,29 @@ class Scheduler:
             })
 
     def _ingest_finished(self, job: Job) -> None:
-        """Auto-ingest a finished job's journal into the experiment
-        database when one is configured (``repro serve --store``).
+        """File a finished job, once, as its ``serve-job`` run in the
+        experiment database, when one is configured (``--store``).
         Ingest failures never raise — the analytics layer must not
         take a job down with it — but they are journaled, logged at
         WARNING, and counted (``repro_store_ingest_failures`` on
         ``/metrics``) so they can't silently accumulate."""
-        if self.store_path is None:
+        if self.db_path is None:
             return
         from ..errors import StoreError
         from ..store import ExperimentStore, ingest_job
 
         try:
-            with ExperimentStore(self.store_path) as store:
+            with ExperimentStore(self.db_path) as store:
                 ingest_job(store, job.as_dict(),
                            events=self.store.events(job.id),
-                           source=f"serve:{job.id[:12]}")
+                           source=f"serve:{job.id[:12]}",
+                           rev=manifest_rev())
         except StoreError as exc:
             self.store.append_event(job.id, {
                 "event": "store-error",
                 "message": f"store ingest failed: {exc}"})
             log_event(_log, logging.WARNING, "store ingest failed",
-                      job_id=job.id, store=self.store_path,
+                      job_id=job.id, store=self.db_path,
                       error=str(exc))
             obs.counter("store.ingest_failures").add()
 

@@ -54,7 +54,7 @@ class SimService:
                  timeout: float | None = None, retries: int = 1,
                  batch_size: int | None = None,
                  telemetry: bool = False,
-                 store_path: str | Path | None = None) -> None:
+                 db_path: str | Path | None = None) -> None:
         self.state_dir = Path(state_dir)
         self.store = JobStore(self.state_dir / "jobs")
         self.queue = JobQueue(quota=quota)
@@ -65,7 +65,7 @@ class SimService:
         self.scheduler = Scheduler(
             self.store, self.queue, cache=self.cache, jobs=jobs,
             workers=workers, timeout=timeout, retries=retries,
-            store_path=None if store_path is None else str(store_path),
+            db_path=None if db_path is None else str(db_path),
             **kwargs)
         self.telemetry = telemetry
 

@@ -14,10 +14,11 @@ across history", "regressions vs baseline rev" — are each one query::
         rows, columns = cells_per_sec(store, by="rev")
 
 The same layer backs the ``repro ingest`` / ``repro query`` CLI and
-the ``store-smoke`` CI gate, and the runtime executor, the serve
-scheduler and the benchmark harness auto-ingest their outputs behind
-a ``--store`` flag — local analytics and CI gating share one code
-path.
+the ``store-smoke`` CI gate.  Behind a ``--store`` flag, two writers
+file runs as they finish, each once: the CLI files an experiment
+invocation as one ``manifest`` run (with its snapshot and trace), and
+the serve scheduler files each finished job as one ``serve-job`` run
+— local analytics and CI gating share one code path.
 
 Rows are content-addressed on the existing sha256 task hashes and a
 sha256 over each ingested source, so ingest is idempotent and the

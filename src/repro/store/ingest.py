@@ -4,7 +4,9 @@ Four source shapes feed the store, each mapped onto the same
 normalized tables so queries never care where a number came from:
 
 * **run manifests** (``repro.runtime``): per-cell outcomes into
-  ``cells``, aggregates into ``run_stats``;
+  ``cells``, aggregates into ``run_stats``; a CLI run files its
+  manifest together with its telemetry snapshot's ``metrics`` and its
+  trace's ``trace_summaries``, as one run;
 * **telemetry snapshots** (``repro.obs/1``, including the committed
   ``BENCH_<rev>.json`` trajectory points): flattened metrics into
   ``metrics``, the ``runtime.executor.*`` headline into ``run_stats``;
@@ -60,8 +62,17 @@ def _summary(kind: str, run_id: int, created: bool,
 def ingest_manifest(store: ExperimentStore,
                     manifest: RunManifest | dict | str | Path, *,
                     source: str | None = None,
-                    rev: str | None = None) -> dict:
-    """Ingest one executor run manifest (object, dict, or file path)."""
+                    rev: str | None = None,
+                    snapshot: dict | None = None,
+                    trace: dict | None = None) -> dict:
+    """Ingest one run manifest (object, dict, or file path).
+
+    ``snapshot`` and ``trace`` are the same run's ``repro.obs/1``
+    telemetry snapshot and ``repro.trace/1`` timeline: their metrics
+    and summary spans attach to the manifest's run, and their meta
+    joins its own.  The run key covers the manifest alone, so
+    ingesting the written manifest file later finds this run.
+    """
     if isinstance(manifest, (str, Path)):
         source = source or str(manifest)
         try:
@@ -73,11 +84,17 @@ def ingest_manifest(store: ExperimentStore,
     elif isinstance(manifest, dict):
         manifest = RunManifest.load_dict(manifest)
     rev = rev or manifest.rev
-    data = manifest.to_dict()
+    if snapshot is not None:
+        snapshot = validate_snapshot(snapshot)
+    if trace is not None:
+        trace = validate_trace(trace)
+    meta = {**(snapshot or {}).get("meta", {}),
+            **(trace or {}).get("meta", {}),
+            "jobs": manifest.jobs, "mode": manifest.mode}
     run_id, created = store.add_run(
-        run_key=_run_key("manifest", data), kind="manifest", rev=rev,
-        created_unix=manifest.created_at or None, source=source,
-        meta={"jobs": manifest.jobs, "mode": manifest.mode})
+        run_key=_run_key("manifest", manifest.to_dict()), kind="manifest",
+        rev=rev, created_unix=manifest.created_at or None, source=source,
+        meta=meta)
     if not created:
         return _summary("manifest", run_id, False, rev, source)
     store.add_cells(run_id, [
@@ -101,6 +118,10 @@ def ingest_manifest(store: ExperimentStore,
         run_id, cells=manifest.total, cached=manifest.cache_hits,
         simulated=simulated, failed=len(manifest.failures),
         wall_time=manifest.wall_time, cells_per_sec=rate)
+    if snapshot is not None:
+        store.add_metrics(run_id, list(iter_metrics(snapshot)))
+    if trace is not None:
+        _add_trace_summaries(store, run_id, fold_trace(trace))
     return _summary("manifest", run_id, True, rev, source)
 
 
@@ -219,8 +240,6 @@ def ingest_job(store: ExperimentStore, job: dict | str | Path, *,
         }
     if cell_rows:
         store.add_cells(run_id, list(cell_rows.values()))
-    if isinstance(job.get("telemetry"), dict):
-        ingest_snapshot(store, job["telemetry"], source=source, rev=rev)
     return _summary("serve-job", run_id, True, rev, source)
 
 
@@ -261,6 +280,13 @@ def ingest_trace(store: ExperimentStore, trace: dict | str | Path, *,
         created_unix=meta.get("created_unix"), source=source, meta=meta)
     if not created:
         return _summary("trace", run_id, False, rev, source)
+    _add_trace_summaries(store, run_id, folded)
+    return _summary("trace", run_id, True, rev, source)
+
+
+def _add_trace_summaries(store: ExperimentStore, run_id: int,
+                         folded: dict) -> None:
+    """Attach a folded trace's summary spans to a run."""
     store.add_trace_summaries(run_id, [
         (track, name, args)
         for (track, name), args in sorted(folded["summaries"].items())
@@ -272,7 +298,6 @@ def ingest_trace(store: ExperimentStore, trace: dict | str | Path, *,
         for (track, name), hist in sorted(folded["durations"].items())
         if hist.count
     ])
-    return _summary("trace", run_id, True, rev, source)
 
 
 # ------------------------------------------------------------- file sniffer

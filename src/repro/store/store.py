@@ -1,11 +1,11 @@
 """:class:`ExperimentStore` — the handle every layer shares.
 
 A thin, transaction-per-call wrapper over the SQLite database defined
-in :mod:`repro.store.schema`.  Writers (the ingest layer, the runtime
-and scheduler auto-ingest hooks) and readers (the query layer, the
-CLI) all go through this one class; connections are cheap to open, so
-hooks open one per ingest and multiple processes coordinate through
-SQLite's own locking.
+in :mod:`repro.store.schema`.  Writers (the ingest layer, which the
+CLI and the serve scheduler call as runs finish) and readers (the
+query layer, the CLI) all go through this one class; connections are
+cheap to open, so writers open one per ingest and multiple processes
+coordinate through SQLite's own locking.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sqlite3
 from pathlib import Path
 
 from ..errors import StoreError
-from .schema import RUN_KINDS, STORE_SCHEMA, open_db
+from .schema import RUN_KINDS, open_db
 
 #: default on-disk location (relative to the working directory);
 #: the CLI and README document it, .gitignore covers it.
@@ -136,12 +136,6 @@ class ExperimentStore:
         """Run a read-only query (the query layer's escape hatch)."""
         return self.con.execute(query, params).fetchall()
 
-    def runs(self) -> list[dict]:
-        """Every ingested run, oldest first."""
-        return [dict(r) for r in self.sql(
-            "SELECT id, run_key, kind, rev, created_unix, source, meta "
-            "FROM runs ORDER BY created_unix, id")]
-
     def counts(self) -> dict[str, int]:
         """Row counts per table (the CLI's ingest summary)."""
         out = {}
@@ -150,7 +144,3 @@ class ExperimentStore:
             out[table] = self.sql(
                 f"SELECT COUNT(*) AS n FROM {table}")[0]["n"]
         return out
-
-    @property
-    def schema(self) -> str:
-        return STORE_SCHEMA

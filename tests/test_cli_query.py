@@ -191,14 +191,65 @@ class TestRegressionGate:
         assert "repro.store/2" in capsys.readouterr().err
 
 
+def filed_runs(db):
+    """The store's runs, as ``repro query runs --format json`` lists
+    them, plus each run's metric count."""
+    from repro.store import ExperimentStore, runs_overview
+
+    with ExperimentStore(db) as store:
+        rows, _ = runs_overview(store)
+        counts = [r["n"] for r in store.sql(
+            "SELECT COUNT(m.name) AS n FROM runs r LEFT JOIN metrics m "
+            "ON m.run_id = r.id GROUP BY r.id ORDER BY r.id")]
+    return rows, counts
+
+
 class TestRunWithStore:
     def test_driver_run_auto_ingests(self, tmp_path, capsys):
         db = tmp_path / "db.sqlite"
         snap = tmp_path / "snap.json"
+        manifest = tmp_path / "manifest.json"
         assert main(["fig13", "--scale", "small", "--workloads", "spmv",
-                     "--no-cache",
+                     "--no-cache", "--manifest", str(manifest),
                      "--telemetry", str(snap), "--store", str(db)]) == 0
+        # one invocation, one row: the manifest's cells and the
+        # snapshot's metrics on the same run
+        (row,), (metrics,) = filed_runs(db)
+        entries = json.loads(manifest.read_text())["entries"]
+        assert row["kind"] == "manifest"
+        assert row["cells"] == len(entries) > 0
+        assert row["failed"] == 0
+        assert metrics > 0
+        gauge = json.loads(snap.read_text())["gauges"][
+            "runtime.executor.cells_per_sec"]["value"]
+        assert row["cells_per_sec"] == pytest.approx(gauge, rel=1e-9)
+        # the manifest file that run wrote is the same run
         capsys.readouterr()
-        assert main(["query", "runs", "--store", str(db)]) == 0
-        out = capsys.readouterr().out
-        assert "manifest" in out and "snapshot" in out
+        assert main(["ingest", str(manifest), "--store", str(db)]) == 0
+        assert "(0 new, 1 already ingested" in capsys.readouterr().out
+        assert len(filed_runs(db)[0]) == 1
+
+    def test_failed_run_writes_and_files_its_record(self, tmp_path,
+                                                     monkeypatch):
+        from repro import obs
+        from repro.runtime import SimTask
+
+        def fail(task):
+            raise RuntimeError("injected cell failure")
+
+        monkeypatch.setattr(SimTask, "evaluate", fail)
+        db = tmp_path / "db.sqlite"
+        snap = tmp_path / "snap.json"
+        trace = tmp_path / "trace.json"
+        manifest = tmp_path / "manifest.json"
+        assert main(["fig13", "--scale", "small", "--workloads", "spmv",
+                     "--no-cache", "--retries", "0",
+                     "--manifest", str(manifest), "--telemetry", str(snap),
+                     "--trace", str(trace), "--store", str(db)]) == 1
+        entries = json.loads(manifest.read_text())["entries"]
+        assert entries
+        assert all("injected cell failure" in e["error"] for e in entries)
+        assert snap.exists() and trace.exists()
+        (row,), _ = filed_runs(db)
+        assert row["failed"] == row["cells"] == len(entries)
+        assert not obs.enabled() and not obs.tracing_enabled()

@@ -52,7 +52,9 @@ class TestCpAls:
         result = cp_als(t, rank=3, iterations=60, seed=1)
         assert result.fit_history[-1] > 0.99
         assert result.fit_history[-1] >= result.fit_history[0] - 1e-9
-        assert np.allclose(result.reconstruct(), dense, atol=0.05)
+        reconstruction = np.einsum("r,ir,jr,kr->ijk", result.weights,
+                                   *result.factors)
+        assert np.allclose(reconstruction, dense, atol=0.05)
 
     def test_bad_rank(self, small_tensor):
         with pytest.raises(WorkloadError):

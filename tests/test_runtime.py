@@ -180,7 +180,7 @@ class TestRuntimeSerial:
         tasks = [SimTask("spmv", i) for i in ("M1", "M2")]
         runs = rt.run_cells(tasks)
         assert all(runs[t].speedup > 1.0 for t in tasks)
-        manifest = rt.last_manifest
+        manifest = rt.manifest
         assert manifest.total == 2
         assert manifest.cache_hits == 0
         assert manifest.simulated == 2
@@ -191,7 +191,7 @@ class TestRuntimeSerial:
         rt = Runtime(jobs=1, cache=cache)
         runs = rt.run_cells([SimTask("spmv", "M1")] * 5)
         assert len(runs) == 1
-        assert rt.last_manifest.total == 1
+        assert rt.manifest.total == 1
 
     def test_warm_cache_skips_simulation(self, cache):
         tasks = [SimTask("spmv", i) for i in ("M1", "M2", "M3")]
@@ -199,7 +199,7 @@ class TestRuntimeSerial:
         cold.run_cells(tasks)
         warm = Runtime(jobs=1, cache=cache)
         runs = warm.run_cells(tasks)
-        manifest = warm.last_manifest
+        manifest = warm.manifest
         assert manifest.cache_hits == 3
         assert manifest.simulated == 0
         assert manifest.hit_rate == 1.0
@@ -257,7 +257,7 @@ class TestRuntimeParallel:
         parallel = Runtime(jobs=4,
                            cache=ResultCache(tmp_path / "par"))
         par_runs = parallel.run_cells(tasks)
-        assert parallel.last_manifest.mode in ("process-pool",
+        assert parallel.manifest.mode in ("process-pool",
                                                "fallback-serial")
 
         serial = Runtime(jobs=1, cache=NullCache())
@@ -273,7 +273,7 @@ class TestRuntimeParallel:
         # Second, warm-cache invocation: >= 95% hits, no simulation.
         warm = Runtime(jobs=4, cache=ResultCache(tmp_path / "par"))
         warm_runs = warm.run_cells(tasks)
-        manifest = warm.last_manifest
+        manifest = warm.manifest
         assert manifest.hit_rate >= 0.95
         assert manifest.simulated == 0
         for task in tasks:
@@ -285,7 +285,7 @@ class TestRuntimeParallel:
         Runtime(jobs=2, cache=ResultCache(cache_dir)).run_cells(tasks)
         reader = Runtime(jobs=1, cache=ResultCache(cache_dir))
         reader.run_cells(tasks)
-        assert reader.last_manifest.hit_rate == 1.0
+        assert reader.manifest.hit_rate == 1.0
 
     def test_reference_selection_reaches_workers_outside_the_hash(
             self, monkeypatch):
@@ -333,7 +333,7 @@ class TestManifest:
     def test_roundtrip_and_summary(self, tmp_path, cache):
         rt = Runtime(jobs=1, cache=cache)
         rt.run_cells([SimTask("spmv", "M1")])
-        manifest = rt.last_manifest
+        manifest = rt.manifest
         path = manifest.write(tmp_path / "m" / "run.json")
         loaded = RunManifest.load(path)
         assert loaded.total == manifest.total
@@ -347,13 +347,33 @@ class TestManifest:
         rt = Runtime(jobs=1, cache=cache)
         task = SimTask("spmv", "M1")
         rt.run_cells([task])
-        [entry] = rt.last_manifest.entries
+        [entry] = rt.manifest.entries
         assert entry.hash == task.content_hash()
         assert entry.workload == "spmv"
         assert entry.input_id == "M1"
         assert entry.wall_time > 0
         assert entry.attempts == 1
         assert entry.ok
+
+    def test_runtime_keeps_one_manifest_across_batches(self, cache):
+        rt = Runtime(jobs=1, cache=cache)
+        assert rt.manifest is None
+        first = rt.run([SimTask("spmv", "M1")]).manifest
+        second = rt.run([SimTask("spmv", "M1"),
+                         SimTask("spmv", "M2")]).manifest
+        # each report keeps its batch's record ...
+        assert (first.total, second.total) == (1, 2)
+        assert second.cache_hits == 1
+        # ... and the runtime's record is every batch, in order
+        run = rt.manifest
+        assert run is not first
+        assert [e.hash for e in run.entries] == [
+            e.hash for e in first.entries + second.entries]
+        assert run.created_at == first.created_at
+        assert run.wall_time == first.wall_time + second.wall_time
+        assert run.mode == second.mode
+        assert (run.total, run.cache_hits, run.simulated) == (3, 1, 2)
+        assert first.total == 1      # extending never touches a batch
 
 
 class TestGlobalConfiguration:
@@ -383,10 +403,12 @@ class TestGlobalConfiguration:
         with runtime.using(Runtime(
                 jobs=1, cache=ResultCache(tmp_path / "c"))) as rt:
             data = ex.fig10_speedups("small", workloads=("spmv",))
-            assert rt.last_manifest is not None
-            assert rt.last_manifest.total == 6
-            cold = rt.last_manifest.simulated
-            assert cold == 6
+            assert rt.manifest is not None
+            assert rt.manifest.total == 6
+            assert rt.manifest.simulated == 6
             again = ex.fig10_speedups("small", workloads=("spmv",))
-            assert rt.last_manifest.hit_rate == 1.0
+            # one run-level record: the second batch extends it
+            assert rt.manifest.total == 12
+            assert rt.manifest.cache_hits == 6
+            assert rt.manifest.simulated == 6
             assert data == again

@@ -9,6 +9,7 @@ production code path.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -285,7 +286,7 @@ class TestRestartResume:
 
 
 class TestTelemetry:
-    def test_finished_job_carries_obs_snapshot(self, parts):
+    def test_service_gauges_live_in_the_registry(self, parts):
         store, queue, cache = parts
         sched = Scheduler(store, queue, cache=cache,
                           runtime_factory=lambda p: FakeRuntime())
@@ -294,8 +295,12 @@ class TestTelemetry:
                 job, _ = sched.submit(submission())
                 job = wait_terminal(store, job.id)
             snap = obs.snapshot()
-        assert job.telemetry is not None
-        assert job.telemetry["schema"] == "repro.obs/1"
-        assert job.telemetry["meta"]["job"] == job.id
-        assert "serve.queue_depth" in snap["gauges"]
-        assert "serve.client.anon.cells" in snap["counters"]
+        assert snap["gauges"]["serve.queue_depth"]["value"] == 0
+        assert snap["gauges"]["serve.inflight_cells"]["value"] == 0
+        assert snap["counters"]["serve.client.anon.cells"] == job.total
+        assert "serve.client.anon.cells_per_sec" in snap["gauges"]
+        # the registry is process-wide and cumulative: no job record
+        # carries a copy of it
+        assert "telemetry" not in job.as_dict()
+        assert "telemetry" not in json.loads(
+            store.path_for(job.id).read_text(encoding="utf-8"))

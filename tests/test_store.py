@@ -1,4 +1,4 @@
-"""Tests for repro.store: schema, ingest, queries, auto-ingest hooks.
+"""Tests for repro.store: schema, ingest, queries, filing hooks.
 
 The store's contract is threefold: numbers survive the round trip
 (manifest / snapshot / journal in, identical numbers out), ingest is
@@ -116,7 +116,9 @@ class TestSchema:
     def test_fresh_store_is_created_and_reopens(self, tmp_path):
         path = tmp_path / "db.sqlite"
         with ExperimentStore(path) as db:
-            assert db.schema == STORE_SCHEMA
+            (row,) = db.sql(
+                "SELECT value FROM store_meta WHERE key = 'schema'")
+            assert row["value"] == STORE_SCHEMA
             assert db.counts()["runs"] == 0
         with ExperimentStore(path) as db:   # reopen: same schema, no-op
             assert db.counts()["runs"] == 0
@@ -147,7 +149,7 @@ class TestSchema:
         db = ExperimentStore(tmp_path / "db.sqlite")
         db.close()
         with pytest.raises(StoreError, match="closed"):
-            db.runs()
+            db.counts()
 
 
 # ------------------------------------------------------------- round trips
@@ -183,6 +185,31 @@ class TestManifestRoundTrip:
         assert again["created"] is False
         assert again["run_id"] == first["run_id"]
         assert store.counts() == before
+
+    def test_snapshot_and_trace_attach_to_the_manifest_run(self, store,
+                                                           tmp_path):
+        m = manifest()
+        snap = bench_snapshot("r1", cps=m.simulated / m.wall_time,
+                              created=50.0)
+        summary = ingest_manifest(store, m, snapshot=snap,
+                                  trace=layer_trace(stalls=25))
+        counts = store.counts()
+        assert counts["runs"] == counts["run_stats"] == 1
+        assert counts["cells"] == 4
+        assert counts["metrics"] > 0 and counts["trace_summaries"] > 0
+        (values,) = metric_values(store, HEADLINE_METRIC)
+        assert values["kind"] == "manifest"
+        assert values["value"] == pytest.approx(m.simulated / m.wall_time)
+        # the trace's meta rides on the run, so per-workload stall
+        # attribution still works
+        (row,) = stall_shares(store, by="workload")[0]
+        assert row["workload"] == "spmv" and row["stalls"] == 25
+        # the run key is the manifest's: ingesting its file later, or
+        # the bare manifest again, finds the same run
+        again = ingest_manifest(store, m.write(tmp_path / "m.json"))
+        assert again["created"] is False
+        assert again["run_id"] == summary["run_id"]
+        assert store.counts() == counts
 
 
 class TestSnapshotRoundTrip:
@@ -397,16 +424,6 @@ class TestQueries:
 
 
 class TestAutoIngestHooks:
-    def test_runtime_ingests_every_batch(self, tmp_path):
-        db_path = tmp_path / "db.sqlite"
-        rt = Runtime(jobs=1, cache=NullCache(), store=str(db_path))
-        rt.run_cells([SimTask("spmv", "M1")])
-        with ExperimentStore(db_path) as db:
-            runs = db.runs()
-            assert [r["kind"] for r in runs] == ["manifest"]
-            (stats,) = db.sql("SELECT * FROM run_stats")
-            assert stats["cells"] == 1 and stats["failed"] == 0
-
     def test_runtime_without_store_writes_nothing(self, tmp_path):
         rt = Runtime(jobs=1, cache=NullCache())
         rt.run_cells([SimTask("spmv", "M1")])
@@ -433,7 +450,7 @@ class TestAutoIngestHooks:
 
         sched = Scheduler(JobStore(tmp_path / "jobs"), JobQueue(),
                           runtime_factory=lambda progress: FakeRuntime(),
-                          store_path=str(db_path))
+                          db_path=str(db_path))
         sched.start()
         try:
             job, _ = sched.submit(Submission.from_dict(
@@ -446,6 +463,10 @@ class TestAutoIngestHooks:
                 time.sleep(0.02)
         finally:
             sched.stop()
+        from repro.runtime.manifest import manifest_rev
+
         with ExperimentStore(db_path) as db:
-            kinds = [r["kind"] for r in db.runs()]
-            assert "serve-job" in kinds
+            (run,), _ = runs_overview(db)
+        assert run["kind"] == "serve-job"
+        assert run["rev"] == manifest_rev()
+        assert run["cells"] == 1
