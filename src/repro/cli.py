@@ -819,12 +819,19 @@ def _experiment_main(argv: list[str]) -> int:
     # A golden-reference run computes every cell and walk: it never
     # reads what a fast run cached.
     no_cache = args.no_cache or args.reference
+    summaries = set()   # batch summaries already on stderr
+
+    def progress(event) -> None:
+        if event.kind == "summary":
+            summaries.add(event.message)
+        print(event, file=sys.stderr)
+
     rt = runtime.configure(
         jobs=args.jobs,
         cache_dir=None if no_cache else args.cache_dir,
         timeout=args.timeout,
         retries=args.retries,
-        progress=lambda msg: print(msg, file=sys.stderr),
+        progress=progress,
         walk_cache="off" if args.reference else args.walk_cache,
         reference=args.reference,
     )
@@ -903,7 +910,9 @@ def _experiment_main(argv: list[str]) -> int:
     manifest = rt.manifest
     if manifest is None:
         return status
-    print(manifest.summary(), file=sys.stderr)
+    summary = manifest.summary()
+    if summary not in summaries:   # a one-batch run printed it already
+        print(summary, file=sys.stderr)
     manifest_path = args.manifest
     if manifest_path is None and not no_cache:
         # millisecond stamp + pid so back-to-back invocations never

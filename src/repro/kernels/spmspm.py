@@ -13,28 +13,14 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..formats.csr import CsrMatrix
-from ..sim.trace import AccessStream, AddressSpace, KernelTrace, Ranges
+from ..sim.trace import AccessStream, AddressSpace, Gather, KernelTrace, Ranges
 from ..types import VALUE_BYTES
 from .common import (
     CsrOperand,
     operand_memo,
     output_streams,
-    sorted_unique,
     sve_lanes,
 )
-
-
-@operand_memo
-def scan_columns(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
-    """The B column indexes visited by the Gustavson B-row scans (the
-    rows of ``b`` that ``a``'s column indexes select), in traversal
-    order.
-
-    The accumulator stream and the symbolic counts both read them, so
-    they are built once per operand pair; the scan positions they are
-    gathered at are not kept.
-    """
-    return b.idxs[Ranges.fibers(b.ptrs, a.idxs).expand()]
 
 
 @operand_memo
@@ -69,26 +55,41 @@ def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     """Symbolic phase: per-row output non-zero counts of ``A @ B``
     (the distinct B columns each A row's scans reach), vectorized for
     characterization of larger inputs."""
-    # Expand every (A row i, B row k) pairing into packed
-    # ``i << shift | col`` keys and take one global unique — the
-    # per-row distinct-column counts drop out of the keys' high
-    # halves.  Small operands pack into int32 (a ~2x faster sort);
-    # the int64 fallback requires B column indexes < 2**32 (far
-    # beyond simulated inputs).
-    row_of = np.repeat(np.arange(a.num_rows, dtype=np.int64),
-                       np.diff(a.ptrs))
-    blk = np.diff(b.ptrs)[a.idxs]
-    cols = scan_columns(a, b)
-    if cols.size == 0:
-        return np.zeros(a.num_rows, dtype=np.int64)
-    i_rep = np.repeat(row_of, blk)
-    if a.num_rows <= 1 << 15 and b.num_cols <= 1 << 16:
-        uniq = sorted_unique((i_rep.astype(np.int32) << 16)
-                             | cols.astype(np.int32))
-        return np.bincount(uniq >> 16,
-                           minlength=a.num_rows).astype(np.int64)
-    uniq = sorted_unique((i_rep << 32) | cols)
-    return np.bincount(uniq >> 32, minlength=a.num_rows).astype(np.int64)
+    # One packed pass over the B-row scans: each scanned B column is
+    # OR-ed into its A row's key ``i << shift``, and one sort groups
+    # each row's keys into one run with its equal columns adjacent.
+    # Small operands pack into int32 (a ~2x faster sort); the int64
+    # fallback requires B column indexes < 2**32 (far beyond simulated
+    # inputs).
+    starts = b.ptrs[a.idxs]
+    lengths = b.ptrs[a.idxs + 1] - starts
+    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    scan = int(offsets[-1])
+    counts = np.zeros(a.num_rows, dtype=np.int64)
+    if scan == 0:
+        return counts
+    small = (a.num_rows <= 1 << 15 and b.num_cols <= 1 << 16
+             and max(scan, b.nnz) < 1 << 31)
+    dtype, shift = (np.int32, 16) if small else (np.int64, 32)
+    # fiber f's j-th scanned position is starts[f] - offsets[f] + j;
+    # the keys first hold the positions, then the columns there
+    keys = np.repeat((starts - offsets[:-1]).astype(dtype), lengths)
+    keys += np.arange(scan, dtype=dtype)
+    keys = b.idxs.astype(dtype, copy=False)[keys]
+    row_scan = np.diff(offsets[a.ptrs])
+    keys |= np.repeat(np.arange(a.num_rows, dtype=dtype) << shift,
+                      row_scan)
+    keys.sort()
+    # row i's run starts at offsets[a.ptrs[i]]; its count is the keys
+    # of the run that differ from their predecessor (its first always)
+    distinct = np.empty(scan, dtype=dtype)
+    distinct[0] = 1
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    runs = row_scan > 0
+    counts[runs] = np.add.reduceat(distinct, offsets[a.ptrs[:-1]][runs],
+                                   dtype=dtype)
+    return counts
 
 
 @operand_memo
@@ -98,6 +99,7 @@ def spmspm_streams(a: CsrMatrix, b: CsrMatrix
     baseline's address streams, the B-row length scanned per A
     non-zero, and the output non-zero count."""
     shared, _, next_region = shared_streams(a, b)
+    b_rows = shared[3].index    # the B-row scans' Ranges
     space = AddressSpace(next_region)
     # Output row assembly touches each produced non-zero ~twice
     # (accumulate + gather-out); symbolic counts give its footprint.
@@ -106,8 +108,9 @@ def spmspm_streams(a: CsrMatrix, b: CsrMatrix
     acc_base = space.place(b.num_cols * VALUE_BYTES)
     streams = (
         *shared,
-        AccessStream(scan_columns(a, b), VALUE_BYTES, "read", "accumulator",
-                     dependent=True, base=acc_base, stride=VALUE_BYTES),
+        AccessStream(Gather(b.idxs, b_rows), VALUE_BYTES, "read",
+                     "accumulator", dependent=True, base=acc_base,
+                     stride=VALUE_BYTES),
         *outputs,
     )
     scanned = np.diff(b.ptrs)[a.idxs]    # B-row lengths per A non-zero

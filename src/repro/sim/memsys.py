@@ -39,7 +39,7 @@ from .cache import (
     settle_lookup,
     to_lines,
 )
-from .trace import AccessStream, KernelTrace, Ranges
+from .trace import AccessStream, Gather, KernelTrace, Ranges
 
 
 @dataclass
@@ -358,20 +358,24 @@ def prepare_lines(stream: AccessStream, line_bytes: int
 
     The lines come from the stream's index, not from its addresses: a
     :class:`~repro.sim.trace.Ranges` index with ``stride <= line_bytes``
-    goes through :func:`_range_lines`, any other through
-    :func:`_position_lines`.  The reference model (``--reference``)
-    dedups the materialized addresses instead, the golden answer both
-    must reproduce bit for bit.
+    goes through :func:`_range_lines`, a
+    :class:`~repro.sim.trace.Gather` through :func:`_gather_lines`, any
+    other through :func:`_position_lines`.  The reference model
+    (``--reference``) dedups the materialized addresses instead, the
+    golden answer all three must reproduce bit for bit.
     """
     shift = line_shift(line_bytes)
+    index = stream.index
     if _REFERENCE:
         lines = dedup_consecutive(to_lines(stream.addresses, line_bytes))
         total = lines.size
-    elif isinstance(stream.index, Ranges) and stream.stride <= line_bytes:
-        lines, total = _range_lines(stream.index, stream.base,
-                                    stream.stride, shift, SAMPLE_WINDOW)
+    elif isinstance(index, Ranges) and stream.stride <= line_bytes:
+        lines, total = _range_lines(index, stream.base, stream.stride,
+                                    shift, SAMPLE_WINDOW)
+    elif isinstance(index, Gather):
+        lines, total = _gather_lines(index, stream.base, stream.stride,
+                                     shift, SAMPLE_WINDOW)
     else:
-        index = stream.index
         if isinstance(index, Ranges):
             index = index.expand()
         lines = _position_lines(index, stream.base, stream.stride, shift)
@@ -447,18 +451,21 @@ def _aligned_shift(base: int, stride: int, shift: int) -> int | None:
     return shift - (stride.bit_length() - 1)
 
 
-def _position_lines(positions: np.ndarray, base: int, stride: int,
-                    shift: int) -> np.ndarray:
-    """Deduped lines of a positions stream.  Under
-    :func:`_aligned_shift` each position takes one shift, and the
-    base's line is added to the deduped lines only."""
+def _index_lines(positions: np.ndarray, base: int, stride: int,
+                 shift: int) -> tuple[np.ndarray, int]:
+    """Each position's line, and the line offset still to add to it.
+    Under :func:`_aligned_shift` a position takes one shift and keeps
+    its dtype, and the offset is the base's line; otherwise the lines
+    are whole (int64) and the offset is 0."""
     steps = _aligned_shift(base, stride, shift)
     if steps is not None:
-        lines = positions >> steps
-        offset = base >> shift
-    else:
-        lines = (base + stride * positions.astype(np.int64)) >> shift
-        offset = 0
+        return positions >> steps, base >> shift
+    return (base + stride * positions.astype(np.int64)) >> shift, 0
+
+
+def _dedup_lines(lines: np.ndarray, offset: int) -> np.ndarray:
+    """``lines`` less each repeat of its predecessor, as int64 with
+    ``offset`` added (to the deduped lines only)."""
     if lines.size:
         keep = np.empty(lines.size, dtype=bool)
         keep[0] = True
@@ -468,6 +475,49 @@ def _position_lines(positions: np.ndarray, base: int, stride: int,
     if offset:
         lines += offset
     return lines
+
+
+def _position_lines(positions: np.ndarray, base: int, stride: int,
+                    shift: int) -> np.ndarray:
+    """Deduped lines of a positions stream."""
+    return _dedup_lines(*_index_lines(positions, base, stride, shift))
+
+
+def _gather_lines(gather: Gather, base: int, stride: int, shift: int,
+                  window: int | None) -> tuple[np.ndarray, int]:
+    """Deduped lines of a gather stream, and their total, with only the
+    ranges that reach the first ``window`` lines expanded.
+
+    Each key maps to its line once, over the key array rather than the
+    scan.  A non-empty range alone dedups to its first line plus one
+    per line change inside it, read off a prefix count of the changes;
+    it loses that first line where it starts on the line the previous
+    non-empty range ended on (a join).
+    """
+    ranges = gather.ranges
+    starts, lengths = ranges.starts, ranges.lengths
+    keep = lengths > 0
+    if not keep.all():
+        starts, lengths = starts[keep], lengths[keep]
+    if starts.size == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    lines, offset = _index_lines(gather.values, base, stride, shift)
+    changes = np.zeros(lines.size, dtype=np.int64)
+    np.not_equal(lines[1:], lines[:-1], out=changes[1:])
+    np.cumsum(changes, out=changes)
+    last = starts + lengths
+    last -= 1
+    counts = changes[last]
+    counts -= changes[starts]
+    counts += 1
+    counts[1:] -= lines[starts[1:]] == lines[last[:-1]]
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if window and total > window:
+        cut = int(np.searchsorted(ends, window)) + 1
+        starts, lengths = starts[:cut], lengths[:cut]
+    lines = lines[Ranges(starts, lengths).expand()]
+    return _dedup_lines(lines, offset), total
 
 
 def _walk_level(cache: Cache, lines: np.ndarray) -> np.ndarray:

@@ -10,10 +10,12 @@ An access stream is a base address, a stride and an *index*, the way
 the TMU's own ``mem``/``lin`` data streams are an array base plus
 positions (Table 2): access ``i`` is at ``base + stride * p`` for the
 ``i``-th position ``p`` of the index.  The index is an integer array of
-positions (a gather passes the operand's own array) or a
-:class:`Ranges` (sequential walks and fiber scans), so characterizing
-a kernel costs a few numpy passes over its structure, and a stream
-holds no per-access address the walk does not need.
+positions (a gather passes the operand's own array), a :class:`Ranges`
+(sequential walks and fiber scans), or a :class:`Gather` (a key array
+read at a :class:`Ranges`' positions, as an accumulator indexed by the
+keys a fiber scan reads), so characterizing a kernel costs a few numpy
+passes over its structure, and a stream holds no per-access address
+the walk does not need.
 """
 
 from __future__ import annotations
@@ -117,6 +119,25 @@ class Ranges:
         return out
 
 
+class Gather:
+    """The entries ``values[p]`` for each position ``p`` of ``ranges``,
+    in order: a key array read through a scan's fiber references (the
+    accumulator of Gustavson's B-row scans is indexed by the column
+    index at each scanned position).  ``values`` and ``ranges`` are
+    held, not copied: the scan streams over ``ranges`` share it."""
+
+    def __init__(self, values, ranges: Ranges) -> None:
+        self.values = np.asarray(values)
+        if self.values.ndim != 1 or self.values.dtype.kind != "i":
+            raise SimulationError("a gather reads a 1-D integer array")
+        self.ranges = ranges
+        self.size = ranges.size
+
+    def expand(self) -> np.ndarray:
+        """``values`` at every position of ``ranges``, in order."""
+        return self.values[self.ranges.expand()]
+
+
 @dataclass
 class AccessStream:
     """One ordered stream of memory accesses: access ``i`` is at byte
@@ -125,9 +146,9 @@ class AccessStream:
     Attributes
     ----------
     index:
-        The accessed positions in program order: an integer array, or a
-        :class:`Ranges`.  Streams over the same positions share one
-        index object.
+        The accessed positions in program order: an integer array, a
+        :class:`Ranges` or a :class:`Gather`.  Streams over the same
+        positions share one index object.
     elem_bytes:
         Element size (4 for indexes, 8 for values).
     kind:
@@ -148,7 +169,7 @@ class AccessStream:
         defaults read the index as byte addresses.
     """
 
-    index: np.ndarray | Ranges
+    index: np.ndarray | Ranges | Gather
     elem_bytes: int
     kind: str = "read"
     label: str = ""
@@ -161,7 +182,7 @@ class AccessStream:
                                   compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.index, Ranges):
+        if not isinstance(self.index, (Ranges, Gather)):
             index = np.asarray(self.index)
             if index.dtype.kind != "i":
                 index = index.astype(np.int64)
@@ -193,6 +214,8 @@ class AccessStream:
         if isinstance(index, Ranges):
             out = index.expand(self.base, self.stride)
         else:
+            if isinstance(index, Gather):
+                index = index.expand()
             out = np.multiply(index, self.stride, dtype=np.int64)
             out += self.base
         out.flags.writeable = False
@@ -203,6 +226,8 @@ class AccessStream:
         index = self.index
         if isinstance(index, Ranges):
             return index.starts, index.lengths
+        if isinstance(index, Gather):
+            return index.values, index.ranges.starts, index.ranges.lengths
         return (index,)
 
     def digest(self) -> str:

@@ -17,7 +17,7 @@ from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import characterize_spmv
 from repro.kernels.sptc import characterize_sptc
 from repro.kernels.triangle import characterize_triangle, lower_triangle
-from repro.sim.trace import Ranges
+from repro.sim.trace import Gather, Ranges
 
 
 @pytest.fixture(scope="module")
@@ -79,10 +79,15 @@ class TestTraceInvariants:
             assert t.streams, name
             assert any(s.kind == "read" for s in t.streams), name
             for s in t.streams:
-                # an index is a Ranges or an integer position array,
-                # and its addresses materialize as int64 on demand
-                assert (isinstance(s.index, Ranges)
-                        or s.index.dtype.kind in "iu"), (name, s.label)
+                # an index is a Ranges, a Gather of an integer array
+                # through a Ranges, or an integer position array, and
+                # its addresses materialize as int64 on demand
+                index = s.index
+                if isinstance(index, Gather):
+                    assert isinstance(index.ranges, Ranges), (name, s.label)
+                    index = index.values
+                assert (isinstance(index, Ranges)
+                        or index.dtype.kind in "iu"), (name, s.label)
                 addresses = s.addresses
                 assert addresses.dtype == np.int64, (name, s.label)
                 assert s.count == addresses.size, (name, s.label)

@@ -44,6 +44,8 @@ class TestSubprocess:
         assert "Figure 10" in proc.stdout
         assert "geomean" in proc.stdout
         assert "6 cells" in proc.stderr
+        # one batch: its summary is the run's, printed once
+        assert proc.stderr.count("runtime: 6 cells in") == 1
         # --no-cache must not create the default cache directory
         assert not (tmp_path / runtime.DEFAULT_CACHE_DIR).exists()
 
@@ -95,6 +97,13 @@ class TestGolden:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+        # every batch prints its summary, and the run-level one (the
+        # last, over all the run's cells) comes once
+        summaries = [line for line in proc.stderr.splitlines()
+                     if line.startswith("runtime: ") and " cells in " in line]
+        assert summaries.count(summaries[-1]) == 1
+        run_cells = int(summaries[-1].split()[1])
+        assert [int(s.split()[1]) for s in summaries].count(run_cells) == 1
         assert rows_digest(proc.stdout) == golden["rows"]
         assert counter_mismatches(golden["counters"],
                                   golden_counters(telemetry)) == []

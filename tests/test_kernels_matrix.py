@@ -37,6 +37,35 @@ class TestSymbolicCounts:
         assert counts.tolist() == [3, 1]
         assert np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
 
+    @pytest.mark.parametrize("rows, cols", [
+        (2**15, 40), (2**15 + 1, 40),     # A rows at the int32 pack's edge
+        (50, 2**16), (50, 2**16 + 1),     # B columns at the same edge
+    ])
+    def test_pack_boundaries(self, rows, cols):
+        # A's last row and B's last column are reached, so a key packed
+        # past its bits would carry into the neighbouring row
+        rng = np.random.default_rng(rows + cols)
+        inner = 6
+        a = (rng.random((rows, inner)) < 0.3).astype(float)
+        a[-1, 0] = 1.0
+        b = np.zeros((inner, cols))
+        for k in range(inner):
+            b[k, rng.choice(cols, 30, replace=False)] = 1.0
+        b[0, -1] = 1.0
+        a, b = CsrMatrix.from_dense(a), CsrMatrix.from_dense(b)
+        counts = _symbolic_counts_fast(a, b)
+        assert counts[-1] > 0
+        assert np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
+
+    def test_empty_product(self):
+        # A's columns select only B's empty rows: nothing is scanned
+        a = CsrMatrix((3, 4), [0, 2, 2, 3], [1, 3, 1], np.ones(3))
+        b = CsrMatrix((4, 5), [0, 2, 2, 4, 4], [0, 4, 1, 2], np.ones(4))
+        counts = _symbolic_counts_fast(a, b)
+        assert counts.tolist() == [0, 0, 0]
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
+
 
 class TestSpkadd:
     def test_split_partition_is_exact(self, small_csr):

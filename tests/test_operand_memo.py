@@ -33,9 +33,12 @@ from repro.generators import uniform_random_matrix
 from repro.kernels import common
 from repro.kernels.common import operand_memo
 from repro.kernels.spadd import merge_counts
-from repro.kernels.spmspm import _symbolic_counts_fast, scan_columns
 from repro.kernels.mttkrp import characterize_mttkrp
-from repro.kernels.spmspm import characterize_spmspm
+from repro.kernels.spmspm import (
+    _symbolic_counts_fast,
+    characterize_spmspm,
+    spmspm_streams,
+)
 from repro.kernels.spmv import spmv_streams
 from repro.kernels.triangle import characterize_triangle, lower_triangle
 from repro.programs.cpals import cpals_timing_model
@@ -44,7 +47,7 @@ from repro.programs.spmspm import spmspm_timing_model
 from repro.programs.triangle import triangle_timing_model
 from repro.serve import SimService, Submission
 from repro.sim.memsys import FIRST_LEVEL_ENTRIES, WALK_ENTRIES, walk_cache
-from repro.sim.trace import Ranges
+from repro.sim.trace import Gather, Ranges
 from tests.oracle import pattern_counts
 
 
@@ -54,6 +57,12 @@ def _fixed_nnz_matrix(rng, n: int, per_row: int) -> CsrMatrix:
     rows = [np.sort(rng.choice(n, per_row, replace=False)) for _ in range(n)]
     idxs = np.concatenate(rows)
     return CsrMatrix((n, n), np.arange(n + 1) * per_row, idxs, np.ones(idxs.size))
+
+
+def _accumulator(a: CsrMatrix, b: CsrMatrix):
+    """The SpMSpM baseline's accumulator stream on ``A @ B``."""
+    (acc,) = (s for s in spmspm_streams(a, b)[0] if s.label == "accumulator")
+    return acc
 
 
 def _scan_positions(ptrs, keys) -> np.ndarray:
@@ -74,10 +83,11 @@ class TestNeverStale:
             a = _fixed_nnz_matrix(rng, 24, 3)
             b = a.transpose()
             expect = _scan_positions(b.ptrs, a.idxs)
-            cols = scan_columns(a, b)
+            acc = _accumulator(a, b)
             counts = _symbolic_counts_fast(a, b)
             stale += not (
-                np.array_equal(cols, b.idxs[expect])
+                np.array_equal(acc.addresses,
+                               acc.base + acc.stride * b.idxs[expect])
                 and np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
             )
         assert stale == 0
@@ -121,9 +131,11 @@ class TestReadOnly:
                     array[0] = 0
 
     def test_scan_arrays_refuse_writes(self, small_csr):
-        cols = scan_columns(small_csr, small_csr.transpose())
-        with pytest.raises(ValueError):
-            cols[0] = 0
+        acc = _accumulator(small_csr, small_csr.transpose())
+        assert isinstance(acc.index, Gather)
+        for array in acc.index_arrays():
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 def _merge_counts_loop(a, b):
@@ -254,19 +266,23 @@ class TestOneArrayPerContent:
         assert base["B vals scan"].index is scan
         assert np.array_equal(scan.expand(),
                               _scan_positions(b.ptrs, small_csr.idxs))
-        # the accumulator is indexed by the scanned columns themselves
-        assert base["accumulator"].index is scan_columns(small_csr, b)
+        # the accumulator is indexed by the scanned columns themselves:
+        # B's column array read through the same Ranges
+        acc = base["accumulator"].index
+        assert isinstance(acc, Gather)
+        assert acc.ranges is scan and acc.values is b.idxs
         # B's row pointers are looked up at A's own column array
         assert tmu["B ptrs lookup"].index is small_csr.idxs
 
     def test_tc_never_gathers_columns(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("TC built the column gather")
+            raise AssertionError("TC built SpMSpM's column gather")
 
         # the package re-exports the kernel function under the
         # submodule's name
         kernel_module = sys.modules["repro.kernels.spmspm"]
-        monkeypatch.setattr(kernel_module, "scan_columns", refuse)
+        for name in ("Gather", "_symbolic_counts_fast"):
+            monkeypatch.setattr(kernel_module, name, refuse)
         machine = experiment_machine("small")
         l_mat = lower_triangle(uniform_random_matrix(90, 90, 8, seed=11))
         expect = _scan_positions(l_mat.ptrs, l_mat.idxs)
