@@ -6,8 +6,8 @@ run call?
 Each mode runs its sessions under ``sys.setprofile`` and
 ``threading.setprofile`` (so the service's scheduler and HTTP threads
 are traced too), each session in its own child process, so that no
-in-process memo (``run_workload``'s ``lru_cache``, the walk memos)
-answers for a later session.  The first four run ``repro all --scale
+in-process memo (the input loaders, the walk memos) answers for a
+later session.  The first four run ``repro all --scale
 small --jobs 1`` (every cell in process):
 
 * ``default``: ``--no-cache --walk-cache off``

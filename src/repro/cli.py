@@ -41,7 +41,8 @@ are ingested (see ``--store`` below).
 (:mod:`repro.obs.tracing`) and writes a ``repro.trace/1`` JSON file;
 ``trace export`` converts it to Perfetto-loadable JSON and ``trace
 report`` folds it into a per-component stall/cycle decomposition.
-Add ``--no-cache`` so every cell is simulated, and so traced.
+Add ``--no-cache`` so every distinct cell is simulated, and so traced
+(a cell repeated within the run is answered from memory, as cached).
 
 ``serve`` runs the long-lived simulation job service
 (:mod:`repro.serve`); ``submit``, ``jobs`` and ``fetch`` talk to it
@@ -151,7 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the on-disk result cache for this run",
+        help="disable the on-disk result cache for this run; a cell "
+             "repeated within the run is answered from memory and "
+             "reported as cached",
     )
     parser.add_argument(
         "--walk-cache",
@@ -184,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="classify cache hits with the golden-reference cache "
              "walk instead of the stack-distance model (slow; "
              "bit-for-bit equivalent: same hit masks and results).  "
-             "Implies --no-cache and --walk-cache off: a reference run "
-             "always computes",
+             "Implies --no-cache and --walk-cache off: no cache "
+             "directory answers a reference run",
     )
     parser.add_argument(
         "--timeout",

@@ -3,8 +3,8 @@
 Each :class:`Workload` couples one kernel's software-baseline
 characterization with its TMU workload model so experiments can run
 ``baseline``, ``tmu``, ``single-lane`` and ``imp`` variants uniformly.
-Runs are memoized per (workload, input, scale, machine) because several
-figures reuse the same underlying executions.
+Figures that reuse the same cell get it from the experiment runtime's
+result cache (:mod:`repro.runtime`), not from a memo here.
 
 Workload categories follow the paper's grouping:
 
@@ -16,7 +16,6 @@ Workload categories follow the paper's grouping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -265,20 +264,11 @@ def _load_input(spec: Workload, input_id: str, scale: str):
     return data if spec.operand is None else spec.operand(data)
 
 
-#: runs :func:`run_workload` keeps.  Figures share cells (Figs. 10,
-#: 11, 12 and 13 all evaluate the standard sweep), so with the result
-#: cache off this memo dedups cells across figures: in ``repro all
-#: --no-cache`` 150 of the 376 calls hit it.  The bound keeps a
-#: long-running server's memory flat.
-RUN_MEMO_ENTRIES = 256
-
-
-@lru_cache(maxsize=RUN_MEMO_ENTRIES)
 def run_workload(workload_id: str, input_id: str,
                  machine: MachineConfig, scale: str = "small", *,
                  variants: tuple[str, ...] = ("baseline", "tmu"),
                  ) -> WorkloadRun:
-    """Run one workload on one input under one machine, memoized.
+    """Run one workload on one input under one machine.
 
     ``variants`` selects which systems to evaluate: ``baseline``,
     ``tmu``, ``single_lane``, ``imp``.  A variant the workload cannot

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
-from .cache import CacheStats, NullCache, ResultCache, WalkStore
+from .cache import CacheStats, MemoryCache, ResultCache, WalkStore, open_cache
 from .executor import ProgressEvent, RunReport, Runtime, TaskOutcome
 from .manifest import ManifestEntry, RunManifest
 from .task import (
@@ -46,7 +46,7 @@ __all__ = [
     "TaskOutcome",
     "ProgressEvent",
     "ResultCache",
-    "NullCache",
+    "MemoryCache",
     "CacheStats",
     "WalkStore",
     "RunManifest",
@@ -95,9 +95,10 @@ def configure(*, jobs: int = 1,
               ) -> Runtime:
     """Install (and return) the process-wide runtime.
 
-    ``cache_dir=None`` disables the on-disk cache (results still
-    benefit from the library's in-process memoization when running
-    serially).  The runtime writes nothing to the experiment store
+    ``cache_dir=None`` disables the on-disk cache: the runtime keeps
+    its records in memory (:class:`MemoryCache`), so a cell repeated
+    within the run is answered from there and reported as cached.
+    The runtime writes nothing to the experiment store
     (:mod:`repro.store`): the caller files the run's one manifest,
     :attr:`Runtime.manifest`.  ``walk_cache`` controls the persistent
     walk-cache tier (:class:`WalkStore`): ``"auto"`` (default) keeps
@@ -108,8 +109,6 @@ def configure(*, jobs: int = 1,
     workers receive the selection with each task.
     """
     global _active
-    cache = ResultCache(Path(cache_dir)) if cache_dir is not None \
-        else NullCache()
     walk_dir = _resolve_walk_dir(walk_cache, cache_dir)
     # Install the disk tier process-wide: serial runs and the in-pool
     # parent share it here; pool workers install their own copy from
@@ -119,14 +118,14 @@ def configure(*, jobs: int = 1,
     configure_walk_store(WalkStore(walk_dir) if walk_dir is not None
                          else None)
     configure_reference(reference)
-    _active = Runtime(jobs=jobs, cache=cache, timeout=timeout,
-                      retries=retries, progress=progress,
+    _active = Runtime(jobs=jobs, cache=open_cache(cache_dir),
+                      timeout=timeout, retries=retries, progress=progress,
                       walk_dir=None if walk_dir is None else str(walk_dir))
     return _active
 
 
 def active_runtime() -> Runtime:
-    """The process-wide runtime; a serial, uncached one by default."""
+    """The process-wide runtime; a serial, memory-cached one by default."""
     global _active
     if _active is None:
         _active = Runtime()

@@ -4,13 +4,14 @@ Records are JSON files named ``<sha256>.json`` under the cache root;
 the hash covers the full task spec *and* a code-version salt
 (:data:`repro.runtime.task.CODE_SALT`), so a model change or record
 schema bump silently misses instead of serving stale results.
-:meth:`ResultCache.gc` reclaims those orphaned entries.
+:meth:`ResultCache.gc` reclaims those orphaned entries.  Without a
+cache directory, :func:`open_cache` gives a bounded :class:`MemoryCache`.
 
-Both cache classes are safe for concurrent readers and writers within
+All the cache classes are safe for concurrent readers and writers within
 one process (the simulation service shares a single instance across
-its worker threads): file operations are atomic renames, and the stats
-counters are updated under an internal lock so two threads never lose
-an increment to a read-modify-write race.  Across processes (a service
+its worker threads): file operations are atomic renames, and counters
+and the in-memory map change under an internal lock, so two threads
+never lose an update to a read-modify-write race.  Across processes (a service
 and a one-shot CLI run sharing a cache dir), writes of the same hash
 produce identical bytes by construction, so last-rename-wins is
 harmless.
@@ -21,11 +22,15 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from .task import CODE_SALT, SimTask
+
+#: records a :class:`MemoryCache` keeps (``repro all`` has 226 distinct cells).
+MEMORY_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -42,40 +47,39 @@ def _task_hash(task: SimTask | str) -> str:
     return task if isinstance(task, str) else task.content_hash()
 
 
-class NullCache:
-    """The ``--no-cache`` cache: never hits, never stores."""
+class MemoryCache:
+    """The last :data:`MEMORY_CACHE_ENTRIES` records, least recently
+    used evicted first: a cell repeated within one run (Figs. 10, 11
+    and 13 share a sweep) is answered here instead of simulated again,
+    and a long-running server's memory stays flat."""
 
     def __init__(self) -> None:
-        self.stats = CacheStats()
+        self._records: OrderedDict[str, dict] = OrderedDict()
         self._lock = threading.Lock()
-
-    @property
-    def root(self) -> None:
-        return None
-
-    def get(self, task: SimTask | str) -> dict | None:
-        with self._lock:
-            self.stats.misses += 1
-        return None
 
     def get_many(self, tasks: Iterable[SimTask | str]
                  ) -> dict[str, dict | None]:
-        hashes = [_task_hash(t) for t in tasks]
+        """``{hash: record-or-None}``; a hit becomes most recent."""
+        found = {}
         with self._lock:
-            self.stats.misses += len(hashes)
-        return {h: None for h in hashes}
+            for h in map(_task_hash, tasks):
+                found[h] = self._records.get(h)
+                if found[h] is not None:
+                    self._records.move_to_end(h)
+        return found
 
     def put(self, task: SimTask | str, record: dict) -> None:
-        pass
+        h = _task_hash(task)
+        with self._lock:
+            self._records[h] = record
+            self._records.move_to_end(h)
+            if len(self._records) > MEMORY_CACHE_ENTRIES:
+                self._records.popitem(last=False)
 
-    def invalidate(self, task: SimTask | str | None = None) -> int:
-        return 0
 
-    def gc(self) -> int:
-        return 0
-
-    def __len__(self) -> int:
-        return 0
+def open_cache(cache_dir: str | Path | None = None) -> ResultCache | MemoryCache:
+    """The result cache at ``cache_dir``, else a :class:`MemoryCache`."""
+    return ResultCache(Path(cache_dir)) if cache_dir is not None else MemoryCache()
 
 
 @dataclass

@@ -3,10 +3,9 @@
 The :class:`Runtime` takes a batch of :class:`~repro.runtime.task.SimTask`
 cells, serves what it can from the result cache, fans the misses out
 over a ``ProcessPoolExecutor`` (``jobs > 1``) or runs them in-process
-(``jobs <= 1`` — which preserves the library's in-process memoization),
-and returns a :class:`RunReport` with per-cell outcomes plus the
-batch's provenance :class:`~repro.runtime.manifest.RunManifest`.  The
-runtime folds every batch into one run-level manifest
+(``jobs <= 1``), and returns a :class:`RunReport` with per-cell outcomes
+plus the batch's provenance :class:`~repro.runtime.manifest.RunManifest`.
+The runtime folds every batch into one run-level manifest
 (:attr:`Runtime.manifest`) and writes nothing to the experiment store:
 whoever owns the run (the CLI, the job service) files it once.
 
@@ -44,7 +43,7 @@ from ..obs.logging import (
     worker_context,
 )
 from ..sim.memsys import configure_reference, uses_reference
-from .cache import NullCache, ResultCache
+from .cache import MemoryCache, ResultCache, open_cache
 from .manifest import ManifestEntry, RunManifest, manifest_rev
 from .task import SimTask, run_from_record
 
@@ -200,10 +199,12 @@ class RunReport:
 
 
 class Runtime:
-    """Cache-aware executor for batches of simulation cells."""
+    """Cache-aware executor for batches of simulation cells; without a
+    ``cache``, a cell an earlier batch ran is answered from memory
+    (:class:`~repro.runtime.cache.MemoryCache`) and counted as cached."""
 
     def __init__(self, *, jobs: int = 1,
-                 cache: ResultCache | NullCache | None = None,
+                 cache: ResultCache | MemoryCache | None = None,
                  timeout: float | None = None, retries: int = 1,
                  backoff: float = 0.25,
                  progress: Callable[[ProgressEvent], None] | None = None,
@@ -214,7 +215,7 @@ class Runtime:
         if retries < 0:
             raise ExecutorError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
-        self.cache = cache if cache is not None else NullCache()
+        self.cache = cache if cache is not None else open_cache()
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff

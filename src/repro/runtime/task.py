@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 from .. import __version__
 from ..config import (
@@ -118,7 +119,17 @@ class SimTask:
         return f"{self.workload}/{self.input_id}@{self.scale}"
 
     def spec(self) -> dict:
-        """The task's full identity as a plain dict (JSON-able)."""
+        """The task's full identity as a plain dict (JSON-able), built
+        once and shared by the hash and the record: never mutate it."""
+        return self._spec
+
+    def content_hash(self) -> str:
+        """Deterministic sha256 over the spec plus the code-version
+        salt — the cache key."""
+        return self._content_hash
+
+    @cached_property
+    def _spec(self) -> dict:
         return {
             "workload": self.workload,
             "input_id": self.input_id,
@@ -127,17 +138,10 @@ class SimTask:
             "machine": machine_to_dict(self.resolved_machine()),
         }
 
-    def content_hash(self) -> str:
-        """Deterministic sha256 over the spec plus the code-version
-        salt — the cache key.  Memoized: the task is frozen, so the
-        hash cannot change, and the executor/cache/manifest layers all
-        re-ask for it several times per cell."""
-        cached = self.__dict__.get("_content_hash")
-        if cached is None:
-            payload = canonical_json({"salt": CODE_SALT, "spec": self.spec()})
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_content_hash", cached)
-        return cached
+    @cached_property
+    def _content_hash(self) -> str:
+        payload = canonical_json({"salt": CODE_SALT, "spec": self._spec})
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     # ---------------------------------------------------------- evaluation
 

@@ -3,7 +3,7 @@
 Each worker thread pops a job, re-expands its journaled sweep into
 cells and runs them in small batches through a
 :class:`~repro.runtime.executor.Runtime` sharing the service-wide
-:class:`~repro.runtime.cache.ResultCache` — so the per-cell
+result cache (on disk, or in memory without a cache dir) — so the per-cell
 timeout/retry/serial-fallback policy, the process-pool fan-out and the
 content-addressed idempotency all come from the runtime layer for
 free.  Batching is what makes jobs *interruptible*: cancellation is
@@ -35,7 +35,7 @@ from typing import Callable
 from .. import obs
 from ..errors import ServeError
 from ..obs.logging import correlation, get_logger, log_event
-from ..runtime.cache import NullCache, ResultCache
+from ..runtime.cache import MemoryCache, ResultCache
 from ..runtime.executor import ProgressEvent, Runtime
 from ..runtime.manifest import manifest_rev
 from ..runtime.task import task_from_spec
@@ -55,7 +55,7 @@ class Scheduler:
     """Supervised execution of queued jobs over a shared runtime."""
 
     def __init__(self, store: JobStore, queue: JobQueue, *,
-                 cache: ResultCache | NullCache | None = None,
+                 cache: ResultCache | MemoryCache | None = None,
                  jobs: int = 1, workers: int = 1,
                  timeout: float | None = None, retries: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE,
@@ -68,7 +68,7 @@ class Scheduler:
         self.store = store
         self.queue = queue
         self.workers = workers
-        self.cache = cache if cache is not None else NullCache()
+        self.cache = cache
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries

@@ -28,7 +28,7 @@ from ..errors import ServeError
 from ..obs.live import PROM_CONTENT_TYPE, to_prometheus
 from ..obs.logging import get_logger, log_event
 from ..obs.registry import Registry
-from ..runtime.cache import NullCache, ResultCache
+from ..runtime.cache import open_cache
 from .jobs import JobState, JobStore
 from .protocol import SERVE_SCHEMA, Submission
 from .queue import DEFAULT_QUOTA, JobQueue, QuotaError
@@ -58,8 +58,7 @@ class SimService:
         self.state_dir = Path(state_dir)
         self.store = JobStore(self.state_dir / "jobs")
         self.queue = JobQueue(quota=quota)
-        self.cache = ResultCache(Path(cache_dir)) \
-            if cache_dir is not None else NullCache()
+        self.cache = open_cache(cache_dir)
         kwargs = {} if batch_size is None else {
             "batch_size": batch_size}
         self.scheduler = Scheduler(

@@ -7,9 +7,8 @@ stall report — all in-process through ``cli.main`` for speed.
 The figure drivers go through the analytic characterization + interval
 core models, so a CLI-recorded trace carries ``sim.*`` and ``runtime.*``
 tracks; the TMU-pipeline sections of the report are exercised on a
-trace captured from a real :class:`TmuEngine` run.  ``run_workload`` is
-memoized in-process, so the real recording happens once (module scope)
-— later CLI runs in the same process simulate nothing new.
+trace captured from a real :class:`TmuEngine` run.  The real recording
+happens once (module scope) and later tests read its file.
 """
 
 from __future__ import annotations
@@ -33,13 +32,7 @@ def _fresh_state():
 
 @pytest.fixture(scope="module")
 def recorded_trace(tmp_path_factory):
-    """A real sampled trace from a tiny fig10 run (recorded once; the
-    workload memo makes later in-process runs trace almost nothing)."""
-    from repro.eval.workloads import run_workload
-
-    # earlier tests in the session may have warmed the memo; clear it so
-    # this recording actually simulates and emits sim.* events
-    run_workload.cache_clear()
+    """A real sampled trace from a tiny fig10 run (recorded once)."""
     path = tmp_path_factory.mktemp("trace") / "trace.json"
     rc = main(
         [

@@ -34,11 +34,6 @@ class TestRegistry:
         with pytest.raises(WorkloadError):
             run_workload("nope", "M1", small_machine)
 
-    def test_memoization(self, small_machine):
-        a = run_workload("spmv", "M2", small_machine, "small")
-        b = run_workload("spmv", "M2", small_machine, "small")
-        assert a is b
-
     def test_variant_selection(self, small_machine):
         run = run_workload("spmv", "M6", small_machine, "small",
                            variants=("baseline", "imp"))

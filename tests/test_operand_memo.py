@@ -16,7 +16,6 @@ from repro.config import experiment_machine
 from repro.eval.experiments import fig03_motivation
 from repro.eval.workloads import (
     FACTOR_RANK,
-    RUN_MEMO_ENTRIES,
     WORKLOADS,
     _load_input,
     inputs_for,
@@ -45,6 +44,7 @@ from repro.programs.cpals import cpals_timing_model
 from repro.programs.mttkrp import mttkrp_timing_model
 from repro.programs.spmspm import spmspm_timing_model
 from repro.programs.triangle import triangle_timing_model
+from repro.runtime.cache import MEMORY_CACHE_ENTRIES, MemoryCache
 from repro.serve import SimService, Submission
 from repro.sim.memsys import FIRST_LEVEL_ENTRIES, WALK_ENTRIES, walk_cache
 from repro.sim.trace import Gather, Ranges
@@ -298,10 +298,9 @@ class TestOneArrayPerContent:
 
 
 #: Runs small cells of four workloads, drops every holder of the
-#: inputs (the loaders and the run memo), and prints the live entries
-#: of the operand memo, the walk memory tier and the first-level memo,
-#: read in that order (a dead operand releases its streams, whose walks
-#: then leave).
+#: inputs (the loaders), and prints the live entries of the operand
+#: memo, the walk memory tier and the first-level memo, read in that
+#: order (a dead operand releases its streams, whose walks then leave).
 _LIFETIME_SCRIPT = """
 import gc
 from repro.config import experiment_machine
@@ -317,7 +316,7 @@ for workload, inputs in (("spmv", "M1 M2"), ("spmspm", "M1 M2"),
         run_workload(workload, input_id, machine, "small")
 wc = walk_cache()
 print(len(common._MEMO), len(wc), len(wc._first_level))
-for memo in (load_matrix, load_tensor, run_workload):
+for memo in (load_matrix, load_tensor):
     memo.cache_clear()
 gc.collect()
 print(len(common._MEMO), len(wc), len(wc._first_level))
@@ -345,10 +344,6 @@ def test_memos_keep_nothing_once_the_inputs_are_gone():
     assert after == (0, 0, 0)
 
 
-def test_run_memo_is_bounded():
-    assert run_workload.cache_info().maxsize == RUN_MEMO_ENTRIES
-
-
 def test_loaders_keep_one_scale_resident():
     """The input loaders hold one scale's suite, and a folded tensor is
     held by the operand memo on the loaded tensor's identity."""
@@ -360,13 +355,13 @@ def test_loaders_keep_one_scale_resident():
     assert _load_input(spec, "T4", "small") is folded
 
 
-def _memo_sizes() -> dict[str, int]:
+def _memo_sizes(rt: runtime.Runtime) -> dict[str, int]:
     wc = walk_cache()
     return {
         "operand": len(common._MEMO),
         "walk": len(wc),
         "first_level": len(wc._first_level),
-        "runs": run_workload.cache_info().currsize,
+        "runs": len(rt.cache._records),
         "matrices": load_matrix.cache_info().currsize,
         "tensors": load_tensor.cache_info().currsize,
     }
@@ -374,23 +369,24 @@ def _memo_sizes() -> dict[str, int]:
 
 def test_repeated_sweep_keeps_memos_flat():
     """A long-running process that re-runs the Fig. 3 sweep must not
-    grow any process-wide memo.  The second sweep drops
-    ``run_workload``'s own memo first, so every cell is simulated again
-    and the memos below it see the full traffic a second time."""
+    grow any process-wide memo.  The second sweep runs on a fresh
+    runtime, whose in-memory result cache is empty, so every cell is
+    simulated again and the memos below it see the full traffic a
+    second time."""
     bounds = {
         "operand": common.MEMO_ENTRIES,
         "walk": WALK_ENTRIES,
         "first_level": FIRST_LEVEL_ENTRIES,
-        "runs": RUN_MEMO_ENTRIES,
+        "runs": MEMORY_CACHE_ENTRIES,
         "matrices": len(MATRIX_SUITE),
         "tensors": len(TENSOR_SUITE),
     }
-    with runtime.using(runtime.Runtime()):
+    with runtime.using(runtime.Runtime()) as rt:
         first_rows = fig03_motivation("small")
-        first = _memo_sizes()
-        run_workload.cache_clear()
+        first = _memo_sizes(rt)
+    with runtime.using(runtime.Runtime()) as rt:
         second_rows = fig03_motivation("small")
-        second = _memo_sizes()
+        second = _memo_sizes(rt)
     assert second_rows == first_rows
     for name, bound in bounds.items():
         assert first[name] <= bound, name
@@ -417,9 +413,9 @@ SERVE_RSS_MARGIN_MB = 4.0
 def test_serve_rss_stays_flat_over_repeated_sweeps(tmp_path):
     """A long-running ``repro serve`` re-running one sweep must keep
     its memory flat in bytes, not only in memo entries.  Each run
-    drops the finished job (so the sweep is accepted again) and
-    ``run_workload``'s memo (so every cell is evaluated again); the
-    service has no result cache."""
+    drops the finished job (so the sweep is accepted again) and gives
+    the scheduler a fresh in-memory result cache (so every cell is
+    evaluated again); the service has no cache directory."""
     service = SimService(state_dir=tmp_path / "state")
     service.start()
     submission = Submission.from_dict({"sweep": {
@@ -427,7 +423,7 @@ def test_serve_rss_stays_flat_over_repeated_sweeps(tmp_path):
     rss = []
     try:
         for _run in range(3):
-            run_workload.cache_clear()
+            service.scheduler.cache = MemoryCache()
             job, created = service.scheduler.submit(submission)
             assert created
             deadline = time.monotonic() + 120

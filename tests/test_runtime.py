@@ -17,7 +17,7 @@ from repro.config import experiment_machine
 from repro.errors import ExecutorError, WorkloadError
 from repro.runtime import (
     CODE_SALT,
-    NullCache,
+    MemoryCache,
     ResultCache,
     RunManifest,
     Runtime,
@@ -27,6 +27,7 @@ from repro.runtime import (
     run_from_record,
     task_from_spec,
 )
+from repro.runtime.cache import MEMORY_CACHE_ENTRIES
 
 
 @pytest.fixture
@@ -165,13 +166,52 @@ class TestResultCache:
         assert cache.stats.errors == 1
         assert not cache.path_for(task).exists()
 
-    def test_null_cache(self):
-        null = NullCache()
-        task = SimTask("spmv", "M1")
-        null.put(task, {"x": 1})
-        assert null.get(task) is None
-        assert len(null) == 0
-        assert null.invalidate() == 0 and null.gc() == 0
+    def test_memory_cache_keeps_the_most_recent_records(self):
+        memory = MemoryCache()
+        memory.put("a", {"x": 1})
+        assert memory.get_many(["a", "b"]) == {"a": {"x": 1}, "b": None}
+        for i in range(MEMORY_CACHE_ENTRIES - 1):
+            memory.put(f"h{i}", {"i": i})
+        memory.get_many(["a"])           # "a" becomes the most recent
+        memory.put("last", {})           # one past the bound: evicts h0
+        kept = memory.get_many(["a", "h0", "h1", "last"])
+        assert kept == {"a": {"x": 1}, "h0": None, "h1": {"i": 1},
+                        "last": {}}
+
+    def test_memory_cache_is_shared_across_threads(self):
+        """The service's worker threads share one ``MemoryCache``:
+        lookups racing evictions raise nothing, every record found is
+        the one put under its hash, and the bound holds."""
+        import sys
+        import threading
+
+        memory = MemoryCache()
+        errors = []
+
+        def worker(k):
+            try:
+                for i in range(2000):
+                    memory.put(f"{k}-{i}", {"h": f"{k}-{i}"})
+                    recent = [f"{j}-{i}" for j in range(8)]
+                    for h, record in memory.get_many(recent).items():
+                        assert record is None or record == {"h": h}
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(memory._records) == MEMORY_CACHE_ENTRIES
 
 
 class TestRuntimeSerial:
@@ -212,8 +252,7 @@ class TestRuntimeSerial:
             calls["n"] += 1
             raise ValueError("injected")
 
-        rt = Runtime(jobs=1, cache=NullCache(), retries=2,
-                     backoff=0.0)
+        rt = Runtime(jobs=1, retries=2, backoff=0.0)
         import repro.runtime.executor as executor_mod
         original = executor_mod._evaluate_task
         executor_mod._evaluate_task = boom
@@ -239,6 +278,31 @@ class TestRuntimeSerial:
         assert "cannot produce" in outcome.error
         assert cache.get(task) is None
 
+    def test_repeated_cell_is_answered_from_memory(self, monkeypatch):
+        """Without a cache directory, a cell an earlier batch of the
+        same runtime ran is evaluated once, and the second batch files
+        it as cached, counted like a disk hit."""
+        import repro.runtime.executor as executor_mod
+
+        calls = []
+        evaluate = executor_mod._evaluate_task
+
+        def counting(task, *args, **kwargs):
+            calls.append(task.label)
+            return evaluate(task, *args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "_evaluate_task", counting)
+        rt = Runtime(jobs=1)
+        with obs.capture() as registry:
+            first = rt.run([SimTask("spmv", "M1")]).manifest
+            second = rt.run([SimTask("spmv", "M1")]).manifest
+        assert calls == ["spmv/M1@small"]
+        assert [e.cached for e in first.entries + second.entries] == [
+            False, True]
+        counters = registry.as_dict()["counters"]
+        assert counters["runtime.executor.cells_simulated"] == 1
+        assert counters["runtime.executor.cells_cached"] == 1
+
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ExecutorError):
             Runtime(jobs=0)
@@ -260,7 +324,7 @@ class TestRuntimeParallel:
         assert parallel.manifest.mode in ("process-pool",
                                                "fallback-serial")
 
-        serial = Runtime(jobs=1, cache=NullCache())
+        serial = Runtime(jobs=1)
         ser_runs = serial.run_cells(tasks)
 
         for task in tasks:
@@ -385,8 +449,28 @@ class TestGlobalConfiguration:
         finally:
             runtime.reset()
         assert runtime.active_runtime() is not rt
-        assert isinstance(runtime.active_runtime().cache, NullCache)
+        assert isinstance(runtime.active_runtime().cache, MemoryCache)
         runtime.reset()
+
+    def test_no_cache_run_answers_repeated_cells_from_memory(
+            self, tmp_path):
+        """``repro all --no-cache``: the figures share cells, and each
+        repeat is filed as cached, so the simulated count is the number
+        of distinct cells."""
+        from repro.cli import main
+
+        path = tmp_path / "m.json"
+        try:
+            assert main(["all", "--scale", "small", "--workloads",
+                         "spmv", "--no-cache", "--walk-cache", "off",
+                         "--manifest", str(path)]) == 0
+        finally:
+            runtime.reset()
+        manifest = RunManifest.load(path)
+        assert manifest.total == 184
+        assert manifest.simulated == len(
+            {e.hash for e in manifest.entries}) == 160
+        assert manifest.cache_hits == 24
 
     def test_using_scopes_the_swap(self):
         outer = runtime.active_runtime()

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.eval import workloads as wl
 from repro.generators import suite
 from repro.runtime import SimTask
 
@@ -24,10 +23,9 @@ def _canonical_bytes(record: dict) -> bytes:
 
 
 def _clear_memos() -> None:
-    """Force full recomputation: drop the run memo and the generated
-    input memos, so the second evaluation rebuilds inputs and re-runs
-    the simulation from scratch."""
-    wl.run_workload.cache_clear()
+    """Force full recomputation: drop the generated input memos, so
+    the second evaluation rebuilds inputs and re-runs the simulation
+    from scratch."""
     suite.load_matrix.cache_clear()
     suite.load_tensor.cache_clear()
 

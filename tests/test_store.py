@@ -18,7 +18,7 @@ from repro.errors import StoreError
 from repro.obs import Registry
 from repro.obs.snapshot import make_snapshot
 from repro.obs.tracing import make_trace
-from repro.runtime import ManifestEntry, NullCache, RunManifest, Runtime, SimTask
+from repro.runtime import ManifestEntry, RunManifest, Runtime, SimTask
 from repro.store import (
     HEADLINE_METRIC,
     STORE_SCHEMA,
@@ -425,7 +425,7 @@ class TestQueries:
 
 class TestAutoIngestHooks:
     def test_runtime_without_store_writes_nothing(self, tmp_path):
-        rt = Runtime(jobs=1, cache=NullCache())
+        rt = Runtime(jobs=1)
         rt.run_cells([SimTask("spmv", "M1")])
         assert not list(tmp_path.glob("*.sqlite"))
 
