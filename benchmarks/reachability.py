@@ -25,7 +25,12 @@ steps of CI's ``bench-smoke`` and ``store-smoke`` jobs in their order
 (a traced, snapshotted ``fig13`` smoke run, ``stats``, ``trace``,
 ``ingest`` and ``query``), ``report`` over the resulting store,
 ``cache-gc`` and ``cache-clear`` on a cache one ``fig10`` run filled,
-and every ``examples/*.py`` in process as ``__main__``.
+one service session, ``ingest`` of the smoke run's trace and of the
+service's job journal, and every ``examples/*.py`` in process as
+``__main__``.  The service session runs ``repro serve --port 0`` with
+``--store`` in the child's main thread while a client thread runs
+``submit --wait``, ``jobs`` and ``fetch --out`` against it and then
+interrupts the server with ``SIGINT``, the way Ctrl-C stops it.
 
 The code objects the sessions call are matched by file and first line
 to every ``def`` under ``src/repro``.  The script prints the unreached
@@ -94,6 +99,10 @@ _STORE_SMOKE = [
     ("repro", "query", "regressions", "--bound", "0.20", *_STORE_DB),
 ]
 _CACHE = ("--cache-dir", "{tmp}/cache")
+_SERVE_DB = ("--store", "{tmp}/serve.sqlite")
+_SERVICE = ("service", "--port", "0", "--port-file", "{tmp}/port",
+            "--state-dir", "{tmp}/serve-state",
+            "--cache-dir", "{tmp}/serve-cache", *_SERVE_DB)
 
 #: mode -> the sessions it runs, one child process each: the entry
 #: point (``repro`` or ``pytest``) and its arguments; ``{tmp}`` is the
@@ -114,6 +123,9 @@ MODES = {
         ("repro", "fig10", "--workloads", "spmv", *_CACHE),
         ("repro", "cache-gc", *_CACHE),
         ("repro", "cache-clear", *_CACHE),
+        _SERVICE,
+        ("repro", "ingest", "{tmp}/run-trace.json",
+         "{tmp}/serve-state/jobs", *_SERVE_DB),
         *(("example", str(path))
           for path in sorted((REPO / "examples").glob("*.py"))),
     ],
@@ -123,9 +135,12 @@ MODES = {
 #: thread it starts) before ``repro`` is imported, run one session, then
 #: write the ``(file, first line)`` of every code object it called.
 #: An example runs as ``__main__`` with no arguments of its own, so the
-#: child takes its output path from ``sys.argv`` first.
+#: child takes its output path from ``sys.argv`` first.  A ``service``
+#: session serves in the main thread until its client thread, done with
+#: the service CLI, sends ``SIGINT``.
 _CHILD = """
-import json, runpy, sys, threading
+import contextlib, io, json, os, runpy, signal, sys, threading, time
+from pathlib import Path
 called = set()
 def hook(frame, event, arg):
     if event == "call":
@@ -137,6 +152,38 @@ if entry == "example":
     sys.argv = argv
     runpy.run_path(argv[0], run_name="__main__")
     status = 0
+elif entry == "service":
+    from repro.cli import main
+    port_file = Path(argv[argv.index("--port-file") + 1])
+    failed = []
+    def client():
+        try:
+            deadline = time.monotonic() + 60
+            while not (port_file.exists() and port_file.read_text()):
+                if time.monotonic() > deadline:
+                    raise TimeoutError("the service never listened")
+                time.sleep(0.05)
+            url = ["--url", f"http://127.0.0.1:{port_file.read_text()}"]
+            submitted = io.StringIO()
+            with contextlib.redirect_stdout(submitted):
+                status = main(["submit", *url, "--workloads", "spmv",
+                               "--inputs", "M1", "--wait"])
+            job = submitted.getvalue().split()[1]
+            status = (status or main(["jobs", *url])
+                      or main(["fetch", job, *url, "--out",
+                               str(port_file.with_name("fetch.json"))]))
+            if status:
+                failed.append(f"client exited with status {status}")
+        except Exception as exc:
+            failed.append(repr(exc))
+        finally:
+            os.kill(os.getpid(), signal.SIGINT)
+    thread = threading.Thread(target=client)
+    thread.start()
+    status = main(["serve", *argv])
+    thread.join()
+    if failed:
+        sys.exit(failed[0])
 else:
     if entry == "pytest":
         from pytest import main

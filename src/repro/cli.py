@@ -119,8 +119,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=sorted(_COMMANDS) + ["all"] + list(_CACHE_COMMANDS),
         help="which artifact to regenerate (or a cache maintenance "
-             "action: cache-gc reclaims entries from older code "
-             "versions, cache-clear drops everything)",
+             "action: cache-gc reclaims result and walk records "
+             "from older code versions or walk schemas, cache-clear "
+             "drops both; --walk-cache selects the walk tier)",
     )
     parser.add_argument(
         "--scale",
@@ -792,13 +793,23 @@ def _run_cache_command(action: str, args) -> int:
               file=sys.stderr)
         return 2
     cache = runtime.ResultCache(Path(args.cache_dir))
+    # the walk tier the same flags give an experiment run
+    walk_dir = runtime.resolve_walk_dir(args.walk_cache, cache.root)
+    walks = [] if walk_dir is None else [runtime.WalkStore(walk_dir)]
     if action == "cache-gc":
         removed = cache.gc()
         print(f"cache-gc: reclaimed {removed} stale entries from "
               f"{cache.root} ({len(cache)} live)")
+        for store in walks:
+            removed = store.gc()
+            print(f"cache-gc: reclaimed {removed} stale walks from "
+                  f"{store.root} ({len(store)} live)")
     else:
         removed = cache.invalidate()
         print(f"cache-clear: removed {removed} entries from {cache.root}")
+        for store in walks:
+            print(f"cache-clear: removed {store.clear()} walks from "
+                  f"{store.root}")
     return 0
 
 

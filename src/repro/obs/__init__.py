@@ -16,7 +16,7 @@ Usage::
 
 Instrumented library code stays declarative::
 
-    obs.counter("tmu.engine.runs").add()
+    obs.counter("store.ingest_failures").add()
     obs.gauge("runtime.executor.cells_per_sec").set(rate)
     with obs.timer("sim.memsys.profile"):
         ...
@@ -56,7 +56,7 @@ from .metrics import (
     Histogram,
     Timer,
 )
-from .registry import PrefixedRegistry, Registry, add_deltas
+from .registry import PrefixedRegistry, Registry
 from .live import PROM_CONTENT_TYPE, to_prometheus
 from .logging import (
     configure as configure_logging,
@@ -107,7 +107,6 @@ __all__ = [
     "Timer",
     "Registry",
     "PrefixedRegistry",
-    "add_deltas",
     "SCHEMA",
     "enable",
     "disable",

@@ -1,7 +1,7 @@
 """The hierarchical metric registry.
 
 Metrics are addressed by dotted paths mirroring the simulator layers
-("tmu.engine.outq.records", "sim.cache.l1.hits", ...).  A registry is a
+("runtime.executor.cells", "sim.cache.l1.hits", ...).  A registry is a
 flat name -> instrument map — the hierarchy lives in the names, which
 keeps lookups to one dict access and makes snapshots trivially sortable
 and diffable by prefix.
@@ -77,19 +77,6 @@ class Registry:
     def prefixed(self, prefix: str) -> "PrefixedRegistry":
         """A view that prepends ``prefix.`` to every metric name."""
         return PrefixedRegistry(self, prefix)
-
-
-def add_deltas(view, values: dict, seen: dict) -> None:
-    """Publish cumulative component counters as increments.
-
-    Engine components (TUs, TGs, the arbiter, the outQ) keep lifetime
-    totals; re-observing them must not double count, so this helper adds
-    only what grew since the last observe and remembers the new totals
-    in ``seen`` (a dict the component owns).
-    """
-    for key, value in values.items():
-        view.counter(key).add(value - seen.get(key, 0))
-        seen[key] = value
 
 
 class PrefixedRegistry:

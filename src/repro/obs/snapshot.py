@@ -7,7 +7,7 @@ schema::
       "schema": "repro.obs/1",
       "created_unix": 1722800000.0,
       "meta": {"rev": "1b7acf8", "python": "3.12.3", ...},
-      "counters":   {"tmu.engine.outq.records": 123, ...},
+      "counters":   {"runtime.executor.cells": 123, ...},
       "gauges":     {"runtime.executor.cells_per_sec":
                      {"value": 4.2, "high_water": 4.2}, ...},
       "histograms": {"sim.core.cycles": {"count": ..., "total": ...,

@@ -2,8 +2,8 @@
 
 :mod:`repro.obs` answers "how much" (counters, histograms, cells/sec);
 this module records "when": a bounded timeline of **span**, **instant**
-and **counter-sample** events addressed by the same dotted paths as the
-metric registry ("tmu.tg.layer0", "sim.core", "runtime.executor", ...).
+and **counter-sample** events addressed by dotted paths like the
+metric registry's ("tmu.tg.layer0", "sim.core", "runtime.executor", ...).
 
 Design points, mirroring the metrics layer:
 

@@ -58,6 +58,7 @@ __all__ = [
     "run_from_record",
     "task_from_spec",
     "configure",
+    "resolve_walk_dir",
     "active_runtime",
     "reset",
     "using",
@@ -70,7 +71,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _active: Runtime | None = None
 
 
-def _resolve_walk_dir(walk_cache: str | Path | None,
+def resolve_walk_dir(walk_cache: str | Path | None,
                       cache_dir: str | Path | None) -> Path | None:
     """The on-disk walk-cache directory, or ``None`` when disabled:
     ``"auto"`` places the tier at ``<cache_dir>/walks`` and disables
@@ -109,7 +110,7 @@ def configure(*, jobs: int = 1,
     workers receive the selection with each task.
     """
     global _active
-    walk_dir = _resolve_walk_dir(walk_cache, cache_dir)
+    walk_dir = resolve_walk_dir(walk_cache, cache_dir)
     # Install the disk tier process-wide: serial runs and the in-pool
     # parent share it here; pool workers install their own copy from
     # the walk_dir shipped with each task.

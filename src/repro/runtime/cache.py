@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from ..sim.memsys import WALK_SCHEMA
 from .task import CODE_SALT, SimTask
 
 #: records a :class:`MemoryCache` keeps (``repro all`` has 226 distinct cells).
@@ -87,7 +88,8 @@ class _JsonFiles:
     """The file layer of both disk stores: ``<name>.json`` records
     under ``root``, written by atomic rename of a per-pid/tid temp
     file; a record that does not parse is dropped on read and on
-    :meth:`gc`."""
+    :meth:`gc`.  Each store defines ``_stale(payload)``: whether
+    :meth:`gc` reclaims a parsable record."""
 
     root: Path
 
@@ -120,9 +122,13 @@ class _JsonFiles:
         os.replace(tmp, path)
         return len(data)
 
-    def _stale(self, payload) -> bool:
-        """Whether :meth:`gc` reclaims a parsable record."""
-        return False
+    def clear(self) -> int:
+        """Remove every record; returns the number removed."""
+        removed = 0
+        for path in self.root.glob("*.json"):
+            path.unlink(missing_ok=True)
+            removed += 1
+        return removed
 
     def gc(self) -> int:
         """Remove stale temp files, unparsable records and the records
@@ -206,11 +212,7 @@ class ResultCache(_JsonFiles):
                 path.unlink()
                 return 1
             return 0
-        removed = 0
-        for path in self.root.glob("*.json"):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+        return self.clear()
 
     def _stale(self, payload) -> bool:
         return not isinstance(payload, dict) or payload.get(
@@ -229,7 +231,8 @@ class WalkStore(_JsonFiles):
     task spec, and schema-gated by the payload's own
     ``repro.walk/...`` tag instead of :data:`CODE_SALT`: a walk record
     is a pure function of its digest inputs, so it survives unrelated
-    model-code changes that would invalidate task results.
+    model-code changes that would invalidate task results.  :meth:`gc`
+    reclaims the records of another walk schema.
     """
 
     def load(self, digest: str) -> tuple[dict | None, int]:
@@ -243,3 +246,7 @@ class WalkStore(_JsonFiles):
     def save(self, digest: str, payload: dict) -> int:
         """Atomically persist one walk record; returns bytes written."""
         return self._write(self.path_for(digest), payload)
+
+    def _stale(self, payload) -> bool:
+        return not isinstance(payload, dict) or payload.get(
+            "schema") != WALK_SCHEMA

@@ -24,7 +24,7 @@ Modeling notes (vs. gem5):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,9 +42,10 @@ from .cache import (
 from .trace import AccessStream, Gather, KernelTrace, Ranges
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StreamProfile:
-    """Per-stream outcome of the hierarchy walk."""
+    """Per-stream outcome of the hierarchy walk.  Immutable, so a walk
+    memo hands its stored profiles out without copying them."""
 
     label: str
     kind: str
@@ -135,7 +136,7 @@ def _encode_walk(value) -> dict:
     """Walk value -> JSON-able payload for the disk tier."""
     profiles, levels = value
     return {"schema": WALK_SCHEMA,
-            "profiles": [dict(vars(sp)) for sp in profiles],
+            "profiles": [asdict(sp) for sp in profiles],
             "levels": [[int(a), int(hits)] for a, hits in levels]}
 
 
@@ -636,7 +637,7 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
         for cache, (accesses, hit_count) in zip(levels, stats):
             if accesses:
                 settle_lookup(cache, accesses, hit_count)
-        return [replace(sp) for sp in stored]
+        return list(stored)
 
     first_key = (geometry[0], *rest) if memo and len(levels) > 1 else None
     prep, hits, counts, lines = _first_level(
@@ -663,7 +664,7 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
     ]
     if memo:
         _WALK_CACHE.put(key, streams, (
-            [replace(sp) for sp in profiles],
+            list(profiles),
             [(c.stats.accesses, c.stats.hits) for c in levels]))
     return profiles
 

@@ -10,7 +10,7 @@ registered callbacks.
 
 Package layout (paper section in parentheses):
 
-* :mod:`repro.tmu.streams`   — data streams: mem/ite/lin/map/ldr/fwd/msk (Table 2)
+* :mod:`repro.tmu.streams`   — data streams: ite/mem/lin, plus the TG's msk (Table 2)
 * :mod:`repro.tmu.tu`        — TU FSM + traversal primitives (Table 1, §5.1)
 * :mod:`repro.tmu.tg`        — TG FSM + merge/co-iteration modes (Table 3, §5.2)
 * :mod:`repro.tmu.outq`      — outQ chunk construction (§5.3)

@@ -7,19 +7,18 @@ within a TU in configuration order, requests within a stream in order.
 
 The functional model records every element *touch* and coalesces
 consecutive same-line touches per stream into line *requests* — exactly
-what the sequential queues of the hardware produce.  The ordered
-request streams are exported as :class:`repro.sim.trace.AccessStream`
-objects so the timing model can replay them against the LLC.
+what the sequential queues of the hardware produce.  It counts touches,
+line requests and bytes for :class:`repro.tmu.engine.RunStats` and,
+while tracing is on, marks each grant on the timeline.  The timing
+models in :mod:`repro.programs` build their own streams and never
+replay these.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..errors import TMUConfigError
-from ..sim.trace import AccessStream
 from .streams import Stream
 from .tu import TraversalUnit
 
@@ -32,11 +31,10 @@ class StreamRequestLog:
 
     layer: int
     lane: int
-    config_order: int
     label: str
     touches: int = 0
+    line_requests: int = 0
     last_line: int = -1
-    lines: list[int] = field(default_factory=list)
 
     def record(self, address: int) -> bool:
         """Log one element touch; True when it opened a new line
@@ -44,18 +42,17 @@ class StreamRequestLog:
         self.touches += 1
         line = address // LINE_BYTES
         if line != self.last_line:
-            self.lines.append(line)
+            self.line_requests += 1
             self.last_line = line
             return True
         return False
 
 
 class MemoryArbiter:
-    """Collects and orders the TMU's memory requests."""
+    """Collects and counts the TMU's memory requests."""
 
     def __init__(self) -> None:
         self._logs: dict[Stream, StreamRequestLog] = {}
-        self._observed: dict[str, int] = {}  # telemetry deltas
         self.tracer = None  # set by the engine while tracing is on
 
     def register(self, tu: TraversalUnit, stream: Stream) -> None:
@@ -64,7 +61,6 @@ class MemoryArbiter:
         self._logs[stream] = StreamRequestLog(
             layer=tu.layer,
             lane=tu.lane,
-            config_order=stream.index_in_tu,
             label=stream.name,
         )
 
@@ -84,50 +80,13 @@ class MemoryArbiter:
 
     # -- reporting ----------------------------------------------------
 
-    def priority_order(self) -> list[StreamRequestLog]:
-        """Logs sorted by the arbiter's selection hierarchy."""
-        return sorted(
-            self._logs.values(),
-            key=lambda log: (log.layer, log.lane, log.config_order),
-        )
-
     @property
     def total_touches(self) -> int:
         return sum(log.touches for log in self._logs.values())
 
     @property
     def total_line_requests(self) -> int:
-        return sum(len(log.lines) for log in self._logs.values())
+        return sum(log.line_requests for log in self._logs.values())
 
     def total_bytes(self) -> int:
         return self.total_line_requests * LINE_BYTES
-
-    def access_streams(self) -> list[AccessStream]:
-        """Export ordered line-request streams for the timing model,
-        in arbiter priority order."""
-        streams = []
-        for log in self.priority_order():
-            streams.append(AccessStream(
-                np.asarray(log.lines, dtype=np.int64),
-                elem_bytes=LINE_BYTES,
-                kind="read",
-                label=log.label,
-                stride=LINE_BYTES,
-            ))
-        return streams
-
-    def observe(self, view) -> None:
-        """Publish request totals and the per-(layer, lane) grant
-        distribution into a telemetry registry view."""
-        from ..obs import add_deltas
-
-        totals = {
-            "touches": self.total_touches,
-            "lines": self.total_line_requests,
-            "bytes": self.total_bytes(),
-        }
-        for log in self.priority_order():
-            key = f"layer{log.layer}.lane{log.lane}.lines"
-            totals[key] = totals.get(key, 0) + len(log.lines)
-        add_deltas(view, totals, self._observed)
-        view.gauge("streams").set(len(self._logs))

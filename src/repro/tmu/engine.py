@@ -20,7 +20,6 @@ from typing import Callable
 from .. import obs
 from ..config import TMUConfig
 from ..errors import TMUConfigError, TMURuntimeError
-from ..sim.trace import AccessStream
 from .arbiter import MemoryArbiter
 from .outq import MaskValue, OutQueue, OutQueueRecord
 from .program import (
@@ -203,8 +202,6 @@ class TmuEngine:
         stats.memory_bytes = self.arbiter.total_bytes()
         if self._tracing:
             self._trace_summaries(stats)
-        if obs.enabled():
-            self.publish_telemetry()
         return stats
 
     def _trace_summaries(self, stats: RunStats) -> None:
@@ -241,24 +238,6 @@ class TmuEngine:
             "records": stats.outq_records,
             "memory_lines": stats.memory_lines,
         })
-
-    def publish_telemetry(self) -> None:
-        """Push this run's per-component event counts into the active
-        :mod:`repro.obs` registry (no-op when telemetry is disabled)."""
-        registry = obs.active()
-        if registry is None:
-            return
-        engine = registry.prefixed("tmu.engine")
-        engine.counter("runs").add()
-        for cb_id, count in self._stats.callback_counts.items():
-            engine.counter(f"callbacks.{cb_id}").add(count)
-        for idx, group in enumerate(self.groups):
-            layer = registry.prefixed(f"tmu.tg.layer{idx}")
-            group.observe(layer)
-            layer.gauge("queue_entries").set(self.sizing.entries(idx))
-        engine.gauge("queue_utilization").set(self.sizing.utilization)
-        self.arbiter.observe(registry.prefixed("tmu.arbiter"))
-        self.outq.observe(registry.prefixed("tmu.outq"))
 
     def _child_mask(self, layer_idx: int,
                     parent_mode: LayerMode | None,
@@ -356,9 +335,3 @@ class TmuEngine:
 
         if tracing:
             tracer.span(track, "activation", t0, tracer.now - t0)
-
-    # -- exported traces ------------------------------------------------------
-
-    def access_streams(self) -> list[AccessStream]:
-        """Ordered line-request streams for the timing model."""
-        return self.arbiter.access_streams()

@@ -61,22 +61,13 @@ class OutQueue:
         self.total_bytes = 0
         self._current_chunk_fill = 0
         self.chunks_completed = 0
-        self.max_record_bytes = 0
-        self.max_chunk_fill = 0  # high-water mark of the filling chunk
-        self.records_pushed = 0  # monotonic (records may be drained)
-        self._observed: dict[str, int] = {}  # telemetry deltas
         self.tracer = None  # set by the engine while tracing is on
 
     def push(self, record: OutQueueRecord) -> None:
         size = record.nbytes()
         self.records.append(record)
-        self.records_pushed += 1
         self.total_bytes += size
-        self.max_record_bytes = max(self.max_record_bytes, size)
         self._current_chunk_fill += size
-        if self._current_chunk_fill > self.max_chunk_fill:
-            self.max_chunk_fill = min(self._current_chunk_fill,
-                                      self.chunk_bytes)
         tracer = self.tracer
         while self._current_chunk_fill >= self.chunk_bytes:
             self._current_chunk_fill -= self.chunk_bytes
@@ -104,16 +95,3 @@ class OutQueue:
         """Remove and return all buffered records (the core's read)."""
         out, self.records = self.records, []
         return out
-
-    def observe(self, view) -> None:
-        """Publish traffic counters and fill high-water marks into a
-        telemetry registry view."""
-        from ..obs import add_deltas
-
-        add_deltas(view, {
-            "records": self.records_pushed,
-            "bytes": self.total_bytes,
-            "chunks": self.num_chunks,
-        }, self._observed)
-        view.gauge("max_record_bytes").set(self.max_record_bytes)
-        view.gauge("max_chunk_fill").set(self.max_chunk_fill)

@@ -9,11 +9,14 @@ element:
 ``ite``  the iteration index itself
 ``mem``  ``p[x]`` — loads array ``p`` at the parent element ``x``
 ``lin``  ``a·x + b`` — linear transform of the parent element
-``map``  ``a[x]`` — 16-entry lookup table indexed by the parent
-``ldr``  ``&p[x]`` — the *address* of element ``x`` of array ``p``
-``fwd``  forwards a leftward TU's stream value to this layer
 ``msk``  the layer predicate (produced by the TG, not by a TU)
 =======  ==========================================================
+
+A stream's parent may live in a leftward layer: the engine forwards
+that layer's current values to the TU at ``fbeg``, which is how a value
+crosses layers.  Table 2's ``map`` (small lookup table), ``ldr``
+(address of an element) and ``fwd`` (explicit forwarding) streams are
+not modeled: no Table 4 program needs them.
 
 Streams are implemented as bounded circular queues; all queues of one
 TU advance together (single push/pull command, Section 5.1), so the
@@ -32,11 +35,6 @@ from ..errors import TMUConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .tu import TraversalUnit
-
-#: maximum entries of a `map` stream's lookup table (Table 2: "a small
-#: map a={v1, ..., v16}")
-MAP_TABLE_SIZE = 16
-
 
 @dataclass(frozen=True)
 class MemoryArray:
@@ -141,62 +139,3 @@ class LinStream(Stream):
 
     def derive(self, x):
         return self.a * x + self.b
-
-
-class MapStream(Stream):
-    """``a[x]``: small lookup table (at most 16 entries)."""
-
-    kind = "map"
-
-    def __init__(self, table, parent: Stream, name: str = "") -> None:
-        super().__init__(name)
-        table = list(table)
-        if not 0 < len(table) <= MAP_TABLE_SIZE:
-            raise TMUConfigError(
-                f"map stream table must have 1..{MAP_TABLE_SIZE} entries"
-            )
-        self.table = table
-        self.parent = parent
-
-    def derive(self, x):
-        xi = int(x)
-        if not 0 <= xi < len(self.table):
-            raise TMUConfigError(
-                f"map stream index {xi} outside table of "
-                f"{len(self.table)} entries"
-            )
-        return self.table[xi]
-
-
-class LdrStream(Stream):
-    """``&p[x]``: the address of element ``x`` of array ``p`` — used to
-    hand the core pointers into operand arrays (e.g. MTTKRP P2 output
-    rows)."""
-
-    kind = "ldr"
-
-    def __init__(self, array: MemoryArray, parent: Stream,
-                 name: str = "") -> None:
-        super().__init__(name or f"ldr:{array.name}")
-        self.array = array
-        self.parent = parent
-
-    def derive(self, x):
-        return self.array.address_of(int(x))
-
-
-class FwdStream(Stream):
-    """Forwards a leftward TU's stream to this layer: the element is the
-    *parent layer's* current value of ``source``, held constant for the
-    whole child fiber."""
-
-    kind = "fwd"
-
-    def __init__(self, source: Stream, name: str = "") -> None:
-        super().__init__(name or f"fwd:{source.name}")
-        self.source = source
-
-    def derive(self, x):
-        # Resolution happens in the engine, which snapshots the parent
-        # slot; `derive` is never called directly for fwd streams.
-        raise TMUConfigError("fwd streams are resolved by the engine")

@@ -104,25 +104,10 @@ class TraversalGroup:
         self.gite_count = 0
         self.gend_count = 0
         self.merge_steps = 0  # gite steps of merging/co-iterating modes
-        self._observed: dict[str, int] = {}  # telemetry deltas
 
     @property
     def num_lanes(self) -> int:
         return len(self.tus)
-
-    def observe(self, view) -> None:
-        """Publish this TG's counters (and its TUs') into a telemetry
-        registry view rooted at the layer."""
-        from ..obs import add_deltas
-
-        add_deltas(view, {
-            "gite": self.gite_count,
-            "gend": self.gend_count,
-            "merge_steps": self.merge_steps,
-        }, self._observed)
-        view.gauge("lanes").set(self.num_lanes)
-        for tu in self.tus:
-            tu.observe(view)
 
     def iterate(self, active_mask: int, engine=None):
         """Generate the :class:`GroupStep` sequence of one activation.

@@ -26,11 +26,8 @@ from typing import TYPE_CHECKING
 from .. import obs
 from ..errors import TMUConfigError, TMURuntimeError
 from .streams import (
-    FwdStream,
     IteStream,
-    LdrStream,
     LinStream,
-    MapStream,
     MemoryArray,
     MemStream,
     Stream,
@@ -83,7 +80,7 @@ class Slot:
 
 
 #: precompiled per-stream opcodes (see ``TraversalUnit._build_plan``)
-_OP_FWD, _OP_ITE, _OP_LOCAL, _OP_REMOTE = range(4)
+_OP_LOCAL, _OP_REMOTE = range(2)
 
 
 class TraversalUnit:
@@ -123,7 +120,6 @@ class TraversalUnit:
         self.iterations = 0
         self.fiber_count = 0
         self.control_tokens: int = 0  # total tokens emitted (0s and 1s)
-        self._observed: dict[str, int] = {}  # telemetry deltas
         self._trace_track = f"tmu.tu.layer{layer}.lane{lane}"
         self._trace_t0: int | None = None  # fiber start (virtual ticks)
         self._trace_it0 = 0
@@ -167,34 +163,6 @@ class TraversalUnit:
         self._attach(stream)
         return stream
 
-    def add_map_stream(self, table, parent: Stream | None = None,
-                       name: str = "") -> MapStream:
-        stream = MapStream(table, parent or self.ite, name)
-        self._check_parent(stream.parent)
-        self.streams.append(stream)
-        self._attach(stream)
-        return stream
-
-    def add_ldr_stream(self, array: MemoryArray,
-                       parent: Stream | None = None,
-                       name: str = "") -> LdrStream:
-        stream = LdrStream(array, parent or self.ite, name)
-        self._check_parent(stream.parent)
-        self.streams.append(stream)
-        self._attach(stream)
-        return stream
-
-    def add_fwd_stream(self, source: Stream, name: str = "") -> FwdStream:
-        """Forward a leftward TU's stream into this layer."""
-        if source.tu is None or source.tu.layer >= self.layer:
-            raise TMUConfigError(
-                "fwd streams must forward from a leftward (lower) layer"
-            )
-        stream = FwdStream(source, name)
-        self.streams.append(stream)
-        self._attach(stream)
-        return stream
-
     def _check_parent(self, parent: Stream) -> None:
         if parent.tu is not self and parent.tu is not None:
             if parent.tu.layer >= self.layer:
@@ -216,21 +184,18 @@ class TraversalUnit:
         """Compile the stream tree into a flat per-stream plan.
 
         ``peek`` resolves each non-ite stream through one precompiled
-        ``(op, stream, src, touches)`` tuple instead of re-walking the
-        isinstance ladder every iteration; ``touches`` is true for the
+        ``(op, stream, src, touches)`` tuple: a parent in this TU is
+        read from the slot (``src`` is its index), a parent in a
+        leftward layer from the values the engine forwarded at
+        ``begin`` (``src`` is the stream); ``touches`` is true for the
         streams that touch memory."""
         plan: list[tuple] = []
         for stream in self.streams[1:]:
-            if isinstance(stream, FwdStream):
-                op, src = _OP_FWD, stream.source
-            elif isinstance(stream, IteStream):
-                op, src = _OP_ITE, None
+            parent = stream.parent  # type: ignore[attr-defined]
+            if parent.tu is self:
+                op, src = _OP_LOCAL, parent.index_in_tu
             else:
-                parent = stream.parent  # type: ignore[attr-defined]
-                if parent.tu is self:
-                    op, src = _OP_LOCAL, parent.index_in_tu
-                else:
-                    op, src = _OP_REMOTE, parent
+                op, src = _OP_REMOTE, parent
             touches = (type(stream).touched_address
                        is not Stream.touched_address)
             plan.append((op, stream, src, touches))
@@ -284,12 +249,7 @@ class TraversalUnit:
         values = [cur] * self._plan_len
         slot = Slot(self.streams, values)
         for i, (op, stream, src, touches) in enumerate(self._plan, 1):
-            if op == _OP_FWD:
-                values[i] = self._fwd_values.get(src)
-                continue
-            if op == _OP_ITE:
-                x = cur
-            elif op == _OP_LOCAL:
+            if op == _OP_LOCAL:
                 x = values[src]
             else:  # _OP_REMOTE
                 x = self._fwd_values.get(src)
@@ -319,17 +279,6 @@ class TraversalUnit:
 
     def key_of(self, slot: Slot):
         return slot[self.merge_key]
-
-    def observe(self, view) -> None:
-        """Publish this TU's counters into a telemetry registry view
-        (incremental: safe to call once per engine run)."""
-        from ..obs import add_deltas
-
-        add_deltas(view.prefixed(f"lane{self.lane}"), {
-            "iterations": self.iterations,
-            "fibers": self.fiber_count,
-            "control_tokens": self.control_tokens,
-        }, self._observed)
 
     def __repr__(self) -> str:
         return (f"TraversalUnit({self.name}, {self.kind.value}, "

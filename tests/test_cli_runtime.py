@@ -139,3 +139,27 @@ class TestInProcess:
         assert cli.main(["cache-clear", "--cache-dir",
                          str(cache_dir)]) == 0
         assert "removed 6 entries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_cache_maintenance_reaches_the_walk_tier(self, tmp_path,
+                                                     capsys, pinned):
+        from repro.sim.memsys import WALK_SCHEMA
+
+        cache_dir = tmp_path / "c"
+        walk_dir = tmp_path / "w" if pinned else cache_dir / "walks"
+        flags = ["--cache-dir", str(cache_dir)]
+        if pinned:
+            flags += ["--walk-cache", str(walk_dir)]
+        walks = runtime.WalkStore(walk_dir)
+        for digest, schema in (("ab" * 32, WALK_SCHEMA),
+                               ("cd" * 32, "repro.walk/0")):
+            walks.save(digest, {"schema": schema, "profiles": [],
+                                "levels": []})
+        assert cli.main(["cache-gc", *flags]) == 0
+        assert f"reclaimed 1 stale walks from {walk_dir} (1 live)" in (
+            capsys.readouterr().out)
+        assert walks.load("ab" * 32)[0] is not None
+        assert cli.main(["cache-clear", *flags]) == 0
+        assert f"removed 1 walks from {walk_dir}" in (
+            capsys.readouterr().out)
+        assert len(walks) == 0

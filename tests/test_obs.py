@@ -18,7 +18,6 @@ from repro.obs import (
     NULL_TIMER,
     Histogram,
     Registry,
-    add_deltas,
 )
 from repro.obs.snapshot import (
     SCHEMA,
@@ -195,14 +194,6 @@ class TestRegistry:
         assert parent.timer("work").count == 1
         assert parent.timer("work").min == pytest.approx(t.total)
 
-    def test_add_deltas_never_double_counts(self):
-        reg = Registry()
-        seen: dict = {}
-        add_deltas(reg.prefixed("c"), {"lines": 10}, seen)
-        add_deltas(reg.prefixed("c"), {"lines": 10}, seen)  # unchanged
-        add_deltas(reg.prefixed("c"), {"lines": 15}, seen)
-        assert reg.counter("c.lines").value == 15
-
 
 class TestSnapshot:
     def _registry(self):
@@ -274,56 +265,6 @@ class TestDiffAndGate:
         rows = {r["metric"]: r for r in diff_snapshots(a, b)}
         assert rows["only_b"]["a"] is None
         assert rows["only_b"]["delta"] is None
-
-
-def _two_layer_program(rows=3, cols_per_row=2):
-    """A tiny dense row-by-row traversal (mirrors the engine tests)."""
-    import numpy as np
-
-    from repro.tmu.program import Event, LayerMode, Program
-
-    prog = Program("nest", lanes=1)
-    n = rows * cols_per_row
-    data = prog.place_array(np.arange(float(n)), 8, "data")
-    ptrs = prog.place_array(
-        np.arange(rows + 1, dtype=np.int64) * cols_per_row, 4, "ptrs"
-    )
-    l0 = prog.add_layer(LayerMode.SINGLE)
-    row = l0.dns_fbrt(beg=0, end=rows)
-    beg = row.add_mem_stream(ptrs, name="beg")
-    end = row.add_mem_stream(ptrs, offset=1, name="end")
-    l0.add_callback(Event.GITE, "outer_ite", [])
-    l1 = prog.add_layer(LayerMode.SINGLE)
-    col = l1.rng_fbrt(beg=beg, end=end)
-    val = col.add_mem_stream(data, name="val")
-    l1.add_callback(Event.GITE, "inner_ite", [l1.vec_operand([val])])
-    return prog
-
-
-class TestEngineIntegration:
-    def test_engine_run_publishes_matching_counters(self):
-        from repro.tmu.engine import TmuEngine
-
-        with obs.capture() as reg:
-            engine = TmuEngine(_two_layer_program())
-            stats = engine.run()
-        body = reg.as_dict()
-        assert body["counters"]["tmu.engine.runs"] == 1
-        assert body["counters"]["tmu.outq.records"] == stats.outq_records
-        assert body["counters"]["tmu.arbiter.lines"] == stats.memory_lines
-
-    def test_rerun_uses_deltas_not_lifetime_totals(self):
-        from repro.tmu.engine import TmuEngine
-
-        engine = TmuEngine(_two_layer_program())
-        with obs.capture() as first:
-            stats = engine.run()
-        with obs.capture() as second:
-            engine.run()
-        # Both captures see one run's worth of records, not cumulative.
-        records = "tmu.outq.records"
-        assert first.as_dict()["counters"][records] == stats.outq_records
-        assert second.as_dict()["counters"][records] == stats.outq_records
 
 
 class TestTimerSafety:

@@ -82,26 +82,6 @@ class TestArbiter:
         arb.record_touch(tu, stream, arr.address_of(0))
         assert arb.total_line_requests == 3
 
-    def test_priority_order(self):
-        """Leftmost layers first, lanes round-robin, config order."""
-        arb = MemoryArbiter()
-        tu1, s1, a1 = self._tu_with_streams(1, 0)
-        tu0, s0, a0 = self._tu_with_streams(0, 0)
-        arb.record_touch(tu1, s1, a1.address_of(0))
-        arb.record_touch(tu0, s0, a0.address_of(0))
-        order = arb.priority_order()
-        assert order[0].layer == 0
-        assert order[1].layer == 1
-
-    def test_access_streams_export(self):
-        arb = MemoryArbiter()
-        tu, stream, arr = self._tu_with_streams(0, 0)
-        arb.record_touch(tu, stream, arr.address_of(0))
-        exported = arb.access_streams()
-        assert len(exported) == 1
-        assert exported[0].elem_bytes == 64
-        assert exported[0].kind == "read"
-
 
 class TestSizing:
     def test_rightmost_layers_get_deeper_queues(self):

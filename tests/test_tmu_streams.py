@@ -5,11 +5,8 @@ import pytest
 
 from repro.errors import TMUConfigError
 from repro.tmu.streams import (
-    FwdStream,
     IteStream,
-    LdrStream,
     LinStream,
-    MapStream,
     MemoryArray,
     MemStream,
 )
@@ -56,28 +53,3 @@ class TestStreams:
         s = LinStream(3.0, 2.0, IteStream())
         assert s.derive(4) == 14.0
         assert s.touched_address(4) is None
-
-    def test_map_lookup(self):
-        s = MapStream([9, 8, 7], IteStream())
-        assert s.derive(1) == 8
-
-    def test_map_table_bounded_to_16(self):
-        with pytest.raises(TMUConfigError):
-            MapStream(list(range(17)), IteStream())
-        with pytest.raises(TMUConfigError):
-            MapStream([], IteStream())
-
-    def test_map_index_out_of_table(self):
-        with pytest.raises(TMUConfigError):
-            MapStream([1, 2], IteStream()).derive(5)
-
-    def test_ldr_produces_address(self, array):
-        s = LdrStream(array, IteStream())
-        assert s.derive(1) == (1 << 30) + 8
-
-    def test_fwd_not_directly_derivable(self):
-        src = IteStream("src")
-        src.tu = None
-        fwd = FwdStream(src)
-        with pytest.raises(TMUConfigError):
-            fwd.derive(0)

@@ -90,12 +90,6 @@ class TestStreamsInTu:
         tu.begin(0, 3)
         assert [s[val] for s in drain(tu)] == [0.0, 2.0, 4.0]
 
-    def test_map_stream(self):
-        tu = TraversalUnit(0, 0, PrimitiveKind.DENSE, beg=0, end=3)
-        mapped = tu.add_map_stream([7, 5, 3])
-        tu.begin(0, 3)
-        assert [s[mapped] for s in drain(tu)] == [7, 5, 3]
-
     def test_merge_key_must_belong(self):
         tu = TraversalUnit(0, 0, PrimitiveKind.DENSE, beg=0, end=3)
         other = TraversalUnit(0, 1, PrimitiveKind.DENSE, beg=0, end=3)

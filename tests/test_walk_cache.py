@@ -18,7 +18,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -116,6 +116,21 @@ class TestMemoryTierLRU:
         assert wc.evictions == 1
         _profiles(hot, machine)
         assert wc.hits > hits_before  # hot survived the eviction
+
+    def test_memory_hit_shares_immutable_profiles(self,
+                                                  _isolated_walk_cache):
+        """A memory-tier hit hands out the stored profiles themselves,
+        so no caller may change one in place."""
+        wc = _isolated_walk_cache
+        machine = MachineConfig()
+        trace = _trace(0, n=500)
+        first = MemoryHierarchy(machine).profile(trace).streams
+        hits = wc.hits
+        again = MemoryHierarchy(machine).profile(trace).streams
+        assert wc.hits == hits + 1
+        assert again == first
+        with pytest.raises(FrozenInstanceError):
+            again[0].accesses = 0
 
     def test_fingerprint_collision_is_verified(self, _isolated_walk_cache):
         """One caller key, several streams: a stream never receives
