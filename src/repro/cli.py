@@ -792,24 +792,25 @@ def _run_cache_command(action: str, args) -> int:
         print("cache maintenance requires the cache; drop --no-cache",
               file=sys.stderr)
         return 2
-    cache = runtime.ResultCache(Path(args.cache_dir))
+    cache_dir = Path(args.cache_dir)
+    tiers = [(runtime.ResultCache, cache_dir, "result", "entries")]
     # the walk tier the same flags give an experiment run
-    walk_dir = runtime.resolve_walk_dir(args.walk_cache, cache.root)
-    walks = [] if walk_dir is None else [runtime.WalkStore(walk_dir)]
-    if action == "cache-gc":
-        removed = cache.gc()
-        print(f"cache-gc: reclaimed {removed} stale entries from "
-              f"{cache.root} ({len(cache)} live)")
-        for store in walks:
+    walk_dir = runtime.resolve_walk_dir(args.walk_cache, cache_dir)
+    if walk_dir is not None:
+        tiers.append((runtime.WalkStore, walk_dir, "walk", "walks"))
+    for store_class, root, tier, noun in tiers:
+        # opening a store creates its directory: look before opening
+        if not root.is_dir():
+            print(f"{action}: no {tier} cache at {root}")
+            continue
+        store = store_class(root)
+        if action == "cache-gc":
             removed = store.gc()
-            print(f"cache-gc: reclaimed {removed} stale walks from "
-                  f"{store.root} ({len(store)} live)")
-    else:
-        removed = cache.invalidate()
-        print(f"cache-clear: removed {removed} entries from {cache.root}")
-        for store in walks:
-            print(f"cache-clear: removed {store.clear()} walks from "
-                  f"{store.root}")
+            print(f"cache-gc: reclaimed {removed} stale {noun} from "
+                  f"{root} ({len(store)} live)")
+        else:
+            print(f"cache-clear: removed {store.clear()} {noun} from "
+                  f"{root}")
     return 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
 from .. import __version__
@@ -53,8 +53,17 @@ KNOWN_VARIANTS = ("baseline", "tmu", "single_lane", "imp")
 # -------------------------------------------------- machine (de)serialization
 
 def machine_to_dict(machine: MachineConfig) -> dict:
-    """A ``MachineConfig`` as a plain nested dict (JSON-able, canonical)."""
-    return asdict(machine)
+    """A ``MachineConfig`` as a plain nested dict (JSON-able, canonical):
+    what ``dataclasses.asdict`` returns, key order included, built field
+    by field.  Every leaf is an immutable scalar, so nothing needs the
+    deep copy ``asdict`` makes of each one."""
+    data = {}
+    for f in fields(machine):
+        value = getattr(machine, f.name)
+        if is_dataclass(value):
+            value = {g.name: getattr(value, g.name) for g in fields(value)}
+        data[f.name] = value
+    return data
 
 
 def machine_from_dict(data: dict) -> MachineConfig:

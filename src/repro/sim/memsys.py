@@ -24,7 +24,7 @@ Modeling notes (vs. gem5):
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -133,10 +133,13 @@ def _walk_digest(key: tuple, streams: list[AccessStream]) -> str:
 
 
 def _encode_walk(value) -> dict:
-    """Walk value -> JSON-able payload for the disk tier."""
+    """Walk value -> JSON-able payload for the disk tier.  Each profile
+    is ``dataclasses.asdict``'s dict, built field by field: its leaves
+    are scalars and need no deep copy."""
     profiles, levels = value
     return {"schema": WALK_SCHEMA,
-            "profiles": [asdict(sp) for sp in profiles],
+            "profiles": [{f.name: getattr(sp, f.name) for f in fields(sp)}
+                         for sp in profiles],
             "levels": [[int(a), int(hits)] for a, hits in levels]}
 
 
@@ -521,25 +524,60 @@ def _gather_lines(gather: Gather, base: int, stride: int, shift: int,
     return _dedup_lines(lines, offset), total
 
 
-def _walk_level(cache: Cache, lines: np.ndarray) -> np.ndarray:
-    """Classify one level's line stream in a single-shot batched walk.
+def _walk_level(cache: Cache, lines: np.ndarray,
+                counts: np.ndarray) -> np.ndarray:
+    """Classify one level's traffic, ``counts[i]`` lines of it from
+    stream ``i`` in stream order, from a reset cache.
 
-    The fast model routes through the stateless stack-distance pass
-    (:mod:`repro.sim.stackdist`): the walk starts from a reset cache
-    and sees the level's whole stream in one call, which is exactly
-    the cold-start whole-stream case the offline model computes — so
+    The reference model replays the whole stream through the stateful
+    ``Cache.lookup_lines``.  The fast model classifies each run of
+    :func:`_runs` with its own stateless stack-distance pass
+    (:mod:`repro.sim.stackdist`) and settles the level's stats once, so
     the mask, stats and published telemetry are bit-identical to the
-    reference model's stateful ``Cache.lookup_lines`` walk
-    (``tests/test_stackdist_equiv.py`` holds the two to the same
-    answers).
+    reference walk's (``tests/test_stackdist_equiv.py`` holds the two to
+    the same answers).
     """
     if lines.size == 0:
         return np.zeros(0, dtype=bool)
     if _REFERENCE:
         return cache.lookup_lines(lines)
-    hits = stackdist.hit_mask(lines, cache.num_sets, cache.ways)
+    hits = np.zeros(lines.size, dtype=bool)
+    for lo, hi in _runs(lines, counts):
+        run = lines[lo:hi]
+        if (run[1:] > run[:-1]).all():
+            continue  # strictly increasing: every line a cold miss
+        hits[lo:hi] = stackdist.hit_mask(run, cache.num_sets, cache.ways)
     settle_lookup(cache, lines.size, int(hits.sum()))
     return hits
+
+
+def _runs(lines: np.ndarray, counts: np.ndarray) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` line slices of a level's *runs*: the shortest
+    groups of consecutive streams that share no line with another
+    group.
+
+    Streams whose ``[min, max]`` line intervals overlap, directly or
+    through a chain, stay in one run, and so does every stream between
+    them.  A run then holds every reuse window of its lines, so a cold
+    walk of the run alone gives exactly its slice of the whole level's
+    mask.  The per-stream bounds are one ``reduceat`` each, over the
+    non-empty streams (an empty one joins no run).
+    """
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    filled = counts > 0
+    starts, ends = starts[filled], ends[filled]
+    low = np.minimum.reduceat(lines, starts)
+    high = np.maximum.reduceat(lines, starts)
+    # reach[i]: the last stream whose interval meets stream i's, or
+    # that of an earlier stream; a run ends where a stream reaches
+    # only itself.
+    meets = (low[:, None] <= high) & (low <= high[:, None])
+    last = meets.shape[1] - 1 - np.argmax(meets[:, ::-1], axis=1)
+    reach = np.maximum.accumulate(last)
+    closes = np.flatnonzero(reach == np.arange(reach.size))
+    opens = np.concatenate(([0], closes[:-1] + 1))
+    return list(zip(starts[opens].tolist(), ends[closes].tolist()))
 
 
 def sequentiality(lines: np.ndarray) -> float:
@@ -573,7 +611,7 @@ def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray):
     level, ``counts[i]`` of it from stream ``i`` in stream order.
     Returns the per-stream hits, the per-stream misses, and the miss
     lines passed down."""
-    hit = _walk_level(cache, lines)
+    hit = _walk_level(cache, lines, counts)
     cum = np.zeros(lines.size + 1, dtype=np.int64)
     np.cumsum(hit, out=cum[1:])
     hits = np.diff(cum[np.cumsum(counts)], prepend=0)
@@ -612,10 +650,12 @@ def _walk(levels: tuple, streams: list[AccessStream], *,
     """Walk ``streams`` through ``levels`` (reset caches, innermost
     first), each level filtering the misses of the one above.
 
-    One call per level classifies the concatenated streams, which is
-    exact: a level's state depends only on the lookups it serves, and
-    the per-level access order (stream 0's lines, then stream 1's, ...)
-    is the one the per-stream reference walk produces.  Per-stream
+    Each level classifies the concatenated streams, which is exact: a
+    level's state depends only on the lookups it serves, and the
+    per-level access order (stream 0's lines, then stream 1's, ...) is
+    the one the per-stream reference walk produces.  The fast model
+    splits that concatenation into line-disjoint runs
+    (:func:`_walk_level`), which changes no verdict.  Per-stream
     attribution reads a cumulative sum of each level's hit mask at the
     stream boundaries.
 

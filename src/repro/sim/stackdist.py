@@ -17,7 +17,13 @@ The pass:
    line exactly once);
 2. groups accesses by set with one stable packed sort (int32 when the
    pack fits 31 bits) and links each access to the previous occurrence
-   of its line (``f``) with a second, read off that sort's own keys;
+   of its line (``f``) with a second, read off that sort's own keys.
+   The second sort packs each line *relative to the stream's smallest*
+   (bound: the span plus one), so its width follows the lines the
+   stream covers, not where its region lies: a one-array scan of a few
+   thousand lines packs into int32 beside 17 position bits.  The
+   hierarchy walk hands each line-disjoint run of streams over on its
+   own (:func:`repro.sim.memsys._runs`), which keeps spans small;
 3. screens: ``f < 0`` is a cold-start miss; a positional reuse
    distance ``k - f[k] <= ways`` is a definite hit;
 4. decides every other window ``(p, k)``, ``p = f[k]``, with a *row
@@ -94,15 +100,27 @@ def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
             d = np.diff(lines)
             if (d > 0).all() or (d < 0).all():
                 return np.zeros(n, dtype=bool)
-    # Group by set, program order within each set segment.
+    # Group by set, program order within each set segment, with the
+    # lines taken relative to the smallest: the link sort's keys then
+    # span the stream's lines, not their ids, so a stream that covers
+    # few lines packs into int32 wherever its region lies.
+    low = int(lines.min())
+    span = int(lines.max()) - low
     order = stable_order(lines & (num_sets - 1), num_sets)
     pv = lines[order]
+    pv -= low
 
     # Previous occurrence of the same line (same line ⇒ same set, so
-    # the links never leave a set segment).
-    o2, same = stable_runs(pv, int(pv.max()) + 1)
-    f = np.full(n, -1, dtype=np.int32)
-    f[o2[1:][same]] = o2[:-1][same]
+    # the links never leave a set segment), behind the row scan's
+    # ``width`` int32-min sentinels.
+    o2, same = stable_runs(pv, span + 1)
+    lb = max(3, (2 * ways - 1).bit_length())
+    width = 2 << lb
+    padded = np.empty(width + n, dtype=np.int32)
+    padded[:width] = np.iinfo(np.int32).min
+    f = padded[width:]
+    f[o2[0]] = -1
+    f[o2[1:]] = np.where(same, o2[:-1], -1)
 
     # Screens: cold-start miss / positional-reuse hit.  A window of
     # ``gap - 1 <= ways - 1`` packed positions cannot reach ``ways``
@@ -112,13 +130,11 @@ def hit_mask(lines: np.ndarray, num_sets: int, ways: int) -> np.ndarray:
     hit_packed = seen & (gap <= ways)
     q = np.flatnonzero(seen & (gap > ways)).astype(np.int32)
     if q.size:
-        lb = max(3, (2 * ways - 1).bit_length())
-        width = 2 << lb
         wide = gap[q] > width
         if wide.any():
             q = np.concatenate([q[~wide],
                                 _block_screen(f, q[wide], ways, lb)])
-        hit_packed[q] = _row_scan(f, q, ways, width)
+        hit_packed[q] = _row_scan(padded, q, ways, width)
 
     hits = np.empty(n, dtype=bool)
     hits[order] = hit_packed
@@ -144,13 +160,12 @@ def _row_counts(mask: np.ndarray) -> np.ndarray:
     return total
 
 
-def _row_scan(f, q, ways, width):
+def _row_scan(padded, q, ways, width):
     """Exact hit/miss of the windows ending at ``q``, read from rows of
     ``width`` (``2B``) entries of ``f``: the row ending at position
-    ``e - 1`` is row ``e`` of a sliding-window view over ``f`` behind
-    ``width`` int32-min sentinels."""
-    padded = np.concatenate(
-        [np.full(width, np.iinfo(np.int32).min, dtype=np.int32), f])
+    ``e - 1`` is row ``e`` of a sliding-window view over ``padded``,
+    which is ``f`` behind ``width`` int32-min sentinels."""
+    f = padded[width:]
     rows = sliding_window_view(padded, width)
     verdict = np.empty(q.size, dtype=bool)
     batch = max(1, _BATCH_CELLS // width)

@@ -140,6 +140,25 @@ class TestInProcess:
                          str(cache_dir)]) == 0
         assert "removed 6 entries" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("action", ["cache-gc", "cache-clear"])
+    def test_cache_maintenance_creates_no_missing_cache(self, tmp_path,
+                                                        capsys, action):
+        cache_dir = tmp_path / "nodir" / "c"
+        assert cli.main([action, "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"{action}: no result cache at {cache_dir}" in out
+        assert f"no walk cache at {cache_dir / 'walks'}" in out
+        assert not (tmp_path / "nodir").exists()
+
+        # a pinned walk directory that is missing is left missing too
+        walk_dir = tmp_path / "w"
+        cache_dir.mkdir(parents=True)
+        assert cli.main([action, "--cache-dir", str(cache_dir),
+                         "--walk-cache", str(walk_dir)]) == 0
+        assert f"no walk cache at {walk_dir}" in capsys.readouterr().out
+        assert not walk_dir.exists()
+        assert list(cache_dir.iterdir()) == []
+
     @pytest.mark.parametrize("pinned", [False, True])
     def test_cache_maintenance_reaches_the_walk_tier(self, tmp_path,
                                                      capsys, pinned):

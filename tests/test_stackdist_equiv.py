@@ -48,6 +48,7 @@ from repro.sim.memsys import (
 )
 from repro.sim.stackdist import hit_mask
 from repro.sim.trace import AccessStream, KernelTrace
+from repro.types import _packed_dtype
 from tests.cache_model import cache_model
 
 #: rotating fuzz seed: CI sets REPRO_FUZZ_SEED per run so coverage
@@ -130,6 +131,25 @@ class TestFuzzEquivalence:
         nearly[2500] = nearly[2499]  # one plateau: exit must not fire
         _two_way(nearly, 64, 8)
         assert hit_mask(nearly, 64, 8).sum() == 1
+
+    @pytest.mark.parametrize("span_bits,dtype", [(20, np.int32),
+                                                  (21, np.int64)])
+    def test_relative_pack_on_both_sides_of_int32(self, span_bits, dtype):
+        """The link sort packs each line relative to the stream's
+        smallest: 1025 accesses take 11 position bits, so a span of 20
+        bits packs into int32 (31 bits) and one of 21 into int64 (32),
+        wherever the stream lies.  Both sides match the reference."""
+        rng = np.random.default_rng(FUZZ_SEED ^ 0x3132)
+        n, span = 1025, (1 << span_bits) - 1
+        assert _packed_dtype(span + 1, n) == (dtype, 11)
+        low = 5 << 40
+        pool = low + np.concatenate(
+            [[0, span], rng.integers(0, span + 1, 40)])
+        for sets, ways in ((1, 4), (4, 2), (64, 8)):
+            lines = rng.choice(pool, n)
+            lines[:2] = pool[:2]
+            assert lines.max() - lines.min() == span
+            _two_way(lines, sets, ways)
 
     def test_single_access_and_empty(self):
         assert hit_mask(np.zeros(0, dtype=np.int64), 4, 2).size == 0
@@ -432,3 +452,76 @@ def test_fuzzed_first_level_reuse():
         with cache_model("reference"):
             reference = _walk_state(second, trace, window)
         assert reuse == fresh == reference, FUZZ_SEED
+
+
+# ------------------------------------------------- line-disjoint stream runs
+
+
+def _run_streams(rng) -> list[np.ndarray]:
+    """The line sequences of one multi-stream walk for the run split:
+    streams in regions of their own, strictly increasing and strictly
+    decreasing ones, empty ones, an increasing stream and one that
+    starts on the line it ended on, a stream that re-reads an earlier one's
+    lines with a disjoint stream between them, and a stream whose lines
+    repeat at L1 but whose L1 misses rise strictly at L2."""
+    region = iter(rng.permutation(64) << 20)
+    streams = []
+    for _ in range(int(rng.integers(4, 9))):
+        kind = rng.choice(["random", "increasing", "decreasing", "empty",
+                           "resume", "reread", "stepback"])
+        n = int(rng.integers(1, 1500))
+        lo = next(region)
+        if kind == "random":
+            lines = lo + rng.integers(0, int(rng.integers(2, 4000)), n)
+        elif kind in ("increasing", "decreasing"):
+            lines = lo + np.cumsum(rng.integers(1, 4, n))
+            if kind == "decreasing":
+                lines = lines[::-1]
+        elif kind == "empty":
+            lines = np.zeros(0, dtype=np.int64)
+        elif kind == "resume":
+            # an increasing stream, then one that starts on the line it
+            # ended on and rises: the pair only rises without that line
+            streams.append(lo + np.cumsum(rng.integers(1, 4, n)))
+            lines = streams[-1][-1] + np.cumsum(rng.integers(0, 3, n))
+            lines[0] = streams[-1][-1]
+        elif kind == "reread" and any(s.size for s in streams):
+            source = [s for s in streams if s.size]
+            earlier = source[int(rng.integers(len(source)))]
+            streams.append(lo + rng.integers(0, 50, int(rng.integers(1, 99))))
+            lines = rng.choice(earlier, n)
+        else:  # stepback: 0, 1, 0, 2, 1, 3, 2, ... above the region base
+            steps = np.arange(1, n + 1)
+            lines = lo + np.concatenate(
+                [[0], np.stack([steps, steps - 1], axis=1).ravel()])
+        streams.append(np.asarray(lines, dtype=np.int64))
+    return streams
+
+
+def test_fuzzed_runs_walk_parity(monkeypatch):
+    """Multi-stream walks whose streams group into line-disjoint runs:
+    the run-by-run walk (increasing runs skipped) gives the reference
+    walk's per-stream profiles, per-level stats and published counters,
+    through the hierarchy and the LLC-only walk, sampled or whole."""
+    rng = np.random.default_rng(FUZZ_SEED ^ 0x5EB5)
+    for _rep in range(16):
+        streams = [
+            AccessStream(index=lines * 64 + 8 * rng.integers(0, 8),
+                         elem_bytes=8, label=f"s{i}",
+                         kind="write" if rng.random() < 0.25 else "read",
+                         dependent=bool(rng.random() < 0.5))
+            for i, lines in enumerate(_run_streams(rng))]
+        trace = KernelTrace(name="runs", streams=streams)
+        machine = replace(default_machine(), l1d=_geometry(rng),
+                          l2=_geometry(rng), llc=_geometry(rng))
+        window = None if rng.random() < 0.5 else int(rng.integers(50, 2000))
+        monkeypatch.setattr(memsys, "SAMPLE_WINDOW", window)
+        states = []
+        for tag in ("fast", "reference"):
+            walk_cache().clear()
+            with cache_model(tag):
+                hierarchy = _walk_state(machine, trace, window)
+                llc = [asdict(sp) for sp in
+                       llc_only_profile(machine, streams).streams]
+            states.append((hierarchy, llc))
+        assert states[0] == states[1], FUZZ_SEED

@@ -32,11 +32,13 @@ from repro.config import (
     graviton3_like,
     scale_caches,
 )
+from repro.eval.experiments import FIG14_SVE_BITS, FIG14_STORAGE_KB
 from repro.generators import uniform_random_matrix
 from repro.kernels.spmspm import characterize_spmspm
 from repro.kernels.spmv import characterize_spmv
+from repro.runtime import machine_to_dict
 from repro.runtime.cache import WalkStore
-from repro.sim import memsys, stackdist
+from repro.sim import memsys
 from repro.sim.memsys import (
     FIRST_LEVEL_ENTRIES,
     MemoryHierarchy,
@@ -243,6 +245,37 @@ class TestDiskTier:
         decoded = _decode_walk(
             json.loads(json.dumps(_encode_walk(value))))
         assert decoded == value
+
+    def test_records_are_built_like_asdict(self):
+        """The field-wise machine dict and walk-record profiles equal
+        ``dataclasses.asdict`` key for key, in its key order, on every
+        machine a figure sweeps: so content hashes and walk-record
+        bytes are what ``asdict`` gave."""
+        divisor = CACHE_SCALE_DIVISOR["small"]
+        base = experiment_machine("small")
+        machines = [
+            experiment_machine("small"), experiment_machine("medium"),
+            scale_caches(a64fx_like(), divisor),
+            scale_caches(graviton3_like(), divisor),
+            *(base.with_core(vector_bits=bits).with_tmu(
+                lanes=bits // 64,
+                per_lane_storage_bytes=kb * 1024 // (bits // 64))
+              for kb in FIG14_STORAGE_KB for bits in FIG14_SVE_BITS)]
+        trace = _trace(5, 500)
+        for machine in machines:
+            expected = asdict(machine)
+            data = machine_to_dict(machine)
+            assert data == expected
+            assert list(data) == list(expected)
+            assert [list(data[k]) for k in data
+                    if isinstance(data[k], dict)] == [
+                list(expected[k]) for k in expected
+                if isinstance(expected[k], dict)]
+            profiles = MemoryHierarchy(machine).profile(trace).streams
+            encoded = _encode_walk((profiles, [(1, 0)]))["profiles"]
+            assert encoded == [asdict(sp) for sp in profiles]
+            assert [list(p) for p in encoded] == [
+                list(asdict(sp)) for sp in profiles]
 
     def test_digest_sensitive_to_content(self):
         a = [AccessStream(index=np.arange(100) * 64, elem_bytes=8)]
@@ -461,24 +494,26 @@ class TestFirstLevelMemo:
         assert a64fx.l2 != graviton.l2
         matrix = uniform_random_matrix(300, 300, 6, seed=3)
         trace = characterize_spmspm(matrix, matrix.transpose(), a64fx)
-        calls = []
-        real = stackdist.hit_mask
+        # the levels classified, by cache name, whatever the number of
+        # stack-distance calls each takes
+        levels = []
+        real = memsys._walk_level
 
-        def counted(*args):
-            calls.append(args[0].size)
-            return real(*args)
+        def counted(cache, *args):
+            levels.append(cache.name)
+            return real(cache, *args)
 
-        monkeypatch.setattr(stackdist, "hit_mask", counted)
+        monkeypatch.setattr(memsys, "_walk_level", counted)
         _walk_state(a64fx, trace)
-        assert len(calls) == 3
+        assert levels == ["l1", "l2", "llc"]
         reuse, counters = _walk_state(graviton, trace)
-        assert len(calls) == 5
+        assert levels[3:] == ["l2", "llc"]
         assert wc.first_level_hits == 1
         assert counters["sim.memsys.walk_cache.first_level_hits"] == 1
 
         wc.clear()
         fresh, _ = _walk_state(graviton, trace)
-        assert len(calls) == 8
+        assert levels[5:] == ["l1", "l2", "llc"]
         wc.clear()
         with cache_model("reference"):
             reference, _ = _walk_state(graviton, trace)
