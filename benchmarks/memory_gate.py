@@ -3,9 +3,10 @@ and fail when a child's peak RSS exceeds the session's committed bound.
 
     PYTHONPATH=src python -m benchmarks.memory_gate
 
-Both sessions run with both result caches off, so every cell simulates
-and every stream is walked.  Their peaks are dominated by what the walk
-memos and the operand memo keep alive, which is what the bounds
+Every session runs with both result caches off, so every cell
+simulates and every stream is walked.  The first two peaks are
+dominated by what the walk memos and the operand memo keep alive, the
+third by what one SpMSpM cell allocates, which is what the bounds
 protect:
 
 * ``fig13_medium_slice``: the MTTKRP, CP-ALS and TC slice of ``fig13
@@ -21,9 +22,15 @@ protect:
   peak is set by the medium SpMV cells of M1 and M4 (the first medium
   input to load, and the one with the most rows); the small SpMSpM
   cells come next, and the medium TC cells that follow add nothing.
+* ``fig13_medium_spmspm``: ``fig13 --scale medium`` over SpMSpM alone,
+  the workload the other two sessions and the e2e ``fig13-medium``
+  workload leave out at ``medium``.  SpMSpM's symbolic pass sorts the
+  B-row scans of one block of whole A rows at a time; a pass that
+  sorted every scanned key at once (15M and 16M keys on the medium M1
+  and M5) took this session to 356 MB against 220 MB.
 
 Until triangle counting intersected block bitsets, its wedge keys on
-the medium M1 and M5 set both peaks.  The bounds and the measurements
+the medium M1 and M5 set the first two peaks.  The bounds and the measurements
 they were set from are in ``benchmarks/baselines/memory.json``.
 """
 
@@ -51,6 +58,9 @@ SESSIONS = {
     "fig13_mixed_scale": [
         ("fig13", "--workloads", "spmv,spmspm,tc", *_COLD),
         ("fig13", "--scale", "medium", "--workloads", "spmv,tc", *_COLD),
+    ],
+    "fig13_medium_spmspm": [
+        ("fig13", "--scale", "medium", "--workloads", "spmspm", *_COLD),
     ],
 }
 

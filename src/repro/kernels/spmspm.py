@@ -50,45 +50,65 @@ def shared_streams(a: CsrMatrix, b: CsrMatrix
     return streams, b_op.ptrs_base, space.next_region
 
 
+#: Most scanned keys the symbolic pass sorts at once.  A block is a run
+#: of whole A rows; a row that scans more keys is a block of its own.
+SYMBOLIC_BLOCK_KEYS = 1 << 17
+
+
 @operand_memo
 def _symbolic_counts_fast(a: CsrMatrix, b: CsrMatrix) -> np.ndarray:
     """Symbolic phase: per-row output non-zero counts of ``A @ B``
     (the distinct B columns each A row's scans reach), vectorized for
     characterization of larger inputs."""
-    # One packed pass over the B-row scans: each scanned B column is
-    # OR-ed into its A row's key ``i << shift``, and one sort groups
-    # each row's keys into one run with its equal columns adjacent.
-    # Small operands pack into int32 (a ~2x faster sort); the int64
-    # fallback requires B column indexes < 2**32 (far beyond simulated
-    # inputs).
+    # One packed pass per block of A rows over their B-row scans: each
+    # scanned B column is OR-ed into its A row's key ``r << shift``,
+    # with ``r`` the row's place in its block, and one sort groups each
+    # row's keys into one run with its equal columns adjacent.  Blocks
+    # bound what one pass holds to SYMBOLIC_BLOCK_KEYS keys, and a
+    # block of at most 2**15 rows packs into int32 (a ~2x faster sort);
+    # the int64 fallback requires B column indexes < 2**32 (far beyond
+    # simulated inputs).
     starts = b.ptrs[a.idxs]
     lengths = b.ptrs[a.idxs + 1] - starts
     offsets = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    scan = int(offsets[-1])
+    # row i's keys are offsets[a.ptrs[i]] .. offsets[a.ptrs[i + 1]]
+    row_ends = offsets[a.ptrs]
     counts = np.zeros(a.num_rows, dtype=np.int64)
-    if scan == 0:
-        return counts
-    small = (a.num_rows <= 1 << 15 and b.num_cols <= 1 << 16
-             and max(scan, b.nnz) < 1 << 31)
-    dtype, shift = (np.int32, 16) if small else (np.int64, 32)
-    # fiber f's j-th scanned position is starts[f] - offsets[f] + j;
-    # the keys first hold the positions, then the columns there
-    keys = np.repeat((starts - offsets[:-1]).astype(dtype), lengths)
-    keys += np.arange(scan, dtype=dtype)
-    keys = b.idxs.astype(dtype, copy=False)[keys]
-    row_scan = np.diff(offsets[a.ptrs])
-    keys |= np.repeat(np.arange(a.num_rows, dtype=dtype) << shift,
-                      row_scan)
-    keys.sort()
-    # row i's run starts at offsets[a.ptrs[i]]; its count is the keys
-    # of the run that differ from their predecessor (its first always)
-    distinct = np.empty(scan, dtype=dtype)
-    distinct[0] = 1
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    runs = row_scan > 0
-    counts[runs] = np.add.reduceat(distinct, offsets[a.ptrs[:-1]][runs],
-                                   dtype=dtype)
+    idxs = b.idxs.astype(np.int32) if b.num_cols <= 1 << 16 else b.idxs
+    first = 0
+    while first < a.num_rows:
+        end = int(np.searchsorted(row_ends, row_ends[first]
+                                  + SYMBOLIC_BLOCK_KEYS, side="right")) - 1
+        end = max(end, first + 1)
+        lo, hi = a.ptrs[first], a.ptrs[end]
+        base = int(offsets[lo])
+        scan = int(offsets[hi]) - base
+        if scan:
+            rows = end - first
+            small = (rows <= 1 << 15 and b.num_cols <= 1 << 16
+                     and max(scan, b.nnz) < 1 << 31)
+            dtype, shift = (np.int32, 16) if small else (np.int64, 32)
+            # fiber f's j-th scanned position is starts[f] - (offsets[f]
+            # - base) + j; the keys first hold the positions, then the
+            # columns there
+            keys = np.repeat((starts[lo:hi] - (offsets[lo:hi] - base))
+                             .astype(dtype), lengths[lo:hi])
+            keys += np.arange(scan, dtype=dtype)
+            keys = idxs[keys].astype(dtype, copy=False)
+            row_scan = np.diff(row_ends[first:end + 1])
+            keys |= np.repeat(np.arange(rows, dtype=dtype) << shift,
+                              row_scan)
+            keys.sort()
+            # a row's count is the keys of its run that differ from
+            # their predecessor (its first always)
+            distinct = np.empty(scan, dtype=dtype)
+            distinct[0] = 1
+            np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+            runs = row_scan > 0
+            counts[first:end][runs] = np.add.reduceat(
+                distinct, row_ends[first:end][runs] - base, dtype=dtype)
+        first = end
     return counts
 
 
@@ -113,8 +133,7 @@ def spmspm_streams(a: CsrMatrix, b: CsrMatrix
                      stride=VALUE_BYTES),
         *outputs,
     )
-    scanned = np.diff(b.ptrs)[a.idxs]    # B-row lengths per A non-zero
-    return streams, scanned, nnz_out
+    return streams, b_rows.lengths, nnz_out
 
 
 def characterize_spmspm(a: CsrMatrix, b: CsrMatrix,

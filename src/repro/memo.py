@@ -18,17 +18,25 @@ from collections import OrderedDict
 import numpy as np
 
 
+#: Values that hold no array, which :func:`_read_only` does not visit.
+_LEAVES = (int, float, str, type(None))
+
+
 def _read_only(value) -> None:
     """Mark every array reachable from ``value`` through tuples, lists
     and instance attributes read-only: memo callers share them, so an
     in-place write must raise instead of corrupting another caller."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _read_only(item)
+        return
+    if isinstance(value, (tuple, list)):
+        items = value
     elif hasattr(value, "__dict__"):
-        for item in vars(value).values():
+        items = vars(value).values()
+    else:
+        return
+    for item in items:
+        if not isinstance(item, _LEAVES):
             _read_only(item)
 
 
@@ -40,8 +48,9 @@ class IdentityLRU:
     ``weakref``, and a hit needs every reference to resolve to the
     caller's own object, so an ``id`` that a new object took over never
     serves a dead object's value.  A put marks the arrays of the
-    objects and of the value read-only: while an entry lives, an
-    identity hit implies equal content.
+    objects (each once, when it first keys an entry) and of the value
+    read-only: while an entry lives, an identity hit implies equal
+    content.
 
     No entry outlives its objects.  A dying object's weakref callback
     only records the entry's key; the next ``get``, ``put`` or ``len``
@@ -61,6 +70,10 @@ class IdentityLRU:
         self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._dead: list[tuple] = []
         self._lock = threading.Lock()
+        # the objects already marked read-only, by id; an object leaves
+        # with its death, so an id another object took over never
+        # reads as marked
+        self._marked = weakref.WeakValueDictionary()
 
     def _purge(self) -> None:
         """Drop the entries whose objects died (under the lock).  A key
@@ -73,6 +86,16 @@ class IdentityLRU:
             # Release the value before the loop re-checks: its death
             # may record another entry's key.
             del entry
+
+    def _mark(self, objs) -> None:
+        """Mark the arrays reachable from each object read-only the
+        first time it keys an entry: an object that keys many entries
+        (an operand, a stream's index) is walked once.  Two threads
+        that mark one object at once only walk it twice."""
+        for obj in objs:
+            if self._marked.get(id(obj)) is not obj:
+                _read_only(obj)
+                self._marked[id(obj)] = obj
 
     def get(self, key: tuple, objs):
         """The value stored for ``key`` and these very objects, or
@@ -97,7 +120,7 @@ class IdentityLRU:
             dead.append(full)
 
         refs = [weakref.ref(o, died) for o in objs]
-        _read_only(objs)
+        self._mark(objs)
         _read_only(value)
         evicted = 0
         with self._lock:

@@ -203,17 +203,6 @@ class ResultCache(_JsonFiles):
         with self._lock:
             self.stats.puts += 1
 
-    def invalidate(self, task: SimTask | str | None = None) -> int:
-        """Drop one record (or every record when ``task`` is ``None``);
-        returns the number removed."""
-        if task is not None:
-            path = self.path_for(task)
-            if path.exists():
-                path.unlink()
-                return 1
-            return 0
-        return self.clear()
-
     def _stale(self, payload) -> bool:
         return not isinstance(payload, dict) or payload.get(
             "salt") != CODE_SALT

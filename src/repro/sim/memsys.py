@@ -199,7 +199,8 @@ class WalkCache:
       server jobs and sessions.  A disk hit is promoted into the
       memory tier.
     * **first-level memo**: the outcome of a multi-level walk's first
-      level (its miss stream included), in a second ``IdentityLRU``
+      level (its miss stream included, as int32 offsets from its
+      smallest line, 4 bytes a line), in a second ``IdentityLRU``
       keyed like the memory tier, so its entries are freed with their
       streams, and bounded by :data:`FIRST_LEVEL_ENTRIES`.  A level
       depends only on its own geometry and the traffic reaching it, so
@@ -618,31 +619,49 @@ def _filter_level(cache: Cache, lines: np.ndarray, counts: np.ndarray):
     return hits, counts - hits, lines[~hit]
 
 
+def _pack_misses(lines: np.ndarray) -> tuple[int, np.ndarray]:
+    """A miss stream as its smallest line and the offsets from it:
+    int32 when the span fits 31 bits (every stream has its own 1 GiB
+    region, so a walk's span does), int64 otherwise."""
+    if lines.size == 0:
+        return 0, np.zeros(0, dtype=np.int32)
+    low = int(lines.min())
+    offsets = lines - low
+    if int(offsets.max()) < 1 << 31:
+        offsets = offsets.astype(np.int32)
+    return low, offsets
+
+
 def _first_level(cache: Cache, streams: list[AccessStream],
                  key: tuple | None, prefetch: bool):
     """Line prep plus the first level of a walk: per-stream (total,
     scale, prefetch coverage), the level's per-stream hits, and the
     per-stream misses and miss lines passed down.  Under a ``key`` the
-    outcome goes through the first-level memo; a reuse settles the
-    level's stats and counters as the fresh walk did."""
+    outcome goes through the first-level memo, which keeps the miss
+    lines packed by :func:`_pack_misses` and restores them as int64; a
+    reuse settles the level's stats and counters as the fresh walk
+    did."""
     if key is not None:
         value = _WALK_CACHE.lookup_first_level(key, streams)
         if value is not None:
-            _, hits, misses, _ = value
+            prep, hits, misses, (low, offsets) = value
             accesses = int(hits.sum() + misses.sum())
             if accesses:
                 settle_lookup(cache, accesses, int(hits.sum()))
-            return value
+            lines = offsets.astype(np.int64)
+            lines += low
+            return prep, hits, misses, lines
     prepared = [prepare_lines(s, cache.config.line_bytes) for s in streams]
     prep = [(total, scale, _coverage(s, lines, prefetch))
             for s, (lines, total, scale) in zip(streams, prepared)]
     counts = np.array([p[0].size for p in prepared], dtype=np.int64)
     lines = (np.concatenate([p[0] for p in prepared]) if prepared
              else np.zeros(0, dtype=np.int64))
-    value = (prep, *_filter_level(cache, lines, counts))
+    hits, misses, lines = _filter_level(cache, lines, counts)
     if key is not None:
-        _WALK_CACHE.put_first_level(key, streams, value)
-    return value
+        _WALK_CACHE.put_first_level(
+            key, streams, (prep, hits, misses, _pack_misses(lines)))
+    return prep, hits, misses, lines
 
 
 def _walk(levels: tuple, streams: list[AccessStream], *,

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.formats.csr import CsrMatrix
 from repro.generators import uniform_random_matrix
-from repro.kernels import spkadd, split_rows_cyclic
+from repro.kernels import spkadd, spmspm, split_rows_cyclic
 from repro.kernels.spmspm import _symbolic_counts_fast
 from tests.oracle import pattern_counts, with_small_ints
 
@@ -65,6 +65,64 @@ class TestSymbolicCounts:
         assert counts.tolist() == [0, 0, 0]
         assert counts.dtype == np.int64
         assert np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
+
+    # The block tests bound a pass to 64 scanned keys, so every input
+    # below runs in many blocks of whole rows.
+
+    def _blocked(self, monkeypatch, a, b) -> np.ndarray:
+        monkeypatch.setattr(spmspm, "SYMBOLIC_BLOCK_KEYS", 64)
+        a, b = CsrMatrix.from_dense(a), CsrMatrix.from_dense(b)
+        counts = _symbolic_counts_fast(a, b)
+        assert np.array_equal(counts, pattern_counts("ik,kj->ij", a, b))
+        return counts
+
+    def test_blocks_with_empty_rows(self, monkeypatch):
+        a = uniform_random_matrix(120, 40, 3, seed=5).to_dense()
+        b = uniform_random_matrix(40, 45, 3, seed=6).to_dense()
+        empty = [0, 1, 17, *range(50, 70), 119]
+        a[empty] = 0.0
+        b[[3, 4, 39]] = 0.0
+        counts = self._blocked(monkeypatch, a, b)
+        assert counts[empty].sum() == 0 < counts.sum()
+
+    def test_row_longer_than_a_block(self, monkeypatch):
+        # row 5 scans 30 B rows of 5 columns: 150 keys, a block alone,
+        # between blocks of short rows
+        a = uniform_random_matrix(12, 30, 2, seed=7).to_dense()
+        a[5] = 1.0
+        b = np.zeros((30, 210))
+        for k in range(30):
+            b[k, 7 * k + np.arange(5)] = 1.0
+        counts = self._blocked(monkeypatch, a, b)
+        assert counts[5] == 150
+
+    def test_more_than_2_15_rows(self, monkeypatch):
+        # rows of two to six keys around 2**15 + 10 empty rows: the
+        # block that spans them holds rows with keys on both sides,
+        # more than 2**15 rows apart, so it packs int64 keys
+        rng = np.random.default_rng(9)
+        gap = (1 << 15) + 10
+        rows = 40 + gap + 40
+        a = (rng.random((rows, 6)) < 0.25).astype(float)
+        a[np.arange(rows), np.arange(rows) % 6] = 1.0
+        a[40:40 + gap] = 0.0
+        b = np.zeros((6, 40))
+        for k in range(6):
+            b[k, [k, k + 1]] = 1.0
+        counts = self._blocked(monkeypatch, a, b)
+        assert len(set(counts[-40:].tolist())) > 1
+
+    def test_blocks_of_wide_b(self, monkeypatch):
+        # B has more than 2**16 columns, so every block packs int64
+        # keys; columns past 2**16 are reached from many blocks
+        rng = np.random.default_rng(10)
+        a = (rng.random((30, 5)) < 0.6).astype(float)
+        b = np.zeros((5, 70_000))
+        for k in range(5):
+            b[k, rng.choice(70_000, 12, replace=False)] = 1.0
+        b[:, [4, 65_540, 69_999]] = 1.0
+        counts = self._blocked(monkeypatch, a, b)
+        assert counts.sum() > 0
 
 
 class TestSpkadd:

@@ -10,6 +10,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from repro import memo
 from repro.memo import IdentityLRU
 
 
@@ -36,6 +37,28 @@ def test_put_marks_object_and_value_arrays_read_only():
     value = (np.zeros(2), [Box(np.ones(2))])
     lru.put(("k",), [key_array, holder], value)
     for array in (key_array, holder.payload, value[0], value[1][0].payload):
+        with pytest.raises(ValueError):
+            array[0] = 7
+
+
+def test_put_walks_a_key_object_once(monkeypatch):
+    """An object that keys many entries is marked read-only when it
+    first keys one; later puts do not walk it again."""
+    walked = []
+    real = memo._read_only
+
+    def recorded(value):
+        walked.append(value)
+        real(value)
+
+    monkeypatch.setattr(memo, "_read_only", recorded)
+    lru = IdentityLRU(8)
+    shared, other = Box(np.arange(3)), Box(np.arange(2))
+    lru.put(("a",), [shared], "va")
+    lru.put(("b",), [shared, other], "vb")
+    assert [id(v) for v in walked if isinstance(v, Box)] == [
+        id(shared), id(other)]
+    for array in (shared.payload, other.payload):
         with pytest.raises(ValueError):
             array[0] = 7
 

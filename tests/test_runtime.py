@@ -135,16 +135,6 @@ class TestResultCache:
         assert cache.stats.puts == 1
         assert len(cache) == 1
 
-    def test_invalidate_one_and_all(self, cache):
-        tasks = [SimTask("spmv", i) for i in ("M1", "M2", "M3")]
-        for t in tasks:
-            cache.put(t, {"salt": CODE_SALT, "fake": True})
-        assert cache.invalidate(tasks[0]) == 1
-        assert len(cache) == 2
-        assert cache.invalidate() == 2
-        assert len(cache) == 0
-        assert cache.invalidate(tasks[0]) == 0
-
     def test_gc_reclaims_stale_salt_and_corrupt(self, cache):
         live = SimTask("spmv", "M1")
         cache.put(live, {"salt": CODE_SALT})

@@ -483,6 +483,47 @@ def _walk_state(machine: MachineConfig, trace: KernelTrace,
     return state, counters
 
 
+def _l2_traffic(monkeypatch) -> list[np.ndarray]:
+    """The lines each later walk passes from its L1 to its L2, in
+    walk order."""
+    seen = []
+    real = memsys._filter_level
+
+    def recorded(cache, lines, counts):
+        if cache.name == "l2":
+            seen.append(lines)
+        return real(cache, lines, counts)
+
+    monkeypatch.setattr(memsys, "_filter_level", recorded)
+    return seen
+
+
+def _first_level_misses(wc: WalkCache) -> tuple[int, np.ndarray]:
+    """The packed miss stream of the one first-level memo entry."""
+    (entry,) = wc._first_level._entries.values()
+    return entry[1][3]
+
+
+def _assert_reuse_is_exact(wc: WalkCache, machine: MachineConfig,
+                           trace: KernelTrace, to_l2: list) -> None:
+    """Walk ``trace`` on ``machine`` (which shares the L1 of the walk
+    that filled the memo) from the memo, fresh and on the reference
+    model: each passes the first walk's L1 misses to the L2, as int64,
+    and all three give one profile."""
+    reuse, _ = _walk_state(machine, trace)
+    assert wc.first_level_hits == 1
+    wc.clear()
+    fresh, _ = _walk_state(machine, trace)
+    wc.clear()
+    with cache_model("reference"):
+        reference, _ = _walk_state(machine, trace)
+    assert reuse == fresh == reference
+    assert len(to_l2) == 4
+    for lines in to_l2[1:]:
+        assert lines.dtype == np.int64
+        assert np.array_equal(lines, to_l2[0])
+
+
 class TestFirstLevelMemo:
     """Hosts that share an L1 and differ below it classify it once."""
 
@@ -518,6 +559,44 @@ class TestFirstLevelMemo:
         with cache_model("reference"):
             reference, _ = _walk_state(graviton, trace)
         assert reuse == fresh == reference
+
+    def test_miss_lines_kept_as_int32_offsets(self, _isolated_walk_cache,
+                                             monkeypatch):
+        """The memo keeps the L1 miss stream at 4 bytes a line; a reuse
+        hands the L2 the same int64 lines as a fresh and a reference
+        walk."""
+        wc = _isolated_walk_cache
+        a64fx, graviton = _scaled(a64fx_like), _scaled(graviton3_like)
+        matrix = uniform_random_matrix(300, 300, 6, seed=3)
+        trace = characterize_spmspm(matrix, matrix.transpose(), a64fx)
+        to_l2 = _l2_traffic(monkeypatch)
+        _walk_state(a64fx, trace)
+        low, offsets = _first_level_misses(wc)
+        assert offsets.dtype == np.int32
+        assert offsets.nbytes == 4 * to_l2[0].size > 0
+        assert np.array_equal(offsets + low, to_l2[0])
+        _assert_reuse_is_exact(wc, graviton, trace, to_l2)
+
+    def test_wide_span_keeps_int64(self, _isolated_walk_cache, monkeypatch):
+        """Two streams more than 2**31 lines apart: the memo keeps the
+        miss stream's int64 offsets, and the walk stays exact."""
+        wc = _isolated_walk_cache
+        a64fx, graviton = _scaled(a64fx_like), _scaled(graviton3_like)
+        rng = np.random.default_rng(8)
+        far = (3 << 31) * a64fx.l1d.line_bytes
+        trace = KernelTrace(name="wide", streams=[
+            AccessStream(index=rng.integers(0, 4000, 3000), elem_bytes=8,
+                         label="near"),
+            AccessStream(index=rng.integers(0, 4000, 3000), elem_bytes=8,
+                         label="far", base=far),
+        ])
+        to_l2 = _l2_traffic(monkeypatch)
+        _walk_state(a64fx, trace)
+        low, offsets = _first_level_misses(wc)
+        assert offsets.dtype == np.int64
+        assert int(offsets.max()) >= 1 << 31
+        assert np.array_equal(offsets + low, to_l2[0])
+        _assert_reuse_is_exact(wc, graviton, trace, to_l2)
 
     def test_latency_and_mshrs_leave_the_key(self, _isolated_walk_cache):
         wc = _isolated_walk_cache
