@@ -16,31 +16,33 @@ small --jobs 1`` (every cell in process):
   session fills the walk tier, the second reads every walk from it
 * ``telemetry``: ``--no-cache --walk-cache off --telemetry PATH``
 
-``table4`` runs ``pytest benchmarks/test_table4_mappings.py`` in
-process (``REPRO_BENCH_SNAPSHOT=0``): every Table 4 program on the
-functional engine, the reference the timing models are checked against.
+``gates`` runs every figure and table gate, ``pytest
+benchmarks/test_*.py``, in process (``REPRO_BENCH_SNAPSHOT=0``): the
+figure checks, and every Table 4 program on the functional engine, the
+reference the timing models are checked against.
 
 ``platform`` runs what else the repo ships and CI runs: the command
 steps of CI's ``bench-smoke`` and ``store-smoke`` jobs in their order
 (a traced, snapshotted ``fig13`` smoke run, ``stats``, ``trace``,
 ``ingest`` and ``query``), ``report`` over the resulting store,
 ``cache-gc`` and ``cache-clear`` on a cache one ``fig10`` run filled,
-one service session, ``ingest`` of the smoke run's trace and of the
-service's job journal, and every ``examples/*.py`` in process as
-``__main__``.  The service session runs ``repro serve --port 0`` with
-``--store`` in the child's main thread while a client thread runs
-``submit --wait``, ``jobs`` and ``fetch --out`` against it and then
+one service session, ``ingest`` of the smoke run's trace, of the
+service's job journal and of the ``fig10`` run's manifest, and every
+``examples/*.py`` in process as ``__main__``.  The service session
+runs ``repro serve --port 0`` with ``--store`` in the child's main
+thread while a client thread runs ``submit --wait``, ``jobs`` and
+``fetch --out`` against it, asks for ``/healthz``, cancels one queued
+and one running job, requests an unknown route (a JSON 404), and then
 interrupts the server with ``SIGINT``, the way Ctrl-C stops it.
 
 The code objects the sessions call are matched by file and first line
 to every ``def`` under ``src/repro``.  The script prints the unreached
-functions per module and exits 1 when a session fails or when a module
-outside ``EXEMPT`` defines functions and reaches none of them.  The
-``reference`` session takes most of the time: about 4 of the ≈5
-minutes the first five modes take on a 2-core VM; ``platform`` adds
-about 30 seconds.  A session's cells that run in
-``--jobs 2`` pool workers are not collected: only the parent process
-writes what it called.
+functions per module and exits 1 when a session fails, when a function
+is unreached that is neither a dunder nor kept by :data:`KEEP`, or
+when a ``KEEP`` entry has gone stale: it names a function that a mode
+reaches or that no longer exists.  The ``reference`` session takes
+the largest share of the ≈3.5 minutes all modes take on a 2-core VM.  A session's cells that run in ``--jobs 2`` pool workers
+are not collected: only the parent process writes what it called.
 """
 
 from __future__ import annotations
@@ -51,23 +53,65 @@ import os
 import subprocess
 import sys
 import tempfile
-import textwrap
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 PACKAGE = SRC / "repro"
 
-#: module (or package prefix) -> the consumer that keeps it although
-#: no mode reaches any of its functions
-EXEMPT = {
+#: code kept although no mode reaches it -> the consumer that keeps it.
+#: A key is ``module:qualname`` (that function and the functions nested
+#: in it) or a module or package name (every function under it).
+KEEP = {
     "repro.tmu.context": "§5.6 context save/restore "
                          "(tests/test_tmu_context_area.py)",
+    "repro.tmu.streams:Stream.touched_address":
+        "TraversalUnit._build_plan compares each override with it by "
+        "identity",
+    "repro.obs:capture": "runtime pool workers (executor.py), whose "
+                         "calls the trace does not collect",
+    "repro.kernels.cpals:characterize_cpals":
+        "benchmarks/e2e/traced.py wraps it by name, and its selftest "
+        "fails on a missing target",
+    "repro.programs.cpals:cpals_timing_model":
+        "benchmarks/e2e/traced.py wraps it by name, and its selftest "
+        "fails on a missing target",
+    "repro.obs.snapshot:write_bench_snapshot":
+        "benchmarks/conftest.py files a BENCH_*.json with it unless "
+        "REPRO_BENCH_SNAPSHOT=0",
+    "repro.sim.memsys:WalkCache.clear": "test isolation "
+                                        "(tests/test_walk_cache.py)",
+    "repro.sim.memsys:walk_cache": "test isolation "
+                                   "(tests/test_walk_cache.py)",
+    "repro.memo:IdentityLRU.clear": "test isolation (tests/test_memo.py)",
+    "repro.formats.convert:csr_to_coo": "test fixtures "
+                                        "(tests/test_formats_*.py)",
+    "repro.formats.coo:CooMatrix.from_dense": "test fixtures",
+    "repro.formats.csr:CsrMatrix.from_dense": "test fixtures",
+    "repro.formats.dcsr:DcsrMatrix.from_dense": "test fixtures",
+    "repro.formats.coo:CooTensor.nbytes": "the storage claims "
+                                          "(tests/test_formats_coo.py)",
+    "repro.formats.csr:CsrMatrix.nbytes": "the storage claims "
+                                          "(tests/test_formats_csr.py)",
+    "repro.formats.dcsr:DcsrMatrix.nbytes": "the storage claims "
+                                            "(tests/test_formats_dcsr.py)",
+    "repro.formats.csf:CsfTensor.nbytes": "the storage claims "
+                                          "(tests/test_formats_csf.py)",
+    "repro.formats.csf:CsfTensor._validate": "input validation of a "
+                                             "caller-built CSF tensor",
+    "repro.formats.dcsr:DcsrMatrix._validate": "input validation of a "
+                                               "caller-built DCSR matrix",
+    "repro.serve.scheduler:Scheduler._handle_worker_death":
+        "the scheduler's worker loop when a job raises past the runtime",
+    "repro.serve.jobs:Job.reopen": "_handle_worker_death's requeue of a "
+                                   "running job",
+    "repro.serve.jobs:JobStore.delete":
+        "Scheduler.submit's rollback of a quota-rejected submission",
 }
 
 _ALL = ("repro", "all", "--scale", "small", "--jobs", "1")
 _COLD = (*_ALL, "--no-cache", "--walk-cache", "off")
-_TABLE4 = Path(__file__).resolve().parent / "test_table4_mappings.py"
+_GATES = sorted(map(str, Path(__file__).resolve().parent.glob("test_*.py")))
 
 # CI's bench-smoke and store-smoke jobs, command by command
 _SMOKE = ("repro", "fig13", "--scale", "small", "--jobs", "2",
@@ -114,8 +158,8 @@ MODES = {
     "telemetry": [(*_COLD, "--telemetry", "{tmp}/snapshot.json")],
     # pytest-benchmark lifts the profile hook while it times a body;
     # --benchmark-disable runs the body once, untimed, under the hook
-    "table4": [("pytest", str(_TABLE4), "-q", "-p", "no:cacheprovider",
-                "--benchmark-disable")],
+    "gates": [("pytest", *_GATES, "-q", "-p", "no:cacheprovider",
+               "--benchmark-disable")],
     "platform": [
         *_BENCH_SMOKE,
         *_STORE_SMOKE,
@@ -125,7 +169,7 @@ MODES = {
         ("repro", "cache-clear", *_CACHE),
         _SERVICE,
         ("repro", "ingest", "{tmp}/run-trace.json",
-         "{tmp}/serve-state/jobs", *_SERVE_DB),
+         "{tmp}/serve-state/jobs", "{tmp}/cache/manifests", *_SERVE_DB),
         *(("example", str(path))
           for path in sorted((REPO / "examples").glob("*.py"))),
     ],
@@ -137,7 +181,8 @@ MODES = {
 #: An example runs as ``__main__`` with no arguments of its own, so the
 #: child takes its output path from ``sys.argv`` first.  A ``service``
 #: session serves in the main thread until its client thread, done with
-#: the service CLI, sends ``SIGINT``.
+#: the service CLI and the client verbs it does not use, sends
+#: ``SIGINT``.
 _CHILD = """
 import contextlib, io, json, os, runpy, signal, sys, threading, time
 from pathlib import Path
@@ -153,7 +198,9 @@ if entry == "example":
     runpy.run_path(argv[0], run_name="__main__")
     status = 0
 elif entry == "service":
+    import urllib.error, urllib.request
     from repro.cli import main
+    from repro.serve import ServeClient, make_sweep
     port_file = Path(argv[argv.index("--port-file") + 1])
     failed = []
     def client():
@@ -174,10 +221,32 @@ elif entry == "service":
                                str(port_file.with_name("fetch.json"))]))
             if status:
                 failed.append(f"client exited with status {status}")
+            exercise(ServeClient(url[1]))
         except Exception as exc:
             failed.append(repr(exc))
         finally:
             os.kill(os.getpid(), signal.SIGINT)
+    def exercise(service):
+        # one worker: a job submitted while another runs stays queued
+        service.health()
+        running = service.submit(make_sweep(
+            workloads=["spmv", "spkadd", "spmspm"]), client="platform")
+        while service.job(running["id"])["state"] == "pending":
+            time.sleep(0.02)
+        queued = service.submit(make_sweep(
+            workloads=["spmv"], inputs=["M2"]), client="platform")
+        service.cancel(queued["id"])    # cancelled while queued
+        service.cancel(running["id"])   # at its next batch boundary
+        for job in (queued, running):
+            state = service.wait(job["id"], timeout=120, poll=0.05)["state"]
+            if state != "cancelled":
+                failed.append(f"job {job['id'][:12]} ended {state}")
+        try:
+            urllib.request.urlopen(service.base_url + "/v1/no-such-route")
+            failed.append("an unknown route did not answer 404")
+        except urllib.error.HTTPError as exc:
+            if exc.code != 404 or "error" not in json.loads(exc.read()):
+                failed.append(f"an unknown route answered {exc.code}")
     thread = threading.Thread(target=client)
     thread.start()
     status = main(["serve", *argv])
@@ -225,11 +294,44 @@ def defs(path: Path) -> dict[int, str]:
     return found
 
 
-def exemption(module: str) -> str | None:
-    for prefix, consumer in EXEMPT.items():
-        if module == prefix or module.startswith(prefix + "."):
+def kept(module: str, name: str) -> str | None:
+    """The consumer :data:`KEEP` names for function ``name`` of
+    ``module``, or None."""
+    for key, consumer in KEEP.items():
+        prefix, _, qualname = key.partition(":")
+        if qualname:
+            if module == prefix and (name == qualname
+                                     or name.startswith(qualname + ".")):
+                return consumer
+        elif module == prefix or module.startswith(prefix + "."):
             return consumer
     return None
+
+
+def dunder(name: str) -> bool:
+    last = name.rpartition(".")[2]
+    return last.startswith("__") and last.endswith("__")
+
+
+def stale_keep(functions: dict[str, dict[str, bool]]) -> list[str]:
+    """The :data:`KEEP` entries that no longer hold: one that names a
+    function a mode reaches, or a function or module that is gone.
+    ``functions`` maps each module to ``{qualname: reached}``."""
+    stale = []
+    for key in KEEP:
+        prefix, _, qualname = key.partition(":")
+        if qualname:
+            reached = functions.get(prefix, {}).get(qualname)
+        else:
+            under = [r for module, names in functions.items()
+                     if module == prefix or module.startswith(prefix + ".")
+                     for r in names.values()]
+            reached = any(under) if under else None
+        if reached is None:
+            stale.append(f"{key} (no such function or module)")
+        elif reached:
+            stale.append(f"{key} (a mode reaches it)")
+    return stale
 
 
 def trace(argv: tuple[str, ...], tmp: str) -> set[tuple[str, int]]:
@@ -256,38 +358,47 @@ def main() -> int:
                 try:
                     here |= trace(argv, tmp)
                 except subprocess.CalledProcessError as exc:
-                    print(f"{mode}: session failed ({exc})")
+                    print(f"{mode}: session {' '.join(argv)} failed "
+                          f"(exit {exc.returncode})")
                     print(exc.stderr.decode(errors="replace")[-2000:])
                     return 1
         print(f"{mode}: {len(here)} code objects under src/repro called, "
               f"{len(here - called)} that no earlier mode called")
         called |= here
 
-    dead = []
+    functions: dict[str, dict[str, bool]] = {}
+    unkept = []
     print()
     for path in sorted(PACKAGE.rglob("*.py")):
-        functions = defs(path)
-        if not functions:
+        found = defs(path)
+        if not found:
             continue
         module = module_name(path)
         key = str(path.resolve())
-        unreached = [name for line, name in sorted(functions.items())
-                     if (key, line) not in called]
-        consumer = exemption(module)
-        reached = len(functions) - len(unreached)
-        note = f"  [exempt: {consumer}]" if consumer else ""
-        print(f"{module}: {reached}/{len(functions)} reached{note}")
-        if unreached:
-            print(textwrap.fill(", ".join(unreached), width=79,
-                                initial_indent="    ",
-                                subsequent_indent="    "))
-        if not reached and consumer is None:
-            dead.append(module)
+        functions[module] = {name: (key, line) in called
+                             for line, name in sorted(found.items())}
+        unreached = [name for name, hit in functions[module].items()
+                     if not hit]
+        print(f"{module}: {len(found) - len(unreached)}/{len(found)} "
+              "reached")
+        for name in unreached:
+            consumer = kept(module, name)
+            if consumer is not None:
+                print(f"    {name}  [kept: {consumer}]")
+            elif dunder(name):
+                print(f"    {name}  [dunder]")
+            else:
+                print(f"    {name}  [NOT KEPT]")
+                unkept.append(f"{module}:{name}")
 
-    if dead:
-        print(f"\nFAIL: no function reached in {', '.join(dead)}")
+    stale = stale_keep(functions)
+    for name in unkept:
+        print(f"FAIL: {name} is unreached and not in KEEP")
+    for entry in stale:
+        print(f"FAIL: stale KEEP entry {entry}")
+    if unkept or stale:
         return 1
-    print("\nok: every module outside the exempt list reaches a function")
+    print("\nok: every unreached function is a dunder or in KEEP")
     return 0
 
 

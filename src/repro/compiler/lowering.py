@@ -48,8 +48,6 @@ def compile_expression(expression: str | ParsedExpression,
     if missing:
         raise ExpressionError(f"no operand bound for {missing}")
 
-    if expr.op is None:
-        return _lower_copy(expr, operands)
     if expr.op == "+":
         return _lower_elementwise(expr, operands, LayerMode.DISJ_MRG)
 
@@ -208,62 +206,4 @@ def _lower_elementwise(expr: ParsedExpression, operands: dict,
         result=result,
         description=f"compiled element-wise {op_name} "
                     f"({mode.value} join)",
-    )
-
-
-def _lower_copy(expr: ParsedExpression, operands: dict) -> BuiltProgram:
-    """``Z(i,j) = A(i,j)``: a pure traversal (format streaming)."""
-    a = _require_csr(expr.lhs, operands[expr.lhs.name])
-    if expr.output.indices != expr.lhs.indices:
-        raise ExpressionError("copy must preserve the index order")
-
-    prog = Program("compiled_copy", lanes=1)
-    ptrs = prog.place_array(a.ptrs, INDEX_BYTES, "a->ptrs")
-    idxs = prog.place_array(a.idxs, INDEX_BYTES, "a->idxs")
-    vals = prog.place_array(a.vals, VALUE_BYTES, "a->vals")
-
-    l0 = prog.add_layer(LayerMode.SINGLE)
-    row = l0.dns_fbrt(beg=0, end=a.num_rows)
-    beg = row.add_mem_stream(ptrs, name="beg")
-    end = row.add_mem_stream(ptrs, offset=1, name="end")
-    l0.add_callback(Event.GITE, "row", [])
-    l0.set_volume_hint(a.num_rows)
-
-    l1 = prog.add_layer(LayerMode.SINGLE)
-    col = l1.rng_fbrt(beg=beg, end=end)
-    cidx = col.add_mem_stream(idxs, name="col")
-    cval = col.add_mem_stream(vals, name="val")
-    l1.add_callback(Event.GITE, "nz", [l1.vec_operand([cidx]),
-                                       l1.vec_operand([cval])])
-    l1.set_volume_hint(a.nnz)
-
-    rows_out: list[tuple[list[int], list[float]]] = []
-
-    def row_cb(record):
-        rows_out.append(([], []))
-
-    def nz_cb(record):
-        (col_val,), (val,) = record.operands
-        rows_out[-1][0].append(int(col_val))
-        rows_out[-1][1].append(float(val))
-
-    def result() -> CsrMatrix:
-        ptrs_out = np.zeros(a.num_rows + 1, dtype=np.int64)
-        idx_parts, val_parts = [], []
-        for i, (cols, vals_) in enumerate(rows_out):
-            ptrs_out[i + 1] = ptrs_out[i] + len(cols)
-            idx_parts.append(np.asarray(cols, dtype=np.int64))
-            val_parts.append(np.asarray(vals_))
-        return CsrMatrix(
-            a.shape, ptrs_out,
-            np.concatenate(idx_parts) if idx_parts else np.zeros(
-                0, np.int64),
-            np.concatenate(val_parts) if val_parts else np.zeros(0),
-            validate=False)
-
-    return BuiltProgram(
-        program=prog,
-        handlers={"row": row_cb, "nz": nz_cb},
-        result=result,
-        description="compiled traversal/copy",
     )

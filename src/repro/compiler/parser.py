@@ -37,7 +37,8 @@ class TensorRef:
 class ParsedExpression:
     """A parsed assignment ``output = lhs op rhs`` (or ``output = lhs``).
 
-    ``op`` is ``'*'``, ``'+'`` or ``None`` (pure copy/traversal).
+    ``op`` is ``'*'``, ``'+'`` or ``None`` (a pure copy, which the
+    lowering rejects).
     """
 
     output: TensorRef

@@ -6,7 +6,8 @@ This package implements the storage substrate of the paper:
 * :mod:`repro.formats.csr` — Compressed Sparse Row (Figure 1b).
 * :mod:`repro.formats.dcsr` — Doubly-Compressed Sparse Row (Figure 1c).
 * :mod:`repro.formats.csf` — Compressed Sparse Fiber for order-n tensors.
-* :mod:`repro.formats.convert` — conversions between all of the above.
+* :mod:`repro.formats.convert` — conversions from COO into the others
+  (and CSR back to COO).
 """
 
 from .coo import CooMatrix, CooTensor
@@ -18,10 +19,6 @@ from .convert import (
     coo_to_csr,
     coo_to_dcsr,
     csr_to_coo,
-    csr_to_dcsr,
-    dcsr_to_coo,
-    dcsr_to_csr,
-    csf_to_coo,
 )
 
 __all__ = [
@@ -34,8 +31,4 @@ __all__ = [
     "coo_to_dcsr",
     "coo_to_csf",
     "csr_to_coo",
-    "csr_to_dcsr",
-    "dcsr_to_csr",
-    "dcsr_to_coo",
-    "csf_to_coo",
 ]

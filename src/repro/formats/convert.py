@@ -1,4 +1,5 @@
-"""Conversions between the sparse tensor formats of Figure 1.
+"""Conversions into the sparse tensor formats of Figure 1 (and CSR
+back to COO).
 
 All conversions are exact and preserve the sorted-coordinate invariants
 the traversal and merge machinery depend on.
@@ -42,32 +43,6 @@ def coo_to_dcsr(coo: CooMatrix) -> DcsrMatrix:
     ptrs = np.concatenate(([0], np.cumsum(counts)))
     return DcsrMatrix(coo.shape, row_idxs, ptrs, coo.cols.copy(),
                       coo.values.copy(), validate=False)
-
-
-def dcsr_to_coo(dcsr: DcsrMatrix) -> CooMatrix:
-    """DCSR → COO."""
-    row_of = np.repeat(dcsr.row_idxs, np.diff(dcsr.ptrs))
-    return CooMatrix(dcsr.shape, row_of, dcsr.idxs.copy(), dcsr.vals.copy(),
-                     sum_duplicates=False)
-
-
-def csr_to_dcsr(csr: CsrMatrix) -> DcsrMatrix:
-    """CSR → DCSR: drop pointers of empty rows."""
-    counts = np.diff(csr.ptrs)
-    nonempty = np.flatnonzero(counts)
-    ptrs = np.concatenate(([0], np.cumsum(counts[nonempty])))
-    return DcsrMatrix(csr.shape, nonempty, ptrs, csr.idxs.copy(),
-                      csr.vals.copy(), validate=False)
-
-
-def dcsr_to_csr(dcsr: DcsrMatrix) -> CsrMatrix:
-    """DCSR → CSR: re-materialize pointers for every row."""
-    ptrs = np.zeros(dcsr.num_rows + 1, dtype=np.int64)
-    counts = np.diff(dcsr.ptrs)
-    ptrs[dcsr.row_idxs + 1] = counts
-    np.cumsum(ptrs, out=ptrs)
-    return CsrMatrix(dcsr.shape, ptrs, dcsr.idxs.copy(), dcsr.vals.copy(),
-                     validate=False)
 
 
 def coo_to_csf(coo: CooTensor, mode_order: tuple[int, ...] | None = None
@@ -120,9 +95,3 @@ def coo_to_csf(coo: CooTensor, mode_order: tuple[int, ...] | None = None
     if nnz:
         np.add.at(out_vals, prefix_id, vals)
     return CsfTensor(shape, ptrs, idxs, out_vals, validate=False)
-
-
-def csf_to_coo(csf: CsfTensor) -> CooTensor:
-    """CSF → COO."""
-    coords, vals = csf.to_coo_arrays()
-    return CooTensor(csf.shape, coords, vals, sum_duplicates=False)

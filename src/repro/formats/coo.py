@@ -142,10 +142,6 @@ class CooMatrix(CooTensor):
     def num_rows(self) -> int:
         return self.shape[0]
 
-    @property
-    def num_cols(self) -> int:
-        return self.shape[1]
-
     @classmethod
     def from_dense(cls, array) -> "CooMatrix":
         array = np.asarray(array, dtype=float)
@@ -153,10 +149,3 @@ class CooMatrix(CooTensor):
             raise FormatError("CooMatrix.from_dense needs a 2-D array")
         r, c = np.nonzero(array)
         return cls(array.shape, r, c, array[r, c])
-
-    @classmethod
-    def from_tensor(cls, tensor: CooTensor) -> "CooMatrix":
-        if tensor.ndim != 2:
-            raise FormatError("from_tensor needs an order-2 tensor")
-        return cls(tensor.shape, tensor.coords[0], tensor.coords[1],
-                   tensor.values, sum_duplicates=False)

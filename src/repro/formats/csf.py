@@ -105,16 +105,6 @@ class CsfTensor:
             total += self.ptrs[lvl].size * INDEX_BYTES
         return int(total)
 
-    def fiber(self, level: int, parent_pos: int):
-        """Return (coords, positions) of the fiber under ``parent_pos``.
-
-        ``positions`` indexes into level ``level``'s node arrays so
-        callers can descend further or read leaf values.
-        """
-        beg = int(self.ptrs[level][parent_pos])
-        end = int(self.ptrs[level][parent_pos + 1])
-        return self.idxs[level][beg:end], np.arange(beg, end)
-
     def to_coo_arrays(self) -> tuple[list[np.ndarray], np.ndarray]:
         """Expand the tree back to aligned coordinate arrays + values."""
         n = self.ndim

@@ -91,11 +91,6 @@ class CsrMatrix:
         """Non-zeros per row."""
         return np.diff(self.ptrs)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (column indexes, values) of row ``i`` as views."""
-        beg, end = self.row_slice(i)
-        return self.idxs[beg:end], self.vals[beg:end]
-
     def transpose(self) -> "CsrMatrix":
         """Return the transpose, also in CSR (i.e. this matrix in CSC)."""
         rows, cols = self.shape

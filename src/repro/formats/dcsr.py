@@ -71,10 +71,6 @@ class DcsrMatrix:
         return self.shape[0]
 
     @property
-    def num_cols(self) -> int:
-        return self.shape[1]
-
-    @property
     def num_nonempty_rows(self) -> int:
         return int(self.row_idxs.size)
 
@@ -89,12 +85,6 @@ class DcsrMatrix:
             + (self.num_nonempty_rows + 1) * INDEX_BYTES
             + self.nnz * (INDEX_BYTES + VALUE_BYTES)
         )
-
-    def nonempty_row(self, k: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Return (row index, column indexes, values) of the ``k``-th
-        non-empty row."""
-        beg, end = int(self.ptrs[k]), int(self.ptrs[k + 1])
-        return int(self.row_idxs[k]), self.idxs[beg:end], self.vals[beg:end]
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.shape, dtype=self.vals.dtype)

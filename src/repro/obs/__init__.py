@@ -2,8 +2,8 @@
 
 Hierarchical named counters, gauges, histograms and wall-clock timers,
 with a process-wide on/off switch and near-zero overhead when disabled:
-instrumented call sites ask the module for an instrument and get a
-shared no-op singleton unless a registry is active.
+instrumented call sites check :func:`enabled` and record nothing unless
+a registry is active.
 
 Usage::
 
@@ -14,11 +14,11 @@ Usage::
         snap = obs.snapshot(meta={"scale": "small"})
     obs.write_snapshot(snap, "run.json")
 
-Instrumented library code stays declarative::
+Instrumented library code records through the active registry::
 
-    obs.counter("store.ingest_failures").add()
-    obs.gauge("runtime.executor.cells_per_sec").set(rate)
-    with obs.timer("sim.memsys.profile"):
+    if obs.enabled():
+        obs.active().counter("store.ingest_failures").add()
+    with obs.timer("sim.memsys.profile"):  # a no-op timer when disabled
         ...
 
 Snapshots serialize to the stable JSON schema in
@@ -47,9 +47,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .metrics import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     NULL_TIMER,
     Counter,
     Gauge,
@@ -113,9 +110,6 @@ __all__ = [
     "enabled",
     "active",
     "capture",
-    "counter",
-    "gauge",
-    "histogram",
     "timer",
     "snapshot",
     "make_snapshot",
@@ -192,20 +186,8 @@ def capture(registry: Registry | None = None):
         _active = previous
 
 
-def counter(name: str):
-    """The named counter of the active registry (no-op when disabled)."""
-    return _active.counter(name) if _active is not None else NULL_COUNTER
-
-
-def gauge(name: str):
-    return _active.gauge(name) if _active is not None else NULL_GAUGE
-
-
-def histogram(name: str):
-    return _active.histogram(name) if _active is not None else NULL_HISTOGRAM
-
-
 def timer(name: str):
+    """The named timer of the active registry (no-op when disabled)."""
     return _active.timer(name) if _active is not None else NULL_TIMER
 
 

@@ -110,13 +110,6 @@ class _JsonHandler(logging.StreamHandler):
     """Tagged subclass so :func:`configure` can find its own handler."""
 
 
-def configured() -> bool:
-    """Whether :func:`configure` has installed a JSON handler."""
-    return any(
-        isinstance(h, _JsonHandler) for h in logging.getLogger(_ROOT).handlers
-    )
-
-
 def get_logger(name: str) -> logging.Logger:
     """A logger under the ``repro`` namespace (``repro.<name>``)."""
     if name == _ROOT or name.startswith(_ROOT + "."):

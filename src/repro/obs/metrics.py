@@ -230,9 +230,6 @@ class _NullTimer:
 
     __slots__ = ()
 
-    def observe(self, seconds: float) -> None:
-        pass
-
     def __enter__(self) -> "_NullTimer":
         return self
 
@@ -240,29 +237,5 @@ class _NullTimer:
         pass
 
 
-class _NullCounter:
-    __slots__ = ()
-
-    def add(self, n: float = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-
-    def record(self, value: float) -> None:
-        pass
-
-
-#: shared no-op instruments (the disabled fast path allocates nothing)
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
+#: the shared no-op timer (the disabled fast path allocates nothing)
 NULL_TIMER = _NullTimer()

@@ -99,6 +99,3 @@ class PrefixedRegistry:
 
     def timer(self, name: str) -> Timer:
         return self._registry.timer(self._prefix + name)
-
-    def prefixed(self, prefix: str) -> "PrefixedRegistry":
-        return PrefixedRegistry(self._registry, self._prefix + prefix)

@@ -7,7 +7,7 @@ artifact tab or mailed around and always renders.
 
 Every number in the report comes from the same :mod:`repro.store.query`
 functions that power ``repro query``, formatted through the same
-``_fmt`` — the stall-share section is *defined* to match
+``fmt_cell`` — the stall-share section is *defined* to match
 ``repro query stalls`` byte for byte, which the test suite pins.
 
 Charts follow the house dataviz rules: a single-series sparkline for
@@ -24,7 +24,6 @@ import html
 from pathlib import Path
 
 from ..store.query import (
-    _fmt,
     cell_outcomes,
     cells_per_sec,
     runs_overview,
@@ -32,6 +31,7 @@ from ..store.query import (
     stall_shares,
 )
 from ..store.store import ExperimentStore
+from .snapshot import fmt_cell
 
 # palette tokens (light, dark) — see the dataviz reference palette
 _CSS = """
@@ -71,7 +71,7 @@ svg .val { fill: var(--ink); font-weight: 600; }
 
 
 def _esc(value) -> str:
-    return html.escape(_fmt(value))
+    return html.escape(fmt_cell(value))
 
 
 def _table(rows: list[dict], columns: list[str],
@@ -137,7 +137,7 @@ def _sparkline(rows: list[dict]) -> str:
             f'<polyline points="{path}" fill="none" '
             f'stroke="var(--series)" stroke-width="2"/>')
     for (rev, v), (x, y) in zip(points, coords):
-        label = html.escape(f"{rev}: {_fmt(v)} cells/sec")
+        label = html.escape(f"{rev}: {fmt_cell(v)} cells/sec")
         parts.append(
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" '
             f'fill="var(--series)" stroke="var(--surface)" '
@@ -175,8 +175,8 @@ def _stall_bars(rows: list[dict]) -> str:
         y = 4 + i * row_h
         w = bar_w * r["stall_share"] / top_share
         tip = html.escape(
-            f"{r['layer']}: {_fmt(r['stalls'])} stalls / "
-            f"{_fmt(r['merge_steps'])} merge steps")
+            f"{r['layer']}: {fmt_cell(r['stalls'])} stalls / "
+            f"{fmt_cell(r['merge_steps'])} merge steps")
         parts.append(
             f'<text x="{label_w - 8}" y="{y + 15}" text-anchor="end">'
             f'{html.escape(str(r["layer"]))}</text>')

@@ -244,19 +244,32 @@ def diff_snapshots(a: dict, b: dict) -> list[dict]:
     return rows
 
 
-def _fmt(value: float | None) -> str:
+def fmt_cell(value) -> str:
+    """A table cell: ``-`` for None, an integral float as an int,
+    another float to six significant digits, anything else as ``str``."""
     if value is None:
         return "-"
-    if isinstance(value, float) and not value.is_integer():
-        return f"{value:.6g}"
-    return str(int(value))
+    if isinstance(value, float):
+        return str(int(value)) if value.is_integer() else f"{value:.6g}"
+    return str(value)
+
+
+def render_table(table: list[tuple[str, ...]]) -> str:
+    """The ``repro stats`` and ``repro query`` text table: left-justified
+    columns two spaces apart, and a rule under the header row
+    (``table[0]``)."""
+    widths = [max(len(row[c]) for row in table) for c in range(len(table[0]))]
+    lines = [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in table
+    ]
+    lines.insert(1, "  ".join("-" * w for w in widths))
+    return "\n".join(lines)
 
 
 def render_diff(rows: list[dict], *, changed_only: bool = False) -> str:
     """A diff as an aligned text table."""
-    out = []
-    header = ("metric", "kind", "a", "b", "delta", "ratio")
-    table = [header]
+    table = [("metric", "kind", "a", "b", "delta", "ratio")]
     for row in rows:
         if changed_only and row["delta"] == 0:
             continue
@@ -264,18 +277,13 @@ def render_diff(rows: list[dict], *, changed_only: bool = False) -> str:
             (
                 row["metric"],
                 f"{row['kind']}/{row['scalar']}",
-                _fmt(row["a"]),
-                _fmt(row["b"]),
-                _fmt(row["delta"]),
+                fmt_cell(row["a"]),
+                fmt_cell(row["b"]),
+                fmt_cell(row["delta"]),
                 "-" if row["ratio"] is None else f"{row['ratio']:.3f}",
             )
         )
-    widths = [max(len(r[c]) for r in table) for c in range(len(header))]
-    for i, row in enumerate(table):
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            out.append("  ".join("-" * w for w in widths))
-    return "\n".join(out)
+    return render_table(table)
 
 
 def render_snapshot(snap: dict) -> str:
@@ -293,13 +301,7 @@ def render_snapshot(snap: dict) -> str:
                 (
                     name,
                     f"{kind[:-1]}/{_SCALAR_LABEL[kind]}",
-                    _fmt(_scalar_of(kind, data)),
+                    fmt_cell(_scalar_of(kind, data)),
                 )
             )
-    widths = [max(len(r[c]) for r in table) for c in range(3)]
-    for i, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
-
+    return "\n".join([*lines, render_table(table)])

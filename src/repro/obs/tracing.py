@@ -8,8 +8,8 @@ metric registry's ("tmu.tg.layer0", "sim.core", "runtime.executor", ...).
 Design points, mirroring the metrics layer:
 
 * a process-wide on/off switch — instrumented call sites ask the module
-  for the active :class:`Tracer` and get the shared no-op
-  :data:`NULL_TRACER` unless tracing is enabled, so dormant hooks cost
+  for the active :class:`Tracer` and get :data:`NULL_TRACER`, whose
+  ``enabled`` is false, unless tracing is enabled, so dormant hooks cost
   one attribute read;
 * a **bounded ring buffer** (``capacity``) that drops the *oldest*
   fine-grained events under pressure, preserving the end-of-run summary
@@ -176,30 +176,13 @@ class Tracer:
 
 
 class _NullTracer:
-    """Shared no-op tracer handed out when tracing is disabled."""
+    """Shared stand-in for the tracer when tracing is disabled: every
+    call site checks ``enabled`` before it records."""
 
     __slots__ = ()
 
     enabled = False
     now = 0
-
-    def tick(self, n: int = 1) -> int:
-        return 0
-
-    def alloc(self, dur: int) -> int:
-        return 0
-
-    def span(self, track, name, ts, dur, args=None) -> None:
-        pass
-
-    def instant(self, track, name, ts=None, args=None) -> None:
-        pass
-
-    def sample(self, track, name, value, ts=None) -> None:
-        pass
-
-    def merge(self, body, *, offset=None) -> None:
-        pass
 
 
 #: the disabled fast path allocates nothing
@@ -233,7 +216,7 @@ def tracing_enabled() -> bool:
 
 
 def tracer():
-    """The active tracer (the shared no-op tracer when disabled)."""
+    """The active tracer (:data:`NULL_TRACER` when disabled)."""
     return _active if _active is not None else NULL_TRACER
 
 

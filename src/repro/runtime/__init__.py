@@ -17,12 +17,11 @@ which layers three services under the drivers:
 
 The module-level :func:`configure` / :func:`active_runtime` pair holds
 the process-wide runtime the drivers use; the CLI and the benchmark
-harness configure it, and tests may swap it via :func:`using`.
+harness configure it, and tests drop it with :func:`reset`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
@@ -31,7 +30,6 @@ from .executor import ProgressEvent, RunReport, Runtime, TaskOutcome
 from .manifest import ManifestEntry, RunManifest
 from .task import (
     CODE_SALT,
-    RESULT_SCHEMA_VERSION,
     SimTask,
     machine_from_dict,
     machine_to_dict,
@@ -52,7 +50,6 @@ __all__ = [
     "RunManifest",
     "ManifestEntry",
     "CODE_SALT",
-    "RESULT_SCHEMA_VERSION",
     "machine_to_dict",
     "machine_from_dict",
     "run_from_record",
@@ -61,7 +58,6 @@ __all__ = [
     "resolve_walk_dir",
     "active_runtime",
     "reset",
-    "using",
 ]
 
 #: default on-disk cache location (relative to the working directory);
@@ -143,15 +139,3 @@ def reset() -> None:
     configure_walk_store(None)
     configure_reference(False)
     _active = None
-
-
-@contextmanager
-def using(runtime: Runtime):
-    """Temporarily swap the active runtime (scoped configuration)."""
-    global _active
-    previous = _active
-    _active = runtime
-    try:
-        yield runtime
-    finally:
-        _active = previous

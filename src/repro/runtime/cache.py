@@ -1,9 +1,10 @@
 """Content-addressed on-disk result store.
 
 Records are JSON files named ``<sha256>.json`` under the cache root;
-the hash covers the full task spec *and* a code-version salt
-(:data:`repro.runtime.task.CODE_SALT`), so a model change or record
-schema bump silently misses instead of serving stale results.
+the hash covers the full task spec *and* a code salt
+(:data:`repro.runtime.task.CODE_SALT`, a digest of the package's
+source), so after any source edit a lookup misses instead of serving
+a stale result.
 :meth:`ResultCache.gc` reclaims those orphaned entries.  Without a
 cache directory, :func:`open_cache` gives a bounded :class:`MemoryCache`.
 
@@ -218,10 +219,10 @@ class WalkStore(_JsonFiles):
     identical bytes for identical digests — but keyed by the *walk*
     content address (cache geometry + raw stream bytes) rather than a
     task spec, and schema-gated by the payload's own
-    ``repro.walk/...`` tag instead of :data:`CODE_SALT`: a walk record
-    is a pure function of its digest inputs, so it survives unrelated
-    model-code changes that would invalidate task results.  :meth:`gc`
-    reclaims the records of another walk schema.
+    ``repro.walk/...`` tag instead of :data:`CODE_SALT`: the tag digests
+    only the walk's own modules, so a record survives the timing-model
+    edits that invalidate task results.  :meth:`gc` reclaims the records
+    of another walk schema.
     """
 
     def load(self, digest: str) -> tuple[dict | None, int]:

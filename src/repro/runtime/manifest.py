@@ -138,11 +138,6 @@ class RunManifest:
             rev=data.get("rev"),
         )
 
-    @classmethod
-    def load(cls, path: Path | str) -> "RunManifest":
-        return cls.load_dict(
-            json.loads(Path(path).read_text(encoding="utf-8")))
-
     def summary(self) -> str:
         """One-paragraph human report for the CLI / logs."""
         lines = [

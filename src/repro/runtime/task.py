@@ -9,13 +9,14 @@ consume, which is what makes on-disk caching and cross-process
 execution transparent to every figure/table driver.
 
 Two persistent caches layer under a task, keyed independently: the
-*result* cache stores a cell's full record under its content hash
-(salted with :data:`CODE_SALT`, so any model-code change invalidates
-it), while the *walk* cache (:class:`repro.runtime.cache.WalkStore`)
-stores raw hierarchy-walk outcomes keyed purely by cache geometry and
-stream bytes — a walk is a pure function of those inputs, so it
-survives code changes that only touch the timing model, and a cell
-that misses the result cache can still reuse its walks.
+*result* cache stores a cell's full record under its content hash,
+salted with :data:`CODE_SALT`, a digest of the package's source, so
+any source edit misses it.  The *walk* cache
+(:class:`repro.runtime.cache.WalkStore`) stores raw hierarchy-walk
+outcomes keyed by cache geometry, stream bytes and
+:data:`~repro.sim.memsys.WALK_SCHEMA`, a digest of only the modules
+that walk, so it survives edits that touch the timing model alone, and
+a cell that misses the result cache can still reuse its walks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 
-from .. import __version__
 from ..config import (
     CacheConfig,
     CoreConfig,
@@ -38,13 +38,11 @@ from ..config import (
 from ..errors import WorkloadError
 from ..sim.core import CycleBreakdown
 from ..sim.machine import SystemResult
+from ..source import source_digest
 
-#: bump whenever the result-record layout or the timing model's output
-#: semantics change; stale cache entries are invalidated by the salt.
-RESULT_SCHEMA_VERSION = 1
-
-#: the code-version salt mixed into every content hash.
-CODE_SALT = f"repro/{__version__}/schema-{RESULT_SCHEMA_VERSION}"
+#: the code salt mixed into every content hash: a digest of every
+#: source file of the package, taken once per process.
+CODE_SALT = source_digest()
 
 #: the system variants a task may evaluate.
 KNOWN_VARIANTS = ("baseline", "tmu", "single_lane", "imp")
@@ -168,7 +166,6 @@ class SimTask:
             if result is not None:
                 results[variant] = system_result_to_dict(result)
         return {
-            "schema": RESULT_SCHEMA_VERSION,
             "salt": CODE_SALT,
             "hash": self.content_hash(),
             "task": self.spec(),

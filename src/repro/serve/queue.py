@@ -131,10 +131,6 @@ class JobQueue:
             self._queued.discard(job_id)
             return True
 
-    def active(self, client: str) -> int:
-        with self._cond:
-            return self._active[client]
-
     @property
     def depth(self) -> int:
         """Jobs currently waiting (excludes tombstoned entries)."""

@@ -385,7 +385,8 @@ class Scheduler:
             log_event(_log, logging.WARNING, "store ingest failed",
                       job_id=job.id, store=self.db_path,
                       error=str(exc))
-            obs.counter("store.ingest_failures").add()
+            if obs.enabled():
+                obs.active().counter("store.ingest_failures").add()
 
     # ---------------------------------------------------------- telemetry
 

@@ -31,6 +31,7 @@ import numpy as np
 from .. import obs
 from ..config import MachineConfig
 from ..memo import IdentityLRU
+from ..source import source_digest
 from . import stackdist
 from .cache import (
     Cache,
@@ -106,10 +107,18 @@ class AccessProfile:
         return total_lat / total_cnt if total_cnt else 0.0
 
 
-#: Schema tag of serialized walk records.  Bump whenever the walk's
-#: observable outcome for a given (geometry, stream content) pair can
-#: change — a stale on-disk record must miss, never poison a result.
-WALK_SCHEMA = "repro.walk/1"
+#: The modules that decide a walk's outcome for a given (geometry,
+#: stream content) pair: this one and the ``repro`` modules it imports,
+#: less ``obs``, ``memo``, ``errors`` and ``source``, which decide no
+#: profile.  ``tests/test_source_digest.py`` checks the list against
+#: those imports.
+WALK_MODULES = ("repro.sim.memsys", "repro.sim.stackdist", "repro.sim.cache",
+                "repro.sim.trace", "repro.types", "repro.config")
+
+#: Schema tag of serialized walk records, a digest of the walk's own
+#: source: an edit to it misses every stored record, which must never
+#: poison a result, and an edit elsewhere keeps them.
+WALK_SCHEMA = "repro.walk/" + source_digest(WALK_MODULES)
 
 
 def _stream_meta(s: AccessStream) -> tuple:

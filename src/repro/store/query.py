@@ -19,18 +19,11 @@ import json
 
 from ..errors import StoreError
 from ..obs.metrics import Histogram
+from ..obs.snapshot import fmt_cell, render_table
 from .ingest import DURATION_PREFIX, HEADLINE_METRIC
 from .store import ExperimentStore
 
 FORMATS = ("table", "csv", "json")
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}" if not value.is_integer() else str(int(value))
-    return str(value)
 
 
 def render_rows(rows: list[dict], columns: list[str],
@@ -49,17 +42,8 @@ def render_rows(rows: list[dict], columns: list[str],
     if fmt != "table":
         raise StoreError(
             f"unknown output format {fmt!r}; known: {list(FORMATS)}")
-    table = [tuple(columns)]
-    for row in rows:
-        table.append(tuple(_fmt(row.get(c)) for c in columns))
-    widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  ".join(
-            cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines)
+    return render_table([tuple(columns)] + [
+        tuple(fmt_cell(row.get(c)) for c in columns) for row in rows])
 
 
 # ----------------------------------------------------------------- metrics

@@ -264,7 +264,9 @@ class TmuEngine:
         if parent_mode in (LayerMode.SINGLE, LayerMode.BCAST):
             return 0
         if parent_mode is LayerMode.KEEP:
-            return parent_step.active_lanes()[0]
+            # the lowest lane in the parent step's mask
+            mask = parent_step.mask
+            return (mask & -mask).bit_length() - 1
         return child_lane
 
     def _resolve_bound(self, tu: TraversalUnit, bound,

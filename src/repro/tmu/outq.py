@@ -12,7 +12,6 @@ construction, and this module accounts for the chunking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from ..errors import TMUConfigError
 
@@ -87,11 +86,3 @@ class OutQueue:
         """Chunks produced, counting the trailing partial chunk."""
         partial = 1 if self._current_chunk_fill > 0 else 0
         return self.chunks_completed + partial
-
-    def __iter__(self) -> Iterator[OutQueueRecord]:
-        return iter(self.records)
-
-    def drain(self) -> list[OutQueueRecord]:
-        """Remove and return all buffered records (the core's read)."""
-        out, self.records = self.records, []
-        return out

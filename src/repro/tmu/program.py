@@ -61,9 +61,6 @@ class ScalarOperand:
 
     stream: Stream
 
-    def label(self) -> str:
-        return self.stream.name
-
 
 @dataclass(frozen=True)
 class VectorOperand:
@@ -72,25 +69,16 @@ class VectorOperand:
 
     streams: tuple[Stream, ...]
 
-    def label(self) -> str:
-        return "vec(" + ",".join(s.name for s in self.streams) + ")"
-
 
 @dataclass(frozen=True)
 class MaskOperand:
     """The layer's multi-hot predicate (the ``msk`` stream)."""
-
-    def label(self) -> str:
-        return "msk"
 
 
 @dataclass(frozen=True)
 class IndexOperand:
     """The layer's current merged coordinate (merge modes) or step
     ordinal (lockstep) — the value the TG's sorter produced."""
-
-    def label(self) -> str:
-        return "idx"
 
 
 Operand = ScalarOperand | VectorOperand | MaskOperand | IndexOperand

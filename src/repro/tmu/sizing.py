@@ -39,9 +39,6 @@ class QueueSizing:
             return 0.0
         return self.per_lane_bytes_used / self.per_lane_bytes_available
 
-    def entries(self, layer: int) -> int:
-        return self.entries_per_layer[layer]
-
 
 def size_queues(streams_per_layer: list[int],
                 volume_per_layer: list[float],

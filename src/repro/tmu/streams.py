@@ -65,13 +65,14 @@ class MemoryArray:
 class Stream:
     """Base class of all TU data streams.
 
-    ``derive(x)`` computes this stream's element from the parent's new
-    element ``x``; memory-backed streams additionally report the byte
-    address they touch so the engine can drive the arbiter.  A stream
-    that overrides :meth:`touched_address` (today only ``MemStream``)
-    is detected structurally by the TU's precompiled plan, which logs
-    each of its touches with the arbiter — overriding on a subclass is
-    all it takes to reach the arbiter.
+    Every stream but the root ``IteStream`` (whose element is the TU's
+    iteration index) defines ``derive(x)``, which computes its element
+    from the parent's new element ``x``; memory-backed streams also
+    report the byte address they touch so the engine can drive the
+    arbiter.  A stream that overrides :meth:`touched_address` (today
+    only ``MemStream``) is detected structurally by the TU's precompiled
+    plan, which logs each of its touches with the arbiter — overriding
+    on a subclass is all it takes to reach the arbiter.
 
     ``index_in_tu`` is the stream's position in its TU's stream list,
     assigned at attach time; it doubles as the positional key into
@@ -86,9 +87,6 @@ class Stream:
         self.tu: "TraversalUnit | None" = None
         self.index_in_tu: int = -1
 
-    def derive(self, x):
-        raise NotImplementedError
-
     def touched_address(self, x) -> int | None:
         """Byte address read by deriving from ``x`` (None = no access)."""
         return None
@@ -101,9 +99,6 @@ class IteStream(Stream):
     """The root stream: the TU's current iteration index."""
 
     kind = "ite"
-
-    def derive(self, x):
-        return x
 
 
 class MemStream(Stream):

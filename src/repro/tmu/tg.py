@@ -76,9 +76,6 @@ class GroupStep:
     slots: list[Slot | None]
     emitted: bool = True
 
-    def active_lanes(self) -> list[int]:
-        return [k for k in range(len(self.slots)) if self.mask & (1 << k)]
-
 
 class TraversalGroup:
     """The TG of one TMU layer."""

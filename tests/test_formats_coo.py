@@ -78,7 +78,6 @@ class TestProperties:
 
     def test_matrix_accessors(self, figure1_matrix):
         assert figure1_matrix.num_rows == 4
-        assert figure1_matrix.num_cols == 4
         assert figure1_matrix.nnz == 4
 
     def test_repr_mentions_shape(self, figure1_matrix):

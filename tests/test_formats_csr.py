@@ -58,9 +58,9 @@ class TestValidation:
 
 class TestOperations:
     def test_row_access(self, figure1_csr):
-        idxs, vals = figure1_csr.row(3)
-        assert idxs.tolist() == [1, 3]
-        assert vals.tolist() == [3.0, 4.0]
+        beg, end = figure1_csr.row_slice(3)
+        assert figure1_csr.idxs[beg:end].tolist() == [1, 3]
+        assert figure1_csr.vals[beg:end].tolist() == [3.0, 4.0]
 
     def test_row_slice(self, figure1_csr):
         assert figure1_csr.row_slice(2) == (2, 2)  # empty row
@@ -75,7 +75,8 @@ class TestOperations:
     def test_transpose_keeps_sorted_rows(self, small_csr):
         t = small_csr.transpose()
         for i in range(t.num_rows):
-            idxs, _ = t.row(i)
+            beg, end = t.row_slice(i)
+            idxs = t.idxs[beg:end]
             assert np.all(np.diff(idxs) > 0)
 
     def test_dense_round_trip(self, small_csr):

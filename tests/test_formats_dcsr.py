@@ -51,12 +51,6 @@ class TestValidation:
 
 
 class TestOperations:
-    def test_nonempty_row_accessor(self, figure1_dcsr):
-        row, idxs, vals = figure1_dcsr.nonempty_row(2)
-        assert row == 3
-        assert idxs.tolist() == [1, 3]
-        assert vals.tolist() == [3.0, 4.0]
-
     def test_to_dense(self, figure1_dcsr, figure1_matrix):
         assert np.allclose(figure1_dcsr.to_dense(),
                            figure1_matrix.to_dense())

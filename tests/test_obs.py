@@ -12,10 +12,8 @@ import pytest
 from repro import obs
 from repro.errors import ObsError
 from repro.obs import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     NULL_TIMER,
+    NULL_TRACER,
     Histogram,
     Registry,
 )
@@ -89,28 +87,25 @@ class TestInstruments:
 class TestModuleSwitch:
     def test_disabled_hands_out_shared_null_instruments(self):
         assert not obs.enabled()
-        assert obs.counter("a") is NULL_COUNTER
-        assert obs.gauge("a") is NULL_GAUGE
-        assert obs.histogram("a") is NULL_HISTOGRAM
         assert obs.timer("a") is NULL_TIMER
-        # the no-ops really are no-ops
-        obs.counter("a").add(5)
-        obs.gauge("a").set(5)
-        obs.histogram("a").record(5)
+        assert obs.tracer() is NULL_TRACER
+        assert not obs.tracer().enabled
+        # the no-op really is a no-op
         with obs.timer("a"):
             pass
 
     def test_enabled_records_into_the_active_registry(self):
         reg = obs.enable()
-        obs.counter("hits").add(3)
-        assert reg.counter("hits").value == 3
+        with obs.timer("wall"):
+            pass
+        assert reg.timer("wall").count == 1
         obs.disable()
         assert obs.active() is None
 
     def test_capture_restores_previous_state(self):
         outer = obs.enable()
         with obs.capture() as inner:
-            obs.counter("c").add()
+            obs.active().counter("c").add()
             assert obs.active() is inner
         assert obs.active() is outer
         assert inner.counter("c").value == 1
@@ -124,12 +119,6 @@ class TestModuleSwitch:
 
 
 class TestRegistry:
-    def test_prefixed_views_nest(self):
-        reg = Registry()
-        view = reg.prefixed("tmu.tg.layer0").prefixed("lane1")
-        view.counter("iterations").add(4)
-        assert reg.counter("tmu.tg.layer0.lane1.iterations").value == 4
-
     def test_merge_folds_worker_bodies(self):
         parent = Registry()
         parent.counter("n").add(1)

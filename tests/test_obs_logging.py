@@ -26,6 +26,11 @@ def _pristine_logging():
     scrub()
 
 
+def json_handlers():
+    root = pylog.getLogger("repro")
+    return [h for h in root.handlers if isinstance(h, rlog._JsonHandler)]
+
+
 def capture(level=pylog.INFO):
     stream = io.StringIO()
     rlog.configure(stream=stream, level=level)
@@ -104,7 +109,7 @@ class TestConfigure:
         rlog.log_event(rlog.get_logger("x"), pylog.INFO, "once")
         assert first.getvalue() == ""
         assert len(records(second)) == 1
-        assert rlog.configured()
+        assert len(json_handlers()) == 1
 
     def test_string_levels_are_accepted(self):
         stream = io.StringIO()
@@ -112,7 +117,7 @@ class TestConfigure:
         assert root.level == pylog.WARNING
 
     def test_unconfigured_library_stays_silent(self):
-        assert not rlog.configured()
+        assert not json_handlers()
         # NullHandler: no "no handler" warning, no output anywhere
         rlog.log_event(rlog.get_logger("x"), pylog.INFO, "void")
 

@@ -95,12 +95,9 @@ class TestModuleSwitch:
         assert not obs.tracing_enabled()
         assert obs.tracer() is NULL_TRACER
         assert not NULL_TRACER.enabled
-        # the no-ops really are no-ops
-        NULL_TRACER.tick(5)
-        NULL_TRACER.span("t", "n", 0, 1)
-        NULL_TRACER.instant("t", "n")
-        NULL_TRACER.sample("t", "n", 1)
         assert NULL_TRACER.now == 0
+        # call sites check ``enabled`` first, so it has nothing to record
+        assert not hasattr(NULL_TRACER, "span")
 
     def test_enable_records_into_the_active_tracer(self):
         tr = obs.enable_tracing(sample_every=2)

@@ -381,12 +381,15 @@ def test_repeated_sweep_keeps_memos_flat():
         "matrices": len(MATRIX_SUITE),
         "tensors": len(TENSOR_SUITE),
     }
-    with runtime.using(runtime.Runtime()) as rt:
+    try:
+        rt = runtime.configure()
         first_rows = fig03_motivation("small")
         first = _memo_sizes(rt)
-    with runtime.using(runtime.Runtime()) as rt:
+        rt = runtime.configure()
         second_rows = fig03_motivation("small")
         second = _memo_sizes(rt)
+    finally:
+        runtime.reset()
     assert second_rows == first_rows
     for name, bound in bounds.items():
         assert first[name] <= bound, name

@@ -16,7 +16,7 @@ from repro import store as st
 from repro.cli import main
 from repro.obs.report import render_report, write_report
 from repro.store import ExperimentStore
-from repro.store.query import _fmt
+from repro.obs.snapshot import fmt_cell
 
 from tests.test_store import bench_snapshot, layer_trace, manifest
 
@@ -52,11 +52,11 @@ class TestRenderReport:
             # the exact strings `repro query stalls` would print
             for col in ("layer", "traces", "merge_steps", "stalls",
                         "stall_share"):
-                assert f">{_fmt(row[col])}<" in page
+                assert f">{fmt_cell(row[col])}<" in page
         # the bar chart's direct value labels use the same formatter
         for row in rows:
             assert re.search(
-                rf'class="val"[^>]*>{re.escape(_fmt(row["stall_share"]))}<',
+                rf'class="val"[^>]*>{re.escape(fmt_cell(row["stall_share"]))}<',
                 page)
 
     def test_sparkline_plots_latest_per_rev(self, populated):

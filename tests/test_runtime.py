@@ -389,7 +389,7 @@ class TestManifest:
         rt.run_cells([SimTask("spmv", "M1")])
         manifest = rt.manifest
         path = manifest.write(tmp_path / "m" / "run.json")
-        loaded = RunManifest.load(path)
+        loaded = RunManifest.load_dict(json.loads(path.read_text()))
         assert loaded.total == manifest.total
         assert loaded.cache_hits == manifest.cache_hits
         assert [e.hash for e in loaded.entries] == [
@@ -456,26 +456,18 @@ class TestGlobalConfiguration:
                          "--manifest", str(path)]) == 0
         finally:
             runtime.reset()
-        manifest = RunManifest.load(path)
+        manifest = RunManifest.load_dict(json.loads(path.read_text()))
         assert manifest.total == 184
         assert manifest.simulated == len(
             {e.hash for e in manifest.entries}) == 160
         assert manifest.cache_hits == 24
 
-    def test_using_scopes_the_swap(self):
-        outer = runtime.active_runtime()
-        inner = Runtime(jobs=1)
-        with runtime.using(inner) as rt:
-            assert rt is inner
-            assert runtime.active_runtime() is inner
-        assert runtime.active_runtime() is outer
-        runtime.reset()
-
     def test_drivers_route_through_active_runtime(self, tmp_path):
         from repro.eval import experiments as ex
 
-        with runtime.using(Runtime(
-                jobs=1, cache=ResultCache(tmp_path / "c"))) as rt:
+        rt = runtime.configure(jobs=1, cache_dir=tmp_path / "c",
+                               walk_cache="off")
+        try:
             data = ex.fig10_speedups("small", workloads=("spmv",))
             assert rt.manifest is not None
             assert rt.manifest.total == 6
@@ -486,3 +478,5 @@ class TestGlobalConfiguration:
             assert rt.manifest.cache_hits == 6
             assert rt.manifest.simulated == 6
             assert data == again
+        finally:
+            runtime.reset()

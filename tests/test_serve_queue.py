@@ -160,7 +160,7 @@ class TestJobQueue:
             q.push("j3", client="ci")
         q.push("j4", client="other")     # other clients unaffected
         q.push("j5", client="ci", enforce_quota=False)  # recovery path
-        assert q.active("ci") == 3
+        assert q._active["ci"] == 3
 
     def test_release_frees_quota(self):
         q = JobQueue(quota=1)
@@ -177,7 +177,7 @@ class TestJobQueue:
         q.push("j1", client="ci")
         q.push("j1", client="ci")
         assert q.depth == 1
-        assert q.active("ci") == 1
+        assert q._active["ci"] == 1
 
     def test_cancel_tombstones_queued_entry(self):
         q = JobQueue()

@@ -122,7 +122,7 @@ class TestExecution:
         assert created is False
         assert again.id == job.id and again.state is JobState.DONE
         # nothing was queued for it, so no quota was consumed
-        assert queue.active("other") == 0
+        assert queue._active["other"] == 0
 
     def test_warm_cache_serves_restarted_service(self, parts, tmp_path):
         # simulate a wiped job journal but a surviving result cache:
@@ -220,7 +220,7 @@ class TestCancellation:
         job, _ = sched.submit(submission())
         cancelled = sched.cancel(job.id)
         assert cancelled.state is JobState.CANCELLED
-        assert queue.active(job.client) == 0  # quota slot released
+        assert queue._active[job.client] == 0  # quota slot released
         # a resubmit re-opens it
         again, created = sched.submit(submission())
         assert again.id == job.id and created is False

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import TMUConfigError, TMURuntimeError
 from repro.tmu import Event, LayerMode, Program, TmuEngine
 from repro.tmu.program import ScalarOperand
+from repro.tmu.tg import GroupStep
 
 
 def two_layer_program(rows=3, cols_per_row=2):
@@ -146,6 +147,11 @@ class TestHierarchicalPredicates:
         # row 0: only lane 0 active -> (mask=01, col 5)
         # row 1: both lanes active; lane 0 holds col {6}, lane 1 {5}
         assert points == [(0b01, 5), (0b10, 5), (0b01, 6)]
+
+    def test_keep_parent_forwards_its_lowest_active_lane(self):
+        engine = TmuEngine(two_layer_program())
+        step = GroupStep(mask=0b110, index=0, slots=[None] * 3)
+        assert engine._parent_lane_for(0, LayerMode.KEEP, step) == 1
 
 
 class TestRuntimeGuards:

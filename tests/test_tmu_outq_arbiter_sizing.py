@@ -46,12 +46,6 @@ class TestOutQueue:
         assert q.chunks_completed == 1
         assert q.num_chunks == 2  # one full + one partial
 
-    def test_drain(self):
-        q = OutQueue()
-        q.push(OutQueueRecord("a", (), 0, 0))
-        assert len(q.drain()) == 1
-        assert q.num_records == 0
-
     def test_chunk_must_fit_a_record(self):
         with pytest.raises(TMUConfigError):
             OutQueue(chunk_bytes=4)
@@ -86,12 +80,12 @@ class TestArbiter:
 class TestSizing:
     def test_rightmost_layers_get_deeper_queues(self):
         sizing = size_queues([2, 3], [100.0, 10000.0], 2048)
-        assert sizing.entries(1) > sizing.entries(0)
+        assert sizing.entries_per_layer[1] > sizing.entries_per_layer[0]
         assert sizing.per_lane_bytes_used <= 2048
 
     def test_minimum_entries_guaranteed(self):
         sizing = size_queues([2, 2], [1.0, 1e9], 2048)
-        assert sizing.entries(0) >= MIN_ENTRIES
+        assert sizing.entries_per_layer[0] >= MIN_ENTRIES
 
     def test_storage_overflow_rejected(self):
         with pytest.raises(TMUConfigError):
@@ -99,7 +93,7 @@ class TestSizing:
 
     def test_zero_volume_falls_back_to_even_split(self):
         sizing = size_queues([2, 2], [0.0, 0.0], 2048)
-        assert sizing.entries(0) == sizing.entries(1)
+        assert sizing.entries_per_layer[0] == sizing.entries_per_layer[1]
 
     def test_utilization_bounded(self):
         sizing = size_queues([3, 4], [10.0, 80.0], 2048)

@@ -9,7 +9,6 @@ from repro.tmu.program import (
     LayerMode,
     MaskOperand,
     Program,
-    ScalarOperand,
     VectorOperand,
 )
 
@@ -74,7 +73,6 @@ class TestOperands:
         s = tu.add_mem_stream(arr)
         assert isinstance(layer.vec_operand([s]), VectorOperand)
         assert isinstance(layer.mask_operand(), MaskOperand)
-        assert ScalarOperand(s).label() == s.name
 
 
 class TestValidation:

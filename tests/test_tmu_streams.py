@@ -37,9 +37,6 @@ class TestMemoryArray:
 
 
 class TestStreams:
-    def test_ite_is_identity(self):
-        assert IteStream().derive(7) == 7
-
     def test_mem_loads_at_parent_value(self, array):
         s = MemStream(array, IteStream())
         assert s.derive(2) == 30.0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TMUConfigError, TMURuntimeError
 from repro.tmu.streams import MemoryArray
-from repro.tmu.tg import GroupStep, LayerMode, TraversalGroup
+from repro.tmu.tg import LayerMode, TraversalGroup
 from repro.tmu.tu import PrimitiveKind, TraversalUnit
 
 
@@ -117,9 +117,3 @@ class TestConjunctiveMerge:
         tus = [fiber_tu(0, [0, 2]), fiber_tu(1, [1, 3])]
         tg = TraversalGroup(0, LayerMode.CONJ_MRG, tus)
         assert list(tg.iterate(0b11)) == []
-
-
-class TestGroupStep:
-    def test_active_lanes(self):
-        step = GroupStep(mask=0b101, index=0, slots=[None, None, None])
-        assert step.active_lanes() == [0, 2]

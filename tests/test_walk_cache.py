@@ -288,8 +288,8 @@ class TestDiskTier:
 
     def test_gc_reclaims_corrupt_and_temp(self, tmp_path):
         store = WalkStore(tmp_path / "walks")
-        store.save("aa" * 32, {"schema": "repro.walk/1", "profiles": [],
-                               "levels": []})
+        store.save("aa" * 32, {"schema": memsys.WALK_SCHEMA,
+                               "profiles": [], "levels": []})
         (store.root / "bb.json").write_text("{", encoding="utf-8")
         (store.root / "cc.json.tmp.1.2").write_text("", encoding="utf-8")
         assert store.gc() == 2
